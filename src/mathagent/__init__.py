@@ -98,6 +98,7 @@ from .pipeline import (
     run_dataset,
     write_detections,
 )
+from .prompts import PromptSet
 from .report import (
     CALL_COLUMNS,
     COLUMNS,

@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .backends import Backend, ModelRequest, RequestSettings, TextSegment
+from .backends import Backend, RequestSettings, TextSegment
 from .data_model import ErrorCategory, Sample, UnknownCategory, parse_category
 from .interpreter import Representation, VisualTranscript
-from .prompts import load_prompt, render_prompt
+from .prompts import PromptSet, packaged_prompts
 
 _STEP_RE = re.compile(r"error\s+step\s*:?\s*(?:#|step)?\s*(\d+)", re.IGNORECASE)
 _CAT_MARKER_RE = re.compile(r"error\s+category\s*:?\s*", re.IGNORECASE)
@@ -85,7 +85,7 @@ def build_analysis_prompt(
     sample: Sample,
     transcript: VisualTranscript | None,
     include_problem_text: bool = True,
-    prompt_dir=None,
+    prompts: PromptSet | None = None,
 ) -> str:
     """Assemble the analyzer prompt; sections appear in a fixed order.
 
@@ -101,9 +101,8 @@ def build_analysis_prompt(
         visual_section = _NO_IMAGE_NOTE
     else:
         visual_section = f"{_VISUAL_HEADERS[transcript.representation]}\n{transcript.content}"
-    template = load_prompt("phase3_analyzer", prompt_dir)
-    return render_prompt(
-        template,
+    return (prompts or packaged_prompts()).render(
+        "phase3_analyzer",
         {
             "question_text": question_section,
             "visual": visual_section,
@@ -120,24 +119,15 @@ def analyze(
     backend: Backend,
     settings: RequestSettings = RequestSettings(),
     include_problem_text: bool = True,
-    prompt_dir=None,
+    prompts: PromptSet | None = None,
 ) -> AnalyzerOutput:
     """Run the analyzer with at most one format-reminder re-ask."""
 
     def ask(prompt: str) -> AnalyzerOutput:
-        request = ModelRequest(
-            model_id=settings.model_id,
-            system_prompt=settings.system_prompt,
-            segments=(TextSegment(prompt),),
-            temperature=settings.temperature,
-            max_tokens=settings.max_tokens,
-            phase="phase3",
-            sample_id=sample.id,
-        )
-        response = backend.complete(request)
+        response = backend.complete(settings.request((TextSegment(prompt),), "phase3", sample.id))
         return parse_analyzer_output(response.text, len(sample.steps))
 
-    prompt = build_analysis_prompt(sample, transcript, include_problem_text, prompt_dir)
+    prompt = build_analysis_prompt(sample, transcript, include_problem_text, prompts)
     result = ask(prompt)
     if result.parse_ok:
         return result

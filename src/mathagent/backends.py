@@ -21,17 +21,20 @@ import base64
 import enum
 import hashlib
 import json
+import logging
 import mimetypes
 import os
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
 import requests
 
 from .data_model import ImageKind, ImageRef
+
+log = logging.getLogger(__name__)
 
 
 class BackendError(Exception):
@@ -83,6 +86,7 @@ class ModelRequest:
     # routing metadata for scripted fixtures and traces; not fingerprinted
     phase: str = ""
     sample_id: str | None = None
+    fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -94,6 +98,8 @@ class ModelRequest:
             raise ValueError(f"temperature {self.temperature} outside [0, 1]")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
+        # filled here, not by a cached_property, whose lock is class-wide on 3.11
+        object.__setattr__(self, "fingerprint", request_fingerprint(self))
 
 
 @dataclass(frozen=True)
@@ -112,6 +118,12 @@ class RequestSettings:
     system_prompt: str = ""
     temperature: float = 0.0
     max_tokens: int = 1024
+
+    def request(
+        self, segments: tuple[Segment, ...], phase: str, sample_id: str | None
+    ) -> ModelRequest:
+        """A request carrying every one of these knobs, for one phase of one sample."""
+        return ModelRequest(segments=segments, phase=phase, sample_id=sample_id, **vars(self))
 
 
 class Backend(Protocol):
@@ -132,7 +144,8 @@ def _image_identity(ref: ImageRef) -> tuple[str, str]:
     return media, hashlib.sha256(data).hexdigest()
 
 
-def canonical_request_payload(request: ModelRequest) -> dict:
+def request_fingerprint(request: ModelRequest) -> str:
+    """SHA-256 hex digest of the canonical form in the module docstring."""
     segments = []
     for seg in request.segments:
         if isinstance(seg, TextSegment):
@@ -140,24 +153,15 @@ def canonical_request_payload(request: ModelRequest) -> dict:
         else:
             media, digest = _image_identity(seg.ref)
             segments.append({"kind": "image", "media_type": media, "sha256": digest})
-    return {
+    payload = {
         "max_tokens": request.max_tokens,
         "model_id": request.model_id,
         "segments": segments,
         "system_prompt": request.system_prompt,
         "temperature": request.temperature,
     }
-
-
-def canonical_request_bytes(request: ModelRequest) -> bytes:
-    payload = canonical_request_payload(request)
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-
-
-def request_fingerprint(request: ModelRequest) -> str:
-    return hashlib.sha256(canonical_request_bytes(request)).hexdigest()
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -331,7 +335,7 @@ class ScriptedBackend:
         return value[min(idx, len(value) - 1)]
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        fp = request_fingerprint(request)
+        fp = request.fingerprint
         if fp in self.by_fingerprint:
             text = self._take(("fp", fp), self.by_fingerprint[fp])
         else:
@@ -367,6 +371,11 @@ class ReplayBackend:
     Cache lines hold {fingerprint, response_text, model_id, timestamp}.
     On duplicate fingerprints the last line wins. Hits never touch the
     inner backend and report latency 0.0 with from_cache set.
+
+    A final line without its newline is what a crash during an append
+    leaves: it is cut from the file with a warning, so the next append
+    starts a line of its own. Any other unparseable line raises
+    ValueError.
     """
 
     def __init__(self, inner: Backend, cache_path):
@@ -375,20 +384,34 @@ class ReplayBackend:
         self._lock = _replay_lock(self.cache_path)
         self._entries: dict[str, str] = {}
         if self.cache_path.exists():
-            with open(self.cache_path, "r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        obj = json.loads(line)
-                        self._entries[obj["fingerprint"]] = obj["response_text"]
-                    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                        raise ValueError(
-                            f"corrupt replay cache {self.cache_path} line {line_no}: {exc}"
-                        ) from exc
+            with self._lock:
+                self._load()
+
+    def _load(self) -> None:
+        data = self.cache_path.read_bytes()
+        if data and not data.endswith(b"\n"):
+            log.warning(
+                "dropping torn final line %d of replay cache %s",
+                data.count(b"\n") + 1,
+                self.cache_path,
+            )
+            data = data[: data.rfind(b"\n") + 1]
+            with open(self.cache_path, "r+b") as fh:
+                fh.truncate(len(data))
+        # split on \n only: records may hold other line separators such as U+2028
+        for line_no, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                self._entries[obj["fingerprint"]] = obj["response_text"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"corrupt replay cache {self.cache_path} line {line_no}: {exc}"
+                ) from exc
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        fp = request_fingerprint(request)
+        fp = request.fingerprint
         with self._lock:
             cached = self._entries.get(fp)
         if cached is not None:
@@ -433,7 +456,7 @@ class RecordingBackend:
         self.records.append(
             CallRecord(
                 phase=self.phase,
-                fingerprint=request_fingerprint(request),
+                fingerprint=request.fingerprint,
                 from_cache=response.from_cache,
                 latency_ms=response.latency_ms,
             )

@@ -41,7 +41,7 @@ from .pipeline import (
     run_dataset,
     write_detections,
 )
-from .prompts import missing_prompt_assets
+from .prompts import PromptSet
 from .report import (
     attach_deltas,
     build_report_row,
@@ -78,7 +78,6 @@ class RunConfig:
     workers: int = 1
     cache_path: Path | None = None
     output_dir: Path = Path("runs/out")
-    seed: int = 0
     prompt_dir: Path | None = None
 
 
@@ -131,9 +130,6 @@ def load_config(path) -> RunConfig:
     workers = raw.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("'workers' must be a positive integer")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
 
     return RunConfig(
         dataset=_resolve(base, raw["dataset"]),
@@ -145,7 +141,6 @@ def load_config(path) -> RunConfig:
             _resolve(base, raw["cache_path"]) if raw.get("cache_path") else None
         ),
         output_dir=_resolve(base, raw.get("output_dir", "runs/out")),
-        seed=seed,
         prompt_dir=(
             _resolve(base, raw["prompt_dir"]) if raw.get("prompt_dir") else None
         ),
@@ -208,13 +203,18 @@ def build_backend(spec: dict, base: Path, cache_path: Path | None = None) -> Bac
 
 
 def build_setup(config: RunConfig, config_base: Path) -> PipelineSetup:
-    """Fresh backends and router for one pipeline run."""
+    """Fresh backends, router and prompt set for one pipeline run."""
     built: dict[str, PhaseSetup] = {}
-    for name, spec in config.backends.items():
-        built[name] = PhaseSetup(
-            backend=build_backend(spec, config_base, config.cache_path),
-            settings=_settings_from_spec(spec),
-        )
+    try:
+        prompts = PromptSet.load(config.prompt_dir)
+        for name, spec in config.backends.items():
+            built[name] = PhaseSetup(
+                backend=build_backend(spec, config_base, config.cache_path),
+                settings=_settings_from_spec(spec),
+            )
+    except (OSError, ValueError) as exc:
+        # missing prompt assets or script files, unparseable scripts or caches
+        raise ConfigError(str(exc)) from exc
     default_name = config.router.get("default", "phase2")
     router: dict[QuestionType, PhaseSetup] = {}
     for key, target in config.router.items():
@@ -226,14 +226,8 @@ def build_setup(config: RunConfig, config_base: Path) -> PipelineSetup:
         phase2=built[default_name],
         phase3=built["phase3"],
         router=router,
-        prompt_dir=config.prompt_dir,
+        prompts=prompts,
     )
-
-
-def _check_prompts(prompt_dir) -> None:
-    missing = missing_prompt_assets(prompt_dir)
-    if missing:
-        raise ConfigError("missing prompt assets: " + ", ".join(missing))
 
 
 def _load_samples(dataset_path: Path):
@@ -252,22 +246,16 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _run_one_mode(samples, config: RunConfig, config_base: Path, mode: AblationMode):
-    setup = build_setup(config, config_base)
-    detections = run_dataset(samples, mode, setup, workers=config.workers)
-    model = setup.phase3.settings.model_id
-    return detections, model
-
-
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    _check_prompts(config.prompt_dir)
+    setup = build_setup(config, Path(args.config).parent)
     samples = _load_samples(config.dataset)
     log.info("running %d samples in mode %s", len(samples), config.mode.value)
 
     started = _utc_now()
-    detections, model = _run_one_mode(samples, config, Path(args.config).parent, config.mode)
+    detections = run_dataset(samples, config.mode, setup, workers=config.workers)
     finished = _utc_now()
+    model = setup.phase3.settings.model_id
 
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -287,7 +275,6 @@ def cmd_run(args) -> int:
         "n_failures": failures,
         "call_counts": call_counts(detections),
         "workers": config.workers,
-        "seed": config.seed,
         "started_at": started,
         "finished_at": finished,
     }
@@ -302,18 +289,17 @@ def cmd_run(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
-    _check_prompts(config.prompt_dir)
     samples = _load_samples(config.dataset)
     out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     entries = []
     for mode in AblationMode:
         log.info("ablation mode %s", mode.value)
-        detections, model = _run_one_mode(samples, config, Path(args.config).parent, mode)
+        setup = build_setup(config, Path(args.config).parent)
+        detections = run_dataset(samples, mode, setup, workers=config.workers)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_detections(detections, out_dir / f"detections_{mode.value}.jsonl")
-        row = build_report_row(detections, samples, model)
-        row.model = mode.value
+        row = build_report_row(detections, samples, mode.value)
         entries.append((mode.value, row, call_counts(detections)))
 
     csv_text = render_ablation_csv(entries)

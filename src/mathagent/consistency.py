@@ -9,9 +9,9 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .backends import Backend, ImageSegment, ModelRequest, RequestSettings, TextSegment
+from .backends import Backend, ImageSegment, RequestSettings, TextSegment
 from .data_model import Sample
-from .prompts import load_prompt, render_prompt
+from .prompts import PromptSet, packaged_prompts
 
 # Tokens that flip CONSISTENT into a negative verdict when found in the
 # same word ("inconsistent", "NOT_CONSISTENT") or the word just before.
@@ -57,7 +57,7 @@ def check_consistency(
     sample: Sample,
     backend: Backend,
     settings: RequestSettings = RequestSettings(),
-    prompt_dir=None,
+    prompts: PromptSet | None = None,
 ) -> ConsistencyVerdict:
     """Ask the backend whether the image adds anything beyond the text.
 
@@ -70,16 +70,10 @@ def check_consistency(
             raw_text="",
             confidence_note="no image attached; trivially consistent",
         )
-    template = load_prompt("phase1_consistency", prompt_dir)
-    prompt = render_prompt(template, {"question_text": sample.question_text})
-    request = ModelRequest(
-        model_id=settings.model_id,
-        system_prompt=settings.system_prompt,
-        segments=(TextSegment(prompt), ImageSegment(sample.image)),
-        temperature=settings.temperature,
-        max_tokens=settings.max_tokens,
-        phase="phase1",
-        sample_id=sample.id,
+    prompt = (prompts or packaged_prompts()).render(
+        "phase1_consistency", {"question_text": sample.question_text}
     )
-    response = backend.complete(request)
+    response = backend.complete(
+        settings.request((TextSegment(prompt), ImageSegment(sample.image)), "phase1", sample.id)
+    )
     return ConsistencyVerdict(consistent=parse_verdict(response.text), raw_text=response.text)

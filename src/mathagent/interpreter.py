@@ -20,7 +20,7 @@ from .formal_language import (
     validate_arity,
     check_latex_table,
 )
-from .prompts import load_prompt, render_prompt
+from .prompts import PromptSet, packaged_prompts
 
 
 class TypeInferenceError(Exception):
@@ -92,22 +92,14 @@ def _image_request(
 ) -> ModelRequest:
     if sample.image is None:
         raise ValueError(f"sample {sample.id} has no image to transcribe")
-    return ModelRequest(
-        model_id=settings.model_id,
-        system_prompt=settings.system_prompt,
-        segments=(TextSegment(prompt), ImageSegment(sample.image)),
-        temperature=settings.temperature,
-        max_tokens=settings.max_tokens,
-        phase=phase,
-        sample_id=sample.id,
-    )
+    return settings.request((TextSegment(prompt), ImageSegment(sample.image)), phase, sample.id)
 
 
 def resolve_question_type(
     sample: Sample,
     backend: Backend,
     settings: RequestSettings = RequestSettings(),
-    prompt_dir=None,
+    prompts: PromptSet | None = None,
 ) -> tuple[QuestionType, TranscriptSource]:
     """Dataset label if present (zero calls); otherwise ask the backend.
 
@@ -117,8 +109,9 @@ def resolve_question_type(
     if sample.question_type is not None:
         return sample.question_type, TranscriptSource.DATASET_LABEL
 
-    template = load_prompt("phase2_question_type", prompt_dir)
-    prompt = render_prompt(template, {"question_text": sample.question_text})
+    prompt = (prompts or packaged_prompts()).render(
+        "phase2_question_type", {"question_text": sample.question_text}
+    )
     reply = backend.complete(
         _image_request(sample, prompt, settings, "phase2.type")
     ).text
@@ -142,7 +135,7 @@ def interpret_visual(
     question_type: QuestionType | None,
     backend: Backend,
     settings: RequestSettings = RequestSettings(),
-    prompt_dir=None,
+    prompts: PromptSet | None = None,
     source: TranscriptSource | None = None,
     caption_only: bool = False,
 ) -> VisualTranscript:
@@ -164,8 +157,9 @@ def interpret_visual(
     else:
         prompt_name = "phase2_caption"
 
-    template = load_prompt(prompt_name, prompt_dir)
-    prompt = render_prompt(template, {"question_text": sample.question_text})
+    prompt = (prompts or packaged_prompts()).render(
+        prompt_name, {"question_text": sample.question_text}
+    )
     reply = backend.complete(_image_request(sample, prompt, settings, "phase2")).text
 
     if route is QuestionType.PLANE_GEOMETRY:

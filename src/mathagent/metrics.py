@@ -45,6 +45,19 @@ class ScoredRun:
     category_totals: dict[ErrorCategory, int]
     confusion: dict[tuple[str, str], int]  # (predicted row, ground-truth col)
 
+    def step_accuracy(self) -> Fraction:
+        return Fraction(100 * self.step_hits, self.n)
+
+    def category_accuracy(self) -> dict[ErrorCategory, Fraction]:
+        return {
+            cat: Fraction(100 * self.category_hits.get(cat, 0), total)
+            for cat, total in self.category_totals.items()
+        }
+
+    def overall_micro(self) -> Fraction:
+        hits = sum(self.category_hits.get(cat, 0) for cat in self.category_totals)
+        return Fraction(100 * hits, self.n)
+
 
 def _align(predictions: Iterable[Prediction], samples: list[Sample]):
     by_id: dict[str, Prediction] = {}
@@ -100,26 +113,19 @@ def score_run(predictions: Iterable[Prediction], samples: list[Sample]) -> Score
 
 def step_accuracy(predictions: Iterable[Prediction], samples: list[Sample]) -> Fraction:
     """Percent of samples whose predicted step equals the labeled step."""
-    scored = score_run(predictions, samples)
-    return Fraction(100 * scored.step_hits, scored.n)
+    return score_run(predictions, samples).step_accuracy()
 
 
 def category_accuracy(
     predictions: Iterable[Prediction], samples: list[Sample]
 ) -> dict[ErrorCategory, Fraction]:
     """Percent correct per ground-truth category; absent categories omitted."""
-    scored = score_run(predictions, samples)
-    return {
-        cat: Fraction(100 * scored.category_hits.get(cat, 0), total)
-        for cat, total in scored.category_totals.items()
-    }
+    return score_run(predictions, samples).category_accuracy()
 
 
 def overall_micro(predictions: Iterable[Prediction], samples: list[Sample]) -> Fraction:
     """Count-weighted categorization accuracy over all samples."""
-    scored = score_run(predictions, samples)
-    hits = sum(scored.category_hits.get(cat, 0) for cat in scored.category_totals)
-    return Fraction(100 * hits, scored.n)
+    return score_run(predictions, samples).overall_micro()
 
 
 def weighted_overall(per_category: Mapping, counts: Mapping) -> Fraction:

@@ -32,6 +32,7 @@ from .interpreter import (
     interpret_visual,
     resolve_question_type,
 )
+from .prompts import PromptSet, packaged_prompts
 
 
 class AblationMode(enum.Enum):
@@ -63,7 +64,7 @@ class PipelineSetup:
     phase3: PhaseSetup
     # per-question-type overrides for phase 2; phase2 handles the rest
     router: dict[QuestionType, PhaseSetup] = field(default_factory=dict)
-    prompt_dir: object = None
+    prompts: PromptSet = field(default_factory=packaged_prompts)
 
     def phase2_for(self, question_type: QuestionType | None) -> PhaseSetup:
         if question_type is not None and question_type in self.router:
@@ -108,7 +109,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                 sample,
                 recorder(setup.phase1.backend, "phase1"),
                 setup.phase1.settings,
-                setup.prompt_dir,
+                setup.prompts,
             )
 
         if mode is AblationMode.NO_VALIDATOR:
@@ -130,7 +131,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                     sample.question_type,
                     recorder(setup.phase2.backend, "phase2"),
                     setup.phase2.settings,
-                    setup.prompt_dir,
+                    setup.prompts,
                     source=source,
                     caption_only=True,
                 )
@@ -140,7 +141,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                         sample,
                         recorder(setup.phase2.backend, "phase2.type"),
                         setup.phase2.settings,
-                        setup.prompt_dir,
+                        setup.prompts,
                     )
                 except TypeInferenceError:
                     # unresolvable type: transcribe as a plain caption
@@ -151,7 +152,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                     qtype,
                     recorder(chosen.backend, "phase2"),
                     chosen.settings,
-                    setup.prompt_dir,
+                    setup.prompts,
                     source=source,
                 )
 
@@ -162,7 +163,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
             recorder(setup.phase3.backend, "phase3"),
             setup.phase3.settings,
             include_problem_text=(mode is not AblationMode.NO_ANALYZER),
-            prompt_dir=setup.prompt_dir,
+            prompts=setup.prompts,
         )
         trace.phase3_raw = output.raw_text
         if output.parse_ok:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 PROMPT_FILES = {
@@ -18,26 +20,31 @@ _PACKAGED_DIR = Path(__file__).parent / "prompts"
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
 
-def prompt_path(name: str, prompt_dir=None) -> Path:
-    try:
-        filename = PROMPT_FILES[name]
-    except KeyError:
-        raise KeyError(f"unknown prompt asset {name!r}") from None
-    base = Path(prompt_dir) if prompt_dir is not None else _PACKAGED_DIR
-    return base / filename
+@dataclass(frozen=True)
+class PromptSet:
+    """The six prompt templates of one pipeline setup, read from disk once."""
+
+    templates: dict[str, str]
+
+    @classmethod
+    def load(cls, prompt_dir=None) -> "PromptSet":
+        """Read every asset from prompt_dir (the packaged set when None).
+
+        Raises FileNotFoundError naming every missing asset.
+        """
+        base = Path(prompt_dir) if prompt_dir is not None else _PACKAGED_DIR
+        paths = {name: base / filename for name, filename in PROMPT_FILES.items()}
+        missing = [str(path) for path in paths.values() if not path.is_file()]
+        if missing:
+            raise FileNotFoundError("missing prompt assets: " + ", ".join(missing))
+        return cls({name: path.read_text(encoding="utf-8") for name, path in paths.items()})
+
+    def render(self, name: str, values: dict[str, str]) -> str:
+        return render_prompt(self.templates[name], values)
 
 
-def load_prompt(name: str, prompt_dir=None) -> str:
-    return prompt_path(name, prompt_dir).read_text(encoding="utf-8")
-
-
-def missing_prompt_assets(prompt_dir=None) -> list[str]:
-    """Paths of prompt assets that do not exist; empty means all present."""
-    return [
-        str(prompt_path(name, prompt_dir))
-        for name in PROMPT_FILES
-        if not prompt_path(name, prompt_dir).is_file()
-    ]
+# the packaged set, read on first call and shared afterwards
+packaged_prompts = functools.cache(PromptSet.load)
 
 
 def render_prompt(template: str, values: dict[str, str]) -> str:

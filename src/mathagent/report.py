@@ -13,14 +13,7 @@ from decimal import Decimal
 from typing import Iterable, Mapping
 
 from .data_model import ErrorCategory, Sample
-from .metrics import (
-    Prediction,
-    average_score,
-    category_accuracy,
-    improvement_delta,
-    overall_micro,
-    step_accuracy,
-)
+from .metrics import Prediction, average_score, improvement_delta, score_run
 from .rounding import format_signed, round_half_up
 
 COLUMNS = ("step", "vis", "cal", "reas", "know", "mis", "overall", "average")
@@ -59,10 +52,10 @@ def build_report_row(
     predictions: Iterable[Prediction], samples: list[Sample], model: str
 ) -> ReportRow:
     """Score a run and round every cell at this, and only this, boundary."""
-    predictions = list(predictions)
-    step = step_accuracy(predictions, samples)
-    cats = category_accuracy(predictions, samples)
-    overall = overall_micro(predictions, samples)
+    scored = score_run(predictions, samples)
+    step = scored.step_accuracy()
+    cats = scored.category_accuracy()
+    overall = scored.overall_micro()
     values: dict[str, Decimal | None] = {"step": round_half_up(step, 2)}
     for column, category in _CATEGORY_COLUMNS.items():
         values[column] = round_half_up(cats[category], 2) if category in cats else None

@@ -476,6 +476,13 @@ class TestReplayBackend:
             ReplayBackend(CountingBackend(), cache)
         assert "line 2" in str(err.value)
 
+    def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        reply = "first\u2028second\u0085third\x0cfourth"
+        ReplayBackend(CountingBackend(reply), cache).complete(text_request())
+        warm = ReplayBackend(CountingBackend("should not be used"), cache)
+        assert warm.complete(text_request()).text == reply
+
     def test_blank_lines_skipped(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         record = {

@@ -1,11 +1,17 @@
 """Command-line behaviour: run, ablate, validate, report, exit codes."""
 
 import json
+import os
+import shutil
+import subprocess
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES
+from mathagent import ScriptedBackend, backends, prompts
 from mathagent.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -14,8 +20,10 @@ from mathagent.cli import (
     main,
 )
 
+REPO = Path(__file__).resolve().parents[1]
 DATASET = FIXTURES / "dataset_12.jsonl"
 SCRIPTS = FIXTURES / "scripts_12.json"
+PACKAGED_PROMPTS = Path(prompts.__file__).parent / "prompts"
 
 
 def write_config(tmp_path: Path, out_dir: Path, **overrides) -> Path:
@@ -34,6 +42,14 @@ def write_config(tmp_path: Path, out_dir: Path, **overrides) -> Path:
 
 def read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the sources on PYTHONPATH; stderr is captured."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 class TestValidate:
@@ -166,6 +182,14 @@ class TestRun:
             second = (dirs[1] / name).read_bytes()
             assert first == second, name
 
+    def test_seed_key_is_ignored(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir, seed="not even an integer")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((out_dir / "run_meta.json").read_text(encoding="utf-8"))
+        assert "seed" not in meta
+
     def test_mode_from_config(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         config = write_config(tmp_path, out_dir, mode="no_validator")
@@ -294,6 +318,24 @@ class TestConfigErrors:
         config = write_config(tmp_path, tmp_path / "out", workers=0)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
+    def test_missing_script_file(self, tmp_path):
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase2"] = {"kind": "scripted", "script_path": "absent.json"}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_missing_prompt_asset(self, tmp_path, caplog, command):
+        prompt_dir = tmp_path / "prompts"
+        shutil.copytree(PACKAGED_PROMPTS, prompt_dir)
+        (prompt_dir / "phase2_latex.prompt").unlink()
+        config = write_config(tmp_path, tmp_path / "out", prompt_dir="prompts")
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert "missing prompt assets" in caplog.text
+        assert "phase2_latex.prompt" in caplog.text
+        assert not (tmp_path / "out").exists()
+
 
 class TestDatasetErrors:
     def test_missing_dataset_file(self, tmp_path):
@@ -340,3 +382,121 @@ class TestRouterConfig:
         assert meta["call_counts"] == {
             "phase1": 10, "phase2.type": 2, "phase2": 6, "phase3": 14,
         }
+
+
+class TestPromptDir:
+    def test_edited_prompt_reaches_the_request(self, tmp_path, capsys, monkeypatch):
+        prompt_dir = tmp_path / "prompts"
+        shutil.copytree(PACKAGED_PROMPTS, prompt_dir)
+        analyzer = prompt_dir / "phase3_analyzer.prompt"
+        analyzer.write_text(
+            "EDITED ANALYZER PROMPT\n" + analyzer.read_text(encoding="utf-8"),
+            encoding="utf-8",
+        )
+        seen = []
+        original = ScriptedBackend.complete
+        monkeypatch.setattr(
+            ScriptedBackend,
+            "complete",
+            lambda self, request: seen.append(request) or original(self, request),
+        )
+        config = write_config(tmp_path, tmp_path / "out", prompt_dir="prompts")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        phase3 = [r for r in seen if r.phase == "phase3"]
+        assert len(phase3) == 14
+        assert all(r.segments[0].text.startswith("EDITED ANALYZER PROMPT\n") for r in phase3)
+        assert not any("EDITED" in r.segments[0].text for r in seen if r.phase != "phase3")
+
+
+class TestComputedOnce:
+    def test_warm_replay_fingerprints_each_request_once(self, tmp_path, capsys, monkeypatch):
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir, cache_path=str(tmp_path / "cache.jsonl"))
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        fingerprinted = []
+        original = backends.request_fingerprint
+        monkeypatch.setattr(
+            backends,
+            "request_fingerprint",
+            lambda request: fingerprinted.append(request) or original(request),
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((out_dir / "run_meta.json").read_text(encoding="utf-8"))
+        calls = sum(meta["call_counts"].values())
+        assert calls == 32
+        assert len(fingerprinted) == calls
+        detections = [json.loads(line) for line in read_lines(out_dir / "detections.jsonl")]
+        assert all(
+            record["from_cache"]
+            for det in detections
+            for record in det["trace"]["backend_calls"]
+        )
+
+    def test_prompt_assets_read_once_per_setup(self, tmp_path, capsys, monkeypatch):
+        reads = []
+        original = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            if path.suffix == ".prompt":
+                reads.append(path.name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        # ablate builds one setup per mode
+        assert Counter(reads) == {name: 4 for name in prompts.PROMPT_FILES.values()}
+
+
+class TestReplayCacheDamage:
+    @pytest.fixture()
+    def cached_run(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        config = write_config(tmp_path, tmp_path / "out", cache_path=str(cache))
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        return config, cache
+
+    @pytest.mark.parametrize("cut", [40, 1], ids=["mid-record", "newline-only"])
+    def test_torn_final_line_is_dropped_and_fetched_again(self, cached_run, tmp_path, cut):
+        config, cache = cached_run
+        intact = cache.read_bytes().splitlines(keepends=True)
+        report = (tmp_path / "out" / "report.csv").read_bytes()
+        cache.write_bytes(b"".join(intact)[:-cut])
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"dropping torn final line {len(intact)}" in proc.stderr
+        # the dropped record was fetched again and appended on a line of its own
+        lines = cache.read_bytes().splitlines(keepends=True)
+        assert lines[:-1] == intact[:-1]
+        assert json.loads(lines[-1])["fingerprint"] == json.loads(intact[-1])["fingerprint"]
+        assert lines[-1].endswith(b"\n")
+        assert (tmp_path / "out" / "report.csv").read_bytes() == report
+
+    @pytest.mark.parametrize("index", [2, -1], ids=["middle", "last-complete"])
+    def test_other_corrupt_lines_are_config_errors(self, cached_run, index):
+        config, cache = cached_run
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[index] = "{broken\n"
+        cache.write_text("".join(lines), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert f"line {len(lines) if index == -1 else index + 1}" in proc.stderr
+
+
+class TestScripts:
+    def test_run_demo(self):
+        proc = run_python(str(REPO / "scripts" / "run_demo.py"))
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+        assert "| scripted-12 | 75.00 | 50.00 |" in out
+        grid = out.split("ablation grid:\n")[1].splitlines()
+        assert grid[0].startswith("mode,step,")
+        assert [line.split(",")[0] for line in grid[1:]] == [
+            "full", "no_validator", "no_interpreter", "no_analyzer",
+        ]

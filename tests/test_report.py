@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from conftest import FIXTURES, make_sample
+from mathagent import report
 from mathagent import (
     CALL_COLUMNS,
     COLUMNS,
@@ -69,6 +70,16 @@ class TestBuildReportRow:
         assert row.values["overall"] == Decimal("50.00")
         assert row.values["average"] == Decimal("62.50")
         assert row.deltas == {}
+
+    def test_scores_the_run_once(self, monkeypatch):
+        samples, preds = small_run()
+        calls = []
+        original = report.score_run
+        monkeypatch.setattr(
+            report, "score_run", lambda *args: calls.append(args) or original(*args)
+        )
+        build_report_row(iter(preds), samples, "demo")
+        assert len(calls) == 1
 
     def test_every_present_cell_has_two_decimals(self):
         samples, preds = small_run()
