@@ -1,4 +1,7 @@
-"""Model backends: OpenAI-compatible HTTP, scripted fixtures, replay cache.
+"""Model backends: OpenAI-compatible HTTP, scripted fixtures, replay memo.
+
+The CLI sends every call of a command through one ReplayCache, which asks
+a phase's HTTP or scripted backend only for requests it has not seen.
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
@@ -26,6 +29,7 @@ import mimetypes
 import os
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
@@ -353,50 +357,37 @@ class ScriptedBackend:
         return ModelResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0)
 
 
-# One append lock per cache file so several ReplayBackend instances in the
-# same process (one per pipeline phase) never interleave partial lines.
-_REPLAY_LOCKS: dict[str, threading.Lock] = {}
-_REPLAY_LOCKS_GUARD = threading.Lock()
+class ReplayCache:
+    """Fingerprint -> reply memo for every phase backend of one command.
 
-
-def _replay_lock(path: Path) -> threading.Lock:
-    key = str(path.resolve())
-    with _REPLAY_LOCKS_GUARD:
-        return _REPLAY_LOCKS.setdefault(key, threading.Lock())
-
-
-class ReplayBackend:
-    """Append-only JSONL response cache keyed by request fingerprint.
-
-    Cache lines hold {fingerprint, response_text, model_id, timestamp}.
-    On duplicate fingerprints the last line wins. Hits never touch the
-    inner backend and report latency 0.0 with from_cache set.
-
-    A final line without its newline is what a crash during an append
-    leaves: it is cut from the file with a warning, so the next append
-    starts a line of its own. Any other unparseable line raises
-    ValueError.
+    A repeated request gets the stored reply, with from_cache set and
+    latency 0.0. Concurrent misses on one fingerprint make one inner call
+    (single-flight); a failed call stores nothing, and its waiters raise.
+    With a path, the memo persists as append-only JSONL read once here, one
+    {fingerprint, response_text, finish_reason, model_id, timestamp} per
+    line (finish_reason stop when absent, the last line winning). A torn
+    final line (a crash mid-append) is cut with a warning; any other bad
+    line raises ValueError. Only this object orders appends: one per file.
     """
 
-    def __init__(self, inner: Backend, cache_path):
-        self.inner = inner
-        self.cache_path = Path(cache_path)
-        self._lock = _replay_lock(self.cache_path)
-        self._entries: dict[str, str] = {}
-        if self.cache_path.exists():
-            with self._lock:
-                self._load()
+    def __init__(self, path=None):
+        self.path = None if path is None else Path(path)
+        # a Future while the one call asking for it is in flight
+        self._replies: dict[str, tuple[str, FinishReason] | Future] = {}
+        self._lock = threading.Lock()
+        if self.path is not None and self.path.exists():
+            self._load()
 
     def _load(self) -> None:
-        data = self.cache_path.read_bytes()
+        data = self.path.read_bytes()
         if data and not data.endswith(b"\n"):
             log.warning(
                 "dropping torn final line %d of replay cache %s",
                 data.count(b"\n") + 1,
-                self.cache_path,
+                self.path,
             )
             data = data[: data.rfind(b"\n") + 1]
-            with open(self.cache_path, "r+b") as fh:
+            with open(self.path, "r+b") as fh:
                 fh.truncate(len(data))
         # split on \n only: records may hold other line separators such as U+2028
         for line_no, line in enumerate(data.decode("utf-8").split("\n"), start=1):
@@ -404,35 +395,57 @@ class ReplayBackend:
                 continue
             try:
                 obj = json.loads(line)
-                self._entries[obj["fingerprint"]] = obj["response_text"]
+                self._replies[obj["fingerprint"]] = (
+                    obj["response_text"], FinishReason(obj.get("finish_reason", "stop"))
+                )
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(
-                    f"corrupt replay cache {self.cache_path} line {line_no}: {exc}"
+                    f"corrupt replay cache {self.path} line {line_no}: {exc}"
                 ) from exc
 
-    def complete(self, request: ModelRequest) -> ModelResponse:
+    def complete(self, inner: Backend, request: ModelRequest) -> ModelResponse:
+        """The stored reply to request; on a miss, inner's reply, then stored."""
         fp = request.fingerprint
         with self._lock:
-            cached = self._entries.get(fp)
-        if cached is not None:
-            return ModelResponse(
-                text=cached,
-                finish_reason=FinishReason.STOP,
-                latency_ms=0.0,
-                from_cache=True,
-            )
-        response = self.inner.complete(request)
-        record = {
-            "fingerprint": fp,
-            "response_text": response.text,
-            "model_id": request.model_id,
-            "timestamp": time.time(),
-        }
+            stored = self._replies.get(fp)
+            if stored is None:
+                self._replies[fp] = flight = Future()
+        if stored is not None:
+            text, reason = stored.result() if isinstance(stored, Future) else stored
+            return ModelResponse(text, reason, latency_ms=0.0, from_cache=True)
+        try:
+            response = inner.complete(request)
+        except BaseException as exc:
+            with self._lock:
+                del self._replies[fp]
+            flight.set_exception(exc)
+            raise
+        reply = (response.text, response.finish_reason)
+        flight.set_result(reply)  # first, so a failed append strands no waiter
         with self._lock:
-            self._entries[fp] = response.text
-            with open(self.cache_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            self._replies[fp] = reply
+            if self.path is not None:
+                record = {
+                    "fingerprint": fp,
+                    "response_text": response.text,
+                    "finish_reason": response.finish_reason.value,
+                    "model_id": request.model_id,
+                    "timestamp": time.time(),
+                }
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         return response
+
+
+class ReplayBackend:
+    """One phase's binding to a ReplayCache: its misses go to inner."""
+
+    def __init__(self, inner: Backend, cache: ReplayCache):
+        self.inner = inner
+        self.cache = cache
+
+    def complete(self, request: ModelRequest) -> ModelResponse:
+        return self.cache.complete(self.inner, request)
 
 
 @dataclass(frozen=True)

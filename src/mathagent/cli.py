@@ -18,6 +18,7 @@ from .backends import (
     Backend,
     HttpBackend,
     ReplayBackend,
+    ReplayCache,
     RequestSettings,
     RetryPolicy,
     ScriptedBackend,
@@ -67,6 +68,7 @@ class DatasetError(Exception):
 
 
 PHASE_NAMES = ("phase1", "phase2", "phase3")
+_SETTINGS = tuple(vars(RequestSettings()))  # backend spec keys that are request knobs
 
 
 @dataclass
@@ -86,6 +88,20 @@ def _resolve(base: Path, value: str) -> Path:
     return path if path.is_absolute() else base / path
 
 
+def _typed(spec: dict, key: str, kind, default, what: str):
+    """spec[key], or default when the key is absent; it must be a `kind`."""
+    value = spec.get(key, default)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{key!r} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def _path(raw: dict, key: str, base: Path, default: str | None = None) -> Path | None:
+    """raw[key] resolved against base; an absent, null or empty value gives default."""
+    value = _typed(raw, key, (str, type(None)), None, "a path string") or default
+    return None if value is None else _resolve(base, value)
+
+
 def load_config(path) -> RunConfig:
     """Parse and sanity-check a run config; all problems raise ConfigError."""
     config_path = Path(path)
@@ -99,7 +115,8 @@ def load_config(path) -> RunConfig:
         raise ConfigError("config root must be a JSON object")
 
     base = config_path.parent
-    if "dataset" not in raw:
+    dataset = _path(raw, "dataset", base)
+    if dataset is None:
         raise ConfigError("config needs a 'dataset' path")
     mode_raw = raw.get("mode", "full")
     try:
@@ -132,88 +149,83 @@ def load_config(path) -> RunConfig:
         raise ConfigError("'workers' must be a positive integer")
 
     return RunConfig(
-        dataset=_resolve(base, raw["dataset"]),
+        dataset=dataset,
         mode=mode,
         backends=backends,
         router=router,
         workers=workers,
-        cache_path=(
-            _resolve(base, raw["cache_path"]) if raw.get("cache_path") else None
-        ),
-        output_dir=_resolve(base, raw.get("output_dir", "runs/out")),
-        prompt_dir=(
-            _resolve(base, raw["prompt_dir"]) if raw.get("prompt_dir") else None
-        ),
+        cache_path=_path(raw, "cache_path", base),
+        output_dir=_path(raw, "output_dir", base, "runs/out"),
+        prompt_dir=_path(raw, "prompt_dir", base),
     )
 
 
-def _settings_from_spec(spec: dict) -> RequestSettings:
-    return RequestSettings(
-        model_id=spec.get("model_id", "scripted"),
-        system_prompt=spec.get("system_prompt", ""),
-        temperature=spec.get("temperature", 0.0),
-        max_tokens=spec.get("max_tokens", 1024),
-    )
-
-
-def build_backend(spec: dict, base: Path, cache_path: Path | None = None) -> Backend:
-    """Construct a backend from its config object.
-
-    A run-level cache_path wraps the result in a replay layer unless the
-    spec is already a replay backend.
-    """
+def build_backend(spec: dict, base: Path) -> Backend:
+    """Construct a backend from its config object."""
     if not isinstance(spec, dict):
         raise ConfigError("backend spec must be an object")
     kind = spec.get("kind")
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http backend needs 'base_url'")
-        retry_spec = spec.get("retry", {})
-        backend: Backend = HttpBackend(
-            base_url=spec["base_url"],
-            api_key_env=spec.get("api_key_env", "MATHAGENT_API_KEY"),
+        retry_spec = _typed(spec, "retry", dict, {}, "an object")
+        return HttpBackend(
+            base_url=_typed(spec, "base_url", str, None, "a string"),
+            api_key_env=_typed(spec, "api_key_env", str, "MATHAGENT_API_KEY", "a string"),
             retry=RetryPolicy(
-                max_attempts=retry_spec.get("max_attempts", 3),
-                backoff_base_ms=retry_spec.get("backoff_base_ms", 250),
+                max_attempts=_typed(retry_spec, "max_attempts", int, 3, "an integer"),
+                backoff_base_ms=_typed(retry_spec, "backoff_base_ms", int, 250, "an integer"),
             ),
-            rate_limit=spec.get("rate_limit", 4),
-            timeout_s=spec.get("timeout_s", 60.0),
+            rate_limit=_typed(spec, "rate_limit", int, 4, "an integer"),
+            timeout_s=_typed(spec, "timeout_s", (int, float), 60.0, "a number"),
         )
-    elif kind == "scripted":
-        if "script_path" in spec:
-            backend = ScriptedBackend.from_file(_resolve(base, spec["script_path"]))
-            if "default_reply" in spec:
-                backend.default_reply = spec["default_reply"]
-        else:
-            backend = ScriptedBackend(
-                phases=spec.get("phases"),
-                by_fingerprint=spec.get("by_fingerprint"),
-                default_reply=spec.get("default_reply"),
-            )
-    elif kind == "replay":
-        if "cache_path" not in spec or "inner" not in spec:
-            raise ConfigError("replay backend needs 'cache_path' and 'inner'")
-        inner = build_backend(spec["inner"], base)
-        return ReplayBackend(inner, _resolve(base, spec["cache_path"]))
-    else:
+    if kind != "scripted":
         raise ConfigError(f"unknown backend kind {kind!r}")
-    if cache_path is not None:
-        return ReplayBackend(backend, cache_path)
-    return backend
+    default_reply = _typed(spec, "default_reply", (str, type(None)), None, "a string")
+    if "script_path" in spec:
+        backend = ScriptedBackend.from_file(
+            _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
+        )
+        if "default_reply" in spec:
+            backend.default_reply = default_reply
+        return backend
+    phases = _typed(spec, "phases", dict, {}, "an object")
+    if not all(isinstance(replies, dict) for replies in phases.values()):
+        raise ConfigError("'phases' must map each phase to an object")
+    return ScriptedBackend(
+        phases=phases,
+        by_fingerprint=_typed(spec, "by_fingerprint", dict, {}, "an object"),
+        default_reply=default_reply,
+    )
 
 
-def build_setup(config: RunConfig, config_base: Path) -> PipelineSetup:
-    """Fresh backends, router and prompt set for one pipeline run."""
+def _open_cache(config: RunConfig) -> ReplayCache:
+    """One command's memo, persisted at config.cache_path when that is set."""
+    try:
+        return ReplayCache(config.cache_path)
+    except (OSError, ValueError) as exc:  # unreadable or corrupt cache file
+        raise ConfigError(str(exc)) from exc
+
+
+def build_setup(
+    config: RunConfig, config_base: Path, cache: ReplayCache | None = None
+) -> PipelineSetup:
+    """Fresh backends, router and prompt set for one pipeline run.
+
+    Every phase backend answers through `cache`, by default a new one.
+    """
+    if cache is None:
+        cache = _open_cache(config)
     built: dict[str, PhaseSetup] = {}
     try:
         prompts = PromptSet.load(config.prompt_dir)
         for name, spec in config.backends.items():
             built[name] = PhaseSetup(
-                backend=build_backend(spec, config_base, config.cache_path),
-                settings=_settings_from_spec(spec),
+                backend=ReplayBackend(build_backend(spec, config_base), cache),
+                settings=RequestSettings(**{k: spec[k] for k in _SETTINGS if k in spec}),
             )
     except (OSError, ValueError) as exc:
-        # missing prompt assets or script files, unparseable scripts or caches
+        # missing prompt assets or script files, unparseable scripts
         raise ConfigError(str(exc)) from exc
     default_name = config.router.get("default", "phase2")
     router: dict[QuestionType, PhaseSetup] = {}
@@ -291,11 +303,12 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     samples = _load_samples(config.dataset)
     out_dir = config.output_dir
+    cache = _open_cache(config)  # shared by all four modes
 
     entries = []
     for mode in AblationMode:
         log.info("ablation mode %s", mode.value)
-        setup = build_setup(config, Path(args.config).parent)
+        setup = build_setup(config, Path(args.config).parent, cache)
         detections = run_dataset(samples, mode, setup, workers=config.workers)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_detections(detections, out_dir / f"detections_{mode.value}.jsonl")

@@ -166,19 +166,11 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
             prompts=setup.prompts,
         )
         trace.phase3_raw = output.raw_text
-        if output.parse_ok:
-            return Detection(
-                sample_id=sample.id,
-                mode=mode,
-                predicted_step=output.error_step,
-                predicted_category=output.error_category,
-                trace=trace,
-            )
         return Detection(
             sample_id=sample.id,
             mode=mode,
-            predicted_step=None,
-            predicted_category=None,
+            predicted_step=output.error_step if output.parse_ok else None,
+            predicted_category=output.error_category if output.parse_ok else None,
             trace=trace,
         )
     except (BackendError, OSError) as exc:

@@ -34,11 +34,6 @@ def round_half_up(value, places: int = 2) -> Decimal:
     )
 
 
-def format_fixed(value, places: int = 2) -> str:
-    """Render with a fixed number of decimals, e.g. 55.1 -> '55.10'."""
-    return str(round_half_up(value, places))
-
-
 def format_signed(value, places: int = 1) -> str:
     """Render a delta with an explicit sign, e.g. 4.4 -> '+4.4'."""
     rounded = round_half_up(value, places)

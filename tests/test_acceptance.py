@@ -27,6 +27,7 @@ from mathagent import (
     PipelineSetup,
     QuestionType,
     ReplayBackend,
+    ReplayCache,
     Representation,
     RequestSettings,
     Symbol,
@@ -309,7 +310,7 @@ def test_criterion_4_determinism_and_replay(
         monkeypatch.setenv("MATHAGENT_API_KEY", "acceptance-key")
 
         def replay_setup():
-            phase = PhaseSetup(backend=ReplayBackend(http, cache))
+            phase = PhaseSetup(backend=ReplayBackend(http, ReplayCache(cache)))
             return PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
 
         cold = run_dataset(samples_12, AblationMode.FULL, replay_setup())

@@ -3,8 +3,12 @@
 import base64
 import hashlib
 import json
+import os
+import sys
 import threading
 import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from mathagent import (
     ModelResponse,
     RecordingBackend,
     ReplayBackend,
+    ReplayCache,
     RetryPolicy,
     ScriptMiss,
     ScriptedBackend,
@@ -407,22 +412,62 @@ class TestScriptedBackend:
 
 
 class CountingBackend:
-    def __init__(self, reply="inner reply"):
+    def __init__(self, reply="inner reply", reason=FinishReason.STOP):
         self.reply = reply
+        self.reason = reason
         self.calls = 0
 
     def complete(self, request):
         self.calls += 1
-        return ModelResponse(
-            text=self.reply, finish_reason=FinishReason.STOP, latency_ms=12.5
-        )
+        return ModelResponse(text=self.reply, finish_reason=self.reason, latency_ms=12.5)
+
+
+class BlockingBackend(CountingBackend):
+    """Holds every call until released, then replies or raises `error`."""
+
+    def __init__(self, error=None):
+        super().__init__()
+        self.error = error
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def complete(self, request):
+        self.calls += 1
+        self.entered.set()
+        assert self.release.wait(5)
+        if self.error is not None:
+            raise self.error
+        return ModelResponse(text=self.reply, finish_reason=self.reason, latency_ms=12.5)
+
+
+def concurrent_calls(backend, inner):
+    """Two callers of one request; the second starts while inner holds the first."""
+    outcomes = {}
+
+    def call(name):
+        try:
+            outcomes[name] = backend.complete(text_request())
+        except Exception as exc:  # noqa: BLE001 - handed to the test
+            outcomes[name] = exc
+
+    first = threading.Thread(target=call, args=("first",), daemon=True)
+    first.start()
+    assert inner.entered.wait(5)
+    second = threading.Thread(target=call, args=("second",), daemon=True)
+    second.start()
+    second.join(0.2)
+    assert second.is_alive(), "the second caller did not wait for the first"
+    inner.release.set()
+    first.join(5)
+    second.join(5)
+    return outcomes
 
 
 class TestReplayBackend:
     def test_cold_call_hits_inner_and_persists(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         inner = CountingBackend()
-        backend = ReplayBackend(inner, cache)
+        backend = ReplayBackend(inner, ReplayCache(cache))
         resp = backend.complete(text_request())
         assert resp.text == "inner reply"
         assert not resp.from_cache
@@ -435,9 +480,9 @@ class TestReplayBackend:
 
     def test_warm_instance_never_calls_inner(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        ReplayBackend(CountingBackend(), cache).complete(text_request())
+        ReplayBackend(CountingBackend(), ReplayCache(cache)).complete(text_request())
         inner = CountingBackend("should not be used")
-        warm = ReplayBackend(inner, cache)
+        warm = ReplayBackend(inner, ReplayCache(cache))
         resp = warm.complete(text_request())
         assert resp.text == "inner reply"
         assert resp.from_cache
@@ -446,7 +491,7 @@ class TestReplayBackend:
 
     def test_same_instance_caches_repeat_calls(self, tmp_path):
         inner = CountingBackend()
-        backend = ReplayBackend(inner, tmp_path / "cache.jsonl")
+        backend = ReplayBackend(inner, ReplayCache(tmp_path / "cache.jsonl"))
         backend.complete(text_request())
         resp = backend.complete(text_request())
         assert inner.calls == 1
@@ -462,7 +507,7 @@ class TestReplayBackend:
         cache.write_text(
             "".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8"
         )
-        backend = ReplayBackend(CountingBackend(), cache)
+        backend = ReplayBackend(CountingBackend(), ReplayCache(cache))
         assert backend.complete(text_request()).text == "new"
 
     def test_corrupt_line_cites_line_number(self, tmp_path):
@@ -473,14 +518,14 @@ class TestReplayBackend:
         }
         cache.write_text(json.dumps(good) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(ValueError) as err:
-            ReplayBackend(CountingBackend(), cache)
+            ReplayBackend(CountingBackend(), ReplayCache(cache))
         assert "line 2" in str(err.value)
 
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         reply = "first\u2028second\u0085third\x0cfourth"
-        ReplayBackend(CountingBackend(reply), cache).complete(text_request())
-        warm = ReplayBackend(CountingBackend("should not be used"), cache)
+        ReplayBackend(CountingBackend(reply), ReplayCache(cache)).complete(text_request())
+        warm = ReplayBackend(CountingBackend("should not be used"), ReplayCache(cache))
         assert warm.complete(text_request()).text == reply
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -490,8 +535,104 @@ class TestReplayBackend:
             "response_text": "kept", "model_id": "m", "timestamp": 1.0,
         }
         cache.write_text("\n" + json.dumps(record) + "\n\n", encoding="utf-8")
-        backend = ReplayBackend(CountingBackend(), cache)
+        backend = ReplayBackend(CountingBackend(), ReplayCache(cache))
         assert backend.complete(text_request()).text == "kept"
+
+
+    @pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "from-file"])
+    def test_hit_keeps_the_finish_reason(self, tmp_path, reload):
+        cache = tmp_path / "cache.jsonl"
+        inner = CountingBackend(reason=FinishReason.LENGTH)
+        backend = ReplayBackend(inner, ReplayCache(cache))
+        assert backend.complete(text_request()).finish_reason is FinishReason.LENGTH
+        assert json.loads(cache.read_text(encoding="utf-8"))["finish_reason"] == "length"
+        if reload:
+            backend = ReplayBackend(inner, ReplayCache(cache))
+        resp = backend.complete(text_request())
+        assert resp.from_cache
+        assert resp.finish_reason is FinishReason.LENGTH
+        assert inner.calls == 1
+
+    def test_line_without_finish_reason_reads_as_stop(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        record = {
+            "fingerprint": request_fingerprint(text_request()),
+            "response_text": "old format", "model_id": "m", "timestamp": 1.0,
+        }
+        cache.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        resp = ReplayBackend(CountingBackend(), ReplayCache(cache)).complete(text_request())
+        assert resp.text == "old format"
+        assert resp.finish_reason is FinishReason.STOP
+
+    def test_without_a_path_nothing_is_written(self, tmp_path):
+        inner = CountingBackend()
+        cache = ReplayCache()
+        assert cache.path is None
+        ReplayBackend(inner, cache).complete(text_request())
+        assert ReplayBackend(CountingBackend(), cache).complete(text_request()).from_cache
+        assert inner.calls == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_concurrent_misses_make_one_inner_call(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        inner = BlockingBackend()
+        outcomes = concurrent_calls(ReplayBackend(inner, ReplayCache(cache)), inner)
+        assert inner.calls == 1
+        assert [r.text for r in outcomes.values()] == ["inner reply", "inner reply"]
+        assert sorted(r.from_cache for r in outcomes.values()) == [False, True]
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_failed_call_is_not_stored(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        error = TransportError("endpoint down")
+        inner = BlockingBackend(error)
+        backend = ReplayBackend(inner, ReplayCache(cache))
+        outcomes = concurrent_calls(backend, inner)
+        assert inner.calls == 1
+        assert outcomes == {"first": error, "second": error}
+        assert not cache.exists()
+        inner.error = None
+        resp = backend.complete(text_request())
+        assert inner.calls == 2
+        assert not resp.from_cache
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
+
+    def test_failed_append_leaves_no_caller_waiting(self, tmp_path):
+        inner = BlockingBackend()
+        backend = ReplayBackend(inner, ReplayCache(tmp_path / "missing-dir" / "cache.jsonl"))
+        outcomes = concurrent_calls(backend, inner)
+        assert isinstance(outcomes["first"], FileNotFoundError)
+        assert outcomes["second"].text == "inner reply"
+        assert outcomes["second"].from_cache
+        assert backend.complete(text_request()).from_cache
+        assert inner.calls == 1
+
+    def test_racing_threads_ask_once_per_fingerprint(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        asked, lock = Counter(), threading.Lock()
+
+        class EchoBackend:
+            def complete(self, request):
+                with lock:
+                    asked[request.fingerprint] += 1
+                time.sleep(0.002)  # long enough for other threads to miss on it too
+                text = request.segments[0].text.upper()
+                return ModelResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0)
+
+        backend = ReplayBackend(EchoBackend(), ReplayCache(cache))
+        requests = [text_request(f"q{i % 7}") for i in range(700)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=(os.cpu_count() or 1) + 6) as pool:
+                replies = list(pool.map(backend.complete, requests, timeout=30))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.text for r in replies] == [r.segments[0].text.upper() for r in requests]
+        fingerprints = {r.fingerprint for r in requests}
+        assert asked == {fp: 1 for fp in fingerprints}
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["fingerprint"] for line in lines) == sorted(fingerprints)
 
 
 class TestRecordingBackend:
@@ -509,7 +650,7 @@ class TestRecordingBackend:
     def test_propagates_cache_flag(self, tmp_path):
         records: list[CallRecord] = []
         cache = tmp_path / "c.jsonl"
-        inner = ReplayBackend(ScriptedBackend(default_reply="ok"), cache)
+        inner = ReplayBackend(ScriptedBackend(default_reply="ok"), ReplayCache(cache))
         backend = RecordingBackend(inner, "phase3", records)
         backend.complete(text_request())
         backend.complete(text_request())

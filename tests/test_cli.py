@@ -336,6 +336,27 @@ class TestConfigErrors:
         assert "phase2_latex.prompt" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("prompt_dir", 5),
+            ("cache_path", 5),
+            ("output_dir", 5),
+            ("phase1", {"kind": "http", "base_url": "http://localhost:9", "rate_limit": "x"}),
+            ("phase1", {"kind": "http", "base_url": "http://localhost:9", "retry": 5}),
+            ("phase1", {"kind": "scripted", "phases": [1]}),
+        ],
+        ids=["prompt_dir", "cache_path", "output_dir", "rate_limit", "retry", "phases"],
+    )
+    def test_wrong_typed_value(self, tmp_path, key, value):
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        (raw["backends"] if key.startswith("phase") else raw)[key] = value
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestDatasetErrors:
     def test_missing_dataset_file(self, tmp_path):
@@ -450,23 +471,64 @@ class TestComputedOnce:
         # ablate builds one setup per mode
         assert Counter(reads) == {name: 4 for name in prompts.PROMPT_FILES.values()}
 
+    def test_uncached_ablate_asks_once_per_distinct_request(self, tmp_path, capsys, monkeypatch):
+        asked = []
+        original = ScriptedBackend.complete
+        monkeypatch.setattr(
+            ScriptedBackend,
+            "complete",
+            lambda self, request: asked.append(request.fingerprint) or original(self, request),
+        )
+        out_dir = tmp_path / "out"
+        assert main(["ablate", "--config", str(write_config(tmp_path, out_dir))]) == EXIT_OK
+        capsys.readouterr()
+        records = [
+            record
+            for path in sorted(out_dir.glob("detections_*.jsonl"))
+            for line in read_lines(path)
+            for record in json.loads(line)["trace"]["backend_calls"]
+        ]
+        distinct = {record["fingerprint"] for record in records}
+        assert len(asked) == len(distinct) < len(records)
+        assert sum(not record["from_cache"] for record in records) == len(distinct)
 
-class TestReplayCacheDamage:
-    @pytest.fixture()
-    def cached_run(self, tmp_path, capsys):
+    def test_warm_ablate_parses_the_cache_once(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"
         config = write_config(tmp_path, tmp_path / "out", cache_path=str(cache))
-        assert main(["run", "--config", str(config)]) == EXIT_OK
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        reads = []
+        original = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda path: reads.append(path) or original(path)
+        )
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert reads.count(cache) == 1
+
+
+class TestReplayCacheDamage:
+    """Each case runs `run`, and `ablate`, which opens the cache itself."""
+
+    @pytest.fixture()
+    def cached_run(self, tmp_path, capsys, command):
+        cache = tmp_path / "cache.jsonl"
+        config = write_config(tmp_path, tmp_path / "out", cache_path=str(cache))
+        assert main([command, "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         return config, cache
 
-    @pytest.mark.parametrize("cut", [40, 1], ids=["mid-record", "newline-only"])
-    def test_torn_final_line_is_dropped_and_fetched_again(self, cached_run, tmp_path, cut):
+    @pytest.mark.parametrize(
+        "command, cut",
+        [("run", 40), ("run", 1), ("ablate", 40), ("ablate", 1)],
+        ids=["mid-record", "newline-only", "ablate-mid-record", "ablate-newline-only"],
+    )
+    def test_torn_final_line_is_dropped_and_fetched_again(self, cached_run, tmp_path, command, cut):
         config, cache = cached_run
         intact = cache.read_bytes().splitlines(keepends=True)
-        report = (tmp_path / "out" / "report.csv").read_bytes()
+        report_name = "report.csv" if command == "run" else "ablation.csv"
+        report = (tmp_path / "out" / report_name).read_bytes()
         cache.write_bytes(b"".join(intact)[:-cut])
-        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"dropping torn final line {len(intact)}" in proc.stderr
@@ -475,15 +537,19 @@ class TestReplayCacheDamage:
         assert lines[:-1] == intact[:-1]
         assert json.loads(lines[-1])["fingerprint"] == json.loads(intact[-1])["fingerprint"]
         assert lines[-1].endswith(b"\n")
-        assert (tmp_path / "out" / "report.csv").read_bytes() == report
+        assert (tmp_path / "out" / report_name).read_bytes() == report
 
-    @pytest.mark.parametrize("index", [2, -1], ids=["middle", "last-complete"])
-    def test_other_corrupt_lines_are_config_errors(self, cached_run, index):
+    @pytest.mark.parametrize(
+        "command, index",
+        [("run", 2), ("run", -1), ("ablate", 2), ("ablate", -1)],
+        ids=["middle", "last-complete", "ablate-middle", "ablate-last-complete"],
+    )
+    def test_other_corrupt_lines_are_config_errors(self, cached_run, command, index):
         config, cache = cached_run
         lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[index] = "{broken\n"
         cache.write_text("".join(lines), encoding="utf-8")
-        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
         assert proc.returncode == EXIT_CONFIG
         assert "Traceback" not in proc.stderr
         assert f"line {len(lines) if index == -1 else index + 1}" in proc.stderr
