@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
-import requests
-
 from .data_model import ImageKind, ImageRef
 
 log = logging.getLogger(__name__)
@@ -184,8 +182,21 @@ def _image_data_url(ref: ImageRef) -> str:
     return f"data:{media};base64,{base64.b64encode(data).decode('ascii')}"
 
 
+def __getattr__(name: str):
+    # `requests` is imported at the first HTTP send, not with mathagent, yet
+    # `backends.requests` still names the module: assigning
+    # `backends.requests.post` replaces the call the default transport makes.
+    if name == "requests":
+        import requests
+
+        return requests
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _requests_transport(url, headers, body, timeout_s):
     """Default transport. Raises ConnectionError/TimeoutError on IO trouble."""
+    import requests  # here, so runs that never send never load the HTTP stack
+
     try:
         resp = requests.post(url, headers=headers, json=body, timeout=timeout_s)
     except requests.Timeout as exc:

@@ -68,7 +68,6 @@ class DatasetError(Exception):
 
 
 PHASE_NAMES = ("phase1", "phase2", "phase3")
-_SETTINGS = tuple(vars(RequestSettings()))  # backend spec keys that are request knobs
 
 
 @dataclass
@@ -181,22 +180,44 @@ def build_backend(spec: dict, base: Path) -> Backend:
         )
     if kind != "scripted":
         raise ConfigError(f"unknown backend kind {kind!r}")
-    default_reply = _typed(spec, "default_reply", (str, type(None)), None, "a string")
+    script = spec
     if "script_path" in spec:
-        backend = ScriptedBackend.from_file(
-            _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
-        )
-        if "default_reply" in spec:
-            backend.default_reply = default_reply
-        return backend
-    phases = _typed(spec, "phases", dict, {}, "an object")
+        path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
+        script = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(script, dict):
+            raise ConfigError(f"script file {path} must hold a JSON object")
+        if "default_reply" in spec:  # the spec's own default_reply wins
+            script = {**script, "default_reply": spec["default_reply"]}
+    phases = _typed(script, "phases", dict, {}, "an object")
+    by_fingerprint = _typed(script, "by_fingerprint", dict, {}, "an object")
     if not all(isinstance(replies, dict) for replies in phases.values()):
         raise ConfigError("'phases' must map each phase to an object")
+    for replies in (by_fingerprint, *phases.values()):
+        for reply in replies.values():
+            texts = reply if isinstance(reply, list) else [reply]
+            if not all(isinstance(text, str) for text in texts):
+                raise ConfigError("a scripted reply must be a string or a list of strings")
     return ScriptedBackend(
         phases=phases,
-        by_fingerprint=_typed(spec, "by_fingerprint", dict, {}, "an object"),
-        default_reply=default_reply,
+        by_fingerprint=by_fingerprint,
+        default_reply=_typed(script, "default_reply", (str, type(None)), None, "a string"),
     )
+
+
+def _settings(spec: dict) -> RequestSettings:
+    """The request knobs of a backend spec; a bad one raises before any sample runs."""
+    default = RequestSettings()
+    settings = RequestSettings(
+        model_id=_typed(spec, "model_id", str, default.model_id, "a string"),
+        system_prompt=_typed(spec, "system_prompt", str, default.system_prompt, "a string"),
+        temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
+        max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
+    )
+    if not 0.0 <= settings.temperature <= 1.0:  # the ranges ModelRequest enforces
+        raise ConfigError(f"'temperature' {settings.temperature} is outside [0, 1]")
+    if settings.max_tokens < 1:
+        raise ConfigError(f"'max_tokens' {settings.max_tokens} is not positive")
+    return settings
 
 
 def _open_cache(config: RunConfig) -> ReplayCache:
@@ -222,7 +243,7 @@ def build_setup(
         for name, spec in config.backends.items():
             built[name] = PhaseSetup(
                 backend=ReplayBackend(build_backend(spec, config_base), cache),
-                settings=RequestSettings(**{k: spec[k] for k in _SETTINGS if k in spec}),
+                settings=_settings(spec),
             )
     except (OSError, ValueError) as exc:
         # missing prompt assets or script files, unparseable scripts

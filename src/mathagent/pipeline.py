@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -191,13 +192,32 @@ def run_dataset(
     setup: PipelineSetup,
     workers: int = 1,
 ) -> list[Detection]:
-    """Detect over a dataset; results come back in sample order."""
+    """Detect over a dataset; results come back in sample order.
+
+    With workers > 1, each worker thread pulls the next sample as soon as it
+    is free, so a slow call holds up one worker, not a share of the dataset.
+    """
     samples = list(samples)
     if workers <= 1:
         return [detect_errors(s, mode, setup) for s in samples]
+    detections: list[Detection | None] = [None] * len(samples)
+    pending = iter(enumerate(samples))
+    claim = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with claim:
+                item = next(pending, None)
+            if item is None:
+                return
+            index, sample = item
+            detections[index] = detect_errors(sample, mode, setup)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(detect_errors, s, mode, setup) for s in samples]
-        return [f.result() for f in futures]
+        tasks = [pool.submit(drain) for _ in range(min(workers, len(samples)))]
+        for task in tasks:
+            task.result()  # re-raises a worker's unexpected exception
+    return detections
 
 
 def call_counts(detections: Iterable[Detection]) -> dict[str, int]:

@@ -1,6 +1,9 @@
 """Shared fixtures: corpus loading, sample factories, scripted setups."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,11 +24,21 @@ from mathagent import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+REPO = Path(__file__).resolve().parents[1]
 
 TINY_PNG_BASE64 = (
     "iVBORw0KGgoAAAANSUhEUgAAAAEAAAABCAYAAAAfFcSJ"
     "AAAADUlEQVR42mP8z8BQDwAEhQGAhKmMIQAAAABJRU5ErkJggg=="
 )
+
+
+
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the sources on PYTHONPATH; stderr is captured."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def load_corpus(name: str):

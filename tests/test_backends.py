@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TINY_PNG_BASE64
+from conftest import FIXTURES, TINY_PNG_BASE64, run_python
 from mathagent import (
     AuthError,
     BadResponse,
@@ -33,6 +33,7 @@ from mathagent import (
     ScriptedBackend,
     TextSegment,
     TransportError,
+    backends,
     request_fingerprint,
 )
 
@@ -655,3 +656,76 @@ class TestRecordingBackend:
         backend.complete(text_request())
         backend.complete(text_request())
         assert [r.from_cache for r in records] == [False, True]
+
+
+class FakeResponse:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+
+class TestDeferredHttpImport:
+    """`requests` loads at the first HTTP send, not with mathagent."""
+
+    def run_code(self, code):
+        proc = run_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_import_leaves_requests_unloaded(self):
+        out = self.run_code(
+            "import sys, mathagent, mathagent.cli; print('requests' in sys.modules)"
+        )
+        assert out == "False\n"
+
+    def test_scripted_run_leaves_requests_unloaded(self, tmp_path):
+        backend = {"kind": "scripted", "script_path": str(FIXTURES / "scripts_12.json")}
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({
+                "dataset": str(FIXTURES / "dataset_12.jsonl"),
+                "backends": {"phase1": backend, "phase2": backend, "phase3": backend},
+                "output_dir": str(tmp_path / "out"),
+                "workers": 3,
+            }),
+            encoding="utf-8",
+        )
+        out = self.run_code(
+            "import sys; from mathagent import cli; "
+            f"code = cli.main(['run', '--config', {str(config)!r}]); "
+            "print(code, 'requests' in sys.modules)"
+        )
+        assert out.splitlines()[-1] == "0 False"
+
+    def test_module_attribute_names_requests(self):
+        import requests
+
+        assert backends.requests is requests
+        with pytest.raises(AttributeError):
+            backends.not_a_name
+
+    def test_default_transport_sends_through_patched_post(self, monkeypatch):
+        sent = []
+
+        def post(url, headers, json, timeout):
+            sent.append((url, json["model"], timeout))
+            return FakeResponse(200, completion_body("patched"))
+
+        monkeypatch.setattr(backends.requests, "post", post)
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        backend = HttpBackend("https://api.example.test/v1", timeout_s=7.0)
+        response = backend.complete(text_request())
+        assert response.text == "patched"
+        assert sent == [("https://api.example.test/v1/chat/completions", "m", 7.0)]
+
+    def test_default_transport_maps_timeouts(self, monkeypatch):
+        def post(url, headers, json, timeout):
+            raise backends.requests.Timeout("slow")
+
+        monkeypatch.setattr(backends.requests, "post", post)
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        backend = HttpBackend(
+            "https://api.example.test/v1", retry=RetryPolicy(max_attempts=2), sleep=lambda s: None
+        )
+        with pytest.raises(TransportError, match="transport error: slow"):
+            backend.complete(text_request())

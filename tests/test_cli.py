@@ -1,16 +1,13 @@
 """Command-line behaviour: run, ablate, validate, report, exit codes."""
 
 import json
-import os
 import shutil
-import subprocess
-import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, REPO, run_python
 from mathagent import ScriptedBackend, backends, prompts
 from mathagent.cli import (
     EXIT_CONFIG,
@@ -20,7 +17,6 @@ from mathagent.cli import (
     main,
 )
 
-REPO = Path(__file__).resolve().parents[1]
 DATASET = FIXTURES / "dataset_12.jsonl"
 SCRIPTS = FIXTURES / "scripts_12.json"
 PACKAGED_PROMPTS = Path(prompts.__file__).parent / "prompts"
@@ -42,14 +38,6 @@ def write_config(tmp_path: Path, out_dir: Path, **overrides) -> Path:
 
 def read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
-
-
-def run_python(*argv: str) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the sources on PYTHONPATH; stderr is captured."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
-    )
 
 
 class TestValidate:
@@ -356,6 +344,67 @@ class TestConfigErrors:
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("temperature", "x"),
+            ("temperature", 2),
+            ("max_tokens", 0),
+            ("model_id", 5),
+            ("system_prompt", ["a"]),
+        ],
+        ids=[
+            "temperature-type", "temperature-range", "max_tokens-range", "model_id", "system_prompt",
+        ],
+    )
+    def test_bad_request_knob(self, tmp_path, knob, value):
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase3"][knob] = value
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert repr(knob) in proc.stderr
+        assert not (tmp_path / "out").exists()  # stopped before any sample ran
+
+    @pytest.mark.parametrize(
+        "script",
+        [
+            [1],
+            {"phases": [1]},
+            {"phases": {"phase1": [1]}},
+            {"phases": {"phase1": {"s01": 5}}},
+            {"by_fingerprint": {"abc": ["ok", 5]}},
+        ],
+        ids=["root", "phases", "phase", "reply", "reply-list"],
+    )
+    def test_bad_script_file(self, tmp_path, script):
+        (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase1"] = {"kind": "scripted", "script_path": "script.json"}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_spec_default_reply_overrides_the_script_file(self, tmp_path, capsys):
+        (tmp_path / "script.json").write_text(
+            json.dumps({"default_reply": 5}), encoding="utf-8"
+        )
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase1"] = {
+            "kind": "scripted", "script_path": "script.json", "default_reply": "CONSISTENT",
+        }
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+        assert "phase2" not in meta["call_counts"]  # every image judged consistent
 
 
 class TestDatasetErrors:

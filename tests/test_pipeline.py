@@ -1,5 +1,8 @@
 """End-to-end pipeline behaviour over the 12-sample scripted fixture."""
 
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 
 import pytest
@@ -24,6 +27,7 @@ from mathagent import (
     run_dataset,
     write_detections,
 )
+from mathagent import pipeline
 
 
 def fresh_setup():
@@ -246,6 +250,73 @@ class TestDeterminismAndConcurrency:
             for d in run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=4)
         ]
         assert pooled == sequential
+
+    def test_more_workers_than_samples_matches_sequential(self, samples_12):
+        sequential = [detection_to_dict(d) for d in run(samples_12, AblationMode.FULL)]
+        pooled = [
+            detection_to_dict(d)
+            for d in run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=32)
+        ]
+        assert pooled == sequential
+
+    def test_every_sample_is_detected_once(self, samples_12, monkeypatch):
+        seen = Counter()
+        real = pipeline.detect_errors
+
+        def counting(sample, mode, setup):
+            seen[sample.id] += 1
+            return real(sample, mode, setup)
+
+        monkeypatch.setattr(pipeline, "detect_errors", counting)
+        run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=4)
+        assert seen == Counter(s.id for s in samples_12)
+        assert set(seen.values()) == {1}
+
+    def test_empty_dataset_with_workers(self):
+        assert run_dataset([], AblationMode.FULL, fresh_setup(), workers=4) == []
+
+    def test_unexpected_exception_propagates(self, samples_12):
+        class Broken:
+            def complete(self, request):
+                raise RuntimeError("bug in a backend")
+
+        phase = PhaseSetup(backend=Broken())
+        setup = PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
+        with pytest.raises(RuntimeError, match="bug in a backend"):
+            run_dataset(samples_12, AblationMode.FULL, setup, workers=4)
+
+    def test_one_task_per_worker(self, samples_12, monkeypatch):
+        submitted = []
+        real_submit = ThreadPoolExecutor.submit
+
+        def spy(pool, fn, /, *args, **kwargs):
+            submitted.append(fn)
+            return real_submit(pool, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
+        run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=4)
+        assert 1 <= len(submitted) <= 4
+
+    def test_a_slow_sample_holds_up_one_worker_only(self, samples_12, monkeypatch):
+        # the first sample waits until every other one is done; with samples
+        # dealt out to workers in advance, one of them would wait behind it
+        others_done = threading.Event()
+        finished = []
+        real = pipeline.detect_errors
+
+        def slow_first(sample, mode, setup):
+            if sample.id == samples_12[0].id:
+                assert others_done.wait(timeout=5)
+            det = real(sample, mode, setup)
+            finished.append(sample.id)
+            if len(finished) == len(samples_12) - 1:
+                others_done.set()
+            return det
+
+        monkeypatch.setattr(pipeline, "detect_errors", slow_first)
+        detections = run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=2)
+        assert [d.sample_id for d in detections] == [s.id for s in samples_12]
+        assert finished[-1] == samples_12[0].id
 
 
 class TestDetectionStorage:
