@@ -18,8 +18,6 @@ from .backends import (
     ImageSegment,
     ModelRequest,
     ModelResponse,
-    RecordingBackend,
-    ReplayBackend,
     ReplayCache,
     RequestSettings,
     RetryPolicy,

@@ -1,7 +1,9 @@
 """Model backends: OpenAI-compatible HTTP, scripted fixtures, replay memo.
 
-The CLI sends every call of a command through one ReplayCache, which asks
-a phase's HTTP or scripted backend only for requests it has not seen.
+HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
+its setup's ReplayCache for every call, and the memo asks a phase's
+backend only for requests it has not seen; each call is recorded as a
+CallRecord.
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
@@ -406,9 +408,10 @@ class ReplayCache:
                 continue
             try:
                 obj = json.loads(line)
-                self._replies[obj["fingerprint"]] = (
-                    obj["response_text"], FinishReason(obj.get("finish_reason", "stop"))
-                )
+                fp, text = obj["fingerprint"], obj["response_text"]
+                if not isinstance(fp, str) or not isinstance(text, str):
+                    raise TypeError("fingerprint and response_text must be strings")
+                self._replies[fp] = (text, FinishReason(obj.get("finish_reason", "stop")))
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(
                     f"corrupt replay cache {self.path} line {line_no}: {exc}"
@@ -448,41 +451,11 @@ class ReplayCache:
         return response
 
 
-class ReplayBackend:
-    """One phase's binding to a ReplayCache: its misses go to inner."""
-
-    def __init__(self, inner: Backend, cache: ReplayCache):
-        self.inner = inner
-        self.cache = cache
-
-    def complete(self, request: ModelRequest) -> ModelResponse:
-        return self.cache.complete(self.inner, request)
-
-
 @dataclass(frozen=True)
 class CallRecord:
+    """One model call of a sample: its request's phase and fingerprint, and how it was answered."""
+
     phase: str
     fingerprint: str
     from_cache: bool
     latency_ms: float
-
-
-class RecordingBackend:
-    """Wraps a backend, appending a CallRecord per completed call."""
-
-    def __init__(self, inner: Backend, phase: str, records: list[CallRecord]):
-        self.inner = inner
-        self.phase = phase
-        self.records = records
-
-    def complete(self, request: ModelRequest) -> ModelResponse:
-        response = self.inner.complete(request)
-        self.records.append(
-            CallRecord(
-                phase=self.phase,
-                fingerprint=request.fingerprint,
-                from_cache=response.from_cache,
-                latency_ms=response.latency_ms,
-            )
-        )
-        return response

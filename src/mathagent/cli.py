@@ -17,7 +17,6 @@ from pathlib import Path
 from .backends import (
     Backend,
     HttpBackend,
-    ReplayBackend,
     ReplayCache,
     RequestSettings,
     RetryPolicy,
@@ -88,9 +87,9 @@ def _resolve(base: Path, value: str) -> Path:
 
 
 def _typed(spec: dict, key: str, kind, default, what: str):
-    """spec[key], or default when the key is absent; it must be a `kind`."""
+    """spec[key], or default when the key is absent; a `kind`, never a JSON boolean."""
     value = spec.get(key, default)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):  # bool is an int subclass
         raise ConfigError(f"{key!r} must be {what}, not {type(value).__name__}")
     return value
 
@@ -143,8 +142,8 @@ def load_config(path) -> RunConfig:
         if target not in backends:
             raise ConfigError(f"router target {target!r} is not a configured backend")
 
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    workers = _typed(raw, "workers", int, 1, "a positive integer")
+    if workers < 1:
         raise ConfigError("'workers' must be a positive integer")
 
     return RunConfig(
@@ -233,7 +232,7 @@ def build_setup(
 ) -> PipelineSetup:
     """Fresh backends, router and prompt set for one pipeline run.
 
-    Every phase backend answers through `cache`, by default a new one.
+    Every call of the setup asks `cache` first, by default a new one.
     """
     if cache is None:
         cache = _open_cache(config)
@@ -242,7 +241,7 @@ def build_setup(
         prompts = PromptSet.load(config.prompt_dir)
         for name, spec in config.backends.items():
             built[name] = PhaseSetup(
-                backend=ReplayBackend(build_backend(spec, config_base), cache),
+                backend=build_backend(spec, config_base),
                 settings=_settings(spec),
             )
     except (OSError, ValueError) as exc:
@@ -260,6 +259,7 @@ def build_setup(
         phase3=built["phase3"],
         router=router,
         prompts=prompts,
+        cache=cache,
     )
 
 
@@ -394,13 +394,13 @@ def cmd_report(args) -> int:
     model = args.model
     if model is None:
         meta_path = Path(args.detections).parent / "run_meta.json"
-        if meta_path.is_file():
-            try:
-                model = json.loads(meta_path.read_text(encoding="utf-8")).get("model")
-            except (OSError, json.JSONDecodeError):
-                model = None
-    if model is None:
-        model = "run"
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):  # absent, unreadable or not JSON
+            meta = None
+        model = meta.get("model") if isinstance(meta, dict) else None
+        if not isinstance(model, str):
+            model = "run"
 
     try:
         row = build_report_row(detections, samples, model)

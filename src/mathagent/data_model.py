@@ -125,7 +125,7 @@ class ImageKind(enum.Enum):
     URL = "url"
 
 
-# Media types accepted for inline images unless the caller widens the set.
+# Media types accepted for inline images.
 DEFAULT_IMAGE_MEDIA_TYPES = frozenset(
     {"image/png", "image/jpeg", "image/gif", "image/webp"}
 )
@@ -200,7 +200,7 @@ def _require(obj: dict, key: str, kind, line_no: int):
     return value
 
 
-def _image_from_obj(obj, line_no: int, media_types: frozenset) -> ImageRef:
+def _image_from_obj(obj, line_no: int) -> ImageRef:
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "image", f"expected object, got {type(obj).__name__}")
     kind_raw = _require(obj, "kind", str, line_no)
@@ -221,10 +221,10 @@ def _image_from_obj(obj, line_no: int, media_types: frozenset) -> ImageRef:
     if kind is ImageKind.INLINE_BASE64:
         if media_type is None:
             raise SchemaError(line_no, "image.media_type", "required for inline_base64")
-        if media_type not in media_types:
+        if media_type not in DEFAULT_IMAGE_MEDIA_TYPES:
             raise SchemaError(
                 line_no, "image.media_type",
-                f"{media_type!r} not in allowed set {sorted(media_types)}",
+                f"{media_type!r} not in allowed set {sorted(DEFAULT_IMAGE_MEDIA_TYPES)}",
             )
         try:
             base64.b64decode(value, validate=True)
@@ -233,11 +233,7 @@ def _image_from_obj(obj, line_no: int, media_types: frozenset) -> ImageRef:
     return ImageRef(kind=kind, value=value, media_type=media_type)
 
 
-def sample_from_dict(
-    obj: dict,
-    line_no: int = 0,
-    media_types: frozenset = DEFAULT_IMAGE_MEDIA_TYPES,
-) -> Sample:
+def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
     """Validate one wire-format object and build a Sample.
 
     Raises SchemaError naming the offending field. Unknown keys are ignored.
@@ -273,7 +269,7 @@ def sample_from_dict(
 
     image = None
     if obj.get("image") is not None:
-        image = _image_from_obj(obj["image"], line_no, media_types)
+        image = _image_from_obj(obj["image"], line_no)
 
     qtype = None
     if obj.get("question_type") is not None:
@@ -312,7 +308,7 @@ class Finding:
         return f"line {self.line_no}: field '{self.field_path}': {self.message}"
 
 
-def scan_dataset(path, media_types: frozenset = DEFAULT_IMAGE_MEDIA_TYPES):
+def scan_dataset(path):
     """Read a JSONL dataset, collecting findings instead of failing fast.
 
     Returns (samples, findings). Lines with findings contribute no sample.
@@ -331,7 +327,7 @@ def scan_dataset(path, media_types: frozenset = DEFAULT_IMAGE_MEDIA_TYPES):
                 findings.append(Finding(line_no, "", f"invalid JSON: {exc.msg}"))
                 continue
             try:
-                sample = sample_from_dict(obj, line_no, media_types)
+                sample = sample_from_dict(obj, line_no)
             except SchemaError as exc:
                 findings.append(Finding(exc.line_no, exc.field_path, exc.message))
                 continue
@@ -346,9 +342,9 @@ def scan_dataset(path, media_types: frozenset = DEFAULT_IMAGE_MEDIA_TYPES):
     return samples, findings
 
 
-def load_dataset(path, media_types: frozenset = DEFAULT_IMAGE_MEDIA_TYPES) -> list[Sample]:
+def load_dataset(path) -> list[Sample]:
     """Strict loader: raises SchemaError on the first finding."""
-    samples, findings = scan_dataset(path, media_types)
+    samples, findings = scan_dataset(path)
     if findings:
         first = findings[0]
         raise SchemaError(first.line_no, first.field_path, first.message)

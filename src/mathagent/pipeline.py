@@ -21,7 +21,9 @@ from .backends import (
     Backend,
     BackendError,
     CallRecord,
-    RecordingBackend,
+    ModelRequest,
+    ModelResponse,
+    ReplayCache,
     RequestSettings,
 )
 from .consistency import ConsistencyVerdict, check_consistency
@@ -66,6 +68,8 @@ class PipelineSetup:
     # per-question-type overrides for phase 2; phase2 handles the rest
     router: dict[QuestionType, PhaseSetup] = field(default_factory=dict)
     prompts: PromptSet = field(default_factory=packaged_prompts)
+    # the memo every call asks first; runs that share this setup share it too
+    cache: ReplayCache = field(default_factory=ReplayCache)
 
     def phase2_for(self, question_type: QuestionType | None) -> PhaseSetup:
         if question_type is not None and question_type in self.router:
@@ -91,26 +95,40 @@ class Detection:
     failure: str | None = None
 
 
+@dataclass(frozen=True)
+class _RecordedCalls:
+    """A phase backend as one sample calls it: through the memo, each call recorded."""
+
+    backend: Backend
+    cache: ReplayCache
+    records: list[CallRecord]
+
+    def complete(self, request: ModelRequest) -> ModelResponse:
+        response = self.cache.complete(self.backend, request)
+        self.records.append(
+            CallRecord(
+                request.phase, request.fingerprint, response.from_cache, response.latency_ms
+            )
+        )
+        return response
+
+
 def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> Detection:
     """Run one sample through the pipeline; never raises.
 
     Backend and IO failures mark the sample as failed (scored as a miss
     on both subtasks) so one bad sample cannot sink a dataset run.
     """
-    records: list[CallRecord] = []
-    trace = PhaseTrace(backend_calls=records)
+    trace = PhaseTrace()
 
-    def recorder(backend: Backend, phase: str) -> Backend:
-        return RecordingBackend(backend, phase, records)
+    def bound(phase_setup: PhaseSetup) -> Backend:
+        return _RecordedCalls(phase_setup.backend, setup.cache, trace.backend_calls)
 
     phase = "phase1"
     try:
         if mode is not AblationMode.NO_VALIDATOR:
             trace.phase1 = check_consistency(
-                sample,
-                recorder(setup.phase1.backend, "phase1"),
-                setup.phase1.settings,
-                setup.prompts,
+                sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
             )
 
         if mode is AblationMode.NO_VALIDATOR:
@@ -120,48 +138,35 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
 
         if needs_transcript:
             phase = "phase2"
-            if mode is AblationMode.NO_INTERPRETER:
+            caption_only = mode is AblationMode.NO_INTERPRETER
+            if caption_only:
                 # unified captioning: no type-driven scheduling, no inference
-                source = (
-                    TranscriptSource.DATASET_LABEL
-                    if sample.question_type is not None
-                    else None
-                )
-                trace.phase2 = interpret_visual(
-                    sample,
-                    sample.question_type,
-                    recorder(setup.phase2.backend, "phase2"),
-                    setup.phase2.settings,
-                    setup.prompts,
-                    source=source,
-                    caption_only=True,
-                )
+                qtype, chosen = sample.question_type, setup.phase2
+                source = TranscriptSource.DATASET_LABEL if qtype is not None else None
             else:
                 try:
                     qtype, source = resolve_question_type(
-                        sample,
-                        recorder(setup.phase2.backend, "phase2.type"),
-                        setup.phase2.settings,
-                        setup.prompts,
+                        sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
                     )
                 except TypeInferenceError:
                     # unresolvable type: transcribe as a plain caption
                     qtype, source = None, TranscriptSource.INFERRED
                 chosen = setup.phase2_for(qtype)
-                trace.phase2 = interpret_visual(
-                    sample,
-                    qtype,
-                    recorder(chosen.backend, "phase2"),
-                    chosen.settings,
-                    setup.prompts,
-                    source=source,
-                )
+            trace.phase2 = interpret_visual(
+                sample,
+                qtype,
+                bound(chosen),
+                chosen.settings,
+                setup.prompts,
+                source=source,
+                caption_only=caption_only,
+            )
 
         phase = "phase3"
         output = analyze(
             sample,
             trace.phase2,
-            recorder(setup.phase3.backend, "phase3"),
+            bound(setup.phase3),
             setup.phase3.settings,
             include_problem_text=(mode is not AblationMode.NO_ANALYZER),
             prompts=setup.prompts,
@@ -309,6 +314,8 @@ def load_detections(path) -> list[StoredDetection]:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("not a JSON object")
                 category = obj.get("predicted_category")
                 out.append(
                     StoredDetection(

@@ -33,11 +33,11 @@ TINY_PNG_BASE64 = (
 
 
 
-def run_python(*argv: str) -> subprocess.CompletedProcess:
+def run_python(*argv: str, cwd=None) -> subprocess.CompletedProcess:
     """Run a fresh interpreter with the sources on PYTHONPATH; stderr is captured."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120, cwd=cwd
     )
 
 

@@ -26,7 +26,6 @@ from mathagent import (
     PhaseSetup,
     PipelineSetup,
     QuestionType,
-    ReplayBackend,
     ReplayCache,
     Representation,
     RequestSettings,
@@ -310,8 +309,10 @@ def test_criterion_4_determinism_and_replay(
         monkeypatch.setenv("MATHAGENT_API_KEY", "acceptance-key")
 
         def replay_setup():
-            phase = PhaseSetup(backend=ReplayBackend(http, ReplayCache(cache)))
-            return PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
+            phase = PhaseSetup(backend=http)
+            return PipelineSetup(
+                phase1=phase, phase2=phase, phase3=phase, cache=ReplayCache(cache)
+            )
 
         cold = run_dataset(samples_12, AblationMode.FULL, replay_setup())
         cold_calls = transport.calls

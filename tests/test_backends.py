@@ -17,7 +17,6 @@ from conftest import FIXTURES, TINY_PNG_BASE64, run_python
 from mathagent import (
     AuthError,
     BadResponse,
-    CallRecord,
     FinishReason,
     HttpBackend,
     ImageKind,
@@ -25,8 +24,6 @@ from mathagent import (
     ImageSegment,
     ModelRequest,
     ModelResponse,
-    RecordingBackend,
-    ReplayBackend,
     ReplayCache,
     RetryPolicy,
     ScriptMiss,
@@ -441,13 +438,13 @@ class BlockingBackend(CountingBackend):
         return ModelResponse(text=self.reply, finish_reason=self.reason, latency_ms=12.5)
 
 
-def concurrent_calls(backend, inner):
+def concurrent_calls(cache, inner):
     """Two callers of one request; the second starts while inner holds the first."""
     outcomes = {}
 
     def call(name):
         try:
-            outcomes[name] = backend.complete(text_request())
+            outcomes[name] = cache.complete(inner, text_request())
         except Exception as exc:  # noqa: BLE001 - handed to the test
             outcomes[name] = exc
 
@@ -465,11 +462,12 @@ def concurrent_calls(backend, inner):
 
 
 class TestReplayBackend:
+    """ReplayCache.complete(inner, request), which every pipeline call goes through."""
+
     def test_cold_call_hits_inner_and_persists(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         inner = CountingBackend()
-        backend = ReplayBackend(inner, ReplayCache(cache))
-        resp = backend.complete(text_request())
+        resp = ReplayCache(cache).complete(inner, text_request())
         assert resp.text == "inner reply"
         assert not resp.from_cache
         assert inner.calls == 1
@@ -481,10 +479,10 @@ class TestReplayBackend:
 
     def test_warm_instance_never_calls_inner(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        ReplayBackend(CountingBackend(), ReplayCache(cache)).complete(text_request())
+        ReplayCache(cache).complete(CountingBackend(), text_request())
         inner = CountingBackend("should not be used")
-        warm = ReplayBackend(inner, ReplayCache(cache))
-        resp = warm.complete(text_request())
+        warm = ReplayCache(cache)
+        resp = warm.complete(inner, text_request())
         assert resp.text == "inner reply"
         assert resp.from_cache
         assert resp.latency_ms == 0.0
@@ -492,9 +490,9 @@ class TestReplayBackend:
 
     def test_same_instance_caches_repeat_calls(self, tmp_path):
         inner = CountingBackend()
-        backend = ReplayBackend(inner, ReplayCache(tmp_path / "cache.jsonl"))
-        backend.complete(text_request())
-        resp = backend.complete(text_request())
+        memo = ReplayCache(tmp_path / "cache.jsonl")
+        memo.complete(inner, text_request())
+        resp = memo.complete(inner, text_request())
         assert inner.calls == 1
         assert resp.from_cache
 
@@ -508,8 +506,7 @@ class TestReplayBackend:
         cache.write_text(
             "".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8"
         )
-        backend = ReplayBackend(CountingBackend(), ReplayCache(cache))
-        assert backend.complete(text_request()).text == "new"
+        assert ReplayCache(cache).complete(CountingBackend(), text_request()).text == "new"
 
     def test_corrupt_line_cites_line_number(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -519,15 +516,25 @@ class TestReplayBackend:
         }
         cache.write_text(json.dumps(good) + "\n{broken\n", encoding="utf-8")
         with pytest.raises(ValueError) as err:
-            ReplayBackend(CountingBackend(), ReplayCache(cache))
+            ReplayCache(cache)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("key", ["response_text", "fingerprint"])
+    def test_non_string_value_cites_line_number(self, tmp_path, key):
+        cache = tmp_path / "cache.jsonl"
+        good = {"fingerprint": "f" * 64, "response_text": "x"}
+        cache.write_text(
+            json.dumps(good) + "\n" + json.dumps({**good, key: 5}) + "\n", encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="line 2"):
+            ReplayCache(cache)
 
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         reply = "first\u2028second\u0085third\x0cfourth"
-        ReplayBackend(CountingBackend(reply), ReplayCache(cache)).complete(text_request())
-        warm = ReplayBackend(CountingBackend("should not be used"), ReplayCache(cache))
-        assert warm.complete(text_request()).text == reply
+        ReplayCache(cache).complete(CountingBackend(reply), text_request())
+        warm = ReplayCache(cache)
+        assert warm.complete(CountingBackend("should not be used"), text_request()).text == reply
 
     def test_blank_lines_skipped(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -536,20 +543,19 @@ class TestReplayBackend:
             "response_text": "kept", "model_id": "m", "timestamp": 1.0,
         }
         cache.write_text("\n" + json.dumps(record) + "\n\n", encoding="utf-8")
-        backend = ReplayBackend(CountingBackend(), ReplayCache(cache))
-        assert backend.complete(text_request()).text == "kept"
+        assert ReplayCache(cache).complete(CountingBackend(), text_request()).text == "kept"
 
 
     @pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "from-file"])
     def test_hit_keeps_the_finish_reason(self, tmp_path, reload):
         cache = tmp_path / "cache.jsonl"
         inner = CountingBackend(reason=FinishReason.LENGTH)
-        backend = ReplayBackend(inner, ReplayCache(cache))
-        assert backend.complete(text_request()).finish_reason is FinishReason.LENGTH
+        memo = ReplayCache(cache)
+        assert memo.complete(inner, text_request()).finish_reason is FinishReason.LENGTH
         assert json.loads(cache.read_text(encoding="utf-8"))["finish_reason"] == "length"
         if reload:
-            backend = ReplayBackend(inner, ReplayCache(cache))
-        resp = backend.complete(text_request())
+            memo = ReplayCache(cache)
+        resp = memo.complete(inner, text_request())
         assert resp.from_cache
         assert resp.finish_reason is FinishReason.LENGTH
         assert inner.calls == 1
@@ -561,7 +567,7 @@ class TestReplayBackend:
             "response_text": "old format", "model_id": "m", "timestamp": 1.0,
         }
         cache.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        resp = ReplayBackend(CountingBackend(), ReplayCache(cache)).complete(text_request())
+        resp = ReplayCache(cache).complete(CountingBackend(), text_request())
         assert resp.text == "old format"
         assert resp.finish_reason is FinishReason.STOP
 
@@ -569,15 +575,15 @@ class TestReplayBackend:
         inner = CountingBackend()
         cache = ReplayCache()
         assert cache.path is None
-        ReplayBackend(inner, cache).complete(text_request())
-        assert ReplayBackend(CountingBackend(), cache).complete(text_request()).from_cache
+        cache.complete(inner, text_request())
+        assert cache.complete(CountingBackend(), text_request()).from_cache
         assert inner.calls == 1
         assert list(tmp_path.iterdir()) == []
 
     def test_concurrent_misses_make_one_inner_call(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         inner = BlockingBackend()
-        outcomes = concurrent_calls(ReplayBackend(inner, ReplayCache(cache)), inner)
+        outcomes = concurrent_calls(ReplayCache(cache), inner)
         assert inner.calls == 1
         assert [r.text for r in outcomes.values()] == ["inner reply", "inner reply"]
         assert sorted(r.from_cache for r in outcomes.values()) == [False, True]
@@ -587,25 +593,25 @@ class TestReplayBackend:
         cache = tmp_path / "cache.jsonl"
         error = TransportError("endpoint down")
         inner = BlockingBackend(error)
-        backend = ReplayBackend(inner, ReplayCache(cache))
-        outcomes = concurrent_calls(backend, inner)
+        memo = ReplayCache(cache)
+        outcomes = concurrent_calls(memo, inner)
         assert inner.calls == 1
         assert outcomes == {"first": error, "second": error}
         assert not cache.exists()
         inner.error = None
-        resp = backend.complete(text_request())
+        resp = memo.complete(inner, text_request())
         assert inner.calls == 2
         assert not resp.from_cache
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_failed_append_leaves_no_caller_waiting(self, tmp_path):
         inner = BlockingBackend()
-        backend = ReplayBackend(inner, ReplayCache(tmp_path / "missing-dir" / "cache.jsonl"))
-        outcomes = concurrent_calls(backend, inner)
+        memo = ReplayCache(tmp_path / "missing-dir" / "cache.jsonl")
+        outcomes = concurrent_calls(memo, inner)
         assert isinstance(outcomes["first"], FileNotFoundError)
         assert outcomes["second"].text == "inner reply"
         assert outcomes["second"].from_cache
-        assert backend.complete(text_request()).from_cache
+        assert memo.complete(inner, text_request()).from_cache
         assert inner.calls == 1
 
     def test_racing_threads_ask_once_per_fingerprint(self, tmp_path):
@@ -620,13 +626,13 @@ class TestReplayBackend:
                 text = request.segments[0].text.upper()
                 return ModelResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0)
 
-        backend = ReplayBackend(EchoBackend(), ReplayCache(cache))
+        memo, echo = ReplayCache(cache), EchoBackend()
         requests = [text_request(f"q{i % 7}") for i in range(700)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=(os.cpu_count() or 1) + 6) as pool:
-                replies = list(pool.map(backend.complete, requests, timeout=30))
+                replies = list(pool.map(lambda r: memo.complete(echo, r), requests, timeout=30))
         finally:
             sys.setswitchinterval(interval)
         assert [r.text for r in replies] == [r.segments[0].text.upper() for r in requests]
@@ -634,28 +640,6 @@ class TestReplayBackend:
         assert asked == {fp: 1 for fp in fingerprints}
         lines = cache.read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["fingerprint"] for line in lines) == sorted(fingerprints)
-
-
-class TestRecordingBackend:
-    def test_records_each_call(self):
-        records: list[CallRecord] = []
-        backend = RecordingBackend(ScriptedBackend(default_reply="ok"), "phase1", records)
-        backend.complete(text_request())
-        backend.complete(text_request("two"))
-        assert len(records) == 2
-        assert records[0].phase == "phase1"
-        assert records[0].fingerprint == request_fingerprint(text_request())
-        assert records[0].from_cache is False
-        assert records[0].latency_ms == 0.0
-
-    def test_propagates_cache_flag(self, tmp_path):
-        records: list[CallRecord] = []
-        cache = tmp_path / "c.jsonl"
-        inner = ReplayBackend(ScriptedBackend(default_reply="ok"), ReplayCache(cache))
-        backend = RecordingBackend(inner, "phase3", records)
-        backend.complete(text_request())
-        backend.complete(text_request())
-        assert [r.from_cache for r in records] == [False, True]
 
 
 class FakeResponse:

@@ -257,6 +257,22 @@ class TestReport:
         bad.write_text("{broken\n", encoding="utf-8")
         assert main(["report", str(bad), str(DATASET)]) == EXIT_FINDINGS
 
+    def test_detection_line_that_is_not_an_object_exits_one(self, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("[1]\n", encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "report", str(bad), str(DATASET))
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 1" in proc.stderr
+
+    def test_run_meta_that_is_not_an_object_gives_the_run_label(self, run_dir):
+        (run_dir / "run_meta.json").write_text("[]\n", encoding="utf-8")
+        detections = str(run_dir / "detections.jsonl")
+        proc = run_python("-m", "mathagent.cli", "report", detections, str(DATASET))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.splitlines()[1].startswith("run,")
+
     def test_misaligned_detections_exit_one(self, run_dir, tmp_path):
         detections = (run_dir / "detections.jsonl").read_text(encoding="utf-8")
         partial = tmp_path / "partial.jsonl"
@@ -333,8 +349,13 @@ class TestConfigErrors:
             ("phase1", {"kind": "http", "base_url": "http://localhost:9", "rate_limit": "x"}),
             ("phase1", {"kind": "http", "base_url": "http://localhost:9", "retry": 5}),
             ("phase1", {"kind": "scripted", "phases": [1]}),
+            ("workers", True),
+            ("phase1", {"kind": "http", "base_url": "http://localhost:9", "rate_limit": True}),
         ],
-        ids=["prompt_dir", "cache_path", "output_dir", "rate_limit", "retry", "phases"],
+        ids=[
+            "prompt_dir", "cache_path", "output_dir", "rate_limit", "retry", "phases",
+            "workers-bool", "rate_limit-bool",
+        ],
     )
     def test_wrong_typed_value(self, tmp_path, key, value):
         config = write_config(tmp_path, tmp_path / "out")
@@ -353,9 +374,12 @@ class TestConfigErrors:
             ("max_tokens", 0),
             ("model_id", 5),
             ("system_prompt", ["a"]),
+            ("max_tokens", True),
+            ("temperature", False),
         ],
         ids=[
             "temperature-type", "temperature-range", "max_tokens-range", "model_id", "system_prompt",
+            "max_tokens-bool", "temperature-bool",
         ],
     )
     def test_bad_request_knob(self, tmp_path, knob, value):
@@ -603,6 +627,18 @@ class TestReplayCacheDamage:
         assert "Traceback" not in proc.stderr
         assert f"line {len(lines) if index == -1 else index + 1}" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("key", ["response_text", "fingerprint"])
+    def test_non_string_values_are_config_errors(self, cached_run, command, key):
+        config, cache = cached_run
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), key: 5}) + "\n"
+        cache.write_text("".join(lines), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{cache} line 2" in proc.stderr
+
 
 class TestScripts:
     def test_run_demo(self):
@@ -615,3 +651,18 @@ class TestScripts:
         assert [line.split(",")[0] for line in grid[1:]] == [
             "full", "no_validator", "no_interpreter", "no_analyzer",
         ]
+
+
+class TestReadme:
+    def test_python_api_blocks_run(self, tmp_path):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Python API\n")[1].split("\n## ")[0]
+        blocks = [block.split("```")[0] for block in section.split("```python\n")[1:]]
+        assert len(blocks) == 2
+        shutil.copytree(FIXTURES, tmp_path / "tests" / "fixtures")
+        (tmp_path / "api.py").write_text("\n".join(blocks), encoding="utf-8")
+        proc = run_python("api.py", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "| demo |" in proc.stdout
+        # one line per distinct request of the cold run; the warm run added none
+        assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 32

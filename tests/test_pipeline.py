@@ -13,9 +13,11 @@ from mathagent import (
     ErrorCategory,
     ImageKind,
     ImageRef,
+    ModelResponse,
     PhaseSetup,
     PipelineSetup,
     QuestionType,
+    ReplayCache,
     Representation,
     ScriptedBackend,
     TranscriptSource,
@@ -319,6 +321,88 @@ class TestDeterminismAndConcurrency:
         assert finished[-1] == samples_12[0].id
 
 
+class TimedScript:
+    """The fixture script answering with a fixed latency; keeps every request it gets."""
+
+    def __init__(self):
+        self.script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        reply = self.script.complete(request)
+        return ModelResponse(reply.text, reply.finish_reason, latency_ms=7.5)
+
+
+def shared_setup(backend, **kwargs):
+    phase = PhaseSetup(backend=backend)
+    return PipelineSetup(phase1=phase, phase2=phase, phase3=phase, **kwargs)
+
+
+def sample_by_id(samples, sample_id):
+    return next(s for s in samples if s.id == sample_id)
+
+
+class TestCallRecords:
+    """Each call is recorded from its own request: phase, fingerprint, how it was answered."""
+
+    def test_cold_calls_carry_their_request_and_latency(self, samples_12):
+        spy = TimedScript()
+        det = detect_errors(sample_by_id(samples_12, "s09"), AblationMode.FULL, shared_setup(spy))
+        records = det.trace.backend_calls
+        assert [r.phase for r in records] == ["phase1", "phase2.type", "phase2", "phase3"]
+        assert [(r.phase, r.fingerprint) for r in records] == [
+            (q.phase, q.fingerprint) for q in spy.requests
+        ]
+        assert [(r.from_cache, r.latency_ms) for r in records] == [(False, 7.5)] * 4
+
+    def test_a_reask_records_both_analyzer_calls(self, samples_12):
+        spy = TimedScript()
+        det = detect_errors(sample_by_id(samples_12, "s03"), AblationMode.FULL, shared_setup(spy))
+        records = det.trace.backend_calls
+        assert [r.phase for r in records] == ["phase1", "phase2", "phase3", "phase3"]
+        assert records[2].fingerprint != records[3].fingerprint
+        assert [r.fingerprint for r in records] == [q.fingerprint for q in spy.requests]
+
+    def test_a_warm_hit_is_recorded_as_cached(self, samples_12):
+        spy = TimedScript()
+        setup = shared_setup(spy)
+        sample = sample_by_id(samples_12, "s09")
+        cold = detect_errors(sample, AblationMode.FULL, setup)
+        warm = detect_errors(sample, AblationMode.FULL, setup)
+        assert len(spy.requests) == 4
+        assert [(r.phase, r.fingerprint) for r in warm.trace.backend_calls] == [
+            (r.phase, r.fingerprint) for r in cold.trace.backend_calls
+        ]
+        assert [(r.from_cache, r.latency_ms) for r in warm.trace.backend_calls] == [
+            (True, 0.0)
+        ] * 4
+
+    def test_a_persisted_cache_answers_a_new_setup(self, tmp_path, samples_12):
+        cache = tmp_path / "cache.jsonl"
+        cold_setup = shared_setup(TimedScript(), cache=ReplayCache(cache))
+        cold = run_dataset(samples_12, AblationMode.FULL, cold_setup)
+        spy = TimedScript()
+        warm_setup = shared_setup(spy, cache=ReplayCache(cache))
+        warm = run_dataset(samples_12, AblationMode.FULL, warm_setup)
+        assert spy.requests == []
+        assert [r.fingerprint for d in warm for r in d.trace.backend_calls] == [
+            r.fingerprint for d in cold for r in d.trace.backend_calls
+        ]
+        assert all(r.from_cache for d in warm for r in d.trace.backend_calls)
+
+    def test_a_setup_without_a_cache_answers_a_repeat_once(self, samples_12):
+        spy = TimedScript()
+        setup = shared_setup(spy)
+        first = run_dataset(samples_12, AblationMode.FULL, setup)
+        asked = len(spy.requests)
+        again = run_dataset(samples_12, AblationMode.FULL, setup)
+        assert asked == sum(len(d.trace.backend_calls) for d in first)
+        assert len(spy.requests) == asked
+        assert all(r.from_cache for d in again for r in d.trace.backend_calls)
+        assert [d.predicted_step for d in again] == [d.predicted_step for d in first]
+
+
 class TestDetectionStorage:
     def test_write_then_load_round_trip(self, tmp_path, samples_12):
         detections = run(samples_12, AblationMode.FULL)
@@ -342,6 +426,12 @@ class TestDetectionStorage:
         with pytest.raises(ValueError) as err:
             load_detections(path)
         assert "line 13" in str(err.value)
+
+    def test_a_line_that_is_not_an_object_cites_its_number(self, tmp_path):
+        path = tmp_path / "detections.jsonl"
+        path.write_text("[1]\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="line 1"):
+            load_detections(path)
 
     def test_detections_can_be_scored_after_reload(self, tmp_path, samples_12):
         detections = run(samples_12, AblationMode.FULL)
