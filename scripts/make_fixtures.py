@@ -9,13 +9,12 @@ byte-identical output.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mathagent import dataset_stats, sample_to_dict
+from mathagent import dataset_stats, write_dataset
 from mathagent.synth import synthetic_reference_dataset
 
 
@@ -31,9 +30,7 @@ def main() -> int:
 
     samples = synthetic_reference_dataset()
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(sample_to_dict(sample), ensure_ascii=False) + "\n")
+    write_dataset(samples, args.out)
 
     stats = dataset_stats(samples)
     types = {k.value if k else "unlabeled": v for k, v in stats.by_question_type.items()}

@@ -3,7 +3,10 @@
 HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
 backend only for requests it has not seen; each call is recorded as a
-CallRecord.
+CallRecord. ScriptedBackend is the one reader of the script format, and
+a scripted reply may carry a finish reason, so a truncated reply can be
+scripted. ModelRequest and RequestSettings share one range rule for the
+request knobs; HttpBackend and RetryPolicy reject knobs out of range.
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
@@ -25,6 +28,7 @@ from __future__ import annotations
 import base64
 import enum
 import hashlib
+import itertools
 import json
 import logging
 import mimetypes
@@ -34,7 +38,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Iterator, Mapping, Protocol
 
 from .data_model import ImageKind, ImageRef
 
@@ -80,6 +84,13 @@ class ImageSegment:
 Segment = TextSegment | ImageSegment
 
 
+def _check_knob_ranges(temperature: float, max_tokens: int) -> None:
+    if not 0.0 <= temperature <= 1.0:
+        raise ValueError(f"'temperature' {temperature} is outside [0, 1]")
+    if max_tokens < 1:
+        raise ValueError(f"'max_tokens' {max_tokens} is not positive")
+
+
 @dataclass(frozen=True)
 class ModelRequest:
     model_id: str
@@ -98,10 +109,7 @@ class ModelRequest:
         images = [s for s in self.segments if isinstance(s, ImageSegment)]
         if len(images) > 1:
             raise ValueError("at most one image segment per request")
-        if not 0.0 <= self.temperature <= 1.0:
-            raise ValueError(f"temperature {self.temperature} outside [0, 1]")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be positive")
+        _check_knob_ranges(self.temperature, self.max_tokens)
         # filled here, not by a cached_property, whose lock is class-wide on 3.11
         object.__setattr__(self, "fingerprint", request_fingerprint(self))
 
@@ -122,6 +130,9 @@ class RequestSettings:
     system_prompt: str = ""
     temperature: float = 0.0
     max_tokens: int = 1024
+
+    def __post_init__(self):
+        _check_knob_ranges(self.temperature, self.max_tokens)
 
     def request(
         self, segments: tuple[Segment, ...], phase: str, sample_id: str | None
@@ -173,6 +184,12 @@ class RetryPolicy:
     max_attempts: int = 3
     backoff_base_ms: int = 250
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(f"'max_attempts' {self.max_attempts} is not positive")
+        if self.backoff_base_ms < 0:
+            raise ValueError(f"'backoff_base_ms' {self.backoff_base_ms} is negative")
+
 
 def _image_data_url(ref: ImageRef) -> str:
     if ref.kind is ImageKind.URL:
@@ -213,7 +230,9 @@ class HttpBackend:
 
     Retries 429, 5xx, and transport IO errors with exponential backoff;
     401/403 raise AuthError immediately. rate_limit bounds the number of
-    in-flight requests across threads.
+    in-flight requests across threads. A rate_limit or timeout_s that is
+    not positive raises ValueError, as RetryPolicy does for max_attempts
+    below 1 or a negative backoff_base_ms.
     """
 
     def __init__(
@@ -226,13 +245,17 @@ class HttpBackend:
         transport: Callable = _requests_transport,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        if rate_limit < 1:
+            raise ValueError(f"'rate_limit' {rate_limit} is not positive")
+        if not timeout_s > 0:
+            raise ValueError(f"'timeout_s' {timeout_s} is not positive")
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
         self.retry = retry
         self.timeout_s = timeout_s
         self._transport = transport
         self._sleep = sleep
-        self._gate = threading.Semaphore(max(1, rate_limit))
+        self._gate = threading.Semaphore(rate_limit)
 
     def _build_body(self, request: ModelRequest) -> dict:
         content = []
@@ -265,7 +288,7 @@ class HttpBackend:
         url = f"{self.base_url}/chat/completions"
         body = self._build_body(request)
 
-        attempts = max(1, self.retry.max_attempts)
+        attempts = self.retry.max_attempts
         last_failure = "no attempt made"
         started = time.monotonic()
         for attempt in range(1, attempts + 1):
@@ -310,64 +333,75 @@ class HttpBackend:
 
 
 class ScriptedBackend:
-    """Deterministic fixture backend.
+    """Deterministic fixture backend, and the one reader of the script format.
 
-    Replies are looked up by fingerprint first, then by (phase, sample_id),
-    then a default reply. A list value is consumed one element per call to
-    the same key (the last element repeats once exhausted), which scripts
-    multi-turn behaviour such as a re-ask. Latency is always 0.0 so runs
-    are byte-reproducible.
+    A script is {"phases": {phase: {sample_id: reply}}, "by_fingerprint":
+    {fingerprint: reply}, "default_reply": reply}, looked up fingerprint
+    first, default last. A reply is a string, a {"text": ..., "finish_reason":
+    ...} object ("stop" when absent) or a list of these handed out one per
+    call, the last repeating (as a re-ask needs). Other shapes raise
+    ValueError. Latency is always 0.0 so runs are byte-reproducible.
     """
 
     def __init__(
         self,
-        phases: Mapping[str, Mapping[str, str | list[str]]] | None = None,
-        by_fingerprint: Mapping[str, str | list[str]] | None = None,
-        default_reply: str | None = None,
+        phases: Mapping[str, Mapping[str, object]] | None = None,
+        by_fingerprint: Mapping[str, object] | None = None,
+        default_reply: object = None,
     ):
-        self.phases = {p: dict(v) for p, v in (phases or {}).items()}
-        self.by_fingerprint = dict(by_fingerprint or {})
-        self.default_reply = default_reply
-        self._cursor: dict[tuple, int] = {}
+        phases = {} if phases is None else phases
+        if not isinstance(phases, Mapping):
+            raise ValueError("script 'phases' must be an object")
+        by_fingerprint = {} if by_fingerprint is None else by_fingerprint
+        self._replies = _reply_table(by_fingerprint, "by_fingerprint", ("fp",))
+        for phase, table in phases.items():
+            self._replies.update(_reply_table(table, f"phases.{phase}", ("ps", phase)))
+        if default_reply is not None:
+            self._replies[("default",)] = _script_replies(default_reply, "default_reply")
         self._lock = threading.Lock()
+
+    @classmethod
+    def from_script(cls, script) -> "ScriptedBackend":
+        """A backend for a parsed script object; keys outside the format are ignored."""
+        if not isinstance(script, Mapping):
+            raise ValueError(f"a script must be a JSON object, not {type(script).__name__}")
+        return cls(script.get("phases"), script.get("by_fingerprint"), script.get("default_reply"))
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(
-            phases=data.get("phases"),
-            by_fingerprint=data.get("by_fingerprint"),
-            default_reply=data.get("default_reply"),
-        )
-
-    def _take(self, key: tuple, value: str | list[str]) -> str:
-        if isinstance(value, str):
-            return value
-        if not value:
-            raise ScriptMiss(f"empty reply list for {key}")
-        with self._lock:
-            idx = self._cursor.get(key, 0)
-            self._cursor[key] = idx + 1
-        return value[min(idx, len(value) - 1)]
+            return cls.from_script(json.load(fh))
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         fp = request.fingerprint
-        if fp in self.by_fingerprint:
-            text = self._take(("fp", fp), self.by_fingerprint[fp])
-        else:
-            by_sample = self.phases.get(request.phase, {})
-            if request.sample_id in by_sample:
-                key = ("ps", request.phase, request.sample_id)
-                text = self._take(key, by_sample[request.sample_id])
-            elif self.default_reply is not None:
-                text = self.default_reply
-            else:
-                raise ScriptMiss(
-                    f"no scripted reply for phase={request.phase!r} "
-                    f"sample={request.sample_id!r} fingerprint={fp[:12]}"
-                )
-        return ModelResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0)
+        for key in (("fp", fp), ("ps", request.phase, request.sample_id), ("default",)):
+            if key in self._replies:
+                with self._lock:
+                    return next(self._replies[key])
+        raise ScriptMiss(
+            f"no scripted reply for phase={request.phase!r} "
+            f"sample={request.sample_id!r} fingerprint={fp[:12]}"
+        )
+
+
+def _reply_table(table, where: str, prefix: tuple) -> dict[tuple, Iterator[ModelResponse]]:
+    if not isinstance(table, Mapping):
+        raise ValueError(f"script {where!r} must be an object")
+    return {(*prefix, k): _script_replies(v, f"{where}.{k}") for k, v in table.items()}
+
+
+def _script_replies(value, where: str) -> Iterator[ModelResponse]:
+    """A scripted reply value as ready responses, handed out in turn, the last repeating."""
+    replies = []
+    for item in value if isinstance(value, list) and value else [value]:
+        text, reason = item, "stop"
+        if isinstance(item, Mapping) and item.keys() <= {"text", "finish_reason"}:
+            text, reason = item.get("text"), item.get("finish_reason", "stop")
+        if not isinstance(text, str) or reason not in [r.value for r in FinishReason]:
+            raise ValueError(f"script {where!r}: {item!r} is not a string, a non-empty list or "
+                             '{"text": str, "finish_reason": "stop" | "length" | "error"}')
+        replies.append(ModelResponse(text, FinishReason(reason), latency_ms=0.0))
+    return itertools.chain(replies, itertools.repeat(replies[-1]))
 
 
 class ReplayCache:

@@ -139,7 +139,7 @@ def load_config(path) -> RunConfig:
     for key, target in router.items():
         if key not in valid_keys:
             raise ConfigError(f"router key {key!r} is not a question type")
-        if target not in backends:
+        if not isinstance(target, str) or target not in backends:
             raise ConfigError(f"router target {target!r} is not a configured backend")
 
     workers = _typed(raw, "workers", int, 1, "a positive integer")
@@ -183,40 +183,20 @@ def build_backend(spec: dict, base: Path) -> Backend:
     if "script_path" in spec:
         path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
         script = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(script, dict):
-            raise ConfigError(f"script file {path} must hold a JSON object")
-        if "default_reply" in spec:  # the spec's own default_reply wins
+        if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
             script = {**script, "default_reply": spec["default_reply"]}
-    phases = _typed(script, "phases", dict, {}, "an object")
-    by_fingerprint = _typed(script, "by_fingerprint", dict, {}, "an object")
-    if not all(isinstance(replies, dict) for replies in phases.values()):
-        raise ConfigError("'phases' must map each phase to an object")
-    for replies in (by_fingerprint, *phases.values()):
-        for reply in replies.values():
-            texts = reply if isinstance(reply, list) else [reply]
-            if not all(isinstance(text, str) for text in texts):
-                raise ConfigError("a scripted reply must be a string or a list of strings")
-    return ScriptedBackend(
-        phases=phases,
-        by_fingerprint=by_fingerprint,
-        default_reply=_typed(script, "default_reply", (str, type(None)), None, "a string"),
-    )
+    return ScriptedBackend.from_script(script)
 
 
 def _settings(spec: dict) -> RequestSettings:
     """The request knobs of a backend spec; a bad one raises before any sample runs."""
     default = RequestSettings()
-    settings = RequestSettings(
+    return RequestSettings(
         model_id=_typed(spec, "model_id", str, default.model_id, "a string"),
         system_prompt=_typed(spec, "system_prompt", str, default.system_prompt, "a string"),
         temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
         max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
     )
-    if not 0.0 <= settings.temperature <= 1.0:  # the ranges ModelRequest enforces
-        raise ConfigError(f"'temperature' {settings.temperature} is outside [0, 1]")
-    if settings.max_tokens < 1:
-        raise ConfigError(f"'max_tokens' {settings.max_tokens} is not positive")
-    return settings
 
 
 def _open_cache(config: RunConfig) -> ReplayCache:
@@ -245,7 +225,7 @@ def build_setup(
                 settings=_settings(spec),
             )
     except (OSError, ValueError) as exc:
-        # missing prompt assets or script files, unparseable scripts
+        # missing prompt assets or script files, bad scripts, knobs out of range
         raise ConfigError(str(exc)) from exc
     default_name = config.router.get("default", "phase2")
     router: dict[QuestionType, PhaseSetup] = {}

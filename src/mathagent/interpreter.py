@@ -10,7 +10,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .backends import Backend, ImageSegment, ModelRequest, RequestSettings, TextSegment
+from .backends import (
+    Backend,
+    FinishReason,
+    ImageSegment,
+    ModelRequest,
+    RequestSettings,
+    TextSegment,
+)
 from .data_model import QuestionType, Sample
 from .formal_language import (
     FactList,
@@ -42,6 +49,8 @@ TYPE_SYNONYMS: dict[QuestionType, tuple[str, ...]] = {
         "commonsense", "common sense",
     ),
 }
+
+_TRUNCATED_FINDING = "truncated: the reply stopped at the max_tokens limit"
 
 _TYPE_REMINDER = (
     "Reply with exactly one of: plane geometry, solid geometry, diagram, "
@@ -144,7 +153,8 @@ def interpret_visual(
     caption_only forces the caption route regardless of type (used when
     type-driven scheduling is ablated away). A formal-language reply that
     fails to parse falls back to a caption carrying the raw reply, with
-    the parse failure recorded as a finding.
+    the parse failure recorded as a finding. A reply cut at the token
+    limit (finish_reason length) is kept and recorded as a finding too.
     """
     route = question_type
     if caption_only:
@@ -160,7 +170,9 @@ def interpret_visual(
     prompt = (prompts or packaged_prompts()).render(
         prompt_name, {"question_text": sample.question_text}
     )
-    reply = backend.complete(_image_request(sample, prompt, settings, "phase2")).text
+    response = backend.complete(_image_request(sample, prompt, settings, "phase2"))
+    reply = response.text
+    cut = (_TRUNCATED_FINDING,) if response.finish_reason is FinishReason.LENGTH else ()
 
     if route is QuestionType.PLANE_GEOMETRY:
         try:
@@ -171,7 +183,7 @@ def interpret_visual(
                 content=reply,
                 question_type=question_type,
                 source=source,
-                findings=(f"formal parse failed: {exc}",),
+                findings=(f"formal parse failed: {exc}", *cut),
             )
         findings = tuple(
             f"arity: {v.predicate} expects {v.expected} args, got {v.actual}"
@@ -183,7 +195,7 @@ def interpret_visual(
             question_type=question_type,
             source=source,
             facts=facts,
-            findings=findings,
+            findings=findings + cut,
         )
 
     if route is QuestionType.DIAGRAM:
@@ -194,7 +206,7 @@ def interpret_visual(
             content=reply,
             question_type=question_type,
             source=source,
-            findings=findings,
+            findings=findings + cut,
         )
 
     return VisualTranscript(
@@ -202,4 +214,5 @@ def interpret_visual(
         content=reply,
         question_type=question_type,
         source=source,
+        findings=cut,
     )

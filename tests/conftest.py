@@ -47,7 +47,10 @@ def load_corpus(name: str):
 
 
 class CapturingBackend:
-    """Returns scripted replies in order while keeping every request."""
+    """Returns scripted replies in order while keeping every request.
+
+    A reply is its text (finish reason stop) or a ready ModelResponse.
+    """
 
     def __init__(self, *replies):
         self.replies = list(replies) or ["ok"]
@@ -55,10 +58,17 @@ class CapturingBackend:
 
     def complete(self, request):
         self.requests.append(request)
-        text = self.replies[min(len(self.requests) - 1, len(self.replies) - 1)]
+        reply = self.replies[min(len(self.requests) - 1, len(self.replies) - 1)]
+        if isinstance(reply, ModelResponse):
+            return reply
         return ModelResponse(
-            text=text, finish_reason=FinishReason.STOP, latency_ms=0.0
+            text=reply, finish_reason=FinishReason.STOP, latency_ms=0.0
         )
+
+
+def truncated(text):
+    """A reply cut at the token limit."""
+    return ModelResponse(text=text, finish_reason=FinishReason.LENGTH, latency_ms=0.0)
 
 
 def make_sample(

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CapturingBackend, FIXTURES, load_corpus, make_sample
+from conftest import CapturingBackend, FIXTURES, load_corpus, make_sample, truncated
 from mathagent import (
     ErrorCategory,
+    FinishReason,
+    ModelResponse,
     QuestionType,
     Representation,
     TranscriptSource,
@@ -176,3 +178,28 @@ class TestAnalyze:
         analyze(make_sample(), transcript(Representation.CAPTION, "a sketch"), backend)
         (request,) = backend.requests
         assert len(request.segments) == 1
+
+
+class TestTruncatedReplies:
+    CLEAN = "Error Step: #1\nError Category: Calculation"
+
+    def test_a_truncated_reply_that_parses_still_earns_the_reask(self):
+        backend = CapturingBackend(truncated(self.CLEAN), "Error Step: #2\nError Category: cal")
+        out = analyze(make_sample(), None, backend)
+        assert out.parse_ok
+        assert out.error_step == 2
+        assert len(backend.requests) == 2
+        assert "Format reminder" in backend.requests[1].segments[0].text
+
+    def test_a_truncated_reask_is_unparsed(self):
+        backend = CapturingBackend(truncated(self.CLEAN), truncated(self.CLEAN))
+        out = analyze(make_sample(), None, backend)
+        assert not out.parse_ok
+        assert out.raw_text == self.CLEAN
+        assert len(backend.requests) == 2
+
+    def test_error_finish_reason_is_not_truncation(self):
+        reply = ModelResponse(text=self.CLEAN, finish_reason=FinishReason.ERROR, latency_ms=0.0)
+        backend = CapturingBackend(reply)
+        assert analyze(make_sample(), None, backend).parse_ok
+        assert len(backend.requests) == 1

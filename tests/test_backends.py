@@ -25,6 +25,7 @@ from mathagent import (
     ModelRequest,
     ModelResponse,
     ReplayCache,
+    RequestSettings,
     RetryPolicy,
     ScriptMiss,
     ScriptedBackend,
@@ -69,6 +70,16 @@ class TestRequestValidation:
     def test_max_tokens_positive(self):
         with pytest.raises(ValueError):
             text_request(max_tokens=0)
+
+    @pytest.mark.parametrize(
+        "knob, value", [("temperature", 1.5), ("temperature", -0.1), ("max_tokens", 0)]
+    )
+    def test_settings_share_the_request_range_rule(self, knob, value):
+        with pytest.raises(ValueError, match=repr(knob)) as from_request:
+            text_request(**{knob: value})
+        with pytest.raises(ValueError, match=repr(knob)) as from_settings:
+            RequestSettings(**{knob: value})
+        assert str(from_request.value) == str(from_settings.value)
 
 
 class TestFingerprint:
@@ -357,6 +368,41 @@ class TestHttpBackend:
         assert transport.calls == 4
         assert transport.max_in_flight == 1
 
+    @pytest.mark.parametrize(
+        "kwargs, knob",
+        [
+            ({"rate_limit": 0}, "rate_limit"),
+            ({"timeout_s": 0}, "timeout_s"),
+            ({"timeout_s": -1.5}, "timeout_s"),
+            ({"timeout_s": float("nan")}, "timeout_s"),
+        ],
+        ids=["rate_limit", "timeout_s-zero", "timeout_s-negative", "timeout_s-nan"],
+    )
+    def test_out_of_range_knobs_are_rejected(self, kwargs, knob):
+        with pytest.raises(ValueError, match=repr(knob)):
+            HttpBackend("https://api.example.test/v1", **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, knob",
+        [({"max_attempts": 0}, "max_attempts"), ({"backoff_base_ms": -5}, "backoff_base_ms")],
+        ids=["max_attempts", "backoff_base_ms"],
+    )
+    def test_out_of_range_retry_policy_is_rejected(self, kwargs, knob):
+        with pytest.raises(ValueError, match=repr(knob)):
+            RetryPolicy(**kwargs)
+
+    def test_smallest_valid_knobs_are_kept(self, monkeypatch):
+        transport = StubTransport([(500, "boom")])
+        sleeps = []
+        backend = http_backend(
+            transport, monkeypatch, sleeps=sleeps, rate_limit=1,
+            retry=RetryPolicy(max_attempts=1, backoff_base_ms=0),
+        )
+        with pytest.raises(TransportError, match="gave up after 1 attempts"):
+            backend.complete(text_request())
+        assert transport.calls == 1
+        assert sleeps == []
+
 
 class TestScriptedBackend:
     def test_phase_and_sample_lookup(self):
@@ -407,6 +453,97 @@ class TestScriptedBackend:
         backend = ScriptedBackend.from_file(path)
         assert backend.complete(text_request(phase="p", sample_id="s")).text == "scripted"
         assert backend.complete(text_request(phase="x", sample_id="y")).text == "fallback"
+
+
+BAD_SCRIPTS = [
+    ({"phases": [1]}, "'phases'"),
+    ({"phases": {"p": [1]}}, "'phases.p'"),
+    ({"phases": {"p": {"s01": 5}}}, "'phases.p.s01'"),
+    ({"phases": {"p": {"s01": []}}}, "'phases.p.s01'"),
+    ({"phases": {"p": {"s01": {"text": 5}}}}, "'phases.p.s01'"),
+    ({"phases": {"p": {"s01": {"text": "x", "finish_reason": "bogus"}}}}, "'phases.p.s01'"),
+    ({"phases": {"p": {"s01": {"text": "x", "finish_reason": ["stop"]}}}}, "'phases.p.s01'"),
+    ({"phases": {"p": {"s01": {"text": "x", "finish": "length"}}}}, "'phases.p.s01'"),
+    ({"by_fingerprint": [1]}, "'by_fingerprint'"),
+    ({"by_fingerprint": {"abc": ["ok", 5]}}, "'by_fingerprint.abc'"),
+    ({"default_reply": {"finish_reason": "stop"}}, "'default_reply'"),
+]
+BAD_SCRIPT_IDS = [
+    "phases", "phase", "reply", "empty-list", "object-text", "finish_reason",
+    "finish_reason-list", "unknown-key", "by_fingerprint", "reply-list", "default_reply",
+]
+
+
+class TestScriptFormat:
+    @pytest.mark.parametrize("script, where", BAD_SCRIPTS, ids=BAD_SCRIPT_IDS)
+    def test_bad_shape_raises_value_error(self, tmp_path, script, where):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script), encoding="utf-8")
+        for build in (
+            lambda: ScriptedBackend(**script),
+            lambda: ScriptedBackend.from_script(script),
+            lambda: ScriptedBackend.from_file(path),
+        ):
+            with pytest.raises(ValueError, match=where):
+                build()
+
+    @pytest.mark.parametrize("root", [[1], "phases", 5, None], ids=["list", "string", "number", "null"])
+    def test_root_must_be_an_object(self, tmp_path, root):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(root), encoding="utf-8")
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ScriptedBackend.from_script(root)
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ScriptedBackend.from_file(path)
+
+    def test_reply_object_carries_its_finish_reason(self):
+        backend = ScriptedBackend.from_script({
+            "phases": {"p": {"cut": {"text": "Error Step: #1", "finish_reason": "length"},
+                             "whole": {"text": "done"}}},
+        })
+        cut = backend.complete(text_request(phase="p", sample_id="cut"))
+        whole = backend.complete(text_request(phase="p", sample_id="whole"))
+        assert (cut.text, cut.finish_reason) == ("Error Step: #1", FinishReason.LENGTH)
+        assert (whole.text, whole.finish_reason) == ("done", FinishReason.STOP)
+        assert cut.latency_ms == whole.latency_ms == 0.0
+
+    def test_list_mixes_strings_and_reply_objects(self):
+        backend = ScriptedBackend(
+            phases={"p": {"s": [{"text": "first", "finish_reason": "length"}, "second"]}}
+        )
+        req = text_request(phase="p", sample_id="s")
+        got = [(r.text, r.finish_reason) for r in (backend.complete(req) for _ in range(3))]
+        assert got == [
+            ("first", FinishReason.LENGTH), ("second", FinishReason.STOP),
+            ("second", FinishReason.STOP),
+        ]
+
+    def test_default_reply_may_be_a_reply_object(self):
+        backend = ScriptedBackend(default_reply={"text": "cut", "finish_reason": "length"})
+        assert backend.complete(text_request()).finish_reason is FinishReason.LENGTH
+
+    def test_replies_are_built_once(self):
+        backend = ScriptedBackend(phases={"p": {"s": "ready"}}, default_reply="fallback")
+        for sample_id in ("s", "unscripted"):
+            req = text_request(phase="p", sample_id=sample_id)
+            assert backend.complete(req) is backend.complete(req)
+
+    def test_keys_outside_the_format_are_ignored(self):
+        backend = ScriptedBackend.from_script(
+            {"kind": "scripted", "model_id": "m", "default_reply": "ok"}
+        )
+        assert backend.complete(text_request()).text == "ok"
+
+    def test_fixture_script_reads_unchanged(self):
+        script = json.loads((FIXTURES / "scripts_12.json").read_text(encoding="utf-8"))
+        backend = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
+        for phase, replies in script["phases"].items():
+            for sample_id, reply in replies.items():
+                texts = reply if isinstance(reply, list) else [reply]
+                req = text_request(phase=phase, sample_id=sample_id)
+                got = [backend.complete(req) for _ in texts]
+                assert [r.text for r in got] == texts
+                assert {r.finish_reason for r in got} == {FinishReason.STOP}
 
 
 class CountingBackend:

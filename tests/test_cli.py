@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, REPO, run_python
-from mathagent import ScriptedBackend, backends, prompts
+from mathagent import ScriptedBackend, backends, load_dataset, prompts
 from mathagent.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -351,10 +351,11 @@ class TestConfigErrors:
             ("phase1", {"kind": "scripted", "phases": [1]}),
             ("workers", True),
             ("phase1", {"kind": "http", "base_url": "http://localhost:9", "rate_limit": True}),
+            ("router", {"diagram": [1]}),
         ],
         ids=[
             "prompt_dir", "cache_path", "output_dir", "rate_limit", "retry", "phases",
-            "workers-bool", "rate_limit-bool",
+            "workers-bool", "rate_limit-bool", "router-target",
         ],
     )
     def test_wrong_typed_value(self, tmp_path, key, value):
@@ -365,6 +366,33 @@ class TestConfigErrors:
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("backoff_base_ms", -5),
+            ("max_attempts", 0),
+            ("rate_limit", 0),
+            ("timeout_s", 0),
+            ("timeout_s", -1.5),
+        ],
+        ids=["backoff_base_ms", "max_attempts", "rate_limit", "timeout_s-zero", "timeout_s-negative"],
+    )
+    def test_http_knob_out_of_range(self, tmp_path, knob, value):
+        spec = {"kind": "http", "base_url": "http://localhost:9", "rate_limit": 2}
+        if knob in ("backoff_base_ms", "max_attempts"):
+            spec["retry"] = {"max_attempts": 3, "backoff_base_ms": 2, knob: value}
+        else:
+            spec[knob] = value
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase2"] = spec
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert repr(knob) in proc.stderr
+        assert not (tmp_path / "out").exists()  # stopped before any sample ran
 
     @pytest.mark.parametrize(
         "knob, value",
@@ -401,8 +429,10 @@ class TestConfigErrors:
             {"phases": {"phase1": [1]}},
             {"phases": {"phase1": {"s01": 5}}},
             {"by_fingerprint": {"abc": ["ok", 5]}},
+            {"phases": {"phase1": {"s01": {"text": "CONSISTENT", "finish_reason": "bogus"}}}},
+            {"phases": {"phase1": {"s01": {"text": ["CONSISTENT"]}}}},
         ],
-        ids=["root", "phases", "phase", "reply", "reply-list"],
+        ids=["root", "phases", "phase", "reply", "reply-list", "finish_reason", "reply-object"],
     )
     def test_bad_script_file(self, tmp_path, script):
         (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
@@ -429,6 +459,138 @@ class TestConfigErrors:
         capsys.readouterr()
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
         assert "phase2" not in meta["call_counts"]  # every image judged consistent
+
+
+def as_reply_objects(script: dict, **fields) -> dict:
+    """script with every reply text wrapped in a {"text": ...} object carrying fields."""
+
+    def wrap(reply):
+        if isinstance(reply, list):
+            return [wrap(text) for text in reply]
+        return {"text": reply, **fields}
+
+    return {
+        "phases": {
+            phase: {sample: wrap(reply) for sample, reply in replies.items()}
+            for phase, replies in script["phases"].items()
+        }
+    }
+
+
+def cache_reasons(cache: Path) -> Counter:
+    return Counter(json.loads(line)["finish_reason"] for line in read_lines(cache))
+
+
+class TestReplyObjects:
+    @pytest.mark.parametrize("fields", [{}, {"finish_reason": "stop"}], ids=["absent", "stop"])
+    def test_reply_objects_read_like_strings(self, tmp_path, capsys, fields):
+        script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
+        objects = tmp_path / "objects.json"
+        objects.write_text(json.dumps(as_reply_objects(script, **fields)), encoding="utf-8")
+        runs = {}
+        for name, script_path in (("strings", SCRIPTS), ("objects", objects)):
+            backend = {"kind": "scripted", "script_path": str(script_path), "model_id": "scripted-12"}
+            (tmp_path / name).mkdir()
+            config = write_config(
+                tmp_path / name,
+                tmp_path / name / "out",
+                backends={"phase1": backend, "phase2": backend, "phase3": backend},
+                cache_path=str(tmp_path / name / "cache.jsonl"),
+            )
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+            runs[name] = capsys.readouterr().out
+            assert cache_reasons(tmp_path / name / "cache.jsonl") == {"stop": 32}
+        assert runs["objects"] == runs["strings"]
+        for artifact in ("detections.jsonl", "report.csv", "report.md"):
+            assert (tmp_path / "objects" / "out" / artifact).read_bytes() == (
+                tmp_path / "strings" / "out" / artifact
+            ).read_bytes()
+
+
+TRUNCATED_FINDING = "truncated: the reply stopped at the max_tokens limit"
+
+
+class TestTruncation:
+    """A reply cut at the token limit, scripted with a reply object, through `mathagent run`."""
+
+    @staticmethod
+    def truncated_script() -> dict:
+        script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
+        phase2, phase3 = script["phases"]["phase2"], script["phases"]["phase3"]
+        # s05: a caption cut short still reaches the analyzer, flagged
+        phase2["s05"] = {"text": "A cylinder of radius 3 and", "finish_reason": "length"}
+        # s01: a cut analyzer reply that parses earns the re-ask, which answers whole
+        phase3["s01"] = [{"text": phase3["s01"], "finish_reason": "length"}, phase3["s01"]]
+        # s02: the re-ask is cut too, so the sample is a miss
+        phase3["s02"] = [{"text": phase3["s02"], "finish_reason": "length"}] * 2
+        return script
+
+    @staticmethod
+    def by_id(out_dir: Path) -> dict:
+        lines = read_lines(out_dir / "detections.jsonl")
+        return {det["sample_id"]: det for det in map(json.loads, lines)}
+
+    def test_truncated_replies_end_to_end(self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "script.json").write_text(json.dumps(self.truncated_script()), encoding="utf-8")
+        backend = {"kind": "scripted", "script_path": "script.json", "model_id": "scripted-12"}
+        cache = tmp_path / "cache.jsonl"
+        config = write_config(
+            tmp_path, tmp_path / "cold",
+            backends={"phase1": backend, "phase2": backend, "phase3": backend},
+            cache_path=str(cache),
+        )
+        (tmp_path / "plain").mkdir()
+        plain = write_config(tmp_path / "plain", tmp_path / "plain" / "out")
+        assert main(["run", "--config", str(plain)]) == EXIT_OK
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        base, cold = self.by_id(tmp_path / "plain" / "out"), self.by_id(tmp_path / "cold")
+
+        assert cold["s05"]["trace"]["phase2"]["findings"] == [TRUNCATED_FINDING]
+        assert cold["s05"]["trace"]["phase2"]["content"] == "A cylinder of radius 3 and"
+        assert base["s05"]["trace"]["phase2"]["findings"] == []
+
+        def phase3_calls(det):
+            return sum(r["phase"] == "phase3" for r in det["trace"]["backend_calls"])
+
+        assert phase3_calls(base["s01"]) == phase3_calls(base["s02"]) == 1
+        assert phase3_calls(cold["s01"]) == phase3_calls(cold["s02"]) == 2
+        assert cold["s01"]["predicted_step"] == base["s01"]["predicted_step"] == 2
+        assert base["s02"]["predicted_step"] == 1
+        assert cold["s02"]["predicted_step"] is cold["s02"]["predicted_category"] is None
+        assert cold["s02"]["failure"] is None
+
+        # the four cut replies are cached with their finish reason: s05's transcript,
+        # s01's first ask and both of s02's asks
+        assert cache_reasons(cache) == {"stop": 30, "length": 4}
+
+        # warm: no scripted call, the cached finish reasons replay, so the outputs repeat
+        asked = []
+        original = ScriptedBackend.complete
+        monkeypatch.setattr(
+            ScriptedBackend, "complete",
+            lambda self, request: asked.append(request) or original(self, request),
+        )
+        for name in ("warm", "warm-again"):
+            raw = json.loads(config.read_text(encoding="utf-8"))
+            raw["output_dir"] = str(tmp_path / name)
+            config.write_text(json.dumps(raw), encoding="utf-8")
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert asked == []
+        warm = (tmp_path / "warm" / "detections.jsonl").read_bytes()
+        assert warm == (tmp_path / "warm-again" / "detections.jsonl").read_bytes()
+        cold_as_cached = {
+            sample_id: {**det, "trace": {**det["trace"], "backend_calls": [
+                {**r, "from_cache": True} for r in det["trace"]["backend_calls"]
+            ]}}
+            for sample_id, det in cold.items()
+        }
+        assert self.by_id(tmp_path / "warm") == cold_as_cached
+        for artifact in ("report.csv", "report.md"):
+            assert (tmp_path / "warm" / artifact).read_bytes() == (
+                tmp_path / "cold" / artifact
+            ).read_bytes()
 
 
 class TestDatasetErrors:
@@ -651,6 +813,14 @@ class TestScripts:
         assert [line.split(",")[0] for line in grid[1:]] == [
             "full", "no_validator", "no_interpreter", "no_analyzer",
         ]
+
+
+    def test_make_fixtures(self, tmp_path):
+        out = tmp_path / "nested" / "synthetic.jsonl"
+        proc = run_python(str(REPO / "scripts" / "make_fixtures.py"), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert f"wrote 2500 samples to {out}" in proc.stdout
+        assert len(load_dataset(out)) == 2500
 
 
 class TestReadme:

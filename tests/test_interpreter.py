@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CapturingBackend, load_corpus, make_sample, qtype
+from conftest import CapturingBackend, load_corpus, make_sample, qtype, truncated
 from mathagent import (
     QuestionType,
     Representation,
@@ -170,3 +170,28 @@ class TestInterpretVisual:
     def test_imageless_sample_rejected(self):
         with pytest.raises(ValueError):
             interpret_visual(make_sample(image=None), None, CapturingBackend())
+
+
+class TestTruncatedTranscript:
+    FINDING = "truncated: the reply stopped at the max_tokens limit"
+
+    @pytest.mark.parametrize(
+        "question_type, reply, representation, findings_before",
+        [
+            (QuestionType.PLANE_GEOMETRY, "Triangle(P, Q, R), Point(A)",
+             Representation.FORMAL_LANGUAGE, 0),
+            (QuestionType.PLANE_GEOMETRY, "Triangle(P, Q", Representation.CAPTION, 1),
+            (QuestionType.DIAGRAM, "\\begin{tabular}{cc} a & b", Representation.LATEX_TABLE, 2),
+            (QuestionType.ALGEBRA, "A line graph of y = 2x", Representation.CAPTION, 0),
+        ],
+        ids=["formal", "formal-unparsed", "latex", "caption"],
+    )
+    def test_a_truncated_reply_adds_a_finding(
+        self, question_type, reply, representation, findings_before
+    ):
+        whole = interpret_visual(make_sample(), question_type, CapturingBackend(reply))
+        cut = interpret_visual(make_sample(), question_type, CapturingBackend(truncated(reply)))
+        assert cut.representation is whole.representation is representation
+        assert cut.content == whole.content
+        assert len(whole.findings) == findings_before
+        assert cut.findings == (*whole.findings, self.FINDING)
