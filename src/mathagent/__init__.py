@@ -89,6 +89,7 @@ from .pipeline import (
     PhaseSetup,
     PhaseTrace,
     PipelineSetup,
+    SharedSteps,
     StoredDetection,
     call_counts,
     detect_errors,

@@ -35,7 +35,7 @@ _VISUAL_HEADERS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalyzerOutput:
     error_step: int | None
     error_category: ErrorCategory | None

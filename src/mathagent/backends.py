@@ -71,6 +71,10 @@ class FinishReason(enum.Enum):
     ERROR = "error"
 
 
+# how a phase notes a reply whose finish reason is LENGTH
+TRUNCATION_NOTE = "truncated: the reply stopped at the max_tokens limit"
+
+
 @dataclass(frozen=True)
 class TextSegment:
     text: str
@@ -415,6 +419,8 @@ class ReplayCache:
     line (finish_reason stop when absent, the last line winning). A torn
     final line (a crash mid-append) is cut with a warning; any other bad
     line raises ValueError. Only this object orders appends: one per file.
+    The file is opened for appending at the first miss and each line is
+    flushed whole; close() (or leaving a `with` block) closes it.
     """
 
     def __init__(self, path=None):
@@ -422,6 +428,7 @@ class ReplayCache:
         # a Future while the one call asking for it is in flight
         self._replies: dict[str, tuple[str, FinishReason] | Future] = {}
         self._lock = threading.Lock()
+        self._appends = None  # the append handle, opened at the first append
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -480,12 +487,27 @@ class ReplayCache:
                     "model_id": request.model_id,
                     "timestamp": time.time(),
                 }
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                if self._appends is None:
+                    self._appends = open(self.path, "a", encoding="utf-8")
+                self._appends.write(json.dumps(record, ensure_ascii=False) + "\n")
+                self._appends.flush()  # a killed run leaves whole lines only
         return response
 
+    def close(self) -> None:
+        """Close the append handle, if open; a later miss opens it again."""
+        with self._lock:
+            if self._appends is not None:
+                self._appends.close()
+                self._appends = None
 
-@dataclass(frozen=True)
+    def __enter__(self) -> "ReplayCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+@dataclass(frozen=True, slots=True)
 class CallRecord:
     """One model call of a sample: its request's phase and fingerprint, and how it was answered."""
 

@@ -36,6 +36,7 @@ from .pipeline import (
     AblationMode,
     PhaseSetup,
     PipelineSetup,
+    SharedSteps,
     call_counts,
     load_detections,
     run_dataset,
@@ -261,13 +262,14 @@ def _utc_now() -> str:
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    setup = build_setup(config, Path(args.config).parent)
-    samples = _load_samples(config.dataset)
-    log.info("running %d samples in mode %s", len(samples), config.mode.value)
+    with _open_cache(config) as cache:
+        setup = build_setup(config, Path(args.config).parent, cache)
+        samples = _load_samples(config.dataset)
+        log.info("running %d samples in mode %s", len(samples), config.mode.value)
 
-    started = _utc_now()
-    detections = run_dataset(samples, config.mode, setup, workers=config.workers)
-    finished = _utc_now()
+        started = _utc_now()
+        detections = run_dataset(samples, config.mode, setup, workers=config.workers)
+        finished = _utc_now()
     model = setup.phase3.settings.model_id
 
     out_dir = config.output_dir
@@ -304,17 +306,23 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     samples = _load_samples(config.dataset)
     out_dir = config.output_dir
-    cache = _open_cache(config)  # shared by all four modes
+    # each sample's phase results, reused by the modes after the one that ran them
+    shared = [SharedSteps() for _ in samples]
+    modes = list(AblationMode)
 
     entries = []
-    for mode in AblationMode:
-        log.info("ablation mode %s", mode.value)
-        setup = build_setup(config, Path(args.config).parent, cache)
-        detections = run_dataset(samples, mode, setup, workers=config.workers)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_detections(detections, out_dir / f"detections_{mode.value}.jsonl")
-        row = build_report_row(detections, samples, mode.value)
-        entries.append((mode.value, row, call_counts(detections)))
+    with _open_cache(config) as cache:  # shared by all four modes
+        for mode in modes:
+            log.info("ablation mode %s", mode.value)
+            if mode is modes[-1]:
+                for steps in shared:
+                    steps.storing = False  # no later mode would read them
+            setup = build_setup(config, Path(args.config).parent, cache)
+            detections = run_dataset(samples, mode, setup, config.workers, shared)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            write_detections(detections, out_dir / f"detections_{mode.value}.jsonl")
+            row = build_report_row(detections, samples, mode.value)
+            entries.append((mode.value, row, call_counts(detections)))
 
     csv_text = render_ablation_csv(entries)
     (out_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")

@@ -9,7 +9,14 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .backends import Backend, ImageSegment, RequestSettings, TextSegment
+from .backends import (
+    TRUNCATION_NOTE,
+    Backend,
+    FinishReason,
+    ImageSegment,
+    RequestSettings,
+    TextSegment,
+)
 from .data_model import Sample
 from .prompts import PromptSet, packaged_prompts
 
@@ -18,7 +25,7 @@ from .prompts import PromptSet, packaged_prompts
 NEGATION_TOKENS = ("not", "in")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConsistencyVerdict:
     consistent: bool
     raw_text: str
@@ -62,7 +69,8 @@ def check_consistency(
     """Ask the backend whether the image adds anything beyond the text.
 
     A sample without an image is trivially consistent and costs zero
-    backend calls.
+    backend calls. A reply cut at the token limit (finish_reason length)
+    is not consistent, whatever it says: the conservative default.
     """
     if sample.image is None:
         return ConsistencyVerdict(
@@ -76,4 +84,8 @@ def check_consistency(
     response = backend.complete(
         settings.request((TextSegment(prompt), ImageSegment(sample.image)), "phase1", sample.id)
     )
+    if response.finish_reason is FinishReason.LENGTH:
+        return ConsistencyVerdict(
+            consistent=False, raw_text=response.text, confidence_note=TRUNCATION_NOTE
+        )
     return ConsistencyVerdict(consistent=parse_verdict(response.text), raw_text=response.text)

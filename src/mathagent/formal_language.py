@@ -43,7 +43,7 @@ class ParseError(ValueError):
         super().__init__(f"at byte {offset}: expected {want}, found {found}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symbol:
     name: str
 
@@ -51,7 +51,7 @@ class Symbol:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Number:
     value: Decimal
 
@@ -66,7 +66,7 @@ class Number:
 Arg = Symbol | Number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeometryFact:
     predicate: str
     args: tuple[Arg, ...]

@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 
 from .backends import (
+    TRUNCATION_NOTE,
     Backend,
     FinishReason,
     ImageSegment,
@@ -50,8 +51,6 @@ TYPE_SYNONYMS: dict[QuestionType, tuple[str, ...]] = {
     ),
 }
 
-_TRUNCATED_FINDING = "truncated: the reply stopped at the max_tokens limit"
-
 _TYPE_REMINDER = (
     "Reply with exactly one of: plane geometry, solid geometry, diagram, "
     "algebra, math commonsense."
@@ -86,7 +85,7 @@ class Representation(enum.Enum):
     CAPTION = "caption"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VisualTranscript:
     representation: Representation
     content: str  # serialized facts, LaTeX source, or caption text
@@ -113,7 +112,8 @@ def resolve_question_type(
     """Dataset label if present (zero calls); otherwise ask the backend.
 
     An unmatched reply earns one retry with an explicit format reminder;
-    a second miss raises TypeInferenceError.
+    a second miss raises TypeInferenceError. A reply cut at the token
+    limit (finish_reason length) counts as unmatched, whatever it names.
     """
     if sample.question_type is not None:
         return sample.question_type, TranscriptSource.DATASET_LABEL
@@ -121,22 +121,21 @@ def resolve_question_type(
     prompt = (prompts or packaged_prompts()).render(
         "phase2_question_type", {"question_text": sample.question_text}
     )
-    reply = backend.complete(
-        _image_request(sample, prompt, settings, "phase2.type")
-    ).text
-    matched = match_question_type(reply)
-    if matched is not None:
-        return matched, TranscriptSource.INFERRED
 
-    retry_reply = backend.complete(
-        _image_request(sample, prompt + "\n" + _TYPE_REMINDER, settings, "phase2.type")
-    ).text
-    matched = match_question_type(retry_reply)
-    if matched is not None:
-        return matched, TranscriptSource.INFERRED
-    raise TypeInferenceError(
-        f"sample {sample.id}: no question type in reply {retry_reply!r}"
-    )
+    def ask(text: str) -> tuple[QuestionType | None, str]:
+        response = backend.complete(_image_request(sample, text, settings, "phase2.type"))
+        if response.finish_reason is FinishReason.LENGTH:
+            return None, response.text
+        return match_question_type(response.text), response.text
+
+    matched, _ = ask(prompt)
+    if matched is None:
+        matched, retry_reply = ask(prompt + "\n" + _TYPE_REMINDER)
+        if matched is None:
+            raise TypeInferenceError(
+                f"sample {sample.id}: no question type in reply {retry_reply!r}"
+            )
+    return matched, TranscriptSource.INFERRED
 
 
 def interpret_visual(
@@ -172,7 +171,7 @@ def interpret_visual(
     )
     response = backend.complete(_image_request(sample, prompt, settings, "phase2"))
     reply = response.text
-    cut = (_TRUNCATED_FINDING,) if response.finish_reason is FinishReason.LENGTH else ()
+    cut = (TRUNCATION_NOTE,) if response.finish_reason is FinishReason.LENGTH else ()
 
     if route is QuestionType.PLANE_GEOMETRY:
         try:

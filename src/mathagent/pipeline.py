@@ -5,6 +5,14 @@ text, (2) if it does, transcribe it according to the question type,
 (3) hand everything to the text-only analyzer. Ablations drop phase 1,
 replace phase 2 routing with plain captioning, or cut the problem text
 out of the analyzer prompt. A failing sample is recorded, never fatal.
+
+`ablate` runs the modes in order and keeps one SharedSteps table per
+sample for the whole command. Each phase step (the verdict, the type
+query, the transcript, the analysis) is stored under the inputs that fix
+its requests, and a later mode that reaches the same step reuses its
+result and copies its call records as memo hits (from_cache true, latency
+0.0), which is what the memo would have answered. A step that raised is
+not stored, so a later mode asks again.
 """
 
 from __future__ import annotations
@@ -95,6 +103,19 @@ class Detection:
     failure: str | None = None
 
 
+@dataclass(slots=True)
+class SharedSteps:
+    """One sample's phase results, kept for the later modes of one `ablate` command.
+
+    Keys are the inputs that fix a step's requests; each value is the
+    step's result and its call records, which a reuse copies as memo hits.
+    Only steps that made a call are stored, and none while storing is off.
+    """
+
+    results: dict[tuple, tuple[object, tuple[CallRecord, ...]]] = field(default_factory=dict)
+    storing: bool = True
+
+
 @dataclass(frozen=True)
 class _RecordedCalls:
     """A phase backend as one sample calls it: through the memo, each call recorded."""
@@ -113,22 +134,56 @@ class _RecordedCalls:
         return response
 
 
-def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> Detection:
+def detect_errors(
+    sample: Sample,
+    mode: AblationMode,
+    setup: PipelineSetup,
+    steps: SharedSteps | None = None,
+) -> Detection:
     """Run one sample through the pipeline; never raises.
 
     Backend and IO failures mark the sample as failed (scored as a miss
-    on both subtasks) so one bad sample cannot sink a dataset run.
+    on both subtasks) so one bad sample cannot sink a dataset run. With
+    steps, a step an earlier mode ran on the same inputs is reused.
     """
     trace = PhaseTrace()
+    calls = trace.backend_calls
 
     def bound(phase_setup: PhaseSetup) -> Backend:
-        return _RecordedCalls(phase_setup.backend, setup.cache, trace.backend_calls)
+        return _RecordedCalls(phase_setup.backend, setup.cache, calls)
+
+    def step(key: tuple, run):
+        """run(), or the result steps holds for key with its records as memo hits."""
+        if steps is None:
+            return run()
+        stored = steps.results.get(key)
+        if stored is not None:
+            result, records = stored
+            calls.extend(CallRecord(r.phase, r.fingerprint, True, 0.0) for r in records)
+            return result
+        made = len(calls)
+        result = run()
+        if steps.storing and len(calls) > made:
+            steps.results[key] = result, tuple(calls[made:])
+        return result
+
+    def resolve_type() -> tuple[QuestionType | None, TranscriptSource | None]:
+        try:
+            return resolve_question_type(
+                sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
+            )
+        except TypeInferenceError:
+            # unresolvable type: transcribe as a plain caption
+            return None, TranscriptSource.INFERRED
 
     phase = "phase1"
     try:
         if mode is not AblationMode.NO_VALIDATOR:
-            trace.phase1 = check_consistency(
-                sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
+            trace.phase1 = step(
+                ("phase1", setup.phase1.settings),
+                lambda: check_consistency(
+                    sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
+                ),
             )
 
         if mode is AblationMode.NO_VALIDATOR:
@@ -144,32 +199,33 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                 qtype, chosen = sample.question_type, setup.phase2
                 source = TranscriptSource.DATASET_LABEL if qtype is not None else None
             else:
-                try:
-                    qtype, source = resolve_question_type(
-                        sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
-                    )
-                except TypeInferenceError:
-                    # unresolvable type: transcribe as a plain caption
-                    qtype, source = None, TranscriptSource.INFERRED
+                qtype, source = step(("phase2.type", setup.phase2.settings), resolve_type)
                 chosen = setup.phase2_for(qtype)
-            trace.phase2 = interpret_visual(
-                sample,
-                qtype,
-                bound(chosen),
-                chosen.settings,
-                setup.prompts,
-                source=source,
-                caption_only=caption_only,
+            trace.phase2 = step(
+                ("phase2", qtype, chosen.settings, source, caption_only),
+                lambda: interpret_visual(
+                    sample,
+                    qtype,
+                    bound(chosen),
+                    chosen.settings,
+                    setup.prompts,
+                    source=source,
+                    caption_only=caption_only,
+                ),
             )
 
         phase = "phase3"
-        output = analyze(
-            sample,
-            trace.phase2,
-            bound(setup.phase3),
-            setup.phase3.settings,
-            include_problem_text=(mode is not AblationMode.NO_ANALYZER),
-            prompts=setup.prompts,
+        include_problem_text = mode is not AblationMode.NO_ANALYZER
+        output = step(
+            ("phase3", trace.phase2, include_problem_text, setup.phase3.settings),
+            lambda: analyze(
+                sample,
+                trace.phase2,
+                bound(setup.phase3),
+                setup.phase3.settings,
+                include_problem_text=include_problem_text,
+                prompts=setup.prompts,
+            ),
         )
         trace.phase3_raw = output.raw_text
         return Detection(
@@ -196,27 +252,36 @@ def run_dataset(
     mode: AblationMode,
     setup: PipelineSetup,
     workers: int = 1,
+    shared: list[SharedSteps] | None = None,
 ) -> list[Detection]:
     """Detect over a dataset; results come back in sample order.
 
     With workers > 1, each worker thread pulls the next sample as soon as it
     is free, so a slow call holds up one worker, not a share of the dataset.
+    shared holds one table per sample, in sample order, for detect_errors.
     """
     samples = list(samples)
+    if shared is not None and len(shared) != len(samples):
+        raise ValueError(f"{len(shared)} shared tables for {len(samples)} samples")
+
+    def detect(index: int) -> Detection:
+        if shared is None:
+            return detect_errors(samples[index], mode, setup)
+        return detect_errors(samples[index], mode, setup, shared[index])
+
     if workers <= 1:
-        return [detect_errors(s, mode, setup) for s in samples]
+        return [detect(index) for index in range(len(samples))]
     detections: list[Detection | None] = [None] * len(samples)
-    pending = iter(enumerate(samples))
+    pending = iter(range(len(samples)))
     claim = threading.Lock()
 
     def drain() -> None:
         while True:
             with claim:
-                item = next(pending, None)
-            if item is None:
+                index = next(pending, None)
+            if index is None:
                 return
-            index, sample = item
-            detections[index] = detect_errors(sample, mode, setup)
+            detections[index] = detect(index)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         tasks = [pool.submit(drain) for _ in range(min(workers, len(samples)))]

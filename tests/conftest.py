@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import mathagent.backends
 from mathagent import (
     ErrorCategory,
     FinishReason,
@@ -69,6 +70,20 @@ class CapturingBackend:
 def truncated(text):
     """A reply cut at the token limit."""
     return ModelResponse(text=text, finish_reason=FinishReason.LENGTH, latency_ms=0.0)
+
+
+def track_appends(monkeypatch) -> list:
+    """Every handle ReplayCache opens for appending, in order."""
+    handles = []
+
+    def tracking_open(file, mode="r", *args, **kwargs):
+        handle = open(file, mode, *args, **kwargs)
+        if "a" in mode:
+            handles.append(handle)
+        return handle
+
+    monkeypatch.setattr(mathagent.backends, "open", tracking_open, raising=False)
+    return handles
 
 
 def make_sample(

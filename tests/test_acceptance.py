@@ -308,16 +308,16 @@ def test_criterion_4_determinism_and_replay(
 
         monkeypatch.setenv("MATHAGENT_API_KEY", "acceptance-key")
 
-        def replay_setup():
+        def replay_setup(memo):
             phase = PhaseSetup(backend=http)
-            return PipelineSetup(
-                phase1=phase, phase2=phase, phase3=phase, cache=ReplayCache(cache)
-            )
+            return PipelineSetup(phase1=phase, phase2=phase, phase3=phase, cache=memo)
 
-        cold = run_dataset(samples_12, AblationMode.FULL, replay_setup())
+        with ReplayCache(cache) as memo:
+            cold = run_dataset(samples_12, AblationMode.FULL, replay_setup(memo))
         cold_calls = transport.calls
         assert cold_calls == 36  # 10 verdicts + 4 type tries + 10 transcripts + 12
-        warm = run_dataset(samples_12, AblationMode.FULL, replay_setup())
+        with ReplayCache(cache) as memo:
+            warm = run_dataset(samples_12, AblationMode.FULL, replay_setup(memo))
         assert transport.calls == cold_calls, "warm replay hit the network"
 
         strip = lambda dets: [detection_to_dict(d) for d in dets]

@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, TINY_PNG_BASE64, run_python
+from conftest import FIXTURES, TINY_PNG_BASE64, run_python, track_appends
 from mathagent import (
     AuthError,
     BadResponse,
@@ -604,7 +604,8 @@ class TestReplayBackend:
     def test_cold_call_hits_inner_and_persists(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         inner = CountingBackend()
-        resp = ReplayCache(cache).complete(inner, text_request())
+        with ReplayCache(cache) as memo:
+            resp = memo.complete(inner, text_request())
         assert resp.text == "inner reply"
         assert not resp.from_cache
         assert inner.calls == 1
@@ -616,7 +617,8 @@ class TestReplayBackend:
 
     def test_warm_instance_never_calls_inner(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        ReplayCache(cache).complete(CountingBackend(), text_request())
+        with ReplayCache(cache) as cold:
+            cold.complete(CountingBackend(), text_request())
         inner = CountingBackend("should not be used")
         warm = ReplayCache(cache)
         resp = warm.complete(inner, text_request())
@@ -627,9 +629,9 @@ class TestReplayBackend:
 
     def test_same_instance_caches_repeat_calls(self, tmp_path):
         inner = CountingBackend()
-        memo = ReplayCache(tmp_path / "cache.jsonl")
-        memo.complete(inner, text_request())
-        resp = memo.complete(inner, text_request())
+        with ReplayCache(tmp_path / "cache.jsonl") as memo:
+            memo.complete(inner, text_request())
+            resp = memo.complete(inner, text_request())
         assert inner.calls == 1
         assert resp.from_cache
 
@@ -669,7 +671,8 @@ class TestReplayBackend:
     def test_unicode_line_separators_stay_inside_a_record(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         reply = "first\u2028second\u0085third\x0cfourth"
-        ReplayCache(cache).complete(CountingBackend(reply), text_request())
+        with ReplayCache(cache) as cold:
+            cold.complete(CountingBackend(reply), text_request())
         warm = ReplayCache(cache)
         assert warm.complete(CountingBackend("should not be used"), text_request()).text == reply
 
@@ -691,8 +694,10 @@ class TestReplayBackend:
         assert memo.complete(inner, text_request()).finish_reason is FinishReason.LENGTH
         assert json.loads(cache.read_text(encoding="utf-8"))["finish_reason"] == "length"
         if reload:
+            memo.close()
             memo = ReplayCache(cache)
         resp = memo.complete(inner, text_request())
+        memo.close()
         assert resp.from_cache
         assert resp.finish_reason is FinishReason.LENGTH
         assert inner.calls == 1
@@ -720,7 +725,8 @@ class TestReplayBackend:
     def test_concurrent_misses_make_one_inner_call(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         inner = BlockingBackend()
-        outcomes = concurrent_calls(ReplayCache(cache), inner)
+        with ReplayCache(cache) as memo:
+            outcomes = concurrent_calls(memo, inner)
         assert inner.calls == 1
         assert [r.text for r in outcomes.values()] == ["inner reply", "inner reply"]
         assert sorted(r.from_cache for r in outcomes.values()) == [False, True]
@@ -737,6 +743,7 @@ class TestReplayBackend:
         assert not cache.exists()
         inner.error = None
         resp = memo.complete(inner, text_request())
+        memo.close()
         assert inner.calls == 2
         assert not resp.from_cache
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
@@ -772,11 +779,58 @@ class TestReplayBackend:
                 replies = list(pool.map(lambda r: memo.complete(echo, r), requests, timeout=30))
         finally:
             sys.setswitchinterval(interval)
+            memo.close()
         assert [r.text for r in replies] == [r.segments[0].text.upper() for r in requests]
         fingerprints = {r.fingerprint for r in requests}
         assert asked == {fp: 1 for fp in fingerprints}
         lines = cache.read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["fingerprint"] for line in lines) == sorted(fingerprints)
+
+
+class TestReplayCacheAppends:
+    """One append handle per ReplayCache, each line flushed whole."""
+
+    def test_misses_open_the_file_once(self, tmp_path, monkeypatch):
+        handles = track_appends(monkeypatch)
+        memo = ReplayCache(tmp_path / "cache.jsonl")
+        for i in range(40):
+            assert not memo.complete(CountingBackend(), text_request(f"q{i}")).from_cache
+        assert len(handles) == 1
+        memo.close()
+        assert handles[0].closed
+
+    def test_lines_read_whole_while_the_run_goes_on(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        memo = ReplayCache(cache)
+        for i in range(1, 6):
+            memo.complete(CountingBackend(f"reply {i}"), text_request(f"q{i}"))
+            data = cache.read_text(encoding="utf-8")
+            assert data.endswith("\n")
+            records = [json.loads(line) for line in data.splitlines()]
+            assert [r["response_text"] for r in records] == [f"reply {j}" for j in range(1, i + 1)]
+        memo.close()
+
+    def test_with_block_closes_and_a_later_miss_reopens(self, tmp_path, monkeypatch):
+        handles = track_appends(monkeypatch)
+        cache = tmp_path / "cache.jsonl"
+        with ReplayCache(cache) as memo:
+            memo.complete(CountingBackend(), text_request("a"))
+        assert [h.closed for h in handles] == [True]
+        memo.complete(CountingBackend(), text_request("b"))
+        memo.close()
+        memo.close()  # closing twice is harmless
+        assert [h.closed for h in handles] == [True, True]
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_hits_and_a_memo_without_a_path_open_nothing(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        with ReplayCache(cache) as memo:
+            memo.complete(CountingBackend(), text_request())
+        handles = track_appends(monkeypatch)
+        with ReplayCache(cache) as warm, ReplayCache() as bare:
+            assert warm.complete(CountingBackend(), text_request()).from_cache
+            bare.complete(CountingBackend(), text_request())
+        assert handles == []
 
 
 class FakeResponse:

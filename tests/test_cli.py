@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, REPO, run_python
+from conftest import FIXTURES, REPO, run_python, track_appends
 from mathagent import ScriptedBackend, backends, load_dataset, prompts
 from mathagent.cli import (
     EXIT_CONFIG,
@@ -210,6 +210,28 @@ class TestAblate:
         assert lines[4].endswith("10,2,6,14")
         for mode in ("full", "no_validator", "no_interpreter", "no_analyzer"):
             assert (out_dir / f"detections_{mode}.jsonl").exists()
+
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("ablate_cache", [False, True], ids=["uncached", "cached"])
+    def test_each_mode_matches_a_run_in_that_mode(self, tmp_path, capsys, workers, ablate_cache):
+        """Modes reuse each other's phase results; a run of each mode, in order, does not."""
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for mode in ("full", "no_validator", "no_interpreter", "no_analyzer"):
+            config = write_config(
+                runs, runs / mode, mode=mode, workers=workers,
+                cache_path=str(runs / "cache.jsonl"),
+            )
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+        extra = {"cache_path": str(tmp_path / "cache.jsonl")} if ablate_cache else {}
+        config = write_config(tmp_path, tmp_path / "ablate", workers=workers, **extra)
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        for mode in ("full", "no_validator", "no_interpreter", "no_analyzer"):
+            assert (tmp_path / "ablate" / f"detections_{mode}.jsonl").read_bytes() == (
+                runs / mode / "detections.jsonl"
+            ).read_bytes(), mode
 
 
 class TestReport:
@@ -593,6 +615,59 @@ class TestTruncation:
             ).read_bytes()
 
 
+    def test_truncated_verdict_and_type_replies_end_to_end(self, tmp_path, capsys, monkeypatch):
+        script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
+        phases = script["phases"]
+        cut = {"text": phases["phase1"]["s02"], "finish_reason": "length"}
+        # s02: a cut "CONSISTENT" is not consistent, so its image is transcribed
+        phases["phase1"]["s02"] = cut
+        # s09: a cut type reply earns the reminder retry, which answers whole
+        types = phases["phase2.type"]
+        types["s09"] = [{"text": types["s09"], "finish_reason": "length"}, types["s09"]]
+        # s11: the retry is cut too, so the sample takes the caption route
+        types["s11"] = [{"text": "This is a plane geometry", "finish_reason": "length"}] * 2
+        (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
+        backend = {"kind": "scripted", "script_path": "script.json", "model_id": "scripted-12"}
+        cache = tmp_path / "cache.jsonl"
+        config = write_config(
+            tmp_path, tmp_path / "cold",
+            backends={"phase1": backend, "phase2": backend, "phase3": backend},
+            cache_path=str(cache),
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "cold" / "run_meta.json").read_text(encoding="utf-8"))
+        # one more phase-2 call (s02) and two more type calls (s09, s11) than the plain run
+        assert meta["call_counts"] == {"phase1": 10, "phase2.type": 4, "phase2": 7, "phase3": 14}
+        cold = self.by_id(tmp_path / "cold")
+        assert cold["s02"]["trace"]["phase1"] == {
+            "consistent": False, "raw_text": "CONSISTENT", "confidence_note": TRUNCATED_FINDING,
+        }
+        assert cold["s02"]["trace"]["phase2"]["representation"] == "formal_language"
+        s09, s11 = cold["s09"]["trace"]["phase2"], cold["s11"]["trace"]["phase2"]
+        assert (s09["question_type"], s09["source"]) == ("algebra", "inferred")
+        assert (s11["question_type"], s11["source"]) == (None, "inferred")
+        assert s11["representation"] == "caption"
+        assert cache_reasons(cache) == {"stop": 31, "length": 4}
+
+        asked = []
+        original = ScriptedBackend.complete
+        monkeypatch.setattr(
+            ScriptedBackend, "complete",
+            lambda self, request: asked.append(request) or original(self, request),
+        )
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["output_dir"] = str(tmp_path / "warm")
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert asked == []
+        for det in cold.values():
+            for record in det["trace"]["backend_calls"]:
+                record["from_cache"] = True
+        assert self.by_id(tmp_path / "warm") == cold
+
+
 class TestDatasetErrors:
     def test_missing_dataset_file(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "out", dataset=str(tmp_path / "no.jsonl"))
@@ -727,6 +802,36 @@ class TestComputedOnce:
         assert len(asked) == len(distinct) < len(records)
         assert sum(not record["from_cache"] for record in records) == len(distinct)
 
+    def test_uncached_ablate_fingerprints_each_step_once(self, tmp_path, capsys, monkeypatch):
+        fingerprinted = []
+        original = backends.request_fingerprint
+        monkeypatch.setattr(
+            backends,
+            "request_fingerprint",
+            lambda request: fingerprinted.append(request) or original(request),
+        )
+        out_dir = tmp_path / "out"
+        assert main(["ablate", "--config", str(write_config(tmp_path, out_dir))]) == EXIT_OK
+        capsys.readouterr()
+        # 120 calls over the four modes, 60 of them repeats; a step a later mode
+        # reuses builds no request, so only 67 requests are built
+        assert len(fingerprinted) == 67
+        records = [
+            record
+            for path in sorted(out_dir.glob("detections_*.jsonl"))
+            for line in read_lines(path)
+            for record in json.loads(line)["trace"]["backend_calls"]
+        ]
+        assert Counter(record["from_cache"] for record in records) == {True: 60, False: 60}
+        assert (out_dir / "ablation.csv").read_text(encoding="utf-8") == (
+            "mode,step,vis,cal,reas,know,mis,overall,average,"
+            "calls_phase1,calls_phase2_type,calls_phase2,calls_phase3\n"
+            "full,75.00,50.00,100.00,66.67,0.00,50.00,66.67,70.83,10,2,6,14\n"
+            "no_validator,75.00,50.00,100.00,66.67,0.00,50.00,66.67,70.83,0,2,10,14\n"
+            "no_interpreter,75.00,50.00,100.00,66.67,0.00,50.00,66.67,70.83,10,0,6,14\n"
+            "no_analyzer,75.00,50.00,100.00,66.67,0.00,50.00,66.67,70.83,10,2,6,14\n"
+        )
+
     def test_warm_ablate_parses_the_cache_once(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"
         config = write_config(tmp_path, tmp_path / "out", cache_path=str(cache))
@@ -739,6 +844,21 @@ class TestComputedOnce:
         assert main(["ablate", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         assert reads.count(cache) == 1
+
+
+class TestCacheHandle:
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_one_append_handle_closed_when_the_command_ends(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        handles = track_appends(monkeypatch)
+        cache = tmp_path / "cache.jsonl"
+        config = write_config(tmp_path, tmp_path / "out", cache_path=str(cache))
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert len(handles) == 1
+        assert handles[0].closed
+        assert len(read_lines(cache)) == (32 if command == "run" else 60)
 
 
 class TestReplayCacheDamage:

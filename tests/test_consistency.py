@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import CapturingBackend, load_corpus, make_sample
+from conftest import CapturingBackend, load_corpus, make_sample, truncated
 from mathagent import (
     ImageSegment,
     RequestSettings,
@@ -91,3 +91,22 @@ class TestCheckConsistency:
         verdict = check_consistency(make_sample(), backend)
         assert verdict.consistent is False
         assert "NOT consistent" in verdict.raw_text
+
+
+class TestTruncatedVerdict:
+    NOTE = "truncated: the reply stopped at the max_tokens limit"
+
+    def test_a_truncated_affirmative_is_not_consistent(self):
+        reply = "The image adds labels, so it is CONSISTENT"
+        assert check_consistency(make_sample(), CapturingBackend(reply)).consistent is True
+        backend = CapturingBackend(truncated(reply))
+        verdict = check_consistency(make_sample(), backend)
+        assert verdict.consistent is False
+        assert verdict.raw_text == reply
+        assert verdict.confidence_note == self.NOTE
+        assert len(backend.requests) == 1
+
+    def test_a_truncated_negative_keeps_its_note(self):
+        verdict = check_consistency(make_sample(), CapturingBackend(truncated("NOT CONSISTENT")))
+        assert verdict.consistent is False
+        assert verdict.confidence_note == self.NOTE

@@ -77,6 +77,19 @@ class TestResolveQuestionType:
         assert "q42" in str(err.value)
         assert len(backend.requests) == 2
 
+    def test_a_truncated_reply_earns_the_retry(self):
+        backend = CapturingBackend(truncated("This is a plane geometry"), "solid geometry")
+        got = resolve_question_type(make_sample(), backend)
+        assert got == (QuestionType.SOLID_GEOMETRY, TranscriptSource.INFERRED)
+        assert len(backend.requests) == 2
+        assert "Reply with exactly one of" in backend.requests[1].segments[0].text
+
+    def test_a_truncated_retry_raises(self):
+        backend = CapturingBackend("no idea", truncated("This is a plane geometry"))
+        with pytest.raises(TypeInferenceError):
+            resolve_question_type(make_sample(), backend)
+        assert len(backend.requests) == 2
+
     def test_imageless_sample_cannot_be_typed(self):
         with pytest.raises(ValueError):
             resolve_question_type(make_sample(image=None), CapturingBackend())

@@ -19,7 +19,9 @@ from mathagent import (
     QuestionType,
     ReplayCache,
     Representation,
+    RequestSettings,
     ScriptedBackend,
+    SharedSteps,
     TranscriptSource,
     build_report_row,
     call_counts,
@@ -29,7 +31,7 @@ from mathagent import (
     run_dataset,
     write_detections,
 )
-from mathagent import pipeline
+from mathagent import BackendError, pipeline
 
 
 def fresh_setup():
@@ -380,11 +382,12 @@ class TestCallRecords:
 
     def test_a_persisted_cache_answers_a_new_setup(self, tmp_path, samples_12):
         cache = tmp_path / "cache.jsonl"
-        cold_setup = shared_setup(TimedScript(), cache=ReplayCache(cache))
-        cold = run_dataset(samples_12, AblationMode.FULL, cold_setup)
+        with ReplayCache(cache) as memo:
+            cold_setup = shared_setup(TimedScript(), cache=memo)
+            cold = run_dataset(samples_12, AblationMode.FULL, cold_setup)
         spy = TimedScript()
-        warm_setup = shared_setup(spy, cache=ReplayCache(cache))
-        warm = run_dataset(samples_12, AblationMode.FULL, warm_setup)
+        with ReplayCache(cache) as memo:
+            warm = run_dataset(samples_12, AblationMode.FULL, shared_setup(spy, cache=memo))
         assert spy.requests == []
         assert [r.fingerprint for d in warm for r in d.trace.backend_calls] == [
             r.fingerprint for d in cold for r in d.trace.backend_calls
@@ -401,6 +404,140 @@ class TestCallRecords:
         assert len(spy.requests) == asked
         assert all(r.from_cache for d in again for r in d.trace.backend_calls)
         assert [d.predicted_step for d in again] == [d.predicted_step for d in first]
+
+
+class ModeScript:
+    """The fixture script, rebuilt per mode as `ablate` does; keeps who asked what.
+
+    With fail=(phase, sample id, n), the n-th request for that phase and
+    sample raises BackendError, once.
+    """
+
+    def __init__(self, fail=None):
+        self.fail = fail
+        self.seen = 0
+        self.asked = Counter()  # (mode, phase, sample id) of every request answered
+        self.mode = None
+        self.script = None
+
+    def start(self, mode):
+        self.mode = mode
+        self.script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
+
+    def complete(self, request):
+        if self.fail is not None and (request.phase, request.sample_id) == self.fail[:2]:
+            self.seen += 1
+            if self.seen == self.fail[2]:
+                raise BackendError("endpoint down")
+        self.asked[self.mode, request.phase, request.sample_id] += 1
+        return self.script.complete(request)
+
+
+def ablate(samples, backend, shared, workers=1):
+    """The four modes in order over one memo, as `mathagent ablate` runs them."""
+    memo = ReplayCache()
+    runs = {}
+    for mode in AblationMode:
+        backend.start(mode)
+        setup = shared_setup(backend, cache=memo)
+        detections = run_dataset(samples, mode, setup, workers, shared)
+        runs[mode] = [detection_to_dict(d) for d in detections]
+    return runs
+
+
+class TestSharedSteps:
+    """Phase results one mode ran, reused by a later mode through a per-sample table."""
+
+    def test_a_repeated_step_is_reused_as_memo_hits(self, samples_12):
+        sample, steps, spy = sample_by_id(samples_12, "s09"), SharedSteps(), TimedScript()
+        setup = shared_setup(spy)
+        full = detect_errors(sample, AblationMode.FULL, setup, steps)
+        assert len(spy.requests) == 4
+        cut = detect_errors(sample, AblationMode.NO_ANALYZER, setup, steps)
+        # only the analyzer prompt changes; the three earlier steps are reused
+        assert [q.phase for q in spy.requests[4:]] == ["phase3"]
+        assert cut.trace.phase1 is full.trace.phase1
+        assert cut.trace.phase2 is full.trace.phase2
+        assert [(r.phase, r.fingerprint, r.from_cache, r.latency_ms)
+                for r in cut.trace.backend_calls[:3]] == [
+            (r.phase, r.fingerprint, True, 0.0) for r in full.trace.backend_calls[:3]
+        ]
+        assert [(r.from_cache, r.latency_ms) for r in full.trace.backend_calls] == [
+            (False, 7.5)
+        ] * 4
+
+    def test_only_steps_that_made_a_call_are_stored(self, samples_12):
+        tables = {sample_id: SharedSteps() for sample_id in ("s01", "s04", "s09")}
+        setup = fresh_setup()
+        for sample_id, steps in tables.items():
+            detect_errors(sample_by_id(samples_12, sample_id), AblationMode.FULL, setup, steps)
+        phases = {k: [key[0] for key in t.results] for k, t in tables.items()}
+        # s04 has no image, so no verdict call; s01 is labeled, so no type call
+        assert phases == {
+            "s01": ["phase1", "phase2", "phase3"],
+            "s04": ["phase3"],
+            "s09": ["phase1", "phase2.type", "phase2", "phase3"],
+        }
+
+    def test_nothing_is_stored_while_storing_is_off(self, samples_12):
+        steps = SharedSteps(storing=False)
+        run_dataset(samples_12[:1], AblationMode.FULL, fresh_setup(), shared=[steps])
+        assert steps.results == {}
+
+    def test_one_table_per_sample(self, samples_12):
+        with pytest.raises(ValueError):
+            run_dataset(samples_12, AblationMode.FULL, fresh_setup(), shared=[SharedSteps()])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ablate_matches_the_modes_run_without_tables(self, samples_12, workers):
+        reusing, plain = ModeScript(), ModeScript()
+        tables = [SharedSteps() for _ in samples_12]
+        runs = ablate(samples_12, reusing, tables, workers)
+        assert runs == ablate(samples_12, plain, None, workers)
+        assert reusing.asked == plain.asked
+
+    @pytest.mark.parametrize(
+        "phase, sample_id, nth",
+        [("phase1", "s01", 1), ("phase2.type", "s11", 1), ("phase3", "s03", 2)],
+        ids=["verdict", "type-query", "reask"],
+    )
+    def test_a_failed_step_is_asked_again_in_a_later_mode(self, samples_12, phase, sample_id, nth):
+        reusing, plain = ModeScript((phase, sample_id, nth)), ModeScript((phase, sample_id, nth))
+        runs = ablate(samples_12, reusing, [SharedSteps() for _ in samples_12])
+        assert runs == ablate(samples_12, plain, None)
+        assert reusing.asked == plain.asked
+        index = [s.id for s in samples_12].index(sample_id)
+        failure = runs[AblationMode.FULL][index]["failure"]
+        assert failure.startswith(f"{phase.split('.')[0]}: BackendError")
+        assert any(
+            (p, s) == (phase, sample_id) and mode is not AblationMode.FULL
+            for mode, p, s in reusing.asked
+        ), "no later mode asked the backend again"
+        for mode in list(AblationMode)[1:]:
+            assert all(det["failure"] is None for det in runs[mode]), mode
+
+    def test_a_routed_transcript_is_not_reused_under_another_phase2_setting(self, samples_12):
+        sample = sample_by_id(samples_12, "s07")  # a diagram, judged inconsistent
+        spy = TimedScript()
+        routed = PhaseSetup(backend=spy, settings=RequestSettings(model_id="latex-reader"))
+        memo, steps = ReplayCache(), SharedSteps()
+        with_router = shared_setup(spy, cache=memo, router={QuestionType.DIAGRAM: routed})
+        first = detect_errors(sample, AblationMode.FULL, with_router, steps)
+        plain = detect_errors(sample, AblationMode.FULL, shared_setup(spy, cache=memo), steps)
+        again = detect_errors(sample, AblationMode.FULL, with_router, steps)
+
+        def phase2(det):
+            (record,) = [r for r in det.trace.backend_calls if r.phase == "phase2"]
+            return record
+
+        assert [q.model_id for q in spy.requests if q.phase == "phase2"] == [
+            "latex-reader", "scripted"
+        ]
+        assert not phase2(plain).from_cache
+        assert phase2(plain).fingerprint != phase2(first).fingerprint
+        assert plain.trace.phase1 is first.trace.phase1
+        assert again.trace.phase2 is first.trace.phase2
+        assert phase2(again).from_cache
 
 
 class TestDetectionStorage:
