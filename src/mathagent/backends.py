@@ -234,9 +234,11 @@ class HttpBackend:
 
     Retries 429, 5xx, and transport IO errors with exponential backoff;
     401/403 raise AuthError immediately. rate_limit bounds the number of
-    in-flight requests across threads. A rate_limit or timeout_s that is
-    not positive raises ValueError, as RetryPolicy does for max_attempts
-    below 1 or a negative backoff_base_ms.
+    in-flight requests across threads. A gate given in its place is
+    shared: backends holding one gate (say, every backend of a command on
+    one base_url) are bound by it together. A rate_limit or timeout_s that
+    is not positive raises ValueError, as RetryPolicy does for
+    max_attempts below 1 or a negative backoff_base_ms.
     """
 
     def __init__(
@@ -248,6 +250,7 @@ class HttpBackend:
         timeout_s: float = 60.0,
         transport: Callable = _requests_transport,
         sleep: Callable[[float], None] = time.sleep,
+        gate: threading.Semaphore | None = None,
     ):
         if rate_limit < 1:
             raise ValueError(f"'rate_limit' {rate_limit} is not positive")
@@ -259,7 +262,7 @@ class HttpBackend:
         self.timeout_s = timeout_s
         self._transport = transport
         self._sleep = sleep
-        self._gate = threading.Semaphore(rate_limit)
+        self._gate = threading.Semaphore(rate_limit) if gate is None else gate
 
     def _build_body(self, request: ModelRequest) -> dict:
         content = []
@@ -418,9 +421,10 @@ class ReplayCache:
     {fingerprint, response_text, finish_reason, model_id, timestamp} per
     line (finish_reason stop when absent, the last line winning). A torn
     final line (a crash mid-append) is cut with a warning; any other bad
-    line raises ValueError. Only this object orders appends: one per file.
-    The file is opened for appending at the first miss and each line is
-    flushed whole; close() (or leaving a `with` block) closes it.
+    line raises ValueError, and a path whose directory does not exist
+    raises FileNotFoundError. Only this object orders appends: one per
+    file. The file is opened for appending at the first miss and each line
+    is flushed whole; close() (or leaving a `with` block) closes it.
     """
 
     def __init__(self, path=None):
@@ -431,6 +435,9 @@ class ReplayCache:
         self._appends = None  # the append handle, opened at the first append
         if self.path is not None and self.path.exists():
             self._load()
+        elif self.path is not None and not self.path.parent.is_dir():
+            # else every sample would fail at its first append
+            raise FileNotFoundError(f"replay cache directory {self.path.parent} does not exist")
 
     def _load(self) -> None:
         data = self.path.read_bytes()

@@ -7,10 +7,12 @@ error, 3 dataset error. Logs go to stderr; stdout carries report data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import logging
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +28,7 @@ from .data_model import (
     EmptyDataset,
     ErrorCategory,
     QuestionType,
+    Sample,
     SchemaError,
     dataset_stats,
     load_dataset,
@@ -34,13 +37,11 @@ from .data_model import (
 from .metrics import AlignmentError
 from .pipeline import (
     AblationMode,
+    DetectionLog,
     PhaseSetup,
     PipelineSetup,
-    SharedSteps,
-    call_counts,
     load_detections,
-    run_dataset,
-    write_detections,
+    stream_detections,
 )
 from .prompts import PromptSet
 from .report import (
@@ -68,6 +69,7 @@ class DatasetError(Exception):
 
 
 PHASE_NAMES = ("phase1", "phase2", "phase3")
+RATE_LIMIT = 4  # an http spec's rate_limit when it sets none
 
 
 @dataclass
@@ -159,24 +161,45 @@ def load_config(path) -> RunConfig:
     )
 
 
-def build_backend(spec: dict, base: Path) -> Backend:
-    """Construct a backend from its config object."""
+def _http_gates(config: RunConfig) -> dict[str, threading.Semaphore]:
+    """One in-flight gate per HTTP base_url, sized by the smallest rate_limit on it.
+
+    A spec whose base_url or rate_limit is malformed is left out here;
+    build_backend reports it.
+    """
+    limits: dict[str, int] = {}
+    for spec in config.backends.values():
+        if not isinstance(spec, dict) or spec.get("kind") != "http":
+            continue
+        url, limit = spec.get("base_url"), spec.get("rate_limit", RATE_LIMIT)
+        if isinstance(url, str) and type(limit) is int and limit >= 1:
+            url = url.rstrip("/")
+            limits[url] = min(limit, limits.get(url, limit))
+    return {url: threading.Semaphore(limit) for url, limit in limits.items()}
+
+
+def build_backend(
+    spec: dict, base: Path, gates: dict[str, threading.Semaphore] | None = None
+) -> Backend:
+    """Construct a backend from its config object; an http one takes its base_url's gate."""
     if not isinstance(spec, dict):
         raise ConfigError("backend spec must be an object")
     kind = spec.get("kind")
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http backend needs 'base_url'")
+        base_url = _typed(spec, "base_url", str, None, "a string")
         retry_spec = _typed(spec, "retry", dict, {}, "an object")
         return HttpBackend(
-            base_url=_typed(spec, "base_url", str, None, "a string"),
+            base_url=base_url,
             api_key_env=_typed(spec, "api_key_env", str, "MATHAGENT_API_KEY", "a string"),
             retry=RetryPolicy(
                 max_attempts=_typed(retry_spec, "max_attempts", int, 3, "an integer"),
                 backoff_base_ms=_typed(retry_spec, "backoff_base_ms", int, 250, "an integer"),
             ),
-            rate_limit=_typed(spec, "rate_limit", int, 4, "an integer"),
+            rate_limit=_typed(spec, "rate_limit", int, RATE_LIMIT, "an integer"),
             timeout_s=_typed(spec, "timeout_s", (int, float), 60.0, "a number"),
+            gate=None if gates is None else gates.get(base_url.rstrip("/")),
         )
     if kind != "scripted":
         raise ConfigError(f"unknown backend kind {kind!r}")
@@ -209,20 +232,27 @@ def _open_cache(config: RunConfig) -> ReplayCache:
 
 
 def build_setup(
-    config: RunConfig, config_base: Path, cache: ReplayCache | None = None
+    config: RunConfig,
+    config_base: Path,
+    cache: ReplayCache | None = None,
+    gates: dict[str, threading.Semaphore] | None = None,
 ) -> PipelineSetup:
     """Fresh backends, router and prompt set for one pipeline run.
 
-    Every call of the setup asks `cache` first, by default a new one.
+    Every call of the setup asks `cache` first, by default a new one, and
+    each HTTP backend waits on the gate of its base_url in `gates`, by
+    default new ones shared only within this setup.
     """
     if cache is None:
         cache = _open_cache(config)
+    if gates is None:
+        gates = _http_gates(config)
     built: dict[str, PhaseSetup] = {}
     try:
         prompts = PromptSet.load(config.prompt_dir)
         for name, spec in config.backends.items():
             built[name] = PhaseSetup(
-                backend=build_backend(spec, config_base),
+                backend=build_backend(spec, config_base, gates),
                 settings=_settings(spec),
             )
     except (OSError, ValueError) as exc:
@@ -260,35 +290,60 @@ def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
+def _detect(
+    config: RunConfig, config_base: Path, modes: list[AblationMode], names: list[str]
+) -> tuple[list[Sample], list[PipelineSetup], list[DetectionLog]]:
+    """Stream each mode's detections into output_dir/<its name>: (samples, setups, logs).
+
+    Each mode gets its own setup (fresh backends), all on one memo and
+    one gate per base_url. The output directory is made only once those
+    and the dataset have loaded, so a run that exits 2 or 3 leaves none.
+    """
+    with _open_cache(config) as cache:
+        gates = _http_gates(config)
+        setups = [build_setup(config, config_base, cache, gates) for _ in modes]
+        samples = _load_samples(config.dataset)
+        log.info(
+            "running %d samples in mode %s",
+            len(samples),
+            ", then ".join(mode.value for mode in modes),
+        )
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        with contextlib.ExitStack() as stack:
+            logs = [
+                stack.enter_context(DetectionLog(config.output_dir / name)) for name in names
+            ]
+
+            def emit(detections) -> None:
+                for det_log, det in zip(logs, detections):
+                    det_log.add(det)
+
+            stream_detections(samples, list(zip(modes, setups)), emit, config.workers)
+    return samples, setups, logs
+
+
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    with _open_cache(config) as cache:
-        setup = build_setup(config, Path(args.config).parent, cache)
-        samples = _load_samples(config.dataset)
-        log.info("running %d samples in mode %s", len(samples), config.mode.value)
-
-        started = _utc_now()
-        detections = run_dataset(samples, config.mode, setup, workers=config.workers)
-        finished = _utc_now()
+    started = _utc_now()
+    samples, (setup,), (detections,) = _detect(
+        config, Path(args.config).parent, [config.mode], ["detections.jsonl"]
+    )
+    finished = _utc_now()
     model = setup.phase3.settings.model_id
 
     out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_detections(detections, out_dir / "detections.jsonl")
-
-    row = build_report_row(detections, samples, model)
+    row = build_report_row(detections.predictions, samples, model)
     csv_text = render_csv([row])
     (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
     (out_dir / "report.md").write_text(render_markdown([row]), encoding="utf-8")
 
-    failures = sum(1 for d in detections if d.failure is not None)
     meta = {
         "model": model,
         "mode": config.mode.value,
         "dataset": str(config.dataset),
         "n_samples": len(samples),
-        "n_failures": failures,
-        "call_counts": call_counts(detections),
+        "n_failures": detections.failures,
+        "call_counts": detections.calls,
         "workers": config.workers,
         "started_at": started,
         "finished_at": finished,
@@ -296,36 +351,25 @@ def cmd_run(args) -> int:
     (out_dir / "run_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if failures:
-        log.warning("%d of %d samples failed; see detections.jsonl", failures, len(samples))
+    if detections.failures:
+        log.warning(
+            "%d of %d samples failed; see detections.jsonl", detections.failures, len(samples)
+        )
     sys.stdout.write(csv_text)
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
-    samples = _load_samples(config.dataset)
-    out_dir = config.output_dir
-    # each sample's phase results, reused by the modes after the one that ran them
-    shared = [SharedSteps() for _ in samples]
     modes = list(AblationMode)
-
-    entries = []
-    with _open_cache(config) as cache:  # shared by all four modes
-        for mode in modes:
-            log.info("ablation mode %s", mode.value)
-            if mode is modes[-1]:
-                for steps in shared:
-                    steps.storing = False  # no later mode would read them
-            setup = build_setup(config, Path(args.config).parent, cache)
-            detections = run_dataset(samples, mode, setup, config.workers, shared)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_detections(detections, out_dir / f"detections_{mode.value}.jsonl")
-            row = build_report_row(detections, samples, mode.value)
-            entries.append((mode.value, row, call_counts(detections)))
-
+    names = [f"detections_{mode.value}.jsonl" for mode in modes]
+    samples, _, logs = _detect(config, Path(args.config).parent, modes, names)
+    entries = [
+        (mode.value, build_report_row(det_log.predictions, samples, mode.value), det_log.calls)
+        for mode, det_log in zip(modes, logs)
+    ]
     csv_text = render_ablation_csv(entries)
-    (out_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
+    (config.output_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return EXIT_OK
 

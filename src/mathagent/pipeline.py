@@ -6,13 +6,21 @@ text, (2) if it does, transcribe it according to the question type,
 replace phase 2 routing with plain captioning, or cut the problem text
 out of the analyzer prompt. A failing sample is recorded, never fatal.
 
-`ablate` runs the modes in order and keeps one SharedSteps table per
-sample for the whole command. Each phase step (the verdict, the type
-query, the transcript, the analysis) is stored under the inputs that fix
-its requests, and a later mode that reaches the same step reuses its
-result and copies its call records as memo hits (from_cache true, latency
-0.0), which is what the memo would have answered. A step that raised is
-not stored, so a later mode asks again.
+stream_detections is the one driver: each worker takes the next sample
+and runs it through every (mode, setup) in order, then hands the
+sample's detections to a reorder buffer that emits them in sample
+order. `run` streams one mode, `ablate` four, and run_dataset collects
+one mode's detections into a list. A DetectionLog writes one mode's
+detections as they are emitted, one flushed line per sample, and keeps
+only what a report and run_meta.json read.
+
+Across modes, one SharedSteps table lives while one sample goes through
+them. Each phase step (the verdict, the type query, the transcript, the
+analysis) is stored under the inputs that fix its requests, and a later
+mode that reaches the same step reuses its result and copies its call
+records as memo hits (from_cache true, latency 0.0), which is what the
+memo would have answered. A step that raised is not stored, so a later
+mode asks again.
 """
 
 from __future__ import annotations
@@ -20,9 +28,10 @@ from __future__ import annotations
 import enum
 import json
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analyzer import analyze
 from .backends import (
@@ -105,15 +114,14 @@ class Detection:
 
 @dataclass(slots=True)
 class SharedSteps:
-    """One sample's phase results, kept for the later modes of one `ablate` command.
+    """One sample's phase results, kept while that sample goes through the modes of a run.
 
     Keys are the inputs that fix a step's requests; each value is the
     step's result and its call records, which a reuse copies as memo hits.
-    Only steps that made a call are stored, and none while storing is off.
+    Only steps that made a call are stored.
     """
 
     results: dict[tuple, tuple[object, tuple[CallRecord, ...]]] = field(default_factory=dict)
-    storing: bool = True
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,7 @@ def detect_errors(
             return result
         made = len(calls)
         result = run()
-        if steps.storing and len(calls) > made:
+        if len(calls) > made:
             steps.results[key] = result, tuple(calls[made:])
         return result
 
@@ -236,15 +244,79 @@ def detect_errors(
             trace=trace,
         )
     except (BackendError, OSError) as exc:
-        failure = PhaseError(phase, exc)
         return Detection(
             sample_id=sample.id,
             mode=mode,
             predicted_step=None,
             predicted_category=None,
             trace=trace,
-            failure=str(failure),
+            # no local keeps the PhaseError, whose cause's traceback holds this frame
+            failure=str(PhaseError(phase, exc)),
         )
+
+
+def stream_detections(
+    samples: Sequence[Sample],
+    runs: Sequence[tuple[AblationMode, PipelineSetup]],
+    emit: Callable[[tuple[Detection, ...]], None],
+    workers: int = 1,
+) -> None:
+    """Run each sample through every (mode, setup) of runs, in order.
+
+    emit gets each sample's detections, one per run, in sample order and
+    from one thread at a time. With workers > 1, each worker thread takes
+    the next sample as soon as it is free, so a slow call holds up one
+    worker, not a share of the dataset; a sample that finishes ahead of an
+    earlier one waits in a reorder buffer. An unexpected exception stops
+    the claiming of samples and is re-raised once the workers are done;
+    what was emitted before it stays emitted.
+    """
+
+    def detect(sample: Sample) -> tuple[Detection, ...]:
+        # the sample's table lives only while it goes through the modes
+        steps = (SharedSteps(),) if len(runs) > 1 else ()
+        return tuple(detect_errors(sample, mode, setup, *steps) for mode, setup in runs)
+
+    if workers <= 1:
+        for sample in samples:
+            emit(detect(sample))
+        return
+    pending = enumerate(samples)
+    claim, emitting = threading.Lock(), threading.Lock()
+    ready: dict[int, tuple[Detection, ...]] = {}  # the reorder buffer
+    next_index = 0
+    stopped = False
+
+    def drain() -> None:
+        nonlocal next_index, stopped
+        while not stopped:
+            with claim:
+                claimed = next(pending, None)
+            if claimed is None:
+                return
+            index, sample = claimed
+            try:
+                ready[index] = detect(sample)
+                # No worker blocks on another's emit, since workers that
+                # wait and wake trade the interpreter lock and slowed a
+                # CPU-bound warm run by about a third. While one worker
+                # emits, the others go on; it looks once more after letting
+                # go, so a sample made ready meanwhile is not left behind.
+                while next_index in ready and emitting.acquire(blocking=False):
+                    try:
+                        while next_index in ready:
+                            emit(ready.pop(next_index))
+                            next_index += 1
+                    finally:
+                        emitting.release()
+            except BaseException:
+                stopped = True  # the other workers finish their sample and take no more
+                raise
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(drain) for _ in range(min(workers, len(samples)))]
+        for task in tasks:
+            task.result()  # re-raises a worker's unexpected exception
 
 
 def run_dataset(
@@ -252,51 +324,60 @@ def run_dataset(
     mode: AblationMode,
     setup: PipelineSetup,
     workers: int = 1,
-    shared: list[SharedSteps] | None = None,
 ) -> list[Detection]:
-    """Detect over a dataset; results come back in sample order.
-
-    With workers > 1, each worker thread pulls the next sample as soon as it
-    is free, so a slow call holds up one worker, not a share of the dataset.
-    shared holds one table per sample, in sample order, for detect_errors.
-    """
-    samples = list(samples)
-    if shared is not None and len(shared) != len(samples):
-        raise ValueError(f"{len(shared)} shared tables for {len(samples)} samples")
-
-    def detect(index: int) -> Detection:
-        if shared is None:
-            return detect_errors(samples[index], mode, setup)
-        return detect_errors(samples[index], mode, setup, shared[index])
-
-    if workers <= 1:
-        return [detect(index) for index in range(len(samples))]
-    detections: list[Detection | None] = [None] * len(samples)
-    pending = iter(range(len(samples)))
-    claim = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with claim:
-                index = next(pending, None)
-            if index is None:
-                return
-            detections[index] = detect(index)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(drain) for _ in range(min(workers, len(samples)))]
-        for task in tasks:
-            task.result()  # re-raises a worker's unexpected exception
+    """Detect over a dataset in one mode; results come back in sample order."""
+    detections: list[Detection] = []
+    stream_detections(list(samples), [(mode, setup)], detections.extend, workers)
     return detections
 
 
 def call_counts(detections: Iterable[Detection]) -> dict[str, int]:
     """Backend calls per phase tag, aggregated over a run."""
-    counts: dict[str, int] = {}
-    for det in detections:
-        for record in det.trace.backend_calls:
-            counts[record.phase] = counts.get(record.phase, 0) + 1
-    return counts
+    return dict(Counter(r.phase for det in detections for r in det.trace.backend_calls))
+
+
+class PredictionRecord(NamedTuple):
+    """What scoring reads of a detection: its sample and its predicted step and category."""
+
+    sample_id: str
+    predicted_step: int | None
+    predicted_category: ErrorCategory | None
+
+
+class DetectionLog:
+    """One mode's detections as a run emits them, written and then let go.
+
+    Each detection is written to path as one JSON line and flushed, so a
+    killed run leaves whole lines in sample order. What is kept is what a
+    report and run_meta.json read: the predictions, the number of failed
+    samples and the calls per phase tag. close() (or leaving a `with`
+    block) closes the file.
+    """
+
+    def __init__(self, path):
+        self.predictions: list[PredictionRecord] = []
+        self.failures = 0
+        self.calls: Counter[str] = Counter()
+        self._file = open(path, "w", encoding="utf-8")
+
+    def add(self, det: Detection) -> None:
+        line = json.dumps(detection_to_dict(det), sort_keys=True, ensure_ascii=False)
+        self._file.write(line + "\n")
+        self._file.flush()
+        self.predictions.append(
+            PredictionRecord(det.sample_id, det.predicted_step, det.predicted_category)
+        )
+        self.failures += det.failure is not None
+        self.calls.update(r.phase for r in det.trace.backend_calls)
+
+    def close(self) -> None:
+        self._file.close()
+
+    def __enter__(self) -> "DetectionLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 # --- detection (de)serialization -------------------------------------------
@@ -351,12 +432,9 @@ def detection_to_dict(det: Detection) -> dict:
 
 
 def write_detections(detections: Iterable[Detection], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with DetectionLog(path) as log:
         for det in detections:
-            fh.write(
-                json.dumps(detection_to_dict(det), sort_keys=True, ensure_ascii=False)
-                + "\n"
-            )
+            log.add(det)
 
 
 @dataclass

@@ -750,7 +750,10 @@ class TestReplayBackend:
 
     def test_failed_append_leaves_no_caller_waiting(self, tmp_path):
         inner = BlockingBackend()
-        memo = ReplayCache(tmp_path / "missing-dir" / "cache.jsonl")
+        gone = tmp_path / "gone-dir"
+        gone.mkdir()
+        memo = ReplayCache(gone / "cache.jsonl")
+        gone.rmdir()  # a directory missing at the start is refused; this one goes later
         outcomes = concurrent_calls(memo, inner)
         assert isinstance(outcomes["first"], FileNotFoundError)
         assert outcomes["second"].text == "inner reply"

@@ -1,14 +1,18 @@
 """Command-line behaviour: run, ablate, validate, report, exit codes."""
 
+import functools
 import json
 import shutil
+import threading
+import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conftest import FIXTURES, REPO, run_python, track_appends
-from mathagent import ScriptedBackend, backends, load_dataset, prompts
+from mathagent import ScriptedBackend, backends, cli, load_dataset, pipeline, prompts
 from mathagent.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -859,6 +863,164 @@ class TestCacheHandle:
         assert len(handles) == 1
         assert handles[0].closed
         assert len(read_lines(cache)) == (32 if command == "run" else 60)
+
+
+MODES = ("full", "no_validator", "no_interpreter", "no_analyzer")
+
+
+def detection_files(command: str, out_dir: Path) -> list[Path]:
+    if command == "run":
+        return [out_dir / "detections.jsonl"]
+    return [out_dir / f"detections_{mode}.jsonl" for mode in MODES]
+
+
+class TestStreamedDetections:
+    """Detections reach their files in sample order, one flushed line per sample."""
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_a_crash_at_sample_k_leaves_the_first_k_lines(
+        self, tmp_path, capsys, monkeypatch, command, k
+    ):
+        whole = tmp_path / "whole"
+        assert main([command, "--config", str(write_config(tmp_path, whole))]) == EXIT_OK
+        crashing = load_dataset(DATASET)[k].id
+        out_dir = tmp_path / "cut"
+        files = detection_files(command, out_dir)
+        on_disk = []
+        original = ScriptedBackend.complete
+
+        def complete(self, request):
+            if request.sample_id == crashing:
+                on_disk.append([len(read_lines(path)) for path in files])
+                raise RuntimeError("bug in a backend")
+            return original(self, request)
+
+        monkeypatch.setattr(ScriptedBackend, "complete", complete)
+        with pytest.raises(RuntimeError, match="bug in a backend"):
+            main([command, "--config", str(write_config(tmp_path, out_dir))])
+        capsys.readouterr()
+        # every earlier sample was on disk before the crashing one asked a backend
+        assert on_disk == [[k] * len(files)]
+        for path, whole_path in zip(files, detection_files(command, whole)):
+            assert read_lines(path) == read_lines(whole_path)[:k], path.name
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_slow_first_sample_streams_the_sequential_bytes(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        sequential = tmp_path / "sequential"
+        config = write_config(tmp_path, sequential, workers=1)
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        first = load_dataset(DATASET)[0].id
+        out_dir = tmp_path / "pooled"
+        files = detection_files(command, out_dir)
+        others = (len(load_dataset(DATASET)) - 1) * (1 if command == "run" else len(MODES))
+        finished, others_done, held = [], threading.Event(), []
+        real = pipeline.detect_errors
+
+        def slow_first(sample, mode, setup, *steps):
+            if sample.id == first and not held:
+                assert others_done.wait(timeout=10)
+                # every other sample is done, yet none may pass the first one
+                held.append([len(read_lines(path)) for path in files])
+            det = real(sample, mode, setup, *steps)
+            if sample.id != first:
+                finished.append(sample.id)
+                if len(finished) == others:
+                    others_done.set()
+            return det
+
+        monkeypatch.setattr(pipeline, "detect_errors", slow_first)
+        config = write_config(tmp_path, out_dir, workers=3)
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert held == [[0] * len(files)]
+        for path, sequential_path in zip(files, detection_files(command, sequential)):
+            assert path.read_bytes() == sequential_path.read_bytes(), path.name
+
+    def test_ablate_holds_one_table_per_busy_worker(self, tmp_path, capsys, monkeypatch):
+        tables, peak = [], [0]
+
+        def alive() -> int:
+            return sum(table() is not None for table in tables)
+
+        class Counted(pipeline.SharedSteps):
+            def __init__(self):
+                super().__init__()
+                tables.append(weakref.ref(self))
+                peak[0] = max(peak[0], alive())
+
+        monkeypatch.setattr(pipeline, "SharedSteps", Counted)
+        config = write_config(tmp_path, tmp_path / "out", workers=3)
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert len(tables) == 12  # one table per sample, for all four modes
+        assert 1 <= peak[0] <= 3
+        assert alive() == 0
+
+
+class FakeEndpoint:
+    """A chat-completions endpoint behind HttpBackend's transport hook; counts calls in flight."""
+
+    REPLY = json.dumps({
+        "choices": [{
+            "message": {"content": "Error Step: #2\nError Category: Reasoning Error"},
+            "finish_reason": "stop",
+        }],
+    })
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.in_flight = self.max_in_flight = self.calls = 0
+
+    def __call__(self, url, headers, body, timeout_s):
+        with self.lock:
+            self.in_flight += 1
+            self.calls += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+        time.sleep(0.002)  # long enough for another worker's call to overlap
+        with self.lock:
+            self.in_flight -= 1
+        return 200, self.REPLY
+
+
+class TestEndpointGate:
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_one_call_in_flight_per_base_url(self, tmp_path, capsys, monkeypatch, command):
+        endpoint = FakeEndpoint()
+        monkeypatch.setattr(cli, "HttpBackend", functools.partial(cli.HttpBackend, transport=endpoint))
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        spec = {"kind": "http", "base_url": "http://localhost:9/v1", "rate_limit": 1}
+        config = write_config(
+            tmp_path,
+            tmp_path / "out",
+            workers=4,
+            # the smallest rate_limit on a base_url sizes its gate, trailing slash or not
+            backends={
+                "phase1": spec,
+                "phase2": {**spec, "base_url": "http://localhost:9/v1/", "rate_limit": 4},
+                "phase3": {**spec, "rate_limit": 2},
+            },
+        )
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert endpoint.calls > 12
+        assert endpoint.max_in_flight == 1
+
+
+class TestCachePath:
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_missing_cache_directory_is_a_config_error(self, tmp_path, command):
+        config = write_config(
+            tmp_path, tmp_path / "out", cache_path=str(tmp_path / "missing" / "cache.jsonl")
+        )
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "missing" in proc.stderr
+        assert not (tmp_path / "out").exists()  # stopped before any sample ran
+        assert not (tmp_path / "missing").exists()
 
 
 class TestReplayCacheDamage:

@@ -1,9 +1,13 @@
 """End-to-end pipeline behaviour over the 12-sample scripted fixture."""
 
+import random
+import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +33,7 @@ from mathagent import (
     detection_to_dict,
     load_detections,
     run_dataset,
+    stream_detections,
     write_detections,
 )
 from mathagent import BackendError, pipeline
@@ -322,6 +327,60 @@ class TestDeterminismAndConcurrency:
         assert [d.sample_id for d in detections] == [s.id for s in samples_12]
         assert finished[-1] == samples_12[0].id
 
+    def test_the_reorder_buffer_emits_each_sample_once_in_order_under_stress(self, monkeypatch):
+        # more workers than cores, a short switch interval, jittered sample
+        # times, and driver locks slow to let go, so that samples are made
+        # ready while an emitting worker is about to release its lock
+        jitter = random.Random(7)
+        delays = [jitter.choice([0, 0, 0.001, 0.003]) for _ in range(400)]
+
+        def fake_detect(sample, mode, setup, *steps):
+            time.sleep(delays[sample])
+            return sample, mode
+
+        class SlowRelease:
+            def __init__(self):
+                self.lock = threading.Lock()
+
+            def acquire(self, blocking=True):
+                return self.lock.acquire(blocking)
+
+            def release(self):
+                time.sleep(0.001)
+                self.lock.release()
+
+            def __enter__(self):
+                self.acquire()
+
+            def __exit__(self, *exc_info):
+                self.release()
+
+        monkeypatch.setattr(pipeline, "detect_errors", fake_detect)
+        monkeypatch.setattr(pipeline, "threading", SimpleNamespace(Lock=SlowRelease))
+        emitted, emitting = [], threading.Lock()
+
+        def emit(detections):
+            assert emitting.acquire(blocking=False), "two threads emitting at once"
+            try:
+                time.sleep(delays[detections[0][0]] / 4)
+                emitted.append(detections)
+            finally:
+                emitting.release()
+
+        runs = [(AblationMode.FULL, None), (AblationMode.NO_ANALYZER, None)]
+        driver = threading.Thread(target=stream_detections, args=(range(400), runs, emit, 9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            driver.start()
+            driver.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not driver.is_alive()
+        assert emitted == [
+            ((i, AblationMode.FULL), (i, AblationMode.NO_ANALYZER)) for i in range(400)
+        ]
+
 
 class TimedScript:
     """The fixture script answering with a fixed latency; keeps every request it gets."""
@@ -406,8 +465,8 @@ class TestCallRecords:
         assert [d.predicted_step for d in again] == [d.predicted_step for d in first]
 
 
-class ModeScript:
-    """The fixture script, rebuilt per mode as `ablate` does; keeps who asked what.
+class ModeScripts:
+    """The fixture script, one fresh backend per mode as `ablate` builds them; keeps who asked what.
 
     With fail=(phase, sample id, n), the n-th request for that phase and
     sample raises BackendError, once.
@@ -417,32 +476,50 @@ class ModeScript:
         self.fail = fail
         self.seen = 0
         self.asked = Counter()  # (mode, phase, sample id) of every request answered
-        self.mode = None
-        self.script = None
+        self.lock = threading.Lock()
 
-    def start(self, mode):
-        self.mode = mode
-        self.script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
+    def setup(self, mode, memo):
+        script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
+        owner = self
 
-    def complete(self, request):
-        if self.fail is not None and (request.phase, request.sample_id) == self.fail[:2]:
-            self.seen += 1
-            if self.seen == self.fail[2]:
-                raise BackendError("endpoint down")
-        self.asked[self.mode, request.phase, request.sample_id] += 1
-        return self.script.complete(request)
+        class ModeBackend:
+            def complete(self, request):
+                key = (request.phase, request.sample_id)
+                with owner.lock:
+                    if owner.fail is not None and key == owner.fail[:2]:
+                        owner.seen += 1
+                        if owner.seen == owner.fail[2]:
+                            raise BackendError("endpoint down")
+                    owner.asked[(mode, *key)] += 1
+                return script.complete(request)
+
+        return shared_setup(ModeBackend(), cache=memo)
 
 
-def ablate(samples, backend, shared, workers=1):
-    """The four modes in order over one memo, as `mathagent ablate` runs them."""
+def ablate(samples, scripts, workers=1):
+    """The four modes over one memo, as `mathagent ablate` runs them: each sample through all."""
     memo = ReplayCache()
-    runs = {}
-    for mode in AblationMode:
-        backend.start(mode)
-        setup = shared_setup(backend, cache=memo)
-        detections = run_dataset(samples, mode, setup, workers, shared)
-        runs[mode] = [detection_to_dict(d) for d in detections]
-    return runs
+    runs = [(mode, scripts.setup(mode, memo)) for mode in AblationMode]
+    out = {mode: [] for mode in AblationMode}
+
+    def emit(detections):
+        for mode, det in zip(AblationMode, detections):
+            out[mode].append(detection_to_dict(det))
+
+    stream_detections(samples, runs, emit, workers)
+    return out
+
+
+def modes_in_turn(samples, scripts, workers=1):
+    """The four modes over one memo, each over the whole dataset before the next, no tables."""
+    memo = ReplayCache()
+    return {
+        mode: [
+            detection_to_dict(d)
+            for d in run_dataset(samples, mode, scripts.setup(mode, memo), workers)
+        ]
+        for mode in AblationMode
+    }
 
 
 class TestSharedSteps:
@@ -479,21 +556,30 @@ class TestSharedSteps:
             "s09": ["phase1", "phase2.type", "phase2", "phase3"],
         }
 
-    def test_nothing_is_stored_while_storing_is_off(self, samples_12):
-        steps = SharedSteps(storing=False)
-        run_dataset(samples_12[:1], AblationMode.FULL, fresh_setup(), shared=[steps])
-        assert steps.results == {}
+    def test_each_sample_gets_a_table_for_its_modes(self, samples_12, monkeypatch):
+        tables, modes_seen = [], []
+        real = pipeline.detect_errors
 
-    def test_one_table_per_sample(self, samples_12):
-        with pytest.raises(ValueError):
-            run_dataset(samples_12, AblationMode.FULL, fresh_setup(), shared=[SharedSteps()])
+        def recording(sample, mode, setup, *steps):
+            tables.append(steps)
+            modes_seen.append((sample.id, mode))
+            return real(sample, mode, setup, *steps)
+
+        monkeypatch.setattr(pipeline, "detect_errors", recording)
+        ablate(samples_12[:2], ModeScripts())
+        # each sample runs through the four modes in order, on one table of its own
+        assert modes_seen == [(s.id, m) for s in samples_12[:2] for m in AblationMode]
+        assert all(len(steps) == 1 for steps in tables)
+        assert len({id(steps[0]) for steps in tables[:4]}) == 1
+        assert tables[0][0] is not tables[4][0]
+        run_dataset(samples_12[:1], AblationMode.FULL, fresh_setup())
+        assert tables[-1] == ()  # one mode has no later mode to reuse anything
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_ablate_matches_the_modes_run_without_tables(self, samples_12, workers):
-        reusing, plain = ModeScript(), ModeScript()
-        tables = [SharedSteps() for _ in samples_12]
-        runs = ablate(samples_12, reusing, tables, workers)
-        assert runs == ablate(samples_12, plain, None, workers)
+        reusing, plain = ModeScripts(), ModeScripts()
+        runs = ablate(samples_12, reusing, workers)
+        assert runs == modes_in_turn(samples_12, plain, workers)
         assert reusing.asked == plain.asked
 
     @pytest.mark.parametrize(
@@ -502,9 +588,9 @@ class TestSharedSteps:
         ids=["verdict", "type-query", "reask"],
     )
     def test_a_failed_step_is_asked_again_in_a_later_mode(self, samples_12, phase, sample_id, nth):
-        reusing, plain = ModeScript((phase, sample_id, nth)), ModeScript((phase, sample_id, nth))
-        runs = ablate(samples_12, reusing, [SharedSteps() for _ in samples_12])
-        assert runs == ablate(samples_12, plain, None)
+        reusing, plain = ModeScripts((phase, sample_id, nth)), ModeScripts((phase, sample_id, nth))
+        runs = ablate(samples_12, reusing)
+        assert runs == modes_in_turn(samples_12, plain)
         assert reusing.asked == plain.asked
         index = [s.id for s in samples_12].index(sample_id)
         failure = runs[AblationMode.FULL][index]["failure"]
