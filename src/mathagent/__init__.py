@@ -32,7 +32,6 @@ from .data_model import (
     DatasetStats,
     EmptyDataset,
     ErrorCategory,
-    Finding,
     ImageKind,
     ImageRef,
     QuestionType,
@@ -74,12 +73,9 @@ from .metrics import (
     KeyMismatch,
     ScoredRun,
     average_score,
-    category_accuracy,
     improvement_delta,
     mean_delta,
-    overall_micro,
     score_run,
-    step_accuracy,
     weighted_overall,
 )
 from .pipeline import (
@@ -98,7 +94,6 @@ from .pipeline import (
     load_detections,
     run_dataset,
     stream_detections,
-    write_detections,
 )
 from .prompts import PromptSet
 from .report import (

@@ -298,6 +298,7 @@ def _detect(
     Each mode gets its own setup (fresh backends), all on one memo and
     one gate per base_url. The output directory is made only once those
     and the dataset have loaded, so a run that exits 2 or 3 leaves none.
+    A mode with failed samples gets a warning naming its file.
     """
     with _open_cache(config) as cache:
         gates = _http_gates(config)
@@ -319,6 +320,9 @@ def _detect(
                     det_log.add(det)
 
             stream_detections(samples, list(zip(modes, setups)), emit, config.workers)
+    for name, det_log in zip(names, logs):
+        if det_log.failures:
+            log.warning("%d of %d samples failed; see %s", det_log.failures, len(samples), name)
     return samples, setups, logs
 
 
@@ -351,10 +355,6 @@ def cmd_run(args) -> int:
     (out_dir / "run_meta.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    if detections.failures:
-        log.warning(
-            "%d of %d samples failed; see detections.jsonl", detections.failures, len(samples)
-        )
     sys.stdout.write(csv_text)
     return EXIT_OK
 
@@ -413,13 +413,20 @@ def cmd_validate(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
+def _read_detections(path: str):
+    """A detections file's records; a missing or unreadable file is a DatasetError."""
+    try:
+        return load_detections(Path(path))
+    except OSError as exc:
+        raise DatasetError(f"cannot read detections: {exc}") from exc
+
+
 def cmd_report(args) -> int:
     samples = _load_samples(Path(args.dataset))
     try:
-        detections = load_detections(Path(args.detections))
-    except OSError as exc:
-        raise DatasetError(f"cannot read detections: {exc}") from exc
-    except ValueError as exc:
+        detections = _read_detections(args.detections)
+        baseline = _read_detections(args.baseline) if args.baseline else None
+    except ValueError as exc:  # a bad line
         log.error("%s", exc)
         return EXIT_FINDINGS
 
@@ -437,9 +444,8 @@ def cmd_report(args) -> int:
     try:
         row = build_report_row(detections, samples, model)
         rows = [row]
-        if args.baseline:
-            base_detections = load_detections(Path(args.baseline))
-            base_row = build_report_row(base_detections, samples, model + " (baseline)")
+        if baseline is not None:
+            base_row = build_report_row(baseline, samples, model + " (baseline)")
             rows = [base_row, attach_deltas(row, base_row)]
     except AlignmentError as exc:
         log.error("alignment: %s", exc)

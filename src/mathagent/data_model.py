@@ -10,6 +10,7 @@ import base64
 import binascii
 import enum
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -298,44 +299,43 @@ def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
     )
 
 
-@dataclass
-class Finding:
-    line_no: int
-    field_path: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"line {self.line_no}: field '{self.field_path}': {self.message}"
+# errors="surrogateescape" reads each byte that is not UTF-8 as one of these
+_UNDECODED = re.compile("[\udc80-\udcff]")
 
 
 def scan_dataset(path):
-    """Read a JSONL dataset, collecting findings instead of failing fast.
+    """Read a JSONL dataset, collecting SchemaErrors instead of failing fast.
 
     Returns (samples, findings). Lines with findings contribute no sample.
-    Blank lines are skipped. Duplicate ids are findings on the later line.
+    Blank lines are skipped. A line that is not UTF-8 is a finding naming
+    its first bad byte; a duplicate id is a finding on the later line.
     """
     samples: list[Sample] = []
-    findings: list[Finding] = []
+    findings: list[SchemaError] = []
     seen_ids: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
+                continue
+            undecoded = None if line.isascii() else _UNDECODED.search(line)
+            if undecoded:
+                byte = ord(undecoded.group()) - 0xDC00
+                findings.append(SchemaError(line_no, "", f"not valid UTF-8 (byte 0x{byte:02x})"))
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                findings.append(Finding(line_no, "", f"invalid JSON: {exc.msg}"))
+                findings.append(SchemaError(line_no, "", f"invalid JSON: {exc.msg}"))
                 continue
             try:
                 sample = sample_from_dict(obj, line_no)
             except SchemaError as exc:
-                findings.append(Finding(exc.line_no, exc.field_path, exc.message))
+                exc.__context__ = None  # its traceback, like exc's, holds this line's object
+                findings.append(exc.with_traceback(None))
                 continue
             if sample.id in seen_ids:
-                findings.append(
-                    Finding(line_no, "id",
-                            f"duplicate id {sample.id!r} (first seen line {seen_ids[sample.id]})")
-                )
+                message = f"duplicate id {sample.id!r} (first seen line {seen_ids[sample.id]})"
+                findings.append(SchemaError(line_no, "id", message))
                 continue
             seen_ids[sample.id] = line_no
             samples.append(sample)
@@ -343,11 +343,10 @@ def scan_dataset(path):
 
 
 def load_dataset(path) -> list[Sample]:
-    """Strict loader: raises SchemaError on the first finding."""
+    """Strict loader: raises the first finding's SchemaError."""
     samples, findings = scan_dataset(path)
     if findings:
-        first = findings[0]
-        raise SchemaError(first.line_no, first.field_path, first.message)
+        raise findings[0]
     return samples
 
 

@@ -39,6 +39,8 @@ CONFUSION_ROWS = tuple(c.value for c in ErrorCategory) + (UNPARSED,)
 
 @dataclass
 class ScoredRun:
+    """One scoring pass; category_accuracy leaves out categories the samples lack."""
+
     n: int
     step_hits: int
     category_hits: dict[ErrorCategory, int]
@@ -109,23 +111,6 @@ def score_run(predictions: Iterable[Prediction], samples: list[Sample]) -> Score
         category_totals=cat_totals,
         confusion=confusion,
     )
-
-
-def step_accuracy(predictions: Iterable[Prediction], samples: list[Sample]) -> Fraction:
-    """Percent of samples whose predicted step equals the labeled step."""
-    return score_run(predictions, samples).step_accuracy()
-
-
-def category_accuracy(
-    predictions: Iterable[Prediction], samples: list[Sample]
-) -> dict[ErrorCategory, Fraction]:
-    """Percent correct per ground-truth category; absent categories omitted."""
-    return score_run(predictions, samples).category_accuracy()
-
-
-def overall_micro(predictions: Iterable[Prediction], samples: list[Sample]) -> Fraction:
-    """Count-weighted categorization accuracy over all samples."""
-    return score_run(predictions, samples).overall_micro()
 
 
 def weighted_overall(per_category: Mapping, counts: Mapping) -> Fraction:

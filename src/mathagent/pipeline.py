@@ -264,12 +264,13 @@ def stream_detections(
     """Run each sample through every (mode, setup) of runs, in order.
 
     emit gets each sample's detections, one per run, in sample order and
-    from one thread at a time. With workers > 1, each worker thread takes
-    the next sample as soon as it is free, so a slow call holds up one
-    worker, not a share of the dataset; a sample that finishes ahead of an
-    earlier one waits in a reorder buffer. An unexpected exception stops
-    the claiming of samples and is re-raised once the workers are done;
-    what was emitted before it stays emitted.
+    from one thread at a time. The calling thread and workers - 1 pool
+    threads each take the next sample as soon as they are free, so a slow
+    call holds up one worker, not a share of the dataset; a sample that
+    finishes ahead of an earlier one waits in a reorder buffer. Any
+    exception, a KeyboardInterrupt in the calling thread included, stops
+    the claiming of samples and is re-raised once the in-flight samples
+    are done; what was emitted before it stays emitted.
     """
 
     def detect(sample: Sample) -> tuple[Detection, ...]:
@@ -277,10 +278,6 @@ def stream_detections(
         steps = (SharedSteps(),) if len(runs) > 1 else ()
         return tuple(detect_errors(sample, mode, setup, *steps) for mode, setup in runs)
 
-    if workers <= 1:
-        for sample in samples:
-            emit(detect(sample))
-        return
     pending = enumerate(samples)
     claim, emitting = threading.Lock(), threading.Lock()
     ready: dict[int, tuple[Detection, ...]] = {}  # the reorder buffer
@@ -289,13 +286,13 @@ def stream_detections(
 
     def drain() -> None:
         nonlocal next_index, stopped
-        while not stopped:
-            with claim:
-                claimed = next(pending, None)
-            if claimed is None:
-                return
-            index, sample = claimed
-            try:
+        try:
+            while not stopped:
+                with claim:
+                    claimed = next(pending, None)
+                if claimed is None:
+                    return
+                index, sample = claimed
                 ready[index] = detect(sample)
                 # No worker blocks on another's emit, since workers that
                 # wait and wake trade the interpreter lock and slowed a
@@ -309,14 +306,18 @@ def stream_detections(
                             next_index += 1
                     finally:
                         emitting.release()
-            except BaseException:
-                stopped = True  # the other workers finish their sample and take no more
-                raise
+        finally:
+            stopped = True  # after a raise the others take no more; after a return none is left
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = [pool.submit(drain) for _ in range(min(workers, len(samples)))]
-        for task in tasks:
-            task.result()  # re-raises a worker's unexpected exception
+    # workers 1 starts no pool thread, since the executor starts them on submit
+    with ThreadPoolExecutor(max_workers=max(workers - 1, 1)) as pool:
+        try:
+            tasks = [pool.submit(drain) for _ in range(min(workers, len(samples)) - 1)]
+            drain()
+            for task in tasks:
+                task.result()  # re-raises a pool worker's exception
+        finally:
+            stopped = True  # also when interrupted while submitting or collecting
 
 
 def run_dataset(
@@ -429,12 +430,6 @@ def detection_to_dict(det: Detection) -> dict:
             ],
         },
     }
-
-
-def write_detections(detections: Iterable[Detection], path) -> None:
-    with DetectionLog(path) as log:
-        for det in detections:
-            log.add(det)
 
 
 @dataclass

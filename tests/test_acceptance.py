@@ -36,19 +36,17 @@ from mathagent import (
     average_score,
     build_analysis_prompt,
     call_counts,
-    category_accuracy,
     detection_to_dict,
     improvement_delta,
     mean_delta,
-    overall_micro,
     parse_analyzer_output,
     parse_facts,
     parse_verdict,
     request_fingerprint,
     run_dataset,
     sample_to_dict,
+    score_run,
     serialize_facts,
-    step_accuracy,
     validate_arity,
     weighted_overall,
 )
@@ -184,13 +182,13 @@ def test_criterion_2_metric_oracle_equivalence(announce):
                         hits_by_cat.get(s.gt_error_category, 0) + 1
                     )
 
-            assert step_accuracy(preds, samples) == Fraction(100 * step_hits, n)
-            per_cat = category_accuracy(preds, samples)
+            assert score_run(preds, samples).step_accuracy() == Fraction(100 * step_hits, n)
+            per_cat = score_run(preds, samples).category_accuracy()
             assert per_cat == {
                 c: Fraction(100 * hits_by_cat.get(c, 0), t)
                 for c, t in totals_by_cat.items()
             }
-            micro = overall_micro(preds, samples)
+            micro = score_run(preds, samples).overall_micro()
             assert micro == Fraction(100 * sum(hits_by_cat.values()), n)
             assert micro == weighted_overall(per_cat, totals_by_cat)
 

@@ -216,6 +216,31 @@ class TestAblate:
             assert (out_dir / f"detections_{mode}.jsonl").exists()
 
 
+    def test_failed_samples_are_counted_per_mode(self, tmp_path, capsys, caplog):
+        script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
+        del script["phases"]["phase3"]["s01"]
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script), encoding="utf-8")
+        backend = {"kind": "scripted", "script_path": str(script_path), "model_id": "scripted-12"}
+        backends = {"phase1": backend, "phase2": backend, "phase3": backend}
+        warnings = {}
+        for command in ("run", "ablate"):
+            config = write_config(tmp_path, tmp_path / command, backends=backends)
+            caplog.clear()
+            assert main([command, "--config", str(config)]) == EXIT_OK
+            warnings[command] = [
+                r.getMessage() for r in caplog.records if r.levelname == "WARNING"
+            ]
+        capsys.readouterr()
+        assert warnings["run"] == ["1 of 12 samples failed; see detections.jsonl"]
+        assert warnings["ablate"] == [
+            f"1 of 12 samples failed; see detections_{mode}.jsonl"
+            for mode in ("full", "no_validator", "no_interpreter", "no_analyzer")
+        ]
+        for mode in ("full", "no_validator", "no_interpreter", "no_analyzer"):
+            first = read_lines(tmp_path / "ablate" / f"detections_{mode}.jsonl")[0]
+            assert json.loads(first)["failure"] is not None, mode
+
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("ablate_cache", [False, True], ids=["uncached", "cached"])
     def test_each_mode_matches_a_run_in_that_mode(self, tmp_path, capsys, workers, ablate_cache):
@@ -298,6 +323,30 @@ class TestReport:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout.splitlines()[1].startswith("run,")
+
+    @pytest.mark.parametrize("which", ["missing", "directory"])
+    def test_an_unreadable_baseline_exits_three(self, run_dir, tmp_path, which):
+        baseline = tmp_path / "baseline"
+        if which == "directory":
+            baseline.mkdir()
+        detections = str(run_dir / "detections.jsonl")
+        proc = run_python(
+            "-m", "mathagent.cli", "report", detections, str(DATASET), "--baseline", str(baseline)
+        )
+        assert proc.returncode == EXIT_DATASET, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cannot read detections" in proc.stderr
+
+    def test_a_bad_baseline_line_exits_one(self, run_dir, tmp_path):
+        baseline = tmp_path / "baseline.jsonl"
+        baseline.write_text("[1]\n", encoding="utf-8")
+        detections = str(run_dir / "detections.jsonl")
+        proc = run_python(
+            "-m", "mathagent.cli", "report", detections, str(DATASET), "--baseline", str(baseline)
+        )
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "line 1" in proc.stderr
 
     def test_misaligned_detections_exit_one(self, run_dir, tmp_path):
         detections = (run_dir / "detections.jsonl").read_text(encoding="utf-8")
@@ -690,6 +739,43 @@ class TestDatasetErrors:
         empty.write_text("", encoding="utf-8")
         config = write_config(tmp_path, tmp_path / "out", dataset=str(empty))
         assert main(["run", "--config", str(config)]) == EXIT_DATASET
+
+
+class TestUndecodableDataset:
+    """A dataset that is not UTF-8 is a finding naming its line, never a traceback."""
+
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        path = tmp_path / "utf16.jsonl"
+        path.write_bytes(b"\xff\xfe" + DATASET.read_bytes())
+        return path
+
+    def test_validate_prints_the_finding_and_exits_one(self, dataset):
+        proc = run_python("-m", "mathagent.cli", "validate", str(dataset))
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("line 1: field '': not valid UTF-8 (byte 0xff)\n")
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_detecting_command_exits_three(self, tmp_path, dataset, command):
+        config = write_config(tmp_path, tmp_path / "out", dataset=str(dataset))
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_DATASET, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR dataset: dataset {dataset}: line 1: field '': not valid UTF-8 (byte 0xff)"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    def test_report_exits_three(self, tmp_path, dataset):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, out_dir))]) == EXIT_OK
+        detections = str(out_dir / "detections.jsonl")
+        proc = run_python("-m", "mathagent.cli", "report", detections, str(dataset))
+        assert proc.returncode == EXIT_DATASET, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert "line 1: field '': not valid UTF-8" in proc.stderr
 
 
 class TestRouterConfig:

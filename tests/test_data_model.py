@@ -245,6 +245,43 @@ class TestScanDataset:
         assert err.value.field_path == "gt_error_step"
 
 
+    def test_findings_keep_no_traceback(self, tmp_path):
+        bad = dict(VALID, gt_error_category="typo", question_type="nope")
+        path = self.write(tmp_path, [json.dumps(bad), json.dumps(dict(VALID, id="q2", steps=[]))])
+        _, findings = scan_dataset(path)
+        assert [f.line_no for f in findings] == [1, 2]
+        for finding in findings:
+            assert isinstance(finding, SchemaError)
+            assert finding.__traceback__ is None
+            assert finding.__context__ is None and finding.__cause__ is None
+
+    def test_a_line_that_is_not_utf8_is_a_finding(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        good = json.dumps(dict(VALID, question_text="Ünïcode ✓"), ensure_ascii=False)
+        path.write_bytes(
+            b"\n".join([good.encode(), b"\xff\xfe{}", json.dumps(dict(VALID, id="q3")).encode()])
+        )
+        samples, findings = scan_dataset(path)
+        assert [s.id for s in samples] == ["q1", "q3"]
+        assert [str(f) for f in findings] == ["line 2: field '': not valid UTF-8 (byte 0xff)"]
+
+    def test_a_file_starting_with_a_utf16_bom_is_a_finding_on_line_1(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(json.dumps(VALID).encode("utf-16"))
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.line_no == 1
+        assert "not valid UTF-8" in err.value.message
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_line_numbers_hold_for_lf_and_crlf(self, tmp_path, newline):
+        lines = [json.dumps(VALID), "", "{not json", json.dumps(dict(VALID, gt_error_step=0))]
+        path = tmp_path / "data.jsonl"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        samples, findings = scan_dataset(path)
+        assert len(samples) == 1
+        assert [f.line_no for f in findings] == [3, 4]
+
 class TestDatasetStats:
     def test_twelve_sample_fixture(self, samples_12):
         stats = dataset_stats(samples_12)

@@ -15,12 +15,9 @@ from mathagent import (
     KeyMismatch,
     UNPARSED,
     average_score,
-    category_accuracy,
     improvement_delta,
     mean_delta,
-    overall_micro,
     score_run,
-    step_accuracy,
     weighted_overall,
 )
 from mathagent.rounding import round_half_up
@@ -90,17 +87,17 @@ class TestAgainstBruteForce:
         rng = random.Random(1000 + seed)
         samples, preds = random_run(rng, rng.randint(1, 60))
         step, per_cat, overall = brute_force(samples, preds)
-        assert step_accuracy(preds, samples) == step
-        assert category_accuracy(preds, samples) == per_cat
-        assert overall_micro(preds, samples) == overall
+        assert score_run(preds, samples).step_accuracy() == step
+        assert score_run(preds, samples).category_accuracy() == per_cat
+        assert score_run(preds, samples).overall_micro() == overall
 
     @pytest.mark.parametrize("seed", range(10))
     def test_micro_equals_weighted_identity(self, seed):
         rng = random.Random(2000 + seed)
         samples, preds = random_run(rng, rng.randint(1, 80))
-        per_cat = category_accuracy(preds, samples)
+        per_cat = score_run(preds, samples).category_accuracy()
         counts = score_run(preds, samples).category_totals
-        assert overall_micro(preds, samples) == weighted_overall(per_cat, counts)
+        assert score_run(preds, samples).overall_micro() == weighted_overall(per_cat, counts)
 
 
 class TestScoreRun:
@@ -123,7 +120,7 @@ class TestScoreRun:
 
     def test_none_step_never_scores_even_against_none(self):
         samples = [make_sample(sample_id="a", gt_error_step=1, image=None)]
-        assert step_accuracy([Pred("a", None, ErrorCategory.CAL)], samples) == 0
+        assert score_run([Pred("a", None, ErrorCategory.CAL)], samples).step_accuracy() == 0
 
     def test_duplicate_prediction_rejected(self):
         samples = [make_sample(sample_id="a", image=None)]

@@ -1,6 +1,8 @@
 """End-to-end pipeline behaviour over the 12-sample scripted fixture."""
 
+import json
 import random
+import signal
 import sys
 import threading
 import time
@@ -14,6 +16,7 @@ import pytest
 from conftest import FIXTURES, make_sample
 from mathagent import (
     AblationMode,
+    DetectionLog,
     ErrorCategory,
     ImageKind,
     ImageRef,
@@ -34,7 +37,6 @@ from mathagent import (
     load_detections,
     run_dataset,
     stream_detections,
-    write_detections,
 )
 from mathagent import BackendError, pipeline
 
@@ -47,6 +49,12 @@ def fresh_setup():
 
 def run(samples, mode):
     return run_dataset(samples, mode, fresh_setup())
+
+
+def save(detections, path):
+    with DetectionLog(path) as log:
+        for det in detections:
+            log.add(det)
 
 
 def by_id(detections):
@@ -382,6 +390,75 @@ class TestDeterminismAndConcurrency:
         ]
 
 
+class TestInterrupt:
+    """Ctrl-C in the calling thread stops the claiming of samples at every worker count."""
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_interrupt_at_sample_k_stops_the_run(self, tmp_path, samples_12, monkeypatch,
+                                                     workers):
+        caller = threading.current_thread()
+        assert caller is threading.main_thread(), "SIGINT is handled in the main thread"
+        k = 3
+        ids = [s.id for s in samples_12]
+        started, handled = [], threading.Event()
+        real = pipeline.detect_errors
+
+        def detect(sample, mode, setup, *steps):
+            if mode is AblationMode.FULL:
+                started.append(sample.id)
+                if sample.id == ids[k]:
+                    # a real SIGINT, sent from whichever thread runs sample k
+                    signal.pthread_kill(caller.ident, signal.SIGINT)
+                    assert handled.wait(timeout=5)
+            time.sleep(0.005)  # leaves the interpreter lock free for the handler
+            return real(sample, mode, setup, *steps)
+
+        def on_sigint(signum, frame):
+            handled.set()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "detect_errors", detect)
+        modes = [AblationMode.FULL, AblationMode.NO_ANALYZER]
+        paths = [tmp_path / f"{mode.value}.jsonl" for mode in modes]
+        logs = [DetectionLog(path) for path in paths]
+
+        def emit(detections):
+            for det_log, det in zip(logs, detections):
+                det_log.add(det)
+
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                stream_detections(samples_12, [(m, fresh_setup()) for m in modes], emit, workers)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+            for det_log in logs:
+                det_log.close()
+        assert handled.is_set()
+        assert ids[k] in started
+        assert len(started) - started.index(ids[k]) - 1 <= workers
+        for path in paths:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            emitted = [json.loads(line)["sample_id"] for line in lines]
+            assert emitted == ids[: len(emitted)], path.name
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_the_calling_thread_is_a_worker(self, samples_12, monkeypatch, workers):
+        threads = set()
+        real = pipeline.detect_errors
+
+        def detect(sample, mode, setup, *steps):
+            threads.add(threading.current_thread())
+            time.sleep(0.005)
+            return real(sample, mode, setup, *steps)
+
+        monkeypatch.setattr(pipeline, "detect_errors", detect)
+        run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=workers)
+        assert threading.current_thread() in threads
+        assert len(threads) <= workers
+
+
 class TimedScript:
     """The fixture script answering with a fixed latency; keeps every request it gets."""
 
@@ -630,7 +707,7 @@ class TestDetectionStorage:
     def test_write_then_load_round_trip(self, tmp_path, samples_12):
         detections = run(samples_12, AblationMode.FULL)
         path = tmp_path / "detections.jsonl"
-        write_detections(detections, path)
+        save(detections, path)
         loaded = load_detections(path)
         assert [d.sample_id for d in loaded] == [d.sample_id for d in detections]
         for stored, det in zip(loaded, detections):
@@ -643,7 +720,7 @@ class TestDetectionStorage:
     def test_corrupt_line_cites_its_number(self, tmp_path, samples_12):
         detections = run(samples_12, AblationMode.FULL)
         path = tmp_path / "detections.jsonl"
-        write_detections(detections, path)
+        save(detections, path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("{not json\n")
         with pytest.raises(ValueError) as err:
@@ -659,7 +736,7 @@ class TestDetectionStorage:
     def test_detections_can_be_scored_after_reload(self, tmp_path, samples_12):
         detections = run(samples_12, AblationMode.FULL)
         path = tmp_path / "detections.jsonl"
-        write_detections(detections, path)
+        save(detections, path)
         loaded = load_detections(path)
         direct = build_report_row(detections, list(samples_12), "m")
         reloaded = build_report_row(loaded, list(samples_12), "m")
