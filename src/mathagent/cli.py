@@ -1,7 +1,8 @@
 """Command-line harness: run, ablate, validate, report.
 
 Exit codes: 0 success, 1 validation or alignment findings, 2 config
-error, 3 dataset error. Logs go to stderr; stdout carries report data.
+error, 3 dataset error, 130 interrupted (Ctrl-C). Logs go to stderr;
+stdout carries report data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import logging
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import (
@@ -56,6 +57,7 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_CONFIG = 2
 EXIT_DATASET = 3
+EXIT_INTERRUPTED = 130  # Ctrl-C, as a shell reports SIGINT
 
 log = logging.getLogger("mathagent")
 
@@ -72,16 +74,31 @@ PHASE_NAMES = ("phase1", "phase2", "phase3")
 RATE_LIMIT = 4  # an http spec's rate_limit when it sets none
 
 
+@dataclass(frozen=True)
+class BackendSpec:
+    """One checked backend spec: its request knobs and what builds its backend."""
+
+    settings: RequestSettings
+    http: dict | None  # HttpBackend's keyword arguments, retry built
+    script: object  # the parsed script, when http is None
+
+    def build(self, gates: dict[str, threading.Semaphore]) -> Backend:
+        """A fresh backend (scripted replies start anew); an http one takes its base_url's gate."""
+        if self.http is None:
+            return ScriptedBackend.from_script(self.script)
+        return HttpBackend(**self.http, gate=gates.get(self.http["base_url"]))
+
+
 @dataclass
 class RunConfig:
     dataset: Path
     mode: AblationMode
-    backends: dict[str, dict]
-    router: dict[str, str] = field(default_factory=dict)
-    workers: int = 1
-    cache_path: Path | None = None
-    output_dir: Path = Path("runs/out")
-    prompt_dir: Path | None = None
+    backends: dict[str, BackendSpec]
+    prompts: PromptSet
+    router: dict[str, str]
+    workers: int
+    cache_path: Path | None
+    output_dir: Path
 
 
 def _resolve(base: Path, value: str) -> Path:
@@ -104,13 +121,13 @@ def _path(raw: dict, key: str, base: Path, default: str | None = None) -> Path |
 
 
 def load_config(path) -> RunConfig:
-    """Parse and sanity-check a run config; all problems raise ConfigError."""
+    """Read and check a run config, its scripts and its prompt set; problems raise ConfigError."""
     config_path = Path(path)
     try:
         raw = json.loads(config_path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or not UTF-8
         raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -119,20 +136,16 @@ def load_config(path) -> RunConfig:
     dataset = _path(raw, "dataset", base)
     if dataset is None:
         raise ConfigError("config needs a 'dataset' path")
-    mode_raw = raw.get("mode", "full")
-    try:
-        mode = AblationMode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"unknown mode {mode_raw!r}; expected one of "
-            + ", ".join(m.value for m in AblationMode)
-        ) from None
+    mode = raw.get("mode", "full")
+    modes = [m.value for m in AblationMode]
+    if mode not in modes:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(modes)}")
 
-    backends = raw.get("backends")
-    if not isinstance(backends, dict):
+    specs = raw.get("backends")
+    if not isinstance(specs, dict):
         raise ConfigError("config needs a 'backends' object")
     for name in PHASE_NAMES:
-        if name not in backends:
+        if name not in specs:
             raise ConfigError(f"backends must define {name!r}")
 
     router = raw.get("router", {})
@@ -142,56 +155,41 @@ def load_config(path) -> RunConfig:
     for key, target in router.items():
         if key not in valid_keys:
             raise ConfigError(f"router key {key!r} is not a question type")
-        if not isinstance(target, str) or target not in backends:
+        if not isinstance(target, str) or target not in specs:
             raise ConfigError(f"router target {target!r} is not a configured backend")
 
     workers = _typed(raw, "workers", int, 1, "a positive integer")
     if workers < 1:
         raise ConfigError("'workers' must be a positive integer")
 
+    cache_path = _path(raw, "cache_path", base)
+    output_dir = _path(raw, "output_dir", base, "runs/out")
+    prompt_dir = _path(raw, "prompt_dir", base)
+    scripts: dict[Path, object] = {}  # each script file read once, whichever specs name it
+    try:
+        prompts = PromptSet.load(prompt_dir)
+        backends = {name: _backend_spec(spec, base, scripts) for name, spec in specs.items()}
+    except (OSError, ValueError) as exc:
+        # missing prompt assets or script files, bad scripts, knobs out of range
+        raise ConfigError(str(exc)) from exc
     return RunConfig(
-        dataset=dataset,
-        mode=mode,
-        backends=backends,
-        router=router,
-        workers=workers,
-        cache_path=_path(raw, "cache_path", base),
-        output_dir=_path(raw, "output_dir", base, "runs/out"),
-        prompt_dir=_path(raw, "prompt_dir", base),
+        dataset, AblationMode(mode), backends, prompts, router, workers, cache_path, output_dir
     )
 
 
-def _http_gates(config: RunConfig) -> dict[str, threading.Semaphore]:
-    """One in-flight gate per HTTP base_url, sized by the smallest rate_limit on it.
-
-    A spec whose base_url or rate_limit is malformed is left out here;
-    build_backend reports it.
-    """
-    limits: dict[str, int] = {}
-    for spec in config.backends.values():
-        if not isinstance(spec, dict) or spec.get("kind") != "http":
-            continue
-        url, limit = spec.get("base_url"), spec.get("rate_limit", RATE_LIMIT)
-        if isinstance(url, str) and type(limit) is int and limit >= 1:
-            url = url.rstrip("/")
-            limits[url] = min(limit, limits.get(url, limit))
-    return {url: threading.Semaphore(limit) for url, limit in limits.items()}
-
-
-def build_backend(
-    spec: dict, base: Path, gates: dict[str, threading.Semaphore] | None = None
-) -> Backend:
-    """Construct a backend from its config object; an http one takes its base_url's gate."""
+def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object]) -> BackendSpec:
+    """A checked backend spec; the constructors run their own range and shape checks."""
     if not isinstance(spec, dict):
         raise ConfigError("backend spec must be an object")
     kind = spec.get("kind")
+    http = script = None
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http backend needs 'base_url'")
         base_url = _typed(spec, "base_url", str, None, "a string")
         retry_spec = _typed(spec, "retry", dict, {}, "an object")
-        return HttpBackend(
-            base_url=base_url,
+        http = dict(
+            base_url=base_url.rstrip("/"),
             api_key_env=_typed(spec, "api_key_env", str, "MATHAGENT_API_KEY", "a string"),
             retry=RetryPolicy(
                 max_attempts=_typed(retry_spec, "max_attempts", int, 3, "an integer"),
@@ -199,28 +197,41 @@ def build_backend(
             ),
             rate_limit=_typed(spec, "rate_limit", int, RATE_LIMIT, "an integer"),
             timeout_s=_typed(spec, "timeout_s", (int, float), 60.0, "a number"),
-            gate=None if gates is None else gates.get(base_url.rstrip("/")),
         )
-    if kind != "scripted":
+        HttpBackend(**http)  # built only for its range checks, as RetryPolicy was
+    elif kind == "scripted":
+        script = spec
+        if "script_path" in spec:
+            path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
+            if path not in scripts:
+                try:
+                    scripts[path] = json.loads(path.read_text(encoding="utf-8"))
+                except ValueError as exc:  # not JSON, or not UTF-8
+                    raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
+            script = scripts[path]
+            if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
+                script = {**script, "default_reply": spec["default_reply"]}
+        ScriptedBackend.from_script(script)  # built only for its shape checks
+    else:
         raise ConfigError(f"unknown backend kind {kind!r}")
-    script = spec
-    if "script_path" in spec:
-        path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
-        script = json.loads(path.read_text(encoding="utf-8"))
-        if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
-            script = {**script, "default_reply": spec["default_reply"]}
-    return ScriptedBackend.from_script(script)
-
-
-def _settings(spec: dict) -> RequestSettings:
-    """The request knobs of a backend spec; a bad one raises before any sample runs."""
     default = RequestSettings()
-    return RequestSettings(
+    settings = RequestSettings(
         model_id=_typed(spec, "model_id", str, default.model_id, "a string"),
         system_prompt=_typed(spec, "system_prompt", str, default.system_prompt, "a string"),
         temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
         max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
     )
+    return BackendSpec(settings, http, script)
+
+
+def _http_gates(config: RunConfig) -> dict[str, threading.Semaphore]:
+    """One in-flight gate per HTTP base_url, sized by the smallest rate_limit on it."""
+    limits: dict[str, int] = {}
+    for spec in config.backends.values():
+        if spec.http is not None:
+            url, limit = spec.http["base_url"], spec.http["rate_limit"]
+            limits[url] = min(limit, limits.get(url, limit))
+    return {url: threading.Semaphore(limit) for url, limit in limits.items()}
 
 
 def _open_cache(config: RunConfig) -> ReplayCache:
@@ -233,44 +244,29 @@ def _open_cache(config: RunConfig) -> ReplayCache:
 
 def build_setup(
     config: RunConfig,
-    config_base: Path,
+    config_base: Path | None = None,
     cache: ReplayCache | None = None,
     gates: dict[str, threading.Semaphore] | None = None,
 ) -> PipelineSetup:
-    """Fresh backends, router and prompt set for one pipeline run.
+    """Fresh backends on the config's checked specs, for one pipeline run.
 
-    Every call of the setup asks `cache` first, by default a new one, and
-    each HTTP backend waits on the gate of its base_url in `gates`, by
-    default new ones shared only within this setup.
+    config_base is unused, since load_config resolved every path. Every
+    call asks `cache` first, by default the config's own, opened here, and
+    each HTTP backend waits on its base_url's gate in `gates`, by default
+    new ones shared only within this setup.
     """
     if cache is None:
         cache = _open_cache(config)
     if gates is None:
         gates = _http_gates(config)
-    built: dict[str, PhaseSetup] = {}
-    try:
-        prompts = PromptSet.load(config.prompt_dir)
-        for name, spec in config.backends.items():
-            built[name] = PhaseSetup(
-                backend=build_backend(spec, config_base, gates),
-                settings=_settings(spec),
-            )
-    except (OSError, ValueError) as exc:
-        # missing prompt assets or script files, bad scripts, knobs out of range
-        raise ConfigError(str(exc)) from exc
-    default_name = config.router.get("default", "phase2")
-    router: dict[QuestionType, PhaseSetup] = {}
-    for key, target in config.router.items():
-        if key == "default":
-            continue
-        router[QuestionType(key)] = built[target]
+    built = {
+        name: PhaseSetup(backend=spec.build(gates), settings=spec.settings)
+        for name, spec in config.backends.items()
+    }
+    router = {QuestionType(k): built[v] for k, v in config.router.items() if k != "default"}
     return PipelineSetup(
-        phase1=built["phase1"],
-        phase2=built[default_name],
-        phase3=built["phase3"],
-        router=router,
-        prompts=prompts,
-        cache=cache,
+        built["phase1"], built[config.router.get("default", "phase2")], built["phase3"],
+        router=router, prompts=config.prompts, cache=cache,
     )
 
 
@@ -291,9 +287,9 @@ def _utc_now() -> str:
 
 
 def _detect(
-    config: RunConfig, config_base: Path, modes: list[AblationMode], names: list[str]
-) -> tuple[list[Sample], list[PipelineSetup], list[DetectionLog]]:
-    """Stream each mode's detections into output_dir/<its name>: (samples, setups, logs).
+    config: RunConfig, modes: list[AblationMode], names: list[str]
+) -> tuple[list[Sample], list[DetectionLog]]:
+    """Stream each mode's detections into output_dir/<its name>: (samples, logs).
 
     Each mode gets its own setup (fresh backends), all on one memo and
     one gate per base_url. The output directory is made only once those
@@ -302,7 +298,7 @@ def _detect(
     """
     with _open_cache(config) as cache:
         gates = _http_gates(config)
-        setups = [build_setup(config, config_base, cache, gates) for _ in modes]
+        setups = [build_setup(config, cache=cache, gates=gates) for _ in modes]
         samples = _load_samples(config.dataset)
         log.info(
             "running %d samples in mode %s",
@@ -323,17 +319,15 @@ def _detect(
     for name, det_log in zip(names, logs):
         if det_log.failures:
             log.warning("%d of %d samples failed; see %s", det_log.failures, len(samples), name)
-    return samples, setups, logs
+    return samples, logs
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
     started = _utc_now()
-    samples, (setup,), (detections,) = _detect(
-        config, Path(args.config).parent, [config.mode], ["detections.jsonl"]
-    )
+    samples, (detections,) = _detect(config, [config.mode], ["detections.jsonl"])
     finished = _utc_now()
-    model = setup.phase3.settings.model_id
+    model = config.backends["phase3"].settings.model_id
 
     out_dir = config.output_dir
     row = build_report_row(detections.predictions, samples, model)
@@ -363,7 +357,7 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     modes = list(AblationMode)
     names = [f"detections_{mode.value}.jsonl" for mode in modes]
-    samples, _, logs = _detect(config, Path(args.config).parent, modes, names)
+    samples, logs = _detect(config, modes, names)
     entries = [
         (mode.value, build_report_row(det_log.predictions, samples, mode.value), det_log.calls)
         for mode, det_log in zip(modes, logs)
@@ -504,12 +498,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         log.error("config: %s", exc)
         return EXIT_CONFIG
-    except DatasetError as exc:
+    except (DatasetError, EmptyDataset) as exc:
         log.error("dataset: %s", exc)
         return EXIT_DATASET
-    except EmptyDataset as exc:
-        log.error("dataset: %s", exc)
-        return EXIT_DATASET
+    except KeyboardInterrupt:
+        log.error("interrupted")
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -446,11 +446,12 @@ class StoredDetection:
 
 def load_detections(path) -> list[StoredDetection]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
+        for line_no, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("not a JSON object")

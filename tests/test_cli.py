@@ -17,6 +17,7 @@ from mathagent.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
     EXIT_FINDINGS,
+    EXIT_INTERRUPTED,
     EXIT_OK,
     main,
 )
@@ -42,6 +43,19 @@ def write_config(tmp_path: Path, out_dir: Path, **overrides) -> Path:
 
 def read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
+
+
+def count_text_reads(monkeypatch) -> list[Path]:
+    """Every path read through Path.read_text from here on, in order."""
+    reads = []
+    original = Path.read_text
+
+    def counting_read_text(path, *args, **kwargs):
+        reads.append(path)
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    return reads
 
 
 class TestValidate:
@@ -348,6 +362,19 @@ class TestReport:
         assert "Traceback" not in proc.stderr
         assert "line 1" in proc.stderr
 
+    @pytest.mark.parametrize("which", ["detections", "baseline"])
+    def test_a_detections_file_that_is_not_utf8_exits_one(self, run_dir, tmp_path, which):
+        detections = run_dir / "detections.jsonl"
+        undecodable = tmp_path / "undecodable.jsonl"
+        undecodable.write_bytes(b"\xff\xfe" + detections.read_bytes())
+        argv = ["report", str(undecodable), str(DATASET)]
+        if which == "baseline":
+            argv = ["report", str(detections), str(DATASET), "--baseline", str(undecodable)]
+        proc = run_python("-m", "mathagent.cli", *argv)
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"bad detection line 1 in {undecodable}" in proc.stderr
+
     def test_misaligned_detections_exit_one(self, run_dir, tmp_path):
         detections = (run_dir / "detections.jsonl").read_text(encoding="utf-8")
         partial = tmp_path / "partial.jsonl"
@@ -355,17 +382,27 @@ class TestReport:
         assert main(["report", str(partial), str(DATASET)]) == EXIT_FINDINGS
 
 
+def assert_load_config_raises(config: Path) -> None:
+    """load_config alone rejects config: no later step of a command is needed."""
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(config)
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
-        assert main(["run", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
+        config = tmp_path / "none.json"
+        assert_load_config_raises(config)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_invalid_json_config(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{", encoding="utf-8")
+        assert_load_config_raises(path)
         assert main(["run", "--config", str(path)]) == EXIT_CONFIG
 
     def test_unknown_mode(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "out", mode="half")
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_missing_phase_backend(self, tmp_path):
@@ -374,6 +411,7 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         del raw["backends"]["phase3"]
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_unknown_backend_kind(self, tmp_path):
@@ -381,20 +419,24 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["backends"]["phase1"] = {"kind": "telepathy"}
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_router_key_must_be_a_question_type(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "out", router={"geometry": "phase2"})
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_router_target_must_exist(self, tmp_path):
         config = write_config(
             tmp_path, tmp_path / "out", router={"plane_geometry": "phase9"}
         )
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_workers_must_be_positive(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "out", workers=0)
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     def test_missing_script_file(self, tmp_path):
@@ -402,6 +444,7 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["backends"]["phase2"] = {"kind": "scripted", "script_path": "absent.json"}
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
@@ -410,6 +453,7 @@ class TestConfigErrors:
         shutil.copytree(PACKAGED_PROMPTS, prompt_dir)
         (prompt_dir / "phase2_latex.prompt").unlink()
         config = write_config(tmp_path, tmp_path / "out", prompt_dir="prompts")
+        assert_load_config_raises(config)
         assert main([command, "--config", str(config)]) == EXIT_CONFIG
         assert "missing prompt assets" in caplog.text
         assert "phase2_latex.prompt" in caplog.text
@@ -438,6 +482,7 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         (raw["backends"] if key.startswith("phase") else raw)[key] = value
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -463,6 +508,7 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["backends"]["phase2"] = spec
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -490,6 +536,7 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["backends"]["phase3"][knob] = value
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
@@ -515,9 +562,28 @@ class TestConfigErrors:
         raw = json.loads(config.read_text(encoding="utf-8"))
         raw["backends"]["phase1"] = {"kind": "scripted", "script_path": "script.json"}
         config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which", ["config", "script"])
+    def test_a_file_that_is_not_utf8_exits_two(self, tmp_path, which):
+        config = write_config(tmp_path, tmp_path / "out")
+        undecodable = config
+        if which == "script":
+            undecodable = tmp_path / "script.json"
+            undecodable.write_bytes(SCRIPTS.read_bytes())
+            raw = json.loads(config.read_text(encoding="utf-8"))
+            raw["backends"]["phase1"] = {"kind": "scripted", "script_path": "script.json"}
+            config.write_text(json.dumps(raw), encoding="utf-8")
+        undecodable.write_bytes(b"\xff\xfe" + undecodable.read_bytes())
+        assert_load_config_raises(config)
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert str(undecodable) in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_spec_default_reply_overrides_the_script_file(self, tmp_path, capsys):
@@ -855,21 +921,23 @@ class TestComputedOnce:
             for record in det["trace"]["backend_calls"]
         )
 
-    def test_prompt_assets_read_once_per_setup(self, tmp_path, capsys, monkeypatch):
-        reads = []
-        original = Path.read_text
-
-        def counting_read_text(path, *args, **kwargs):
-            if path.suffix == ".prompt":
-                reads.append(path.name)
-            return original(path, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
+    def test_prompt_assets_read_once_per_command(self, tmp_path, capsys, monkeypatch):
+        reads = count_text_reads(monkeypatch)
         config = write_config(tmp_path, tmp_path / "out")
         assert main(["ablate", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
-        # ablate builds one setup per mode
-        assert Counter(reads) == {name: 4 for name in prompts.PROMPT_FILES.values()}
+        # ablate builds one setup per mode, all on the one prompt set load_config read
+        prompt_reads = Counter(path.name for path in reads if path.suffix == ".prompt")
+        assert prompt_reads == {name: 1 for name in prompts.PROMPT_FILES.values()}
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_script_file_is_read_once_per_command(self, tmp_path, capsys, monkeypatch, command):
+        reads = count_text_reads(monkeypatch)
+        # all three specs name the one script file, and ablate builds four setups
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert reads.count(SCRIPTS) == 1
 
     def test_uncached_ablate_asks_once_per_distinct_request(self, tmp_path, capsys, monkeypatch):
         asked = []
@@ -992,6 +1060,68 @@ class TestStreamedDetections:
             assert read_lines(path) == read_lines(whole_path)[:k], path.name
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ctrl_c_at_sample_k_exits_130_with_whole_lines(
+        self, tmp_path, capsys, caplog, monkeypatch, command, workers
+    ):
+        whole = tmp_path / "whole"
+        assert main([command, "--config", str(write_config(tmp_path, whole))]) == EXIT_OK
+        k = 5
+        interrupted = load_dataset(DATASET)[k].id
+        original = pipeline.DetectionLog.add
+
+        def add(self, det):
+            if det.sample_id == interrupted:
+                raise KeyboardInterrupt
+            original(self, det)
+
+        monkeypatch.setattr(pipeline.DetectionLog, "add", add)
+        caplog.clear()
+        out_dir = tmp_path / "cut"
+        config = write_config(tmp_path, out_dir, workers=workers)
+        try:
+            code = main([command, "--config", str(config)])
+        except KeyboardInterrupt:  # uncaught, it would stop the whole test session
+            pytest.fail("main let KeyboardInterrupt through")
+        assert code == EXIT_INTERRUPTED
+        capsys.readouterr()
+        assert [r.getMessage() for r in caplog.records if "interrupt" in r.getMessage()] == [
+            "interrupted"
+        ]
+        # each file holds the first k samples' lines, whole and in order
+        for path, whole_path in zip(
+            detection_files(command, out_dir), detection_files(command, whole)
+        ):
+            whole_lines = whole_path.read_bytes().splitlines(keepends=True)
+            assert path.read_bytes() == b"".join(whole_lines[:k]), path.name
+
+    def test_sigint_exits_130_without_a_traceback(self, tmp_path, capsys):
+        whole = tmp_path / "whole"
+        assert main(["run", "--config", str(write_config(tmp_path, whole))]) == EXIT_OK
+        capsys.readouterr()
+        out_dir = tmp_path / "cut"
+        config = write_config(tmp_path, out_dir, workers=2)
+        # the process signals itself as the sixth sample is written
+        code = (
+            "import os, signal, sys\n"
+            "from mathagent import cli, pipeline\n"
+            "add = pipeline.DetectionLog.add\n"
+            "def interrupting_add(log, det):\n"
+            f"    if det.sample_id == {load_dataset(DATASET)[5].id!r}:\n"
+            "        os.kill(os.getpid(), signal.SIGINT)\n"
+            "    add(log, det)\n"
+            "pipeline.DetectionLog.add = interrupting_add\n"
+            f"sys.exit(cli.main(['run', '--config', {str(config)!r}]))\n"
+        )
+        proc = run_python("-c", code)
+        assert proc.returncode == EXIT_INTERRUPTED, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("interrupted") == 1
+        cut = (out_dir / "detections.jsonl").read_bytes()
+        assert (whole / "detections.jsonl").read_bytes().startswith(cut)
+        assert cut.endswith(b"\n")
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_slow_first_sample_streams_the_sequential_bytes(
         self, tmp_path, capsys, monkeypatch, command
     ):
@@ -1107,6 +1237,38 @@ class TestCachePath:
         assert "missing" in proc.stderr
         assert not (tmp_path / "out").exists()  # stopped before any sample ran
         assert not (tmp_path / "missing").exists()
+
+
+class TestSetupProbe:
+    """perfbench/setup_probe.py, the benchmark's one direct call into cli, keeps working."""
+
+    @pytest.mark.parametrize("cache", ["none", "primed"])
+    def test_the_probe_times_the_fixture_config(self, tmp_path, capsys, cache):
+        cache_path = {"cache_path": str(tmp_path / "cache.jsonl")} if cache == "primed" else {}
+        config = write_config(tmp_path, tmp_path / "out", **cache_path)
+        if cache_path:
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+            capsys.readouterr()
+            assert len(read_lines(tmp_path / "cache.jsonl")) == 32
+        proc = run_python("perfbench/setup_probe.py", "src", str(config), cwd=REPO)
+        assert proc.returncode == 0, proc.stderr
+        assert set(json.loads(proc.stdout)) == {
+            "import_s", "load_config_s", "load_dataset_s", "build_setup_s", "setup_s",
+        }
+
+    def test_build_setup_with_two_arguments_opens_the_config_cache(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cache = tmp_path / "cache.jsonl"
+        config = write_config(tmp_path, tmp_path / "out", cache_path=str(cache))
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        reads = []
+        original = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda path: reads.append(path) or original(path))
+        setup = cli.build_setup(cli.load_config(config), config.parent)
+        setup.cache.close()
+        assert reads.count(cache) == 1
 
 
 class TestReplayCacheDamage:
