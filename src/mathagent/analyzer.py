@@ -4,8 +4,8 @@ The analyzer sees only text: problem statement, visual transcript (or a
 note that the image adds nothing), both answers, and the numbered steps.
 It must answer in two lines, "Error Step: #<k>" and "Error Category:
 <name>". One re-ask with a format reminder is allowed, so a sample costs
-at most two analyzer calls. A reply cut at the token limit (finish_reason
-length) counts as unparsed, even when its lines happen to parse.
+at most two analyzer calls. A reply that is not whole (ModelResponse.cut)
+counts as unparsed, even when its lines happen to parse.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .backends import Backend, FinishReason, RequestSettings, TextSegment
+from .backends import Backend, RequestSettings, TextSegment
 from .data_model import ErrorCategory, Sample, UnknownCategory, parse_category
 from .interpreter import Representation, VisualTranscript
 from .prompts import PromptSet, packaged_prompts
@@ -127,9 +127,7 @@ def analyze(
     def ask(prompt: str) -> AnalyzerOutput:
         response = backend.complete(settings.request((TextSegment(prompt),), "phase3", sample.id))
         output = parse_analyzer_output(response.text, len(sample.steps))
-        if response.finish_reason is FinishReason.LENGTH:
-            return replace(output, parse_ok=False)
-        return output
+        return replace(output, parse_ok=False) if response.cut else output
 
     prompt = build_analysis_prompt(sample, transcript, include_problem_text, prompts)
     result = ask(prompt)

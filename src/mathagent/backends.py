@@ -4,9 +4,11 @@ HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
 backend only for requests it has not seen; each call is recorded as a
 CallRecord. ScriptedBackend is the one reader of the script format, and
-a scripted reply may carry a finish reason, so a truncated reply can be
-scripted. ModelRequest and RequestSettings share one range rule for the
-request knobs; HttpBackend and RetryPolicy reject knobs out of range.
+a scripted reply may carry a finish reason, so a cut reply can be
+scripted. ModelResponse.cut is the one whole-reply rule every phase
+reads: a reply is whole only on STOP. ModelRequest and RequestSettings
+share one range rule for the request knobs; HttpBackend and RetryPolicy
+reject knobs out of range.
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
@@ -71,8 +73,12 @@ class FinishReason(enum.Enum):
     ERROR = "error"
 
 
-# how a phase notes a reply whose finish reason is LENGTH
-TRUNCATION_NOTE = "truncated: the reply stopped at the max_tokens limit"
+# The whole-reply rule: a reply is whole only when it ends with STOP. Any
+# other finish reason cuts it, and a phase records the note for its reason.
+CUT_NOTES = {
+    FinishReason.LENGTH: "truncated: the reply stopped at the max_tokens limit",
+    FinishReason.ERROR: "cut: the reply ended with finish reason error",
+}
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,11 @@ class ModelResponse:
     finish_reason: FinishReason
     latency_ms: float
     from_cache: bool = False
+
+    @property
+    def cut(self) -> str | None:
+        """None for a whole reply, else the note for its finish reason (CUT_NOTES)."""
+        return CUT_NOTES.get(self.finish_reason)
 
 
 @dataclass(frozen=True)
@@ -421,10 +432,11 @@ class ReplayCache:
     {fingerprint, response_text, finish_reason, model_id, timestamp} per
     line (finish_reason stop when absent, the last line winning). A torn
     final line (a crash mid-append) is cut with a warning; any other bad
-    line raises ValueError, and a path whose directory does not exist
-    raises FileNotFoundError. Only this object orders appends: one per
-    file. The file is opened for appending at the first miss and each line
-    is flushed whole; close() (or leaving a `with` block) closes it.
+    line, one that is not UTF-8 included, raises ValueError naming it,
+    and a path whose directory does not exist raises FileNotFoundError.
+    Only this object orders appends: one per file. The file is opened for
+    appending at the first miss and each line is flushed whole; close()
+    (or leaving a `with` block) closes it.
     """
 
     def __init__(self, path=None):
@@ -450,8 +462,16 @@ class ReplayCache:
             data = data[: data.rfind(b"\n") + 1]
             with open(self.path, "r+b") as fh:
                 fh.truncate(len(data))
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:  # decoded whole, so the line comes from the offset
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise ValueError(
+                f"corrupt replay cache {self.path} line {line_no}: "
+                f"not valid UTF-8 (byte 0x{data[exc.start]:02x})"
+            ) from exc
         # split on \n only: records may hold other line separators such as U+2028
-        for line_no, line in enumerate(data.decode("utf-8").split("\n"), start=1):
+        for line_no, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             try:

@@ -9,14 +9,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .backends import (
-    TRUNCATION_NOTE,
-    Backend,
-    FinishReason,
-    ImageSegment,
-    RequestSettings,
-    TextSegment,
-)
+from .backends import Backend, ImageSegment, RequestSettings, TextSegment
 from .data_model import Sample
 from .prompts import PromptSet, packaged_prompts
 
@@ -69,8 +62,9 @@ def check_consistency(
     """Ask the backend whether the image adds anything beyond the text.
 
     A sample without an image is trivially consistent and costs zero
-    backend calls. A reply cut at the token limit (finish_reason length)
-    is not consistent, whatever it says: the conservative default.
+    backend calls. A reply that is not whole (ModelResponse.cut) is not
+    consistent, whatever it says, and carries its cut note: the
+    conservative default.
     """
     if sample.image is None:
         return ConsistencyVerdict(
@@ -84,8 +78,8 @@ def check_consistency(
     response = backend.complete(
         settings.request((TextSegment(prompt), ImageSegment(sample.image)), "phase1", sample.id)
     )
-    if response.finish_reason is FinishReason.LENGTH:
+    if response.cut:
         return ConsistencyVerdict(
-            consistent=False, raw_text=response.text, confidence_note=TRUNCATION_NOTE
+            consistent=False, raw_text=response.text, confidence_note=response.cut
         )
     return ConsistencyVerdict(consistent=parse_verdict(response.text), raw_text=response.text)

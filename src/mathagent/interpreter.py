@@ -10,15 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .backends import (
-    TRUNCATION_NOTE,
-    Backend,
-    FinishReason,
-    ImageSegment,
-    ModelRequest,
-    RequestSettings,
-    TextSegment,
-)
+from .backends import Backend, ImageSegment, ModelRequest, RequestSettings, TextSegment
 from .data_model import QuestionType, Sample
 from .formal_language import (
     FactList,
@@ -112,8 +104,8 @@ def resolve_question_type(
     """Dataset label if present (zero calls); otherwise ask the backend.
 
     An unmatched reply earns one retry with an explicit format reminder;
-    a second miss raises TypeInferenceError. A reply cut at the token
-    limit (finish_reason length) counts as unmatched, whatever it names.
+    a second miss raises TypeInferenceError. A reply that is not whole
+    (ModelResponse.cut) counts as unmatched, whatever it names.
     """
     if sample.question_type is not None:
         return sample.question_type, TranscriptSource.DATASET_LABEL
@@ -124,9 +116,7 @@ def resolve_question_type(
 
     def ask(text: str) -> tuple[QuestionType | None, str]:
         response = backend.complete(_image_request(sample, text, settings, "phase2.type"))
-        if response.finish_reason is FinishReason.LENGTH:
-            return None, response.text
-        return match_question_type(response.text), response.text
+        return (None if response.cut else match_question_type(response.text)), response.text
 
     matched, _ = ask(prompt)
     if matched is None:
@@ -152,8 +142,8 @@ def interpret_visual(
     caption_only forces the caption route regardless of type (used when
     type-driven scheduling is ablated away). A formal-language reply that
     fails to parse falls back to a caption carrying the raw reply, with
-    the parse failure recorded as a finding. A reply cut at the token
-    limit (finish_reason length) is kept and recorded as a finding too.
+    the parse failure recorded as a finding. A reply that is not whole
+    (ModelResponse.cut) is kept, with its cut note as a finding too.
     """
     route = question_type
     if caption_only:
@@ -171,7 +161,7 @@ def interpret_visual(
     )
     response = backend.complete(_image_request(sample, prompt, settings, "phase2"))
     reply = response.text
-    cut = (TRUNCATION_NOTE,) if response.finish_reason is FinishReason.LENGTH else ()
+    cut = (response.cut,) if response.cut else ()
 
     if route is QuestionType.PLANE_GEOMETRY:
         try:

@@ -30,14 +30,23 @@ class PromptSet:
     def load(cls, prompt_dir=None) -> "PromptSet":
         """Read every asset from prompt_dir (the packaged set when None).
 
-        Raises FileNotFoundError naming every missing asset.
+        Raises FileNotFoundError naming every missing asset, and ValueError
+        naming an asset that is not UTF-8.
         """
         base = Path(prompt_dir) if prompt_dir is not None else _PACKAGED_DIR
         paths = {name: base / filename for name, filename in PROMPT_FILES.items()}
         missing = [str(path) for path in paths.values() if not path.is_file()]
         if missing:
             raise FileNotFoundError("missing prompt assets: " + ", ".join(missing))
-        return cls({name: path.read_text(encoding="utf-8") for name, path in paths.items()})
+        templates = {}
+        for name, path in paths.items():
+            try:
+                templates[name] = path.read_text(encoding="utf-8")
+            except UnicodeDecodeError as exc:
+                raise ValueError(
+                    f"prompt asset {path} is not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
+                ) from exc
+        return cls(templates)
 
     def render(self, name: str, values: dict[str, str]) -> str:
         return render_prompt(self.templates[name], values)

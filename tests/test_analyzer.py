@@ -198,8 +198,12 @@ class TestTruncatedReplies:
         assert out.raw_text == self.CLEAN
         assert len(backend.requests) == 2
 
-    def test_error_finish_reason_is_not_truncation(self):
+    def test_an_error_reply_that_parses_still_earns_the_reask(self):
+        # an endpoint's content_filter, tool_calls or null finish reason: not whole either
         reply = ModelResponse(text=self.CLEAN, finish_reason=FinishReason.ERROR, latency_ms=0.0)
-        backend = CapturingBackend(reply)
-        assert analyze(make_sample(), None, backend).parse_ok
-        assert len(backend.requests) == 1
+        backend = CapturingBackend(reply, "Error Step: #2\nError Category: cal")
+        out = analyze(make_sample(), None, backend)
+        assert out.parse_ok
+        assert out.error_step == 2
+        assert len(backend.requests) == 2
+        assert "Format reminder" in backend.requests[1].segments[0].text

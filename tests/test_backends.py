@@ -261,6 +261,16 @@ class TestHttpBackend:
         backend = http_backend(transport, monkeypatch)
         assert backend.complete(text_request()).finish_reason is expected
 
+    @pytest.mark.parametrize("finish", ["length", "content_filter", "tool_calls", None, "eos"])
+    def test_only_a_stop_reply_is_whole(self, monkeypatch, finish):
+        transport = StubTransport([(200, completion_body()), (200, completion_body(finish=finish))])
+        backend = http_backend(transport, monkeypatch)
+        assert backend.complete(text_request()).cut is None
+        assert backend.complete(text_request()).cut == (
+            "truncated: the reply stopped at the max_tokens limit" if finish == "length"
+            else "cut: the reply ended with finish reason error"
+        )
+
     def test_request_body_shape(self, monkeypatch):
         captured = {}
 

@@ -648,22 +648,32 @@ class TestReplyObjects:
             ).read_bytes()
 
 
-TRUNCATED_FINDING = "truncated: the reply stopped at the max_tokens limit"
+# the note a phase records for a cut reply, by finish reason; an endpoint's
+# content_filter, tool_calls, null or vendor reason all read as error
+CUT_NOTES = {
+    "length": "truncated: the reply stopped at the max_tokens limit",
+    "error": "cut: the reply ended with finish reason error",
+}
 
 
+@pytest.mark.parametrize("reason", ["length", "error"])
 class TestTruncation:
-    """A reply cut at the token limit, scripted with a reply object, through `mathagent run`."""
+    """A cut reply, scripted with a reply object, through `mathagent run`.
+
+    A reply is whole only on finish reason stop: an error reply is cut as a
+    length one is, and only the note differs.
+    """
 
     @staticmethod
-    def truncated_script() -> dict:
+    def truncated_script(reason: str) -> dict:
         script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
         phase2, phase3 = script["phases"]["phase2"], script["phases"]["phase3"]
         # s05: a caption cut short still reaches the analyzer, flagged
-        phase2["s05"] = {"text": "A cylinder of radius 3 and", "finish_reason": "length"}
+        phase2["s05"] = {"text": "A cylinder of radius 3 and", "finish_reason": reason}
         # s01: a cut analyzer reply that parses earns the re-ask, which answers whole
-        phase3["s01"] = [{"text": phase3["s01"], "finish_reason": "length"}, phase3["s01"]]
+        phase3["s01"] = [{"text": phase3["s01"], "finish_reason": reason}, phase3["s01"]]
         # s02: the re-ask is cut too, so the sample is a miss
-        phase3["s02"] = [{"text": phase3["s02"], "finish_reason": "length"}] * 2
+        phase3["s02"] = [{"text": phase3["s02"], "finish_reason": reason}] * 2
         return script
 
     @staticmethod
@@ -671,8 +681,9 @@ class TestTruncation:
         lines = read_lines(out_dir / "detections.jsonl")
         return {det["sample_id"]: det for det in map(json.loads, lines)}
 
-    def test_truncated_replies_end_to_end(self, tmp_path, capsys, monkeypatch):
-        (tmp_path / "script.json").write_text(json.dumps(self.truncated_script()), encoding="utf-8")
+    def test_truncated_replies_end_to_end(self, tmp_path, capsys, monkeypatch, reason):
+        script = self.truncated_script(reason)
+        (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
         backend = {"kind": "scripted", "script_path": "script.json", "model_id": "scripted-12"}
         cache = tmp_path / "cache.jsonl"
         config = write_config(
@@ -687,7 +698,7 @@ class TestTruncation:
         capsys.readouterr()
         base, cold = self.by_id(tmp_path / "plain" / "out"), self.by_id(tmp_path / "cold")
 
-        assert cold["s05"]["trace"]["phase2"]["findings"] == [TRUNCATED_FINDING]
+        assert cold["s05"]["trace"]["phase2"]["findings"] == [CUT_NOTES[reason]]
         assert cold["s05"]["trace"]["phase2"]["content"] == "A cylinder of radius 3 and"
         assert base["s05"]["trace"]["phase2"]["findings"] == []
 
@@ -703,7 +714,7 @@ class TestTruncation:
 
         # the four cut replies are cached with their finish reason: s05's transcript,
         # s01's first ask and both of s02's asks
-        assert cache_reasons(cache) == {"stop": 30, "length": 4}
+        assert cache_reasons(cache) == {"stop": 30, reason: 4}
 
         # warm: no scripted call, the cached finish reasons replay, so the outputs repeat
         asked = []
@@ -734,17 +745,19 @@ class TestTruncation:
             ).read_bytes()
 
 
-    def test_truncated_verdict_and_type_replies_end_to_end(self, tmp_path, capsys, monkeypatch):
+    def test_truncated_verdict_and_type_replies_end_to_end(
+        self, tmp_path, capsys, monkeypatch, reason
+    ):
         script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
         phases = script["phases"]
-        cut = {"text": phases["phase1"]["s02"], "finish_reason": "length"}
+        cut = {"text": phases["phase1"]["s02"], "finish_reason": reason}
         # s02: a cut "CONSISTENT" is not consistent, so its image is transcribed
         phases["phase1"]["s02"] = cut
         # s09: a cut type reply earns the reminder retry, which answers whole
         types = phases["phase2.type"]
-        types["s09"] = [{"text": types["s09"], "finish_reason": "length"}, types["s09"]]
+        types["s09"] = [{"text": types["s09"], "finish_reason": reason}, types["s09"]]
         # s11: the retry is cut too, so the sample takes the caption route
-        types["s11"] = [{"text": "This is a plane geometry", "finish_reason": "length"}] * 2
+        types["s11"] = [{"text": "This is a plane geometry", "finish_reason": reason}] * 2
         (tmp_path / "script.json").write_text(json.dumps(script), encoding="utf-8")
         backend = {"kind": "scripted", "script_path": "script.json", "model_id": "scripted-12"}
         cache = tmp_path / "cache.jsonl"
@@ -760,14 +773,14 @@ class TestTruncation:
         assert meta["call_counts"] == {"phase1": 10, "phase2.type": 4, "phase2": 7, "phase3": 14}
         cold = self.by_id(tmp_path / "cold")
         assert cold["s02"]["trace"]["phase1"] == {
-            "consistent": False, "raw_text": "CONSISTENT", "confidence_note": TRUNCATED_FINDING,
+            "consistent": False, "raw_text": "CONSISTENT", "confidence_note": CUT_NOTES[reason],
         }
         assert cold["s02"]["trace"]["phase2"]["representation"] == "formal_language"
         s09, s11 = cold["s09"]["trace"]["phase2"], cold["s11"]["trace"]["phase2"]
         assert (s09["question_type"], s09["source"]) == ("algebra", "inferred")
         assert (s11["question_type"], s11["source"]) == (None, "inferred")
         assert s11["representation"] == "caption"
-        assert cache_reasons(cache) == {"stop": 31, "length": 4}
+        assert cache_reasons(cache) == {"stop": 31, reason: 4}
 
         asked = []
         original = ScriptedBackend.complete
@@ -894,6 +907,21 @@ class TestPromptDir:
         assert len(phase3) == 14
         assert all(r.segments[0].text.startswith("EDITED ANALYZER PROMPT\n") for r in phase3)
         assert not any("EDITED" in r.segments[0].text for r in seen if r.phase != "phase3")
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_an_asset_that_is_not_utf8_is_a_config_error(self, tmp_path, command):
+        prompt_dir = tmp_path / "prompts"
+        shutil.copytree(PACKAGED_PROMPTS, prompt_dir)
+        asset = prompt_dir / "phase1_consistency.prompt"
+        asset.write_bytes(b"\xff\xfe" + asset.read_bytes())
+        config = write_config(tmp_path, tmp_path / "out", prompt_dir="prompts")
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: prompt asset {asset} is not valid UTF-8 (byte 0xff)"
+        ]
+        assert not (tmp_path / "out").exists()
 
 
 class TestComputedOnce:
@@ -1026,6 +1054,26 @@ def detection_files(command: str, out_dir: Path) -> list[Path]:
     if command == "run":
         return [out_dir / "detections.jsonl"]
     return [out_dir / f"detections_{mode}.jsonl" for mode in MODES]
+
+
+class TestGoldenDetections:
+    """`ablate` on the 12-sample fixture writes the checked-in detections, byte for byte.
+
+    tests/fixtures/golden_detections_<mode>.jsonl pin every line of each
+    mode's detections: predictions, traces, fingerprints and call order. A
+    refactor must leave them as they are. Regenerate them only for an
+    intended output change: run `mathagent ablate` on a config like
+    write_config's and copy each detections_<mode>.jsonl over its golden file.
+    """
+
+    def test_ablate_reproduces_the_golden_detections(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        for mode in MODES:
+            assert (tmp_path / "out" / f"detections_{mode}.jsonl").read_bytes() == (
+                FIXTURES / f"golden_detections_{mode}.jsonl"
+            ).read_bytes(), mode
 
 
 class TestStreamedDetections:
@@ -1225,6 +1273,97 @@ class TestEndpointGate:
         assert endpoint.max_in_flight == 1
 
 
+class ScriptedEndpoint:
+    """A chat-completions endpoint behind the transport hook, answering from scripts_12.json.
+
+    Each body is matched to its phase by the prompt's first line and to its
+    sample by the problem text. faults maps (phase, sample_id) to the raw
+    finish_reason of that pair's first reply; every other reply ends in stop.
+    """
+
+    PHASES = {
+        "phase1_consistency": "phase1", "phase2_question_type": "phase2.type",
+        "phase2_formal": "phase2", "phase2_latex": "phase2", "phase2_caption": "phase2",
+        "phase3_analyzer": "phase3",
+    }
+
+    def __init__(self, faults: dict):
+        self.script = json.loads(SCRIPTS.read_text(encoding="utf-8"))["phases"]
+        self.samples = load_dataset(DATASET)
+        first_lines = {
+            name: (PACKAGED_PROMPTS / f"{name}.prompt").read_text(encoding="utf-8").split("\n")[0]
+            for name in self.PHASES
+        }
+        self.phases = {first_lines[name]: phase for name, phase in self.PHASES.items()}
+        self.faults = faults
+        self.asked = Counter()
+        self.lock = threading.Lock()
+
+    def __call__(self, url, headers, body, timeout_s):
+        text = body["messages"][-1]["content"][0]["text"]
+        phase = self.phases[text.split("\n")[0]]
+        sample_id = next(s.id for s in self.samples if s.question_text in text)
+        with self.lock:
+            nth = self.asked[phase, sample_id]
+            self.asked[phase, sample_id] += 1
+        reply = self.script[phase][sample_id]
+        if isinstance(reply, list):
+            reply = reply[min(nth, len(reply) - 1)]
+        reason = self.faults.get((phase, sample_id), "stop") if nth == 0 else "stop"
+        choice = {"message": {"content": reply}, "finish_reason": reason}
+        return 200, json.dumps({"choices": [choice]})
+
+
+class TestEndpointFinishReasons:
+    """An endpoint's finish reason other than stop or length cuts the reply, as length does."""
+
+    def test_content_filter_and_null_replies_are_cut(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        spec = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "scripted-12"}
+        endpoints, runs = {}, {}
+        # s01's first analyzer reply is filtered; s02's verdict "CONSISTENT" has no reason
+        for name, faults in (
+            ("clean", {}),
+            ("faulty", {("phase3", "s01"): "content_filter", ("phase1", "s02"): None}),
+        ):
+            endpoints[name] = endpoint = ScriptedEndpoint(faults)
+            monkeypatch.setattr(
+                cli, "HttpBackend", functools.partial(backends.HttpBackend, transport=endpoint)
+            )
+            (tmp_path / name).mkdir()
+            config = write_config(
+                tmp_path / name, tmp_path / name / "out",
+                backends={"phase1": spec, "phase2": spec, "phase3": spec},
+            )
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+            capsys.readouterr()
+            lines = read_lines(tmp_path / name / "out" / "detections.jsonl")
+            # latency_ms is wall time over HTTP, so it is set aside
+            runs[name] = {
+                det["sample_id"]: {**det, "trace": {**det["trace"], "backend_calls": [
+                    {**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]
+                ]}}
+                for det in map(json.loads, lines)
+            }
+
+        clean, faulty = runs["clean"], runs["faulty"]
+        # s01: the filtered reply parses, yet earns the re-ask, whose whole reply is scored
+        assert endpoints["clean"].asked["phase3", "s01"] == 1
+        assert endpoints["faulty"].asked["phase3", "s01"] == 2
+        s01_calls = [r["phase"] for r in faulty["s01"]["trace"]["backend_calls"]]
+        assert s01_calls.count("phase3") == 2
+        assert (faulty["s01"]["predicted_step"], faulty["s01"]["predicted_category"]) == (2, "VIS")
+        # s02: the verdict is not consistent, so the image is transcribed
+        assert clean["s02"]["trace"]["phase1"]["consistent"] is True
+        assert faulty["s02"]["trace"]["phase1"] == {
+            "consistent": False, "raw_text": "CONSISTENT", "confidence_note": CUT_NOTES["error"],
+        }
+        assert faulty["s02"]["trace"]["phase2"]["representation"] == "formal_language"
+        assert clean["s02"]["trace"]["phase2"] is None
+        for sample_id in clean.keys() - {"s01", "s02"}:
+            assert faulty[sample_id] == clean[sample_id], sample_id
+
+
 class TestCachePath:
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_missing_cache_directory_is_a_config_error(self, tmp_path, command):
@@ -1330,6 +1469,17 @@ class TestReplayCacheDamage:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"{cache} line 2" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_line_that_is_not_utf8_is_a_config_error(self, cached_run, command):
+        config, cache = cached_run
+        lines = cache.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"fingerprint"', b'"\xfffingerprint"', 1)
+        cache.write_bytes(b"".join(lines))
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{cache} line 3: not valid UTF-8 (byte 0xff)" in proc.stderr
 
 
 class TestScripts:
