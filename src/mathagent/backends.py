@@ -19,21 +19,18 @@ JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
 serialized with sorted keys, separators (",", ":"), ensure_ascii=False,
 UTF-8 encoded, then hashed. Text segments appear as
 {"kind": "text", "text": ...}; image segments as
-{"kind": "image", "media_type": ..., "sha256": ...} where the digest is
-over the decoded image bytes (file contents for file refs, the URL string
-for url refs, since remote bytes are not fetched). The phase and sample_id
-routing metadata never enter the fingerprint.
+{"kind": "image", "media_type": ..., "sha256": ...}, the ImageRef's
+resolved_media_type and sha256 (over the image bytes, or a URL's address).
+The phase and sample_id routing metadata never enter the fingerprint.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
 import hashlib
 import itertools
 import json
 import logging
-import mimetypes
 import os
 import threading
 import time
@@ -42,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Protocol
 
-from .data_model import ImageKind, ImageRef
+from .data_model import ImageRef
 
 log = logging.getLogger(__name__)
 
@@ -160,20 +157,6 @@ class Backend(Protocol):
     def complete(self, request: ModelRequest) -> ModelResponse: ...
 
 
-def _image_identity(ref: ImageRef) -> tuple[str, str]:
-    """(media_type, sha256 hex) pair identifying an image for fingerprints."""
-    if ref.kind is ImageKind.INLINE_BASE64:
-        data = ref.decoded_bytes()
-        media = ref.media_type or "application/octet-stream"
-    elif ref.kind is ImageKind.FILE_PATH:
-        data = Path(ref.value).read_bytes()
-        media = ref.media_type or mimetypes.guess_type(ref.value)[0] or "image/png"
-    else:  # URL: remote bytes are out of reach, the address is the identity
-        data = ref.value.encode("utf-8")
-        media = ref.media_type or "image/png"
-    return media, hashlib.sha256(data).hexdigest()
-
-
 def request_fingerprint(request: ModelRequest) -> str:
     """SHA-256 hex digest of the canonical form in the module docstring."""
     segments = []
@@ -181,7 +164,7 @@ def request_fingerprint(request: ModelRequest) -> str:
         if isinstance(seg, TextSegment):
             segments.append({"kind": "text", "text": seg.text})
         else:
-            media, digest = _image_identity(seg.ref)
+            media, digest = seg.ref.resolved_media_type, seg.ref.sha256
             segments.append({"kind": "image", "media_type": media, "sha256": digest})
     payload = {
         "max_tokens": request.max_tokens,
@@ -204,16 +187,6 @@ class RetryPolicy:
             raise ValueError(f"'max_attempts' {self.max_attempts} is not positive")
         if self.backoff_base_ms < 0:
             raise ValueError(f"'backoff_base_ms' {self.backoff_base_ms} is negative")
-
-
-def _image_data_url(ref: ImageRef) -> str:
-    if ref.kind is ImageKind.URL:
-        return ref.value
-    if ref.kind is ImageKind.INLINE_BASE64:
-        return f"data:{ref.media_type};base64,{ref.value}"
-    data = Path(ref.value).read_bytes()
-    media = ref.media_type or mimetypes.guess_type(ref.value)[0] or "image/png"
-    return f"data:{media};base64,{base64.b64encode(data).decode('ascii')}"
 
 
 def __getattr__(name: str):
@@ -281,9 +254,7 @@ class HttpBackend:
             if isinstance(seg, TextSegment):
                 content.append({"type": "text", "text": seg.text})
             else:
-                content.append(
-                    {"type": "image_url", "image_url": {"url": _image_data_url(seg.ref)}}
-                )
+                content.append({"type": "image_url", "image_url": {"url": seg.ref.data_url()}})
         messages = []
         if request.system_prompt:
             messages.append({"role": "system", "content": request.system_prompt})

@@ -7,12 +7,14 @@ throughout: gt_error_step = 1 means the first solution step is wrong.
 from __future__ import annotations
 
 import base64
-import binascii
 import enum
+import hashlib
 import json
+import mimetypes
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Iterable
 
 from .rounding import round_half_up
@@ -134,15 +136,49 @@ DEFAULT_IMAGE_MEDIA_TYPES = frozenset(
 
 @dataclass(frozen=True)
 class ImageRef:
+    """An image: the one place its kind maps to bytes, media type and digest.
+
+    sha256 is computed once: an inline ref's when built, by the decode that
+    validates it (ValueError if not base64), a file ref's at first use, so a
+    missing file fails only its sample. The ref keeps no image bytes.
+    """
+
     kind: ImageKind
     value: str
     media_type: str | None = None
+    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
 
-    def decoded_bytes(self) -> bytes:
-        """Raw image bytes for an inline reference."""
-        if self.kind is not ImageKind.INLINE_BASE64:
-            raise ValueError(f"no inline bytes for kind {self.kind.value}")
-        return base64.b64decode(self.value, validate=True)
+    def __post_init__(self):
+        if self.kind is ImageKind.INLINE_BASE64:
+            self._keep_digest(base64.b64decode(self.value, validate=True))
+        elif self.kind is ImageKind.URL:  # remote bytes are not fetched: the address is hashed
+            self._keep_digest(self.value.encode("utf-8"))
+
+    def _keep_digest(self, data: bytes) -> None:
+        object.__setattr__(self, "_sha256", hashlib.sha256(data).hexdigest())
+
+    @property
+    def sha256(self) -> str:
+        if self._sha256 is None:  # a file ref's first use
+            self._keep_digest(Path(self.value).read_bytes())
+        return self._sha256
+
+    @property
+    def resolved_media_type(self) -> str:
+        """media_type, else a file name's guess, else the kind's fallback."""
+        if self.kind is ImageKind.INLINE_BASE64:
+            return self.media_type or "application/octet-stream"
+        guess = mimetypes.guess_type(self.value)[0] if self.kind is ImageKind.FILE_PATH else None
+        return self.media_type or guess or "image/png"
+
+    def data_url(self) -> str:
+        """A URL as is, else a data URL; a file is read anew at each call."""
+        if self.kind is ImageKind.URL:
+            return self.value
+        encoded = self.value
+        if self.kind is ImageKind.FILE_PATH:
+            encoded = base64.b64encode(Path(self.value).read_bytes()).decode("ascii")
+        return f"data:{self.resolved_media_type};base64,{encoded}"
 
 
 @dataclass(frozen=True)
@@ -227,11 +263,11 @@ def _image_from_obj(obj, line_no: int) -> ImageRef:
                 line_no, "image.media_type",
                 f"{media_type!r} not in allowed set {sorted(DEFAULT_IMAGE_MEDIA_TYPES)}",
             )
-        try:
-            base64.b64decode(value, validate=True)
-        except (binascii.Error, ValueError):
-            raise SchemaError(line_no, "image.value", "not valid base64") from None
-    return ImageRef(kind=kind, value=value, media_type=media_type)
+    try:  # an inline image is decoded once, here, which also validates it
+        return ImageRef(kind=kind, value=value, media_type=media_type)
+    except ValueError as exc:  # not base64, or a URL with a lone surrogate
+        message = "not valid base64" if kind is ImageKind.INLINE_BASE64 else str(exc)
+        raise SchemaError(line_no, "image.value", message) from None
 
 
 def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:

@@ -16,6 +16,12 @@ PROMPT_FILES = {
     "phase3_analyzer": "phase3_analyzer.prompt",
 }
 
+# the placeholders each template's phase fills
+PLACEHOLDERS = {name: {"question_text"} for name in PROMPT_FILES}
+PLACEHOLDERS["phase3_analyzer"] = {
+    "question_text", "visual", "correct_answer", "student_answer", "steps"
+}
+
 _PACKAGED_DIR = Path(__file__).parent / "prompts"
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
@@ -31,7 +37,8 @@ class PromptSet:
         """Read every asset from prompt_dir (the packaged set when None).
 
         Raises FileNotFoundError naming every missing asset, and ValueError
-        naming an asset that is not UTF-8.
+        naming an asset that is not UTF-8 or has a placeholder its phase
+        does not fill.
         """
         base = Path(prompt_dir) if prompt_dir is not None else _PACKAGED_DIR
         paths = {name: base / filename for name, filename in PROMPT_FILES.items()}
@@ -46,6 +53,10 @@ class PromptSet:
                 raise ValueError(
                     f"prompt asset {path} is not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
                 ) from exc
+            unknown = sorted(set(_PLACEHOLDER_RE.findall(templates[name])) - PLACEHOLDERS[name])
+            if unknown:
+                names = ", ".join(f"{{{{{key}}}}}" for key in unknown)
+                raise ValueError(f"prompt asset {path}: unknown placeholder {names}")
         return cls(templates)
 
     def render(self, name: str, values: dict[str, str]) -> str:

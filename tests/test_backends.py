@@ -9,6 +9,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -177,6 +178,45 @@ class TestFingerprint:
         req2 = text_request(segments=(ImageSegment(other), TextSegment("q")))
         assert request_fingerprint(req) != request_fingerprint(req2)
 
+    @pytest.mark.parametrize(
+        "kind, name, media_type, expected",
+        [
+            (ImageKind.INLINE_BASE64, None, None, "application/octet-stream"),
+            (ImageKind.FILE_PATH, "fig.jpg", None, "image/jpeg"),
+            (ImageKind.FILE_PATH, "fig", None, "image/png"),
+            (ImageKind.URL, None, "image/webp", "image/webp"),
+        ],
+    )
+    def test_media_type_fallbacks_match_independent_derivation(
+        self, tmp_path, kind, name, media_type, expected
+    ):
+        png = base64.b64decode(TINY_PNG_BASE64)
+        if kind is ImageKind.INLINE_BASE64:
+            value, data = TINY_PNG_BASE64, png
+        elif kind is ImageKind.FILE_PATH:
+            (tmp_path / name).write_bytes(png)
+            value, data = str(tmp_path / name), png
+        else:
+            value = "https://example.org/fig"
+            data = value.encode("utf-8")
+        ref = ImageRef(kind=kind, value=value, media_type=media_type)
+        req = text_request(segments=(TextSegment("q"), ImageSegment(ref)))
+        digest = hashlib.sha256(data).hexdigest()
+        payload = {
+            "max_tokens": 1024,
+            "model_id": "m",
+            "segments": [
+                {"kind": "text", "text": "q"},
+                {"kind": "image", "media_type": expected, "sha256": digest},
+            ],
+            "system_prompt": "sys",
+            "temperature": 0.0,
+        }
+        blob = json.dumps(
+            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        ).encode("utf-8")
+        assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
+
     def test_no_collisions_over_many_requests(self):
         seen = set()
         for i in range(10_000):
@@ -302,6 +342,46 @@ class TestHttpBackend:
         backend.complete(text_request(segments=(ImageSegment(ref), TextSegment("q"))))
         image = captured["body"]["messages"][1]["content"][0]
         assert image["image_url"]["url"] == "https://example.org/fig.png"
+
+    def test_inline_image_without_media_type_sends_the_fingerprinted_one(self, monkeypatch):
+        bodies = []
+
+        def transport(url, headers, body, timeout_s):
+            bodies.append(body)
+            return 200, completion_body()
+
+        ref = inline_ref(media_type=None)
+        backend = http_backend(transport, monkeypatch)
+        backend.complete(text_request(segments=(TextSegment("q"), ImageSegment(ref))))
+        image = bodies[0]["messages"][1]["content"][1]
+        # the media type the fingerprint hashes, not "data:None"
+        assert image["image_url"]["url"] == (
+            f"data:application/octet-stream;base64,{TINY_PNG_BASE64}"
+        )
+
+    def test_file_image_is_hashed_once_and_read_at_each_send(self, tmp_path, monkeypatch):
+        path = tmp_path / "fig.jpg"
+        path.write_bytes(b"\xff\xd8 not really a jpeg")
+        reads = []
+        original = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or original(p))
+        bodies = []
+
+        def transport(url, headers, body, timeout_s):
+            bodies.append(body)
+            return 200, completion_body()
+
+        ref = ImageRef(kind=ImageKind.FILE_PATH, value=str(path))
+        assert reads == []  # a file ref is read at first use, not when built
+        backend = http_backend(transport, monkeypatch)
+        for text in ("first", "second"):
+            backend.complete(text_request(segments=(TextSegment(text), ImageSegment(ref))))
+        # one read for the digest, kept by the ref, and one at each send
+        assert reads == [path] * 3
+        encoded = base64.b64encode(path.read_bytes()).decode("ascii")
+        assert [body["messages"][1]["content"][1]["image_url"]["url"] for body in bodies] == [
+            f"data:image/jpeg;base64,{encoded}"
+        ] * 2
 
     def test_429_is_retried_then_succeeds(self, monkeypatch):
         transport = StubTransport([(429, "slow down"), (200, completion_body())])

@@ -1,5 +1,6 @@
 """Command-line behaviour: run, ablate, validate, report, exit codes."""
 
+import base64
 import functools
 import json
 import shutil
@@ -12,7 +13,15 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, REPO, run_python, track_appends
-from mathagent import ScriptedBackend, backends, cli, load_dataset, pipeline, prompts
+from mathagent import (
+    ScriptedBackend,
+    backends,
+    cli,
+    data_model,
+    load_dataset,
+    pipeline,
+    prompts,
+)
 from mathagent.cli import (
     EXIT_CONFIG,
     EXIT_DATASET,
@@ -601,6 +610,21 @@ class TestConfigErrors:
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
         assert "phase2" not in meta["call_counts"]  # every image judged consistent
 
+    def test_unknown_prompt_placeholder_names_the_asset(self, tmp_path):
+        prompt_dir = tmp_path / "prompts"
+        shutil.copytree(PACKAGED_PROMPTS, prompt_dir)
+        asset = prompt_dir / "phase1_consistency.prompt"
+        template = asset.read_text(encoding="utf-8").replace("{{question_text}}", "{{question_txt}}")
+        asset.write_text(template, encoding="utf-8")
+        config = write_config(tmp_path, tmp_path / "out", prompt_dir="prompts")
+        assert_load_config_raises(config)
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: prompt asset {asset}: unknown placeholder {{{{question_txt}}}}"
+        ]
+        assert not (tmp_path / "out").exists()
+
 
 def as_reply_objects(script: dict, **fields) -> dict:
     """script with every reply text wrapped in a {"text": ...} object carrying fields."""
@@ -908,6 +932,29 @@ class TestPromptDir:
         assert all(r.segments[0].text.startswith("EDITED ANALYZER PROMPT\n") for r in phase3)
         assert not any("EDITED" in r.segments[0].text for r in seen if r.phase != "phase3")
 
+    def test_every_allowed_placeholder_is_filled_by_its_phase(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        prompt_dir = tmp_path / "prompts"
+        prompt_dir.mkdir()
+        for name, filename in prompts.PROMPT_FILES.items():
+            allowed = sorted(prompts.PLACEHOLDERS[name])
+            (prompt_dir / filename).write_text(
+                " ".join(f"{{{{{key}}}}}" for key in allowed), encoding="utf-8"
+            )
+        rendered = set()
+        original = prompts.PromptSet.render
+        monkeypatch.setattr(
+            prompts.PromptSet,
+            "render",
+            lambda self, name, values: rendered.add(name) or original(self, name, values),
+        )
+        config = write_config(tmp_path, tmp_path / "out", prompt_dir="prompts")
+        # a placeholder its phase does not fill would raise out of render
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert rendered == set(prompts.PROMPT_FILES)
+
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_an_asset_that_is_not_utf8_is_a_config_error(self, tmp_path, command):
         prompt_dir = tmp_path / "prompts"
@@ -1017,6 +1064,46 @@ class TestComputedOnce:
             "no_interpreter,75.00,50.00,100.00,66.67,0.00,50.00,66.67,70.83,10,0,6,14\n"
             "no_analyzer,75.00,50.00,100.00,66.67,0.00,50.00,66.67,70.83,10,2,6,14\n"
         )
+
+    def test_ablate_decodes_each_image_once(self, tmp_path, capsys, monkeypatch):
+        figure_bytes = bytes(range(256)) * 480  # 120 KB
+        figure = tmp_path / "figure.png"
+        figure.write_bytes(figure_bytes)
+        encoded = base64.b64encode(figure_bytes).decode("ascii")
+        lines, inline = [], 0
+        for line in read_lines(DATASET):
+            obj = json.loads(line)
+            if obj.get("image", {}).get("kind") == "inline_base64":
+                if obj["id"] == "s01":  # one imaged sample keeps its image in a file
+                    obj["image"] = {"kind": "file_path", "value": str(figure)}
+                else:
+                    obj["image"]["value"] = encoded
+                    inline += 1
+            lines.append(json.dumps(obj))
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        decodes = []
+        original_decode = data_model.base64.b64decode
+        monkeypatch.setattr(
+            data_model.base64,
+            "b64decode",
+            lambda *args, **kwargs: decodes.append(args) or original_decode(*args, **kwargs),
+        )
+        reads = []
+        original_read = Path.read_bytes
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda path: reads.append(path) or original_read(path)
+        )
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir, dataset=str(dataset))
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        # the loader's decode is the only one, whatever the four modes ask
+        assert inline == 8 and len(decodes) == inline
+        assert reads.count(figure) == 1
+        for mode in MODES:
+            lines = read_lines(out_dir / f"detections_{mode}.jsonl")
+            assert [json.loads(line)["failure"] for line in lines] == [None] * 12, mode
 
     def test_warm_ablate_parses_the_cache_once(self, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache.jsonl"

@@ -1,5 +1,7 @@
-"""Dataset schema: parsing, validation findings, round-trip, statistics."""
+"""Dataset schema: parsing, validation findings, image refs, round-trip, statistics."""
 
+import base64
+import hashlib
 import json
 
 import pytest
@@ -136,9 +138,18 @@ class TestSampleFromDict:
         assert err.value.field_path == "question_type"
 
     def test_bad_base64_rejected(self):
+        for value in ("!!not-base64!!", "iVBORw0K\u00e9"):
+            with pytest.raises(SchemaError) as err:
+                sample_from_dict(with_image(value=value))
+            assert err.value.field_path == "image.value"
+            assert err.value.message == "not valid base64"
+
+    def test_url_that_utf8_cannot_encode_is_a_finding(self):
+        # a JSON "\udc80" escape loads as a lone surrogate, which has no UTF-8 bytes to hash
         with pytest.raises(SchemaError) as err:
-            sample_from_dict(with_image(value="!!not-base64!!"))
+            sample_from_dict(with_image(kind="url", value="https://x.org/\udc80", media_type=None))
         assert err.value.field_path == "image.value"
+        assert "surrogates not allowed" in err.value.message
 
     def test_inline_requires_media_type(self):
         with pytest.raises(SchemaError) as err:
@@ -165,6 +176,37 @@ class TestSampleFromDict:
             with_image(kind="file_path", value="imgs/x.png", media_type=None)
         )
         assert path.image.kind is ImageKind.FILE_PATH
+
+
+class TestImageRef:
+    @pytest.mark.parametrize("value", ["!!not-base64!!", "iVBORw0K\u00e9"])
+    def test_invalid_inline_base64_raises_when_built(self, value):
+        # so a sample built in code cannot carry it into a run
+        with pytest.raises(ValueError):
+            ImageRef(kind=ImageKind.INLINE_BASE64, value=value, media_type="image/png")
+
+    def test_keeps_the_digest_and_never_the_bytes(self, tmp_path):
+        data = base64.b64decode(TINY_PNG_BASE64)
+        path = tmp_path / "fig.png"
+        path.write_bytes(data)
+        inline = ImageRef(kind=ImageKind.INLINE_BASE64, value=TINY_PNG_BASE64)
+        from_file = ImageRef(kind=ImageKind.FILE_PATH, value=str(path))
+        assert inline.sha256 == from_file.sha256 == hashlib.sha256(data).hexdigest()
+        for ref in (inline, from_file):
+            assert not any(isinstance(v, bytes) for v in vars(ref).values())
+
+    def test_a_hashed_file_ref_equals_a_fresh_one(self, tmp_path):
+        path = tmp_path / "fig.png"
+        path.write_bytes(b"png")
+        hashed = ImageRef(kind=ImageKind.FILE_PATH, value=str(path))
+        assert hashed.sha256
+        fresh = ImageRef(kind=ImageKind.FILE_PATH, value=str(path))
+        assert hashed == fresh and hash(hashed) == hash(fresh)
+
+    def test_a_missing_file_fails_at_first_use_not_when_built(self, tmp_path):
+        ref = ImageRef(kind=ImageKind.FILE_PATH, value=str(tmp_path / "gone.png"))
+        with pytest.raises(FileNotFoundError):
+            ref.sha256
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 """End-to-end pipeline behaviour over the 12-sample scripted fixture."""
 
+import hashlib
 import json
 import random
 import signal
@@ -288,6 +289,26 @@ class TestDeterminismAndConcurrency:
         run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=4)
         assert seen == Counter(s.id for s in samples_12)
         assert set(seen.values()) == {1}
+
+    def test_one_file_ref_shared_by_many_workers_keeps_one_digest(self, tmp_path):
+        figure = tmp_path / "fig.png"
+        figure.write_bytes(b"a figure")
+        ref = ImageRef(kind=ImageKind.FILE_PATH, value=str(figure))
+        samples = [make_sample(sample_id=f"f{i:02d}", image=ref) for i in range(60)]
+        backend = ScriptedBackend(default_reply="Error Step: #1\nError Category: cal")
+        phase = PhaseSetup(backend=backend)
+        setup = PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:  # workers may race to hash the ref first; each stores the same digest
+            detections = run_dataset(samples, AblationMode.FULL, setup, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [d.failure for d in detections] == [None] * 60
+        calls = [r for d in detections for r in d.trace.backend_calls]
+        # the same question and image everywhere, so one phase-1 request
+        assert len({r.fingerprint for r in calls if r.phase == "phase1"}) == 1
+        assert ref.sha256 == hashlib.sha256(b"a figure").hexdigest()
 
     def test_empty_dataset_with_workers(self):
         assert run_dataset([], AblationMode.FULL, fresh_setup(), workers=4) == []
