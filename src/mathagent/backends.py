@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Protocol
 
-from .data_model import ImageRef
+from .data_model import ImageRef, parse_json
 
 log = logging.getLogger(__name__)
 
@@ -304,10 +304,10 @@ class HttpBackend:
     @staticmethod
     def _parse_body(text: str, latency_ms: float) -> ModelResponse:
         try:
-            payload = json.loads(text)
+            payload = parse_json(text)
             choice = payload["choices"][0]
             content = choice["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise BadResponse(f"malformed completion body: {exc}") from exc
         if not isinstance(content, str):
             raise BadResponse("message content is not a string")
@@ -358,8 +358,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_script(json.load(fh))
+        return cls.from_script(parse_json(Path(path).read_bytes()))
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         fp = request.fingerprint
@@ -403,7 +402,7 @@ class ReplayCache:
     {fingerprint, response_text, finish_reason, model_id, timestamp} per
     line (finish_reason stop when absent, the last line winning). A torn
     final line (a crash mid-append) is cut with a warning; any other bad
-    line, one that is not UTF-8 included, raises ValueError naming it,
+    line, one parse_json rejects included, raises ValueError naming it,
     and a path whose directory does not exist raises FileNotFoundError.
     Only this object orders appends: one per file. The file is opened for
     appending at the first miss and each line is flushed whole; close()
@@ -433,28 +432,18 @@ class ReplayCache:
             data = data[: data.rfind(b"\n") + 1]
             with open(self.path, "r+b") as fh:
                 fh.truncate(len(data))
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:  # decoded whole, so the line comes from the offset
-            line_no = data.count(b"\n", 0, exc.start) + 1
-            raise ValueError(
-                f"corrupt replay cache {self.path} line {line_no}: "
-                f"not valid UTF-8 (byte 0x{data[exc.start]:02x})"
-            ) from exc
         # split on \n only: records may hold other line separators such as U+2028
-        for line_no, line in enumerate(text.split("\n"), start=1):
+        for line_no, line in enumerate(data.split(b"\n"), start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = parse_json(line)
                 fp, text = obj["fingerprint"], obj["response_text"]
                 if not isinstance(fp, str) or not isinstance(text, str):
                     raise TypeError("fingerprint and response_text must be strings")
                 self._replies[fp] = (text, FinishReason(obj.get("finish_reason", "stop")))
             except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(
-                    f"corrupt replay cache {self.path} line {line_no}: {exc}"
-                ) from exc
+                raise ValueError(f"corrupt replay cache {self.path} line {line_no}: {exc}") from exc
 
     def complete(self, inner: Backend, request: ModelRequest) -> ModelResponse:
         """The stored reply to request; on a miss, inner's reply, then stored."""

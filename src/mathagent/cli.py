@@ -33,6 +33,7 @@ from .data_model import (
     SchemaError,
     dataset_stats,
     load_dataset,
+    parse_json,
     scan_dataset,
 )
 from .metrics import AlignmentError
@@ -124,11 +125,11 @@ def load_config(path) -> RunConfig:
     """Read and check a run config, its scripts and its prompt set; problems raise ConfigError."""
     config_path = Path(path)
     try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
+        raw = parse_json(config_path.read_bytes())
     except OSError as exc:
         raise ConfigError(f"cannot read config {config_path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # BadText: not UTF-8, not JSON, or a lone surrogate
+        raise ConfigError(f"config {config_path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
@@ -205,9 +206,9 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object]) -> Backen
             path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
             if path not in scripts:
                 try:
-                    scripts[path] = json.loads(path.read_text(encoding="utf-8"))
-                except ValueError as exc:  # not JSON, or not UTF-8
-                    raise ConfigError(f"script {path} is not valid JSON: {exc}") from exc
+                    scripts[path] = parse_json(path.read_bytes())
+                except ValueError as exc:  # BadText, as for the config
+                    raise ConfigError(f"script {path}: {exc}") from exc
             script = scripts[path]
             if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
                 script = {**script, "default_reply": spec["default_reply"]}
@@ -428,7 +429,7 @@ def cmd_report(args) -> int:
     if model is None:
         meta_path = Path(args.detections).parent / "run_meta.json"
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = parse_json(meta_path.read_bytes())
         except (OSError, ValueError):  # absent, unreadable or not JSON
             meta = None
         model = meta.get("model") if isinstance(meta, dict) else None

@@ -38,6 +38,44 @@ class EmptyDataset(ValueError):
     """Raised when statistics are requested over zero samples."""
 
 
+class BadText(ValueError):
+    """Outside text parse_json cannot read: not UTF-8, not JSON, or a lone surrogate."""
+
+
+def decode_utf8(data: bytes) -> str:
+    """data decoded strictly as UTF-8; BadText names the first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadText(f"not valid UTF-8 (byte 0x{data[exc.start]:02x})") from None
+
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a \uD800-\uDFFF escape
+
+
+def parse_json(text: str | bytes):
+    """The one reader of outside JSON: a value UTF-8 can encode, else BadText.
+
+    Bytes decode strictly. Every parse failure, a nesting too deep to parse
+    and too long an integer included, is BadText, and so is a lone surrogate
+    in a string or key, whether a str carries it raw or the text escapes it.
+    """
+    raw = isinstance(text, str) and not text.isascii()  # only a str can carry a raw surrogate
+    text = decode_utf8(text) if isinstance(text, bytes) else text
+    try:
+        value = json.loads(text.encode("utf-8") if raw else text)  # a raw surrogate fails here
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:  # a ValueError, so caught first
+        code = ord(exc.object[exc.start])
+        raise BadText(f"lone surrogate \\u{code:04x}, which UTF-8 cannot encode") from None
+    except (ValueError, RecursionError) as exc:  # a one-line text (a JSONL line) says no "line 1"
+        one_line = isinstance(exc, json.JSONDecodeError) and exc.lineno == 1
+        why = f"{exc.msg} (column {exc.colno})" if one_line else exc
+        raise BadText(f"invalid JSON: {why}") from None
+    return value
+
+
 class ErrorCategory(enum.Enum):
     VIS = "VIS"
     CAL = "CAL"
@@ -335,39 +373,29 @@ def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
     )
 
 
-# errors="surrogateescape" reads each byte that is not UTF-8 as one of these
-_UNDECODED = re.compile("[\udc80-\udcff]")
-
-
 def scan_dataset(path):
     """Read a JSONL dataset, collecting SchemaErrors instead of failing fast.
 
     Returns (samples, findings). Lines with findings contribute no sample.
-    Blank lines are skipped. A line that is not UTF-8 is a finding naming
-    its first bad byte; a duplicate id is a finding on the later line.
+    Lines split on \\n alone and blank ones are skipped. A line parse_json
+    rejects (not UTF-8, not JSON, a lone surrogate) is a finding with its
+    message; a duplicate id is a finding on the later line.
     """
     samples: list[Sample] = []
     findings: list[SchemaError] = []
     seen_ids: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "rb") as fh:  # a binary file yields lines split on \n alone
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            undecoded = None if line.isascii() else _UNDECODED.search(line)
-            if undecoded:
-                byte = ord(undecoded.group()) - 0xDC00
-                findings.append(SchemaError(line_no, "", f"not valid UTF-8 (byte 0x{byte:02x})"))
-                continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                findings.append(SchemaError(line_no, "", f"invalid JSON: {exc.msg}"))
-                continue
-            try:
-                sample = sample_from_dict(obj, line_no)
+                sample = sample_from_dict(parse_json(line), line_no)
             except SchemaError as exc:
                 exc.__context__ = None  # its traceback, like exc's, holds this line's object
                 findings.append(exc.with_traceback(None))
+                continue
+            except BadText as exc:
+                findings.append(SchemaError(line_no, "", str(exc)))
                 continue
             if sample.id in seen_ids:
                 message = f"duplicate id {sample.id!r} (first seen line {seen_ids[sample.id]})"

@@ -44,7 +44,7 @@ from .backends import (
     RequestSettings,
 )
 from .consistency import ConsistencyVerdict, check_consistency
-from .data_model import ErrorCategory, QuestionType, Sample
+from .data_model import ErrorCategory, QuestionType, Sample, parse_json
 from .interpreter import (
     TranscriptSource,
     TypeInferenceError,
@@ -446,13 +446,12 @@ class StoredDetection:
 
 def load_detections(path) -> list[StoredDetection]:
     out = []
-    with open(path, "rb") as fh:  # decoded line by line, so a bad byte names its line
-        for line_no, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:  # read line by line, so a bad byte names its line
+        for line_no, line in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                obj = parse_json(line)
                 if not isinstance(obj, dict):
                     raise ValueError("not a JSON object")
                 category = obj.get("predicted_category")
@@ -468,6 +467,6 @@ def load_detections(path) -> list[StoredDetection]:
                         trace=obj.get("trace", {}),
                     )
                 )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (KeyError, ValueError) as exc:
                 raise ValueError(f"bad detection line {line_no} in {path}: {exc}") from exc
     return out

@@ -7,6 +7,8 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data_model import BadText, decode_utf8
+
 PROMPT_FILES = {
     "phase1_consistency": "phase1_consistency.prompt",
     "phase2_question_type": "phase2_question_type.prompt",
@@ -47,12 +49,11 @@ class PromptSet:
             raise FileNotFoundError("missing prompt assets: " + ", ".join(missing))
         templates = {}
         for name, path in paths.items():
-            try:
-                templates[name] = path.read_text(encoding="utf-8")
-            except UnicodeDecodeError as exc:
-                raise ValueError(
-                    f"prompt asset {path} is not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})"
-                ) from exc
+            try:  # newlines translated as a text-mode read does
+                text = decode_utf8(path.read_bytes()).replace("\r\n", "\n").replace("\r", "\n")
+            except BadText as exc:
+                raise ValueError(f"prompt asset {path} is {exc}") from exc
+            templates[name] = text
             unknown = sorted(set(_PLACEHOLDER_RE.findall(templates[name])) - PLACEHOLDERS[name])
             if unknown:
                 names = ", ".join(f"{{{{{key}}}}}" for key in unknown)

@@ -3,6 +3,7 @@
 import base64
 import functools
 import json
+import re
 import shutil
 import threading
 import time
@@ -54,16 +55,17 @@ def read_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def count_text_reads(monkeypatch) -> list[Path]:
-    """Every path read through Path.read_text from here on, in order."""
+def count_file_reads(monkeypatch) -> list[Path]:
+    """Every path read through Path.read_text or Path.read_bytes from here on, in order."""
     reads = []
-    original = Path.read_text
+    for name in ("read_text", "read_bytes"):
+        original = getattr(Path, name)
 
-    def counting_read_text(path, *args, **kwargs):
-        reads.append(path)
-        return original(path, *args, **kwargs)
+        def counting_read(path, *args, _original=original, **kwargs):
+            reads.append(path)
+            return _original(path, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "read_text", counting_read_text)
+        monkeypatch.setattr(Path, name, counting_read)
     return reads
 
 
@@ -383,6 +385,7 @@ class TestReport:
         assert proc.returncode == EXIT_FINDINGS, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"bad detection line 1 in {undecodable}" in proc.stderr
+        assert "not valid UTF-8 (byte 0xff)" in proc.stderr  # the cache's and dataset's wording
 
     def test_misaligned_detections_exit_one(self, run_dir, tmp_path):
         detections = (run_dir / "detections.jsonl").read_text(encoding="utf-8")
@@ -594,6 +597,33 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
         assert str(undecodable) in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("which", ["config", "script"])
+    def test_a_lone_surrogate_exits_two_naming_the_file(self, tmp_path, which, cache):
+        cache_path = {"cache_path": str(tmp_path / "cache.jsonl")} if cache else {}
+        config = write_config(tmp_path, tmp_path / "out", **cache_path)
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        bad = config
+        if which == "config":  # json.dumps writes the surrogate as a \ud83d escape
+            raw["backends"]["phase1"] = {**raw["backends"]["phase1"], "system_prompt": "\ud83d"}
+        else:
+            bad = tmp_path / "script.json"
+            script = json.loads(SCRIPTS.read_text(encoding="utf-8"))
+            script["phases"]["phase3"]["s01"] = "Error Step: #2\ud83d"
+            bad.write_text(json.dumps(script), encoding="utf-8")
+            raw["backends"]["phase3"] = {"kind": "scripted", "script_path": "script.json"}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert "\\ud83d" in bad.read_text(encoding="utf-8")
+        assert_load_config_raises(config)
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: {which} {bad}: lone surrogate \\ud83d, which UTF-8 cannot encode"
+        ]
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "cache.jsonl").exists()
 
     def test_spec_default_reply_overrides_the_script_file(self, tmp_path, capsys):
         (tmp_path / "script.json").write_text(
@@ -881,6 +911,43 @@ class TestUndecodableDataset:
         assert "line 1: field '': not valid UTF-8" in proc.stderr
 
 
+class TestUnreadableDatasetLine:
+    """A dataset line parse_json rejects is a finding on that line, never a traceback."""
+
+    LINES = {
+        "lone-surrogate": lambda line: line.replace('_text": "', '_text": "\\udc80', 1),
+        "nested-100000-deep": lambda line: "[" * 100_000 + "]" * 100_000,
+        "5000-digit-integer": lambda line: re.sub(
+            r'"gt_error_step": \d+', '"gt_error_step": ' + "9" * 5000, line
+        ),
+    }
+
+    @pytest.fixture(params=list(LINES))
+    def dataset(self, request, tmp_path):
+        lines = read_lines(DATASET)
+        lines[3] = self.LINES[request.param](lines[3])
+        assert lines[3] != read_lines(DATASET)[3]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_validate_exits_one_with_a_finding_on_that_line(self, dataset):
+        proc = run_python("-m", "mathagent.cli", "validate", str(dataset))
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("line 4: field '': ")
+        assert "total: 11" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_detecting_command_exits_three(self, tmp_path, dataset, command):
+        config = write_config(tmp_path, tmp_path / "out", dataset=str(dataset))
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_DATASET, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"ERROR dataset: dataset {dataset}: line 4: field '': ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestRouterConfig:
     def test_default_router_renames_phase2(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -997,7 +1064,7 @@ class TestComputedOnce:
         )
 
     def test_prompt_assets_read_once_per_command(self, tmp_path, capsys, monkeypatch):
-        reads = count_text_reads(monkeypatch)
+        reads = count_file_reads(monkeypatch)
         config = write_config(tmp_path, tmp_path / "out")
         assert main(["ablate", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
@@ -1007,7 +1074,7 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_script_file_is_read_once_per_command(self, tmp_path, capsys, monkeypatch, command):
-        reads = count_text_reads(monkeypatch)
+        reads = count_file_reads(monkeypatch)
         # all three specs name the one script file, and ablate builds four setups
         config = write_config(tmp_path, tmp_path / "out")
         assert main([command, "--config", str(config)]) == EXIT_OK
@@ -1366,6 +1433,7 @@ class ScriptedEndpoint:
     Each body is matched to its phase by the prompt's first line and to its
     sample by the problem text. faults maps (phase, sample_id) to the raw
     finish_reason of that pair's first reply; every other reply ends in stop.
+    bodies maps (phase, sample_id) to the raw body sent for that pair instead.
     """
 
     PHASES = {
@@ -1374,7 +1442,7 @@ class ScriptedEndpoint:
         "phase3_analyzer": "phase3",
     }
 
-    def __init__(self, faults: dict):
+    def __init__(self, faults: dict, bodies: dict | None = None):
         self.script = json.loads(SCRIPTS.read_text(encoding="utf-8"))["phases"]
         self.samples = load_dataset(DATASET)
         first_lines = {
@@ -1383,6 +1451,7 @@ class ScriptedEndpoint:
         }
         self.phases = {first_lines[name]: phase for name, phase in self.PHASES.items()}
         self.faults = faults
+        self.bodies = bodies or {}
         self.asked = Counter()
         self.lock = threading.Lock()
 
@@ -1393,6 +1462,8 @@ class ScriptedEndpoint:
         with self.lock:
             nth = self.asked[phase, sample_id]
             self.asked[phase, sample_id] += 1
+        if (phase, sample_id) in self.bodies:
+            return 200, self.bodies[phase, sample_id]
         reply = self.script[phase][sample_id]
         if isinstance(reply, list):
             reply = reply[min(nth, len(reply) - 1)]
@@ -1401,37 +1472,40 @@ class ScriptedEndpoint:
         return 200, json.dumps({"choices": [choice]})
 
 
+def run_against(endpoint, run_dir: Path, monkeypatch, capsys, **overrides) -> dict:
+    """`run` over HTTP against endpoint in run_dir: its detections by sample id, latency 0.0."""
+    monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(backends.HttpBackend, transport=endpoint))
+    spec = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "scripted-12"}
+    run_dir.mkdir()
+    config = write_config(
+        run_dir, run_dir / "out", backends={"phase1": spec, "phase2": spec, "phase3": spec},
+        **overrides,
+    )
+    assert main(["run", "--config", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    lines = read_lines(run_dir / "out" / "detections.jsonl")
+    # latency_ms is wall time over HTTP, so it is set aside
+    return {
+        det["sample_id"]: {**det, "trace": {**det["trace"], "backend_calls": [
+            {**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]
+        ]}}
+        for det in map(json.loads, lines)
+    }
+
+
 class TestEndpointFinishReasons:
     """An endpoint's finish reason other than stop or length cuts the reply, as length does."""
 
     def test_content_filter_and_null_replies_are_cut(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
-        spec = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "scripted-12"}
         endpoints, runs = {}, {}
         # s01's first analyzer reply is filtered; s02's verdict "CONSISTENT" has no reason
         for name, faults in (
             ("clean", {}),
             ("faulty", {("phase3", "s01"): "content_filter", ("phase1", "s02"): None}),
         ):
-            endpoints[name] = endpoint = ScriptedEndpoint(faults)
-            monkeypatch.setattr(
-                cli, "HttpBackend", functools.partial(backends.HttpBackend, transport=endpoint)
-            )
-            (tmp_path / name).mkdir()
-            config = write_config(
-                tmp_path / name, tmp_path / name / "out",
-                backends={"phase1": spec, "phase2": spec, "phase3": spec},
-            )
-            assert main(["run", "--config", str(config)]) == EXIT_OK
-            capsys.readouterr()
-            lines = read_lines(tmp_path / name / "out" / "detections.jsonl")
-            # latency_ms is wall time over HTTP, so it is set aside
-            runs[name] = {
-                det["sample_id"]: {**det, "trace": {**det["trace"], "backend_calls": [
-                    {**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]
-                ]}}
-                for det in map(json.loads, lines)
-            }
+            endpoints[name] = ScriptedEndpoint(faults)
+            runs[name] = run_against(endpoints[name], tmp_path / name, monkeypatch, capsys)
 
         clean, faulty = runs["clean"], runs["faulty"]
         # s01: the filtered reply parses, yet earns the re-ask, whose whole reply is scored
@@ -1449,6 +1523,34 @@ class TestEndpointFinishReasons:
         assert clean["s02"]["trace"]["phase2"] is None
         for sample_id in clean.keys() - {"s01", "s02"}:
             assert faulty[sample_id] == clean[sample_id], sample_id
+
+
+class TestEndpointBodies:
+    """A reply body parse_json rejects fails its sample as BadResponse; the run goes on."""
+
+    BODIES = {
+        "lone-surrogate": json.dumps({"choices": [
+            {"message": {"content": "Error Step: #2\ud83d"}, "finish_reason": "stop"}
+        ]}),
+        "nested-5000-deep": '{"choices": ' + "[" * 5000 + "]" * 5000 + "}",
+    }
+
+    @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize("body", list(BODIES))
+    def test_that_sample_fails_and_no_other_changes(self, tmp_path, capsys, monkeypatch, body, cache):
+        runs = {}
+        for name, bodies in (("clean", {}), ("faulty", {("phase3", "s01"): self.BODIES[body]})):
+            cache_path = {"cache_path": str(tmp_path / f"{name}.jsonl")} if cache else {}
+            endpoint = ScriptedEndpoint({}, bodies)
+            runs[name] = run_against(endpoint, tmp_path / name, monkeypatch, capsys, **cache_path)
+        clean, faulty = runs["clean"], runs["faulty"]
+        assert clean["s01"]["failure"] is None
+        assert faulty["s01"]["failure"].startswith("phase3: BadResponse: malformed completion body: ")
+        assert faulty["s01"]["predicted_step"] is None
+        for sample_id in clean.keys() - {"s01"}:
+            assert faulty[sample_id] == clean[sample_id], sample_id
+        meta = json.loads((tmp_path / "faulty" / "out" / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["n_failures"] == 1
 
 
 class TestCachePath:
@@ -1556,6 +1658,17 @@ class TestReplayCacheDamage:
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert f"{cache} line 2" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_lone_surrogate_is_a_config_error(self, cached_run, command):
+        config, cache = cached_run
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**json.loads(lines[1]), "response_text": "\ud83d"}) + "\n"
+        cache.write_text("".join(lines), encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{cache} line 2: lone surrogate \\ud83d" in proc.stderr
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_line_that_is_not_utf8_is_a_config_error(self, cached_run, command):

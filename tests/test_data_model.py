@@ -3,9 +3,10 @@
 import base64
 import hashlib
 import json
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import TINY_PNG_BASE64, make_sample
 from mathagent import (
@@ -25,6 +26,7 @@ from mathagent import (
     scan_dataset,
     write_dataset,
 )
+from mathagent.data_model import BadText, parse_json
 
 VALID = {
     "id": "q1",
@@ -323,6 +325,114 @@ class TestScanDataset:
         samples, findings = scan_dataset(path)
         assert len(samples) == 1
         assert [f.line_no for f in findings] == [3, 4]
+
+    def test_a_bare_carriage_return_is_whitespace_not_a_line_break(self, tmp_path):
+        first = json.dumps(VALID).replace('"id":', '"id":\r', 1)
+        path = tmp_path / "data.jsonl"
+        path.write_bytes("\n".join([first, json.dumps(dict(VALID, id="q2")), "{not json"]).encode())
+        samples, findings = scan_dataset(path)
+        assert [s.id for s in samples] == ["q1", "q2"]
+        assert [f.line_no for f in findings] == [3]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (json.dumps(dict(VALID, question_text="Find x.\udc80")), "lone surrogate \\udc80"),
+            ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
+            (json.dumps(VALID).replace('"gt_error_step": 2', '"gt_error_step": ' + "1" * 5000),
+             "invalid JSON"),
+        ],
+        ids=["lone-surrogate", "deep-nesting", "5000-digit-integer"],
+    )
+    def test_a_line_parse_json_rejects_is_a_finding_on_that_line(self, tmp_path, line, message):
+        path = self.write(tmp_path, [json.dumps(dict(VALID, id="q0")), line, json.dumps(VALID)])
+        samples, findings = scan_dataset(path)
+        assert [s.id for s in samples] == ["q0", "q1"]
+        assert [(f.line_no, f.field_path) for f in findings] == [(2, "")]
+        assert findings[0].message.startswith(message)
+
+
+# a value, key or array made of these parts; escapes are written out, not decoded
+SURROGATES = st.integers(0xD800, 0xDFFF)
+LONE_ESCAPE = st.builds(lambda c, upper: (f"\\u{c:04X}" if upper else f"\\u{c:04x}"),
+                        SURROGATES, st.booleans())
+PAIRED_ESCAPE = st.builds(lambda hi, lo: f"\\u{hi:04x}\\u{lo:04x}",
+                          st.integers(0xD800, 0xDBFF), st.integers(0xDC00, 0xDFFF))
+PLAIN = st.text(max_size=4).map(lambda t: json.dumps(t)[1:-1])
+RAW_SURROGATE = SURROGATES.map(chr)  # only a str can carry one unescaped
+STRING_LITERAL = st.lists(
+    st.one_of(PLAIN, LONE_ESCAPE, PAIRED_ESCAPE, RAW_SURROGATE), max_size=5
+).map(lambda parts: '"' + "".join(parts) + '"')
+SPLICED = st.one_of(
+    st.builds(lambda k, v: "{" + k + ": " + v + "}", STRING_LITERAL, STRING_LITERAL),
+    st.lists(STRING_LITERAL, max_size=4).map(lambda xs: "[" + ", ".join(xs) + "]"),
+)
+LIMIT = sys.getrecursionlimit()
+DEEP = st.builds(
+    lambda depth, obj: ('{"a": ' * depth + "1" + "}" * depth) if obj else "[" * depth + "]" * depth,
+    st.integers(LIMIT - 50, 3 * LIMIT), st.booleans(),
+)
+LONG_INT = st.builds(lambda n, sign: sign + "7" * n, st.integers(4000, 5000), st.sampled_from(["", "-"]))
+OUTSIDE_TEXT = st.one_of(
+    st.binary(max_size=64),
+    SPLICED,
+    SPLICED.map(lambda t: t.encode("utf-8", "surrogatepass")),  # a raw one is not UTF-8
+    DEEP,
+    LONG_INT,
+    LONG_INT.map(lambda t: ("[" + t + "]").encode()),
+)
+
+
+class TestParseJson:
+    @settings(max_examples=300, deadline=None)
+    @given(OUTSIDE_TEXT)
+    def test_a_value_utf8_can_encode_or_bad_text(self, text):
+        try:
+            value = parse_json(text)
+        except BadText:
+            return
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b'{"a": "\xff"}', "not valid UTF-8 (byte 0xff)"),
+            ('{"a": "\\ud83d"}', "lone surrogate \\ud83d"),
+            ('{"\\uDC80": 1}', "lone surrogate \\udc80"),
+            ('["x\ud83d"]', "lone surrogate \\ud83d"),
+            ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
+            ("1" * 5000, "invalid JSON"),
+            ("{broken", "invalid JSON: Expecting property name"),
+        ],
+        ids=["not-utf8", "lone-high", "lone-low-key", "raw-surrogate", "deep", "long-int", "syntax"],
+    )
+    def test_rejections_say_why(self, text, message):
+        with pytest.raises(BadText) as err:
+            parse_json(text)
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            (b'{"a": "\\ud83d\\ude00"}', {"a": "\U0001f600"}),
+            ('"\\\\ud83d"', "\\ud83d"),  # an escaped backslash, then plain letters
+            ('["\u00fcber", "\U0001f600"]', ["\u00fcber", "\U0001f600"]),
+            ("7" * 4300, int("7" * 4300)),
+        ],
+        ids=["paired-escape", "escaped-backslash", "non-ascii-str", "longest-int"],
+    )
+    def test_paired_escapes_and_look_alikes_read(self, text, value):
+        assert parse_json(text) == value
+
+    def test_a_syntax_error_names_a_line_only_in_a_multi_line_text(self):
+        with pytest.raises(BadText) as one_line:
+            parse_json(b'{"a": }')
+        with pytest.raises(BadText) as two_lines:
+            parse_json('{"a": 1,\n }')
+        assert str(one_line.value) == "invalid JSON: Expecting value (column 7)"
+        assert str(two_lines.value).startswith("invalid JSON: Expecting property name")
+        assert "line 2 column 2" in str(two_lines.value)
+
 
 class TestDatasetStats:
     def test_twelve_sample_fixture(self, samples_12):
