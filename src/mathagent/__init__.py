@@ -82,14 +82,15 @@ from .pipeline import (
     AblationMode,
     Detection,
     DetectionLog,
+    DetectionRecord,
     PhaseError,
     PhaseSetup,
     PhaseTrace,
     PipelineSetup,
     SharedSteps,
-    StoredDetection,
     call_counts,
     detect_errors,
+    detection_from_line,
     detection_to_dict,
     load_detections,
     run_dataset,

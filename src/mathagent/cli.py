@@ -74,6 +74,17 @@ class DatasetError(Exception):
 PHASE_NAMES = ("phase1", "phase2", "phase3")
 RATE_LIMIT = 4  # an http spec's rate_limit when it sets none
 
+# the keys each part of a config may hold; load_config warns about any other
+_CONFIG_KEYS = frozenset(
+    {"dataset", "mode", "backends", "router", "workers", "cache_path", "output_dir", "prompt_dir",
+     "seed"}  # retired, and ignored
+)
+_SPEC_KEYS = frozenset({"kind", "model_id", "system_prompt", "temperature", "max_tokens"})
+_HTTP_KEYS = _SPEC_KEYS | {"base_url", "api_key_env", "retry", "rate_limit", "timeout_s"}
+_RETRY_KEYS = frozenset({"max_attempts", "backoff_base_ms"})
+_SCRIPTED_KEYS = _SPEC_KEYS | {"script_path", "default_reply"}
+_INLINE_SCRIPT_KEYS = _SCRIPTED_KEYS | {"phases", "by_fingerprint"}  # a script in the spec
+
 
 @dataclass(frozen=True)
 class BackendSpec:
@@ -115,6 +126,13 @@ def _typed(spec: dict, key: str, kind, default, what: str):
     return value
 
 
+def _warn_unknown(obj: dict, known: frozenset, where: str) -> None:
+    """One warning for each key of obj outside known, named by its path in the config."""
+    for key in obj:
+        if key not in known:
+            log.warning("config: unknown key %r ignored", where + key)
+
+
 def _path(raw: dict, key: str, base: Path, default: str | None = None) -> Path | None:
     """raw[key] resolved against base; an absent, null or empty value gives default."""
     value = _typed(raw, key, (str, type(None)), None, "a path string") or default
@@ -132,6 +150,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config {config_path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    _warn_unknown(raw, _CONFIG_KEYS, "")
 
     base = config_path.parent
     dataset = _path(raw, "dataset", base)
@@ -169,7 +188,10 @@ def load_config(path) -> RunConfig:
     scripts: dict[Path, object] = {}  # each script file read once, whichever specs name it
     try:
         prompts = PromptSet.load(prompt_dir)
-        backends = {name: _backend_spec(spec, base, scripts) for name, spec in specs.items()}
+        backends = {
+            name: _backend_spec(spec, base, scripts, f"backends.{name}.")
+            for name, spec in specs.items()
+        }
     except (OSError, ValueError) as exc:
         # missing prompt assets or script files, bad scripts, knobs out of range
         raise ConfigError(str(exc)) from exc
@@ -178,8 +200,8 @@ def load_config(path) -> RunConfig:
     )
 
 
-def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object]) -> BackendSpec:
-    """A checked backend spec; the constructors run their own range and shape checks."""
+def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: str) -> BackendSpec:
+    """A checked backend spec at where; the constructors run their own range and shape checks."""
     if not isinstance(spec, dict):
         raise ConfigError("backend spec must be an object")
     kind = spec.get("kind")
@@ -189,6 +211,8 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object]) -> Backen
             raise ConfigError("http backend needs 'base_url'")
         base_url = _typed(spec, "base_url", str, None, "a string")
         retry_spec = _typed(spec, "retry", dict, {}, "an object")
+        _warn_unknown(spec, _HTTP_KEYS, where)
+        _warn_unknown(retry_spec, _RETRY_KEYS, where + "retry.")
         http = dict(
             base_url=base_url.rstrip("/"),
             api_key_env=_typed(spec, "api_key_env", str, "MATHAGENT_API_KEY", "a string"),
@@ -201,6 +225,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object]) -> Backen
         )
         HttpBackend(**http)  # built only for its range checks, as RetryPolicy was
     elif kind == "scripted":
+        _warn_unknown(spec, _SCRIPTED_KEYS if "script_path" in spec else _INLINE_SCRIPT_KEYS, where)
         script = spec
         if "script_path" in spec:
             path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
@@ -331,7 +356,7 @@ def cmd_run(args) -> int:
     model = config.backends["phase3"].settings.model_id
 
     out_dir = config.output_dir
-    row = build_report_row(detections.predictions, samples, model)
+    row = build_report_row(detections.records, samples, model)
     csv_text = render_csv([row])
     (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
     (out_dir / "report.md").write_text(render_markdown([row]), encoding="utf-8")
@@ -360,7 +385,7 @@ def cmd_ablate(args) -> int:
     names = [f"detections_{mode.value}.jsonl" for mode in modes]
     samples, logs = _detect(config, modes, names)
     entries = [
-        (mode.value, build_report_row(det_log.predictions, samples, mode.value), det_log.calls)
+        (mode.value, build_report_row(det_log.records, samples, mode.value), det_log.calls)
         for mode, det_log in zip(modes, logs)
     ]
     csv_text = render_ablation_csv(entries)
@@ -408,19 +433,13 @@ def cmd_validate(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _read_detections(path: str):
-    """A detections file's records; a missing or unreadable file is a DatasetError."""
-    try:
-        return load_detections(Path(path))
-    except OSError as exc:
-        raise DatasetError(f"cannot read detections: {exc}") from exc
-
-
 def cmd_report(args) -> int:
     samples = _load_samples(Path(args.dataset))
     try:
-        detections = _read_detections(args.detections)
-        baseline = _read_detections(args.baseline) if args.baseline else None
+        detections = load_detections(Path(args.detections))
+        baseline = load_detections(Path(args.baseline)) if args.baseline else None
+    except OSError as exc:  # a missing or unreadable file
+        raise DatasetError(f"cannot read detections: {exc}") from exc
     except ValueError as exc:  # a bad line
         log.error("%s", exc)
         return EXIT_FINDINGS
@@ -442,11 +461,8 @@ def cmd_report(args) -> int:
         if baseline is not None:
             base_row = build_report_row(baseline, samples, model + " (baseline)")
             rows = [base_row, attach_deltas(row, base_row)]
-    except AlignmentError as exc:
+    except AlignmentError as exc:  # typed records leave scoring no other error
         log.error("alignment: %s", exc)
-        return EXIT_FINDINGS
-    except ValueError as exc:
-        log.error("%s", exc)
         return EXIT_FINDINGS
 
     csv_text = render_csv(rows)

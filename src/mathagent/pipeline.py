@@ -12,7 +12,11 @@ sample's detections to a reorder buffer that emits them in sample
 order. `run` streams one mode, `ablate` four, and run_dataset collects
 one mode's detections into a list. A DetectionLog writes one mode's
 detections as they are emitted, one flushed line per sample, and keeps
-only what a report and run_meta.json read.
+each one's DetectionRecord: the line without its trace, which is what a
+report and run_meta.json read. detection_to_dict writes a line and
+detection_from_line reads its record back; the reader accepts only what
+the writer emits, so `report` on a detections file scores exactly what
+its run kept.
 
 Across modes, one SharedSteps table lives while one sample goes through
 them. Each phase step (the verdict, the type query, the transcript, the
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import json
+import reprlib
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -100,6 +105,16 @@ class PhaseTrace:
     phase2: VisualTranscript | None = None
     phase3_raw: str = ""
     backend_calls: list[CallRecord] = field(default_factory=list)
+
+
+class DetectionRecord(NamedTuple):
+    """A detection as scoring and run_meta.json read it: its line without the trace."""
+
+    sample_id: str
+    mode: AblationMode
+    predicted_step: int | None
+    predicted_category: ErrorCategory | None
+    failure: str | None
 
 
 @dataclass
@@ -337,26 +352,18 @@ def call_counts(detections: Iterable[Detection]) -> dict[str, int]:
     return dict(Counter(r.phase for det in detections for r in det.trace.backend_calls))
 
 
-class PredictionRecord(NamedTuple):
-    """What scoring reads of a detection: its sample and its predicted step and category."""
-
-    sample_id: str
-    predicted_step: int | None
-    predicted_category: ErrorCategory | None
-
-
 class DetectionLog:
     """One mode's detections as a run emits them, written and then let go.
 
     Each detection is written to path as one JSON line and flushed, so a
     killed run leaves whole lines in sample order. What is kept is what a
-    report and run_meta.json read: the predictions, the number of failed
-    samples and the calls per phase tag. close() (or leaving a `with`
-    block) closes the file.
+    report and run_meta.json read: the records load_detections reads back,
+    the number of failed samples and the calls per phase tag. close() (or
+    leaving a `with` block) closes the file.
     """
 
     def __init__(self, path):
-        self.predictions: list[PredictionRecord] = []
+        self.records: list[DetectionRecord] = []
         self.failures = 0
         self.calls: Counter[str] = Counter()
         self._file = open(path, "w", encoding="utf-8")
@@ -365,9 +372,9 @@ class DetectionLog:
         line = json.dumps(detection_to_dict(det), sort_keys=True, ensure_ascii=False)
         self._file.write(line + "\n")
         self._file.flush()
-        self.predictions.append(
-            PredictionRecord(det.sample_id, det.predicted_step, det.predicted_category)
-        )
+        self.records.append(DetectionRecord(
+            det.sample_id, det.mode, det.predicted_step, det.predicted_category, det.failure
+        ))
         self.failures += det.failure is not None
         self.calls.update(r.phase for r in det.trace.backend_calls)
 
@@ -432,41 +439,46 @@ def detection_to_dict(det: Detection) -> dict:
     }
 
 
-@dataclass
-class StoredDetection:
-    """A detection read back from JSONL; enough to score and re-report."""
-
-    sample_id: str
-    predicted_step: int | None
-    predicted_category: ErrorCategory | None
-    mode: str
-    failure: str | None
-    trace: dict
+_MODE_CODES = tuple(m.value for m in AblationMode)
+_CATEGORY_CODES = tuple(c.value for c in ErrorCategory)
 
 
-def load_detections(path) -> list[StoredDetection]:
-    out = []
+def detection_from_line(line: str | bytes) -> DetectionRecord:
+    """The record of one line detection_to_dict wrote; the trace is not read.
+
+    A line the writer could not have emitted raises ValueError naming the field.
+    """
+    obj = parse_json(line)
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    for key in DetectionRecord._fields:
+        if key not in obj:
+            raise ValueError(f"field {key!r} is missing")
+    sample_id, mode, step, category, failure = (obj[key] for key in DetectionRecord._fields)
+    for key, ok, expected in (
+        ("sample_id", isinstance(sample_id, str) and sample_id != "", "a non-empty string"),
+        ("mode", mode in _MODE_CODES, "one of " + ", ".join(_MODE_CODES)),
+        # type(), not isinstance: JSON true is a bool, which isinstance counts as an int
+        ("predicted_step", step is None or type(step) is int and step > 0,
+         "a positive integer or null"),
+        ("predicted_category", category is None if step is None else category in _CATEGORY_CODES,
+         "null when predicted_step is, else one of " + ", ".join(_CATEGORY_CODES)),
+        ("failure", failure is None or isinstance(failure, str), "a string or null"),
+    ):
+        if not ok:
+            raise ValueError(f"field {key!r} must be {expected}, not {reprlib.repr(obj[key])}")
+    category = ErrorCategory(category) if category else None
+    return DetectionRecord(sample_id, AblationMode(mode), step, category, failure)
+
+
+def load_detections(path) -> list[DetectionRecord]:
+    """The records of a detections file in line order; a bad line raises ValueError citing it."""
+    records = []
     with open(path, "rb") as fh:  # read line by line, so a bad byte names its line
         for line_no, line in enumerate(fh, start=1):
             try:
-                if not line.strip():
-                    continue
-                obj = parse_json(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("not a JSON object")
-                category = obj.get("predicted_category")
-                out.append(
-                    StoredDetection(
-                        sample_id=obj["sample_id"],
-                        predicted_step=obj.get("predicted_step"),
-                        predicted_category=(
-                            ErrorCategory(category) if category else None
-                        ),
-                        mode=obj.get("mode", ""),
-                        failure=obj.get("failure"),
-                        trace=obj.get("trace", {}),
-                    )
-                )
-            except (KeyError, ValueError) as exc:
+                if line.strip():
+                    records.append(detection_from_line(line))
+            except ValueError as exc:
                 raise ValueError(f"bad detection line {line_no} in {path}: {exc}") from exc
-    return out
+    return records

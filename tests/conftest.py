@@ -50,7 +50,8 @@ def load_corpus(name: str):
 class CapturingBackend:
     """Returns scripted replies in order while keeping every request.
 
-    A reply is its text (finish reason stop) or a ready ModelResponse.
+    A reply is its text (finish reason stop), a ready ModelResponse, or an
+    exception, which the call raises.
     """
 
     def __init__(self, *replies):
@@ -60,6 +61,8 @@ class CapturingBackend:
     def complete(self, request):
         self.requests.append(request)
         reply = self.replies[min(len(self.requests) - 1, len(self.replies) - 1)]
+        if isinstance(reply, Exception):
+            raise reply
         if isinstance(reply, ModelResponse):
             return reply
         return ModelResponse(

@@ -20,6 +20,7 @@ from mathagent import (
     cli,
     data_model,
     load_dataset,
+    metrics,
     pipeline,
     prompts,
 )
@@ -49,6 +50,13 @@ def write_config(tmp_path: Path, out_dir: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config, indent=2), encoding="utf-8")
     return path
+
+
+DELETED = "<deleted>"  # a field edit that removes the key
+
+
+def warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
 
 
 def read_lines(path: Path) -> list[str]:
@@ -207,6 +215,57 @@ class TestRun:
         meta = json.loads((out_dir / "run_meta.json").read_text(encoding="utf-8"))
         assert "seed" not in meta
 
+    def test_unknown_keys_are_named_in_warnings(self, tmp_path, capsys, caplog):
+        backend = {
+            "kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12",
+            "max_token": 64,
+        }
+        config = write_config(
+            tmp_path, tmp_path / "out", cache_pth=str(tmp_path / "cache.jsonl"), worker=3,
+            backends={"phase1": backend, "phase2": backend, "phase3": backend},
+        )
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert warnings(caplog) == [
+            "config: unknown key 'cache_pth' ignored",
+            "config: unknown key 'worker' ignored",
+            "config: unknown key 'backends.phase1.max_token' ignored",
+            "config: unknown key 'backends.phase2.max_token' ignored",
+            "config: unknown key 'backends.phase3.max_token' ignored",
+        ]
+        assert not (tmp_path / "cache.jsonl").exists()  # a misspelt key still does nothing
+
+    @pytest.mark.parametrize(
+        "spec, unknown",
+        [
+            (
+                {"kind": "http", "base_url": "http://127.0.0.1:9", "rate_limits": 2,
+                 "retry": {"max_attempt": 2, "backoff_base_ms": 5}},
+                ["rate_limits", "retry.max_attempt"],
+            ),
+            ({"kind": "scripted", "phases": {}, "by_fingerprint": {}, "default_reply": "x"}, []),
+            ({"kind": "scripted", "script_path": str(SCRIPTS), "phases": {}}, ["phases"]),
+        ],
+        ids=["http", "inline-script", "script-file"],
+    )
+    def test_spec_keys_are_checked_against_their_kind(self, tmp_path, caplog, spec, unknown):
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        backends = {"phase1": spec, "phase2": scripted, "phase3": scripted}
+        cli.load_config(write_config(tmp_path, tmp_path / "out", backends=backends))
+        assert warnings(caplog) == [
+            f"config: unknown key 'backends.phase1.{key}' ignored" for key in unknown
+        ]
+
+    def test_the_test_and_benchmark_configs_warn_of_nothing(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+        import workload
+
+        cli.load_config(write_config(tmp_path, tmp_path / "out", seed=7))
+        cli.load_config(workload.write_config(tmp_path, cache=True))
+        assert warnings(caplog) == []
+
     def test_mode_from_config(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         config = write_config(tmp_path, out_dir, mode="no_validator")
@@ -304,6 +363,22 @@ class TestReport:
         # model name comes from the sibling run_meta.json
         assert stdout == (run_dir / "report.csv").read_text(encoding="utf-8")
 
+    def test_each_ablate_mode_reports_as_a_run_in_that_mode(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "ablate")
+        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        for mode in MODES:
+            run_dir = tmp_path / mode
+            run_config = write_config(tmp_path, run_dir, mode=mode)
+            assert main(["run", "--config", str(run_config)]) == EXIT_OK
+            reported = tmp_path / f"reported_{mode}"
+            assert main([
+                "report", str(tmp_path / "ablate" / f"detections_{mode}.jsonl"), str(DATASET),
+                "--model", "scripted-12", "--out-dir", str(reported),
+            ]) == EXIT_OK
+            for name in ("report.csv", "report.md"):
+                assert (reported / name).read_bytes() == (run_dir / name).read_bytes(), mode
+        capsys.readouterr()
+
     def test_model_flag_overrides_meta(self, run_dir, capsys):
         code = main([
             "report", str(run_dir / "detections.jsonl"), str(DATASET),
@@ -392,6 +467,44 @@ class TestReport:
         partial = tmp_path / "partial.jsonl"
         partial.write_text("\n".join(detections.splitlines()[:5]) + "\n", encoding="utf-8")
         assert main(["report", str(partial), str(DATASET)]) == EXIT_FINDINGS
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("predicted_step", "2"),
+            ("predicted_step", True),
+            ("predicted_step", [1]),
+            ("predicted_step", 2.0),
+            ("predicted_step", 0),
+            ("predicted_category", ""),
+            ("predicted_category", 0),
+            ("predicted_category", "vis"),
+            ("mode", "bogus"),
+            ("mode", None),
+            ("failure", 5),
+            ("sample_id", 1),
+            ("predicted_category", None),  # step 2 kept, so only one of the pair is set
+            ("mode", DELETED),
+        ],
+        ids=lambda v: v if v in pipeline.DetectionRecord._fields else json.dumps(v),
+    )
+    def test_a_value_run_never_writes_exits_one_naming_the_field(
+        self, run_dir, tmp_path, field, value
+    ):
+        lines = read_lines(run_dir / "detections.jsonl")
+        first = json.loads(lines[0])
+        assert (first["sample_id"], first["predicted_step"]) == ("s01", 2)
+        if value is DELETED:
+            del first[field]
+        else:
+            first[field] = value
+        edited = tmp_path / "edited.jsonl"
+        edited.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8")
+        proc = run_python("-m", "mathagent.cli", "report", str(edited), str(DATASET))
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"bad detection line 1 in {edited}: field {field!r}" in proc.stderr
+        assert proc.stdout == ""
 
 
 def assert_load_config_raises(config: Path) -> None:
@@ -1062,6 +1175,29 @@ class TestComputedOnce:
             for det in detections
             for record in det["trace"]["backend_calls"]
         )
+
+    def test_one_scoring_pass_per_report(self, tmp_path, capsys, monkeypatch):
+        scored = []
+        original = metrics.score_run
+        monkeypatch.setattr(
+            "mathagent.report.score_run",
+            lambda predictions, samples: scored.append(1) or original(predictions, samples),
+        )
+        out_dir = tmp_path / "out"
+        config = str(write_config(tmp_path, out_dir))
+        detections = str(out_dir / "detections.jsonl")
+        passes = {}
+        for name, argv in [
+            ("run", ["run", "--config", config]),
+            ("ablate", ["ablate", "--config", config]),
+            ("report", ["report", detections, str(DATASET)]),
+            ("report --baseline", ["report", detections, str(DATASET), "--baseline", detections]),
+        ]:
+            scored.clear()
+            assert main(argv) == EXIT_OK, name
+            passes[name] = len(scored)
+        capsys.readouterr()
+        assert passes == {"run": 1, "ablate": 4, "report": 1, "report --baseline": 2}
 
     def test_prompt_assets_read_once_per_command(self, tmp_path, capsys, monkeypatch):
         reads = count_file_reads(monkeypatch)
