@@ -10,6 +10,14 @@ reads: a reply is whole only on STOP. ModelRequest and RequestSettings
 share one range rule for the request knobs; HttpBackend and RetryPolicy
 reject knobs out of range.
 
+HttpBackend sends through its transport hook: transport(url, headers,
+body, timeout_s) returns (status, headers, text), the reply's status,
+its headers as a mapping and its body, and raises ConnectionError or
+TimeoutError on IO trouble. A 429 or 503 that sends Retry-After, in
+delta-seconds or as an HTTP date, waits that long before the next
+attempt, clamped to [0, RETRY_AFTER_CAP_S]; any other retry, or a
+Retry-After that does not parse, waits the exponential backoff.
+
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
 
@@ -26,6 +34,7 @@ The phase and sample_id routing metadata never enter the fingerprint.
 
 from __future__ import annotations
 
+import datetime
 import enum
 import hashlib
 import itertools
@@ -210,17 +219,42 @@ def _requests_transport(url, headers, body, timeout_s):
         raise TimeoutError(str(exc)) from exc
     except requests.RequestException as exc:
         raise ConnectionError(str(exc)) from exc
-    return resp.status_code, resp.text
+    return resp.status_code, resp.headers, resp.text
+
+
+RETRY_AFTER_CAP_S = 60.0  # the longest wait a Retry-After may ask for
+
+
+def _retry_after(headers: Mapping[str, str]) -> float | None:
+    """The wait a Retry-After header asks for, clamped; None when absent or unparseable."""
+    value = next((v for k, v in headers.items() if k.lower() == "retry-after"), None)
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():  # delta-seconds; float() takes any length
+        seconds = float(value)
+    else:
+        import email.utils  # here, as `requests` is: most runs never read an HTTP date
+
+        try:
+            when = email.utils.parsedate_to_datetime(value)
+        except (TypeError, ValueError):
+            return None
+        if when.tzinfo is None:  # "-0000": an HTTP date is in UTC
+            when = when.replace(tzinfo=datetime.timezone.utc)
+        seconds = when.timestamp() - time.time()
+    return min(max(seconds, 0.0), RETRY_AFTER_CAP_S)
 
 
 class HttpBackend:
     """Chat-completions client for OpenAI-compatible endpoints.
 
-    Retries 429, 5xx, and transport IO errors with exponential backoff;
-    401/403 raise AuthError immediately. rate_limit bounds the number of
-    in-flight requests across threads. A gate given in its place is
-    shared: backends holding one gate (say, every backend of a command on
-    one base_url) are bound by it together. A rate_limit or timeout_s that
+    Retries 429, 5xx, and transport IO errors with exponential backoff, or
+    after the wait a 429's or 503's Retry-After asks for (see the module
+    docstring); 401/403 raise AuthError immediately. rate_limit bounds
+    the number of in-flight requests across threads. A gate given in its
+    place is shared: backends holding one gate (say, every backend of a
+    command on one base_url) are bound by it together. A rate_limit or timeout_s that
     is not positive raises ValueError, as RetryPolicy does for
     max_attempts below 1 or a negative backoff_base_ms.
     """
@@ -281,9 +315,12 @@ class HttpBackend:
         last_failure = "no attempt made"
         started = time.monotonic()
         for attempt in range(1, attempts + 1):
+            wait_s = None  # the Retry-After wait, when the endpoint sent one
             try:
                 with self._gate:
-                    status, text = self._transport(url, headers, body, self.timeout_s)
+                    status, reply_headers, text = self._transport(
+                        url, headers, body, self.timeout_s
+                    )
             except (ConnectionError, TimeoutError) as exc:
                 last_failure = f"transport error: {exc}"
             else:
@@ -291,14 +328,17 @@ class HttpBackend:
                     raise AuthError(f"HTTP {status} from {url}")
                 if status == 429 or 500 <= status < 600:
                     last_failure = f"HTTP {status}"
+                    if status in (429, 503):
+                        wait_s = _retry_after(reply_headers)
                 elif not 200 <= status < 300:
                     raise TransportError(f"HTTP {status} from {url}: {text[:200]}")
                 else:
                     latency_ms = (time.monotonic() - started) * 1000.0
                     return self._parse_body(text, latency_ms)
             if attempt < attempts:
-                backoff_s = self.retry.backoff_base_ms / 1000.0 * (2 ** (attempt - 1))
-                self._sleep(backoff_s)
+                if wait_s is None:
+                    wait_s = self.retry.backoff_base_ms / 1000.0 * (2 ** (attempt - 1))
+                self._sleep(wait_s)
         raise TransportError(f"gave up after {attempts} attempts: {last_failure}")
 
     @staticmethod

@@ -1,8 +1,9 @@
 """Command-line harness: run, ablate, validate, report.
 
 Exit codes: 0 success, 1 validation or alignment findings, 2 config
-error, 3 dataset error, 130 interrupted (Ctrl-C). Logs go to stderr;
-stdout carries report data.
+error or an output location that cannot be made or written, 3 dataset
+error, 130 interrupted (Ctrl-C). Logs go to stderr; stdout carries
+report data.
 """
 
 from __future__ import annotations
@@ -308,6 +309,16 @@ def _load_samples(dataset_path: Path):
     return samples
 
 
+@contextlib.contextmanager
+def _writing_under(out_dir: Path):
+    """Map an OSError from making or writing an output to a ConfigError naming its path."""
+    try:
+        yield
+    except OSError as exc:
+        path = out_dir if exc.filename is None else exc.filename
+        raise ConfigError(f"cannot write output {path}: {exc.strerror or exc}") from exc
+
+
 def _utc_now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
@@ -331,8 +342,8 @@ def _detect(
             len(samples),
             ", then ".join(mode.value for mode in modes),
         )
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        with contextlib.ExitStack() as stack:
+        with _writing_under(config.output_dir), contextlib.ExitStack() as stack:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
             logs = [
                 stack.enter_context(DetectionLog(config.output_dir / name)) for name in names
             ]
@@ -358,8 +369,6 @@ def cmd_run(args) -> int:
     out_dir = config.output_dir
     row = build_report_row(detections.records, samples, model)
     csv_text = render_csv([row])
-    (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
-    (out_dir / "report.md").write_text(render_markdown([row]), encoding="utf-8")
 
     meta = {
         "model": model,
@@ -372,9 +381,12 @@ def cmd_run(args) -> int:
         "started_at": started,
         "finished_at": finished,
     }
-    (out_dir / "run_meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with _writing_under(out_dir):
+        (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
+        (out_dir / "report.md").write_text(render_markdown([row]), encoding="utf-8")
+        (out_dir / "run_meta.json").write_text(
+            json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
     sys.stdout.write(csv_text)
     return EXIT_OK
 
@@ -389,7 +401,8 @@ def cmd_ablate(args) -> int:
         for mode, det_log in zip(modes, logs)
     ]
     csv_text = render_ablation_csv(entries)
-    (config.output_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
+    with _writing_under(config.output_dir):
+        (config.output_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
     return EXIT_OK
 
@@ -468,9 +481,10 @@ def cmd_report(args) -> int:
     csv_text = render_csv(rows)
     if args.out_dir:
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
-        (out_dir / "report.md").write_text(render_markdown(rows), encoding="utf-8")
+        with _writing_under(out_dir):
+            out_dir.mkdir(parents=True, exist_ok=True)
+            (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
+            (out_dir / "report.md").write_text(render_markdown(rows), encoding="utf-8")
     sys.stdout.write(csv_text)
     return EXIT_OK
 

@@ -1,10 +1,15 @@
-"""Shared fixtures: corpus loading, sample factories, scripted setups."""
+"""Shared fixtures: corpus loading, sample factories, scripted setups, the fault-plan endpoint."""
 
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,7 +27,9 @@ from mathagent import (
     Sample,
     ScriptedBackend,
     load_dataset,
+    prompts,
 )
+from mathagent.analyzer import format_steps
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[1]
@@ -139,3 +146,133 @@ def qtype(value):
 
 def category(code):
     return ErrorCategory[code] if code else None
+
+
+@dataclass(frozen=True)
+class Fault:
+    """What one attempt answers; the default is a whole 200.
+
+    error is raised instead of answering (a TimeoutError or ConnectionError
+    is retried). Otherwise the reply has status and headers, and its body is
+    `body` when given (a malformed one, say), else the completion the
+    endpoint answers with, ending in finish_reason. A 200 without body or
+    error is well formed, and cut unless finish_reason is "stop".
+    """
+
+    status: int = 200
+    headers: dict = field(default_factory=dict)
+    finish_reason: str | None = "stop"
+    body: str | None = None
+    error: Exception | None = None
+
+    @property
+    def retried(self) -> bool:
+        """HttpBackend asks again after this attempt, while attempts remain."""
+        return self.error is not None or self.status == 429 or 500 <= self.status < 600
+
+    @property
+    def well_formed(self) -> bool:
+        """A 200 whose body parses: HttpBackend returns it, and the memo stores it."""
+        return self.status == 200 and self.body is None and self.error is None
+
+
+class FaultyEndpoint:
+    """The one chat-completions endpoint the tests put behind HttpBackend's transport hook.
+
+    A body routes to a (phase, sample_id) pair: the prompt's first line names
+    the phase, and the problem text (or, for an analyzer prompt without it,
+    the steps) names the sample of dataset_12.jsonl. A body the pipeline did
+    not build routes to (None, None). The k-th ask of a pair (k from 0) gets
+    plan[(phase, sample_id, k)], by default Fault(): a 200 ending in stop.
+    A 200's text is `reply` when given, else the pair's reply in
+    scripts_12.json, one per 200 as ScriptedBackend hands them out.
+
+    It counts calls, the most calls in flight at once and the asks per pair,
+    and keeps what it was sent, as (url, headers, body, timeout_s), and each
+    call's (phase, sample_id, k, fault). sleep() is the sleep hook: it keeps
+    each backoff instead of waiting. post() is the endpoint as the
+    `requests.post` the default transport calls. Each call holds for hold_s.
+    """
+
+    PHASES = {  # prompt asset -> the phase tag of its requests
+        "phase1_consistency": "phase1", "phase2_question_type": "phase2.type",
+        "phase2_formal": "phase2", "phase2_latex": "phase2", "phase2_caption": "phase2",
+        "phase3_analyzer": "phase3",
+    }
+
+    def __init__(self, plan=None, reply=None, hold_s=0.0):
+        self.plan = dict(plan or {})
+        self.reply = reply
+        self.hold_s = hold_s
+        self.script = load_corpus("scripts_12.json")["phases"]
+        self.samples = load_dataset(FIXTURES / "dataset_12.jsonl")
+        self.phases = {
+            prompts.packaged_prompts().templates[name].split("\n")[0]: phase
+            for name, phase in self.PHASES.items()
+        }
+        self.sent, self.log, self.sleeps = [], [], []
+        self.asked, self.answered = Counter(), Counter()
+        self.in_flight = self.max_in_flight = 0
+        self.lock = threading.Lock()
+
+    @property
+    def calls(self) -> int:
+        return len(self.sent)
+
+    def route(self, body) -> tuple:
+        """The (phase, sample_id) a body asks about; (None, None) for a body from elsewhere."""
+        text = next(part["text"] for part in body["messages"][-1]["content"] if "text" in part)
+        phase = self.phases.get(text.split("\n")[0])
+        if phase is None:
+            return None, None
+        return phase, next(
+            s.id for s in self.samples if s.question_text in text or format_steps(s.steps) in text
+        )
+
+    def __call__(self, url, headers, body, timeout_s):
+        pair = self.route(body)
+        with self.lock:
+            self.in_flight += 1
+            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            k = self.asked[pair]
+            self.asked[pair] += 1
+            fault = self.plan.get((*pair, k), Fault())
+            self.sent.append((url, headers, body, timeout_s))
+            self.log.append((*pair, k, fault))
+            if fault.well_formed:
+                nth = self.answered[pair]
+                self.answered[pair] += 1
+        if self.hold_s:
+            time.sleep(self.hold_s)
+        with self.lock:
+            self.in_flight -= 1
+        if fault.error is not None:
+            raise fault.error.with_traceback(None)  # a fresh traceback at each raise
+        if not fault.well_formed:
+            return fault.status, fault.headers, fault.body or ""
+        text = self.reply
+        if text is None:
+            text = self.script[pair[0]][pair[1]]
+            if isinstance(text, list):  # handed out in turn, the last repeating
+                text = text[min(nth, len(text) - 1)]
+        choice = {"message": {"content": text}, "finish_reason": fault.finish_reason}
+        return 200, fault.headers, json.dumps({"choices": [choice]})
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+
+    def post(self, url, headers, json, timeout):
+        """This endpoint as `requests.post`: IO errors as requests raises them."""
+        import requests
+
+        try:
+            status, reply_headers, text = self(url, headers, json, timeout)
+        except TimeoutError as exc:
+            raise requests.Timeout(str(exc)) from exc
+        except ConnectionError as exc:
+            raise requests.ConnectionError(str(exc)) from exc
+        return SimpleNamespace(
+            status_code=status,
+            headers=requests.structures.CaseInsensitiveDict(reply_headers),
+            text=text,
+        )

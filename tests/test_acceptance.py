@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import FIXTURES, load_corpus, make_sample
+from conftest import FIXTURES, FaultyEndpoint, load_corpus, make_sample
 from mathagent import (
     AblationMode,
     ErrorCategory,
@@ -279,28 +279,7 @@ def test_criterion_4_determinism_and_replay(
             ).read_bytes(), artifact
 
         # a warm replay cache answers everything; the transport stays cold
-        class CountingTransport:
-            def __init__(self):
-                self.calls = 0
-
-            def __call__(self, url, headers, body, timeout_s):
-                self.calls += 1
-                return 200, json.dumps(
-                    {
-                        "choices": [
-                            {
-                                "message": {
-                                    "content": (
-                                        "Error Step: #2\nError Category: Reasoning Error"
-                                    )
-                                },
-                                "finish_reason": "stop",
-                            }
-                        ]
-                    }
-                )
-
-        transport = CountingTransport()
+        transport = FaultyEndpoint(reply="Error Step: #2\nError Category: Reasoning Error")
         http = HttpBackend("https://stub.invalid/v1", transport=transport)
         cache = tmp_path / "replay.jsonl"
 

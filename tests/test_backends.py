@@ -1,6 +1,7 @@
 """Backends: fingerprints, HTTP retry behaviour, scripted and replay layers."""
 
 import base64
+import email.utils
 import hashlib
 import json
 import os
@@ -14,7 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, TINY_PNG_BASE64, run_python, track_appends
+from conftest import (
+    FIXTURES, TINY_PNG_BASE64, Fault, FaultyEndpoint, run_python, track_appends
+)
 from mathagent import (
     AuthError,
     BadResponse,
@@ -231,61 +234,30 @@ class TestFingerprint:
         assert request_fingerprint(a) == request_fingerprint(b)
 
 
-def completion_body(text="fine", finish="stop"):
-    return json.dumps(
-        {"choices": [{"message": {"content": text}, "finish_reason": finish}]}
-    )
+def endpoint_for(*faults, reply="fine", hold_s=0.0):
+    """A FaultyEndpoint whose k-th call answers faults[k] (None: the reply, ending in stop)."""
+    plan = {(None, None, k): fault for k, fault in enumerate(faults) if fault is not None}
+    return FaultyEndpoint(plan, reply=reply, hold_s=hold_s)
 
 
-class StubTransport:
-    """Scripted (status, body) sequence; records call count and concurrency."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = 0
-        self.in_flight = 0
-        self.max_in_flight = 0
-        self._lock = threading.Lock()
-        self.hold_s = 0.0
-
-    def __call__(self, url, headers, body, timeout_s):
-        with self._lock:
-            self.calls += 1
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-            outcome = self.outcomes[min(self.calls - 1, len(self.outcomes) - 1)]
-        if self.hold_s:
-            time.sleep(self.hold_s)
-        with self._lock:
-            self.in_flight -= 1
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
-
-
-def http_backend(transport, monkeypatch, sleeps=None, **kwargs):
+def http_backend(endpoint, monkeypatch, **kwargs):
     monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
-    recorded = sleeps if sleeps is not None else []
     return HttpBackend(
-        "https://api.example.test/v1",
-        transport=transport,
-        sleep=recorded.append,
-        **kwargs,
+        "https://api.example.test/v1", transport=endpoint, sleep=endpoint.sleep, **kwargs
     )
 
 
 class TestHttpBackend:
     def test_missing_key_raises_auth_error_without_io(self, monkeypatch):
         monkeypatch.delenv("MATHAGENT_API_KEY", raising=False)
-        transport = StubTransport([(200, completion_body())])
-        backend = HttpBackend("https://api.example.test/v1", transport=transport)
+        endpoint = endpoint_for()
+        backend = HttpBackend("https://api.example.test/v1", transport=endpoint)
         with pytest.raises(AuthError):
             backend.complete(text_request())
-        assert transport.calls == 0
+        assert endpoint.calls == 0
 
     def test_success_parses_completion(self, monkeypatch):
-        transport = StubTransport([(200, completion_body("the answer"))])
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint_for(reply="the answer"), monkeypatch)
         resp = backend.complete(text_request())
         assert resp.text == "the answer"
         assert resp.finish_reason is FinishReason.STOP
@@ -297,14 +269,12 @@ class TestHttpBackend:
          ("content_filter", FinishReason.ERROR), (None, FinishReason.ERROR)],
     )
     def test_finish_reason_mapping(self, monkeypatch, finish, expected):
-        transport = StubTransport([(200, completion_body(finish=finish))])
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint_for(Fault(finish_reason=finish)), monkeypatch)
         assert backend.complete(text_request()).finish_reason is expected
 
     @pytest.mark.parametrize("finish", ["length", "content_filter", "tool_calls", None, "eos"])
     def test_only_a_stop_reply_is_whole(self, monkeypatch, finish):
-        transport = StubTransport([(200, completion_body()), (200, completion_body(finish=finish))])
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint_for(None, Fault(finish_reason=finish)), monkeypatch)
         assert backend.complete(text_request()).cut is None
         assert backend.complete(text_request()).cut == (
             "truncated: the reply stopped at the max_tokens limit" if finish == "length"
@@ -312,48 +282,34 @@ class TestHttpBackend:
         )
 
     def test_request_body_shape(self, monkeypatch):
-        captured = {}
-
-        def transport(url, headers, body, timeout_s):
-            captured.update(url=url, headers=headers, body=body)
-            return 200, completion_body()
-
-        backend = http_backend(transport, monkeypatch)
+        endpoint = endpoint_for()
+        backend = http_backend(endpoint, monkeypatch)
         backend.complete(
             text_request("look", segments=(TextSegment("look"), ImageSegment(inline_ref())))
         )
-        assert captured["url"] == "https://api.example.test/v1/chat/completions"
-        assert captured["headers"]["Authorization"] == "Bearer test-key"
-        messages = captured["body"]["messages"]
+        [(url, headers, body, _)] = endpoint.sent
+        assert url == "https://api.example.test/v1/chat/completions"
+        assert headers["Authorization"] == "Bearer test-key"
+        messages = body["messages"]
         assert messages[0] == {"role": "system", "content": "sys"}
         user = messages[1]["content"]
         assert user[0] == {"type": "text", "text": "look"}
         assert user[1]["image_url"]["url"].startswith("data:image/png;base64,")
 
     def test_url_image_passes_address_through(self, monkeypatch):
-        captured = {}
-
-        def transport(url, headers, body, timeout_s):
-            captured["body"] = body
-            return 200, completion_body()
-
+        endpoint = endpoint_for()
         ref = ImageRef(kind=ImageKind.URL, value="https://example.org/fig.png")
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint, monkeypatch)
         backend.complete(text_request(segments=(ImageSegment(ref), TextSegment("q"))))
-        image = captured["body"]["messages"][1]["content"][0]
+        image = endpoint.sent[0][2]["messages"][1]["content"][0]
         assert image["image_url"]["url"] == "https://example.org/fig.png"
 
     def test_inline_image_without_media_type_sends_the_fingerprinted_one(self, monkeypatch):
-        bodies = []
-
-        def transport(url, headers, body, timeout_s):
-            bodies.append(body)
-            return 200, completion_body()
-
+        endpoint = endpoint_for()
         ref = inline_ref(media_type=None)
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint, monkeypatch)
         backend.complete(text_request(segments=(TextSegment("q"), ImageSegment(ref))))
-        image = bodies[0]["messages"][1]["content"][1]
+        image = endpoint.sent[0][2]["messages"][1]["content"][1]
         # the media type the fingerprint hashes, not "data:None"
         assert image["image_url"]["url"] == (
             f"data:application/octet-stream;base64,{TINY_PNG_BASE64}"
@@ -365,72 +321,109 @@ class TestHttpBackend:
         reads = []
         original = Path.read_bytes
         monkeypatch.setattr(Path, "read_bytes", lambda p: reads.append(p) or original(p))
-        bodies = []
-
-        def transport(url, headers, body, timeout_s):
-            bodies.append(body)
-            return 200, completion_body()
+        endpoint = endpoint_for()
 
         ref = ImageRef(kind=ImageKind.FILE_PATH, value=str(path))
         assert reads == []  # a file ref is read at first use, not when built
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint, monkeypatch)
         for text in ("first", "second"):
             backend.complete(text_request(segments=(TextSegment(text), ImageSegment(ref))))
         # one read for the digest, kept by the ref, and one at each send
         assert reads == [path] * 3
         encoded = base64.b64encode(path.read_bytes()).decode("ascii")
-        assert [body["messages"][1]["content"][1]["image_url"]["url"] for body in bodies] == [
-            f"data:image/jpeg;base64,{encoded}"
-        ] * 2
+        assert [body["messages"][1]["content"][1]["image_url"]["url"]
+                for _, _, body, _ in endpoint.sent] == [f"data:image/jpeg;base64,{encoded}"] * 2
 
     def test_429_is_retried_then_succeeds(self, monkeypatch):
-        transport = StubTransport([(429, "slow down"), (200, completion_body())])
-        sleeps = []
-        backend = http_backend(transport, monkeypatch, sleeps=sleeps)
+        endpoint = endpoint_for(Fault(429, body="slow down"))
+        backend = http_backend(endpoint, monkeypatch)
         resp = backend.complete(text_request())
         assert resp.text == "fine"
-        assert transport.calls == 2
-        assert sleeps == [0.25]
+        assert endpoint.calls == 2
+        assert endpoint.sleeps == [0.25]
 
     def test_transport_errors_are_retried(self, monkeypatch):
-        transport = StubTransport(
-            [ConnectionError("reset"), TimeoutError("slow"), (200, completion_body())]
+        endpoint = endpoint_for(
+            Fault(error=ConnectionError("reset")), Fault(error=TimeoutError("slow"))
         )
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint, monkeypatch)
         assert backend.complete(text_request()).text == "fine"
-        assert transport.calls == 3
+        assert endpoint.calls == 3
 
     def test_backoff_doubles_per_attempt(self, monkeypatch):
-        transport = StubTransport([(500, "boom")])
-        sleeps = []
+        endpoint = endpoint_for(*[Fault(500, body="boom")] * 4)
         backend = http_backend(
-            transport, monkeypatch, sleeps=sleeps,
-            retry=RetryPolicy(max_attempts=4, backoff_base_ms=100),
+            endpoint, monkeypatch, retry=RetryPolicy(max_attempts=4, backoff_base_ms=100)
         )
         with pytest.raises(TransportError) as err:
             backend.complete(text_request())
         assert "gave up after 4 attempts" in str(err.value)
         assert "HTTP 500" in str(err.value)
-        assert transport.calls == 4
-        assert sleeps == [0.1, 0.2, 0.4]
+        assert endpoint.calls == 4
+        assert endpoint.sleeps == [0.1, 0.2, 0.4]
+
+    @pytest.mark.parametrize(
+        "status, retry_after, slept",
+        [
+            (429, "2", 2.0),
+            (503, " 3 ", 3.0),
+            (429, "Fri, 31 Dec 9999 23:59:59 GMT", backends.RETRY_AFTER_CAP_S),
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
+            (429, "999999999999", backends.RETRY_AFTER_CAP_S),
+            (429, "soon", 0.1),
+            (429, "-1", 0.1),
+            (429, "1.5", 0.1),
+            (500, "2", 0.1),
+        ],
+        ids=["delta-seconds", "503", "future-date-capped", "past-date", "huge-delta-capped",
+             "garbage", "negative", "fraction", "500-ignores-it"],
+    )
+    def test_retry_after_replaces_the_backoff(self, monkeypatch, status, retry_after, slept):
+        endpoint = endpoint_for(Fault(status, {"reTry-aFter": retry_after}))
+        backend = http_backend(
+            endpoint, monkeypatch, retry=RetryPolicy(max_attempts=2, backoff_base_ms=100)
+        )
+        assert backend.complete(text_request()).text == "fine"
+        assert endpoint.sleeps == [slept]
+
+    @pytest.mark.parametrize("zone", ["GMT", "-0000"])
+    def test_a_retry_after_date_is_in_utc(self, monkeypatch, zone):
+        when = email.utils.formatdate(time.time() + 30, usegmt=True).replace("GMT", zone)
+        endpoint = endpoint_for(Fault(503, {"Retry-After": when}))
+        monkeypatch.setenv("TZ", "XYZ-5:30")  # local time 5.5 hours ahead of UTC
+        time.tzset()
+        try:
+            assert http_backend(endpoint, monkeypatch).complete(text_request()).text == "fine"
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        [slept] = endpoint.sleeps
+        assert 28 < slept <= 30
+
+    def test_retry_after_is_per_attempt(self, monkeypatch):
+        endpoint = endpoint_for(Fault(429, {"Retry-After": "5"}), Fault(503), Fault(429))
+        backend = http_backend(
+            endpoint, monkeypatch, retry=RetryPolicy(max_attempts=4, backoff_base_ms=100)
+        )
+        assert backend.complete(text_request()).text == "fine"
+        assert endpoint.sleeps == [5.0, 0.2, 0.4]
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_statuses_never_retried(self, monkeypatch, status):
-        transport = StubTransport([(status, "denied")])
-        sleeps = []
-        backend = http_backend(transport, monkeypatch, sleeps=sleeps)
+        endpoint = endpoint_for(Fault(status, body="denied"))
+        backend = http_backend(endpoint, monkeypatch)
         with pytest.raises(AuthError):
             backend.complete(text_request())
-        assert transport.calls == 1
-        assert sleeps == []
+        assert endpoint.calls == 1
+        assert endpoint.sleeps == []
 
     def test_other_4xx_fails_fast(self, monkeypatch):
-        transport = StubTransport([(404, "nope")])
-        backend = http_backend(transport, monkeypatch)
+        endpoint = endpoint_for(Fault(404, body="nope"))
+        backend = http_backend(endpoint, monkeypatch)
         with pytest.raises(TransportError) as err:
             backend.complete(text_request())
         assert "HTTP 404" in str(err.value)
-        assert transport.calls == 1
+        assert endpoint.calls == 1
 
     @pytest.mark.parametrize(
         "body",
@@ -438,15 +431,13 @@ class TestHttpBackend:
          json.dumps({"choices": [{"message": {"content": 7}}]})],
     )
     def test_malformed_bodies_raise_bad_response(self, monkeypatch, body):
-        transport = StubTransport([(200, body)])
-        backend = http_backend(transport, monkeypatch)
+        backend = http_backend(endpoint_for(Fault(body=body)), monkeypatch)
         with pytest.raises(BadResponse):
             backend.complete(text_request())
 
     def test_rate_limit_bounds_concurrency(self, monkeypatch):
-        transport = StubTransport([(200, completion_body())])
-        transport.hold_s = 0.02
-        backend = http_backend(transport, monkeypatch, rate_limit=1)
+        endpoint = endpoint_for(hold_s=0.02)
+        backend = http_backend(endpoint, monkeypatch, rate_limit=1)
         threads = [
             threading.Thread(target=backend.complete, args=(text_request(f"t{i}"),))
             for i in range(4)
@@ -455,8 +446,8 @@ class TestHttpBackend:
             t.start()
         for t in threads:
             t.join()
-        assert transport.calls == 4
-        assert transport.max_in_flight == 1
+        assert endpoint.calls == 4
+        assert endpoint.max_in_flight == 1
 
     @pytest.mark.parametrize(
         "kwargs, knob",
@@ -482,16 +473,15 @@ class TestHttpBackend:
             RetryPolicy(**kwargs)
 
     def test_smallest_valid_knobs_are_kept(self, monkeypatch):
-        transport = StubTransport([(500, "boom")])
-        sleeps = []
+        endpoint = endpoint_for(Fault(500, body="boom"))
         backend = http_backend(
-            transport, monkeypatch, sleeps=sleeps, rate_limit=1,
+            endpoint, monkeypatch, rate_limit=1,
             retry=RetryPolicy(max_attempts=1, backoff_base_ms=0),
         )
         with pytest.raises(TransportError, match="gave up after 1 attempts"):
             backend.complete(text_request())
-        assert transport.calls == 1
-        assert sleeps == []
+        assert endpoint.calls == 1
+        assert endpoint.sleeps == []
 
 
 class TestScriptedBackend:
@@ -926,12 +916,6 @@ class TestReplayCacheAppends:
         assert handles == []
 
 
-class FakeResponse:
-    def __init__(self, status_code, text):
-        self.status_code = status_code
-        self.text = text
-
-
 class TestDeferredHttpImport:
     """`requests` loads at the first HTTP send, not with mathagent."""
 
@@ -973,27 +957,22 @@ class TestDeferredHttpImport:
             backends.not_a_name
 
     def test_default_transport_sends_through_patched_post(self, monkeypatch):
-        sent = []
-
-        def post(url, headers, json, timeout):
-            sent.append((url, json["model"], timeout))
-            return FakeResponse(200, completion_body("patched"))
-
-        monkeypatch.setattr(backends.requests, "post", post)
+        endpoint = endpoint_for(Fault(429, {"Retry-After": "2"}), reply="patched")
+        monkeypatch.setattr(backends.requests, "post", endpoint.post)
         monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
-        backend = HttpBackend("https://api.example.test/v1", timeout_s=7.0)
+        backend = HttpBackend("https://api.example.test/v1", timeout_s=7.0, sleep=endpoint.sleep)
         response = backend.complete(text_request())
         assert response.text == "patched"
-        assert sent == [("https://api.example.test/v1/chat/completions", "m", 7.0)]
+        sent = [(url, body["model"], timeout) for url, _, body, timeout in endpoint.sent]
+        assert sent == [("https://api.example.test/v1/chat/completions", "m", 7.0)] * 2
+        assert endpoint.sleeps == [2.0]  # the 429's Retry-After, read through requests' headers
 
     def test_default_transport_maps_timeouts(self, monkeypatch):
-        def post(url, headers, json, timeout):
-            raise backends.requests.Timeout("slow")
-
-        monkeypatch.setattr(backends.requests, "post", post)
+        endpoint = endpoint_for(*[Fault(error=TimeoutError("slow"))] * 2)
+        monkeypatch.setattr(backends.requests, "post", endpoint.post)
         monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
         backend = HttpBackend(
-            "https://api.example.test/v1", retry=RetryPolicy(max_attempts=2), sleep=lambda s: None
+            "https://api.example.test/v1", retry=RetryPolicy(max_attempts=2), sleep=endpoint.sleep
         )
         with pytest.raises(TransportError, match="transport error: slow"):
             backend.complete(text_request())

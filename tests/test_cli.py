@@ -1,19 +1,20 @@
 """Command-line behaviour: run, ablate, validate, report, exit codes."""
 
 import base64
+import errno
 import functools
 import json
 import re
 import shutil
 import threading
-import time
 import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import FIXTURES, REPO, run_python, track_appends
+from conftest import FIXTURES, REPO, Fault, FaultyEndpoint, run_python, track_appends
 from mathagent import (
     ScriptedBackend,
     backends,
@@ -1514,37 +1515,53 @@ class TestStreamedDetections:
         assert alive() == 0
 
 
-class FakeEndpoint:
-    """A chat-completions endpoint behind HttpBackend's transport hook; counts calls in flight."""
+def serve(endpoint, monkeypatch) -> None:
+    """Every HttpBackend a command builds sends to endpoint and sleeps through it."""
+    monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+    monkeypatch.setattr(cli, "HttpBackend", functools.partial(
+        backends.HttpBackend, transport=endpoint, sleep=endpoint.sleep
+    ))
 
-    REPLY = json.dumps({
-        "choices": [{
-            "message": {"content": "Error Step: #2\nError Category: Reasoning Error"},
-            "finish_reason": "stop",
-        }],
-    })
 
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.in_flight = self.max_in_flight = self.calls = 0
+def http_config(run_dir: Path, **overrides) -> Path:
+    """A config in run_dir whose three phases use one HTTP spec, writing to run_dir/out."""
+    spec = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "scripted-12"}
+    run_dir.mkdir()
+    return write_config(
+        run_dir, run_dir / "out", backends={"phase1": spec, "phase2": spec, "phase3": spec},
+        **overrides,
+    )
 
-    def __call__(self, url, headers, body, timeout_s):
-        with self.lock:
-            self.in_flight += 1
-            self.calls += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        time.sleep(0.002)  # long enough for another worker's call to overlap
-        with self.lock:
-            self.in_flight -= 1
-        return 200, self.REPLY
+
+def zero_latency(line: str) -> dict:
+    """A detections line as a dict, each call's latency_ms (wall time over HTTP) set to 0.0."""
+    det = json.loads(line)
+    calls = [{**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]]
+    return {**det, "trace": {**det["trace"], "backend_calls": calls}}
+
+
+def run_over(endpoint, command: str, config: Path, out_dir: Path) -> dict:
+    """command over HTTP against endpoint: {file name: {sample id: line}}, latency 0.0."""
+    with pytest.MonkeyPatch.context() as mp:
+        serve(endpoint, mp)
+        assert main([command, "--config", str(config)]) == EXIT_OK
+    return {
+        path.name: {det["sample_id"]: det for det in map(zero_latency, read_lines(path))}
+        for path in detection_files(command, out_dir)
+    }
+
+
+def run_against(endpoint, run_dir: Path, **overrides) -> dict:
+    """`run` over HTTP against endpoint in run_dir: its detections by sample id, latency 0.0."""
+    config = http_config(run_dir, **overrides)
+    return run_over(endpoint, "run", config, run_dir / "out")["detections.jsonl"]
 
 
 class TestEndpointGate:
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_one_call_in_flight_per_base_url(self, tmp_path, capsys, monkeypatch, command):
-        endpoint = FakeEndpoint()
-        monkeypatch.setattr(cli, "HttpBackend", functools.partial(cli.HttpBackend, transport=endpoint))
-        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        endpoint = FaultyEndpoint(hold_s=0.002)  # long enough for another worker's call to overlap
+        serve(endpoint, monkeypatch)
         spec = {"kind": "http", "base_url": "http://localhost:9/v1", "rate_limit": 1}
         config = write_config(
             tmp_path,
@@ -1563,85 +1580,19 @@ class TestEndpointGate:
         assert endpoint.max_in_flight == 1
 
 
-class ScriptedEndpoint:
-    """A chat-completions endpoint behind the transport hook, answering from scripts_12.json.
-
-    Each body is matched to its phase by the prompt's first line and to its
-    sample by the problem text. faults maps (phase, sample_id) to the raw
-    finish_reason of that pair's first reply; every other reply ends in stop.
-    bodies maps (phase, sample_id) to the raw body sent for that pair instead.
-    """
-
-    PHASES = {
-        "phase1_consistency": "phase1", "phase2_question_type": "phase2.type",
-        "phase2_formal": "phase2", "phase2_latex": "phase2", "phase2_caption": "phase2",
-        "phase3_analyzer": "phase3",
-    }
-
-    def __init__(self, faults: dict, bodies: dict | None = None):
-        self.script = json.loads(SCRIPTS.read_text(encoding="utf-8"))["phases"]
-        self.samples = load_dataset(DATASET)
-        first_lines = {
-            name: (PACKAGED_PROMPTS / f"{name}.prompt").read_text(encoding="utf-8").split("\n")[0]
-            for name in self.PHASES
-        }
-        self.phases = {first_lines[name]: phase for name, phase in self.PHASES.items()}
-        self.faults = faults
-        self.bodies = bodies or {}
-        self.asked = Counter()
-        self.lock = threading.Lock()
-
-    def __call__(self, url, headers, body, timeout_s):
-        text = body["messages"][-1]["content"][0]["text"]
-        phase = self.phases[text.split("\n")[0]]
-        sample_id = next(s.id for s in self.samples if s.question_text in text)
-        with self.lock:
-            nth = self.asked[phase, sample_id]
-            self.asked[phase, sample_id] += 1
-        if (phase, sample_id) in self.bodies:
-            return 200, self.bodies[phase, sample_id]
-        reply = self.script[phase][sample_id]
-        if isinstance(reply, list):
-            reply = reply[min(nth, len(reply) - 1)]
-        reason = self.faults.get((phase, sample_id), "stop") if nth == 0 else "stop"
-        choice = {"message": {"content": reply}, "finish_reason": reason}
-        return 200, json.dumps({"choices": [choice]})
-
-
-def run_against(endpoint, run_dir: Path, monkeypatch, capsys, **overrides) -> dict:
-    """`run` over HTTP against endpoint in run_dir: its detections by sample id, latency 0.0."""
-    monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
-    monkeypatch.setattr(cli, "HttpBackend", functools.partial(backends.HttpBackend, transport=endpoint))
-    spec = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "scripted-12"}
-    run_dir.mkdir()
-    config = write_config(
-        run_dir, run_dir / "out", backends={"phase1": spec, "phase2": spec, "phase3": spec},
-        **overrides,
-    )
-    assert main(["run", "--config", str(config)]) == EXIT_OK
-    capsys.readouterr()
-    lines = read_lines(run_dir / "out" / "detections.jsonl")
-    # latency_ms is wall time over HTTP, so it is set aside
-    return {
-        det["sample_id"]: {**det, "trace": {**det["trace"], "backend_calls": [
-            {**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]
-        ]}}
-        for det in map(json.loads, lines)
-    }
-
-
 class TestEndpointFinishReasons:
     """An endpoint's finish reason other than stop or length cuts the reply, as length does."""
 
-    def test_content_filter_and_null_replies_are_cut(self, tmp_path, capsys, monkeypatch):
+    def test_content_filter_and_null_replies_are_cut(self, tmp_path):
         endpoints, runs = {}, {}
         # s01's first analyzer reply is filtered; s02's verdict "CONSISTENT" has no reason
-        for name, faults in (
+        for name, plan in (
             ("clean", {}),
-            ("faulty", {("phase3", "s01"): "content_filter", ("phase1", "s02"): None}),
+            ("faulty", {("phase3", "s01", 0): Fault(finish_reason="content_filter"),
+                        ("phase1", "s02", 0): Fault(finish_reason=None)}),
         ):
-            endpoints[name] = ScriptedEndpoint(faults)
-            runs[name] = run_against(endpoints[name], tmp_path / name, monkeypatch, capsys)
+            endpoints[name] = FaultyEndpoint(plan)
+            runs[name] = run_against(endpoints[name], tmp_path / name)
 
         clean, faulty = runs["clean"], runs["faulty"]
         # s01: the filtered reply parses, yet earns the re-ask, whose whole reply is scored
@@ -1673,12 +1624,13 @@ class TestEndpointBodies:
 
     @pytest.mark.parametrize("cache", [False, True], ids=["uncached", "cached"])
     @pytest.mark.parametrize("body", list(BODIES))
-    def test_that_sample_fails_and_no_other_changes(self, tmp_path, capsys, monkeypatch, body, cache):
+    def test_that_sample_fails_and_no_other_changes(self, tmp_path, body, cache):
         runs = {}
-        for name, bodies in (("clean", {}), ("faulty", {("phase3", "s01"): self.BODIES[body]})):
+        faulty_plan = {("phase3", "s01", 0): Fault(body=self.BODIES[body])}
+        for name, plan in (("clean", {}), ("faulty", faulty_plan)):
             cache_path = {"cache_path": str(tmp_path / f"{name}.jsonl")} if cache else {}
-            endpoint = ScriptedEndpoint({}, bodies)
-            runs[name] = run_against(endpoint, tmp_path / name, monkeypatch, capsys, **cache_path)
+            endpoint = FaultyEndpoint(plan)
+            runs[name] = run_against(endpoint, tmp_path / name, **cache_path)
         clean, faulty = runs["clean"], runs["faulty"]
         assert clean["s01"]["failure"] is None
         assert faulty["s01"]["failure"].startswith("phase3: BadResponse: malformed completion body: ")
@@ -1687,6 +1639,251 @@ class TestEndpointBodies:
             assert faulty[sample_id] == clean[sample_id], sample_id
         meta = json.loads((tmp_path / "faulty" / "out" / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["n_failures"] == 1
+
+
+# every fault a plan may hold
+PLAN_FAULTS = (
+    Fault(429),
+    Fault(429, {"retry-after": "1"}),
+    Fault(503),
+    Fault(error=TimeoutError("planned timeout")),
+    Fault(error=ConnectionError("planned reset")),
+    Fault(finish_reason="length"),
+    Fault(finish_reason="content_filter"),
+    Fault(finish_reason=None),
+    Fault(body="not json"),
+    Fault(body=TestEndpointBodies.BODIES["lone-surrogate"]),
+)
+SCRIPTED_PAIRS = [
+    (phase, sample_id)
+    for phase, table in json.loads(SCRIPTS.read_text(encoding="utf-8"))["phases"].items()
+    for sample_id in table
+]
+MAX_ATTEMPTS, BACKOFF_S = 3, 0.25  # the retry policy http_config leaves at its default
+EXHAUSTED = "exhausted"  # a complete() call whose every attempt was retried
+
+
+def fault_plans():
+    """Plans keyed by (phase, sample_id, k): up to three scripted pairs, four asks each."""
+    schedules = st.dictionaries(
+        st.sampled_from(SCRIPTED_PAIRS),
+        st.lists(st.none() | st.sampled_from(PLAN_FAULTS), min_size=1, max_size=4),
+        max_size=3,
+    )
+    return schedules.map(lambda by_pair: {
+        (*pair, k): fault
+        for pair, faults in by_pair.items() for k, fault in enumerate(faults) if fault is not None
+    })
+
+
+def planned(plan: dict, pair: tuple, completes: int) -> tuple[int, list, list]:
+    """What `completes` HttpBackend.complete calls on pair meet under plan.
+
+    Returns the attempts they make, the sleeps between attempts, and how each
+    call ended: the fault of its last attempt (Fault() for a whole reply), or
+    EXHAUSTED when every attempt was retried.
+    """
+    k, sleeps, ends = 0, [], []
+    for _ in range(completes):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
+            fault = plan.get((*pair, k), Fault())
+            k += 1
+            if not fault.retried:
+                ends.append(fault)
+                break
+            if attempt < MAX_ATTEMPTS:
+                backoff_s = BACKOFF_S * 2 ** (attempt - 1)
+                sleeps.append(float(fault.headers.get("retry-after", backoff_s)))
+        else:
+            ends.append(EXHAUSTED)
+    return k, sleeps, ends
+
+
+def failure_of(phase: str, end) -> str:
+    """The start of the failure a sample records when a call on phase ends so."""
+    label = "phase2" if phase == "phase2.type" else phase
+    if end is EXHAUSTED:
+        return f"{label}: TransportError: gave up after {MAX_ATTEMPTS} attempts"
+    return f"{label}: BadResponse: malformed completion body"
+
+
+def shows_cut(line: dict, phase: str, finish_reason) -> bool:
+    """line carries what a cut reply on phase earns: its cut note, a re-ask or no result."""
+    trace = line["trace"]
+    note = CUT_NOTES["length" if finish_reason == "length" else "error"]
+    if phase == "phase1":
+        return trace["phase1"] is not None and trace["phase1"]["confidence_note"] == note
+    if phase == "phase2":
+        return trace["phase2"] is not None and note in trace["phase2"]["findings"]
+    # the type query and the analyzer re-ask once; a failed re-ask fails the sample
+    asked = [record["phase"] for record in trace["backend_calls"]].count(phase)
+    unresolved = trace["phase2"] is not None and trace["phase2"]["question_type"] is None
+    no_result = line["predicted_step"] is None if phase == "phase3" else unresolved
+    return asked == 2 or no_result or line["failure"] is not None
+
+
+@pytest.fixture(scope="module")
+def fault_free(tmp_path_factory):
+    """Each command's detections against an endpoint with no fault, made once."""
+
+    @functools.cache
+    def lines(command: str) -> dict:
+        run_dir = tmp_path_factory.mktemp(f"fault-free-{command}") / "run"
+        return run_over(FaultyEndpoint(), command, http_config(run_dir), run_dir / "out")
+
+    return lines
+
+
+class TestFaultPlans:
+    """A seeded fault plan behind the transport hook, through `run` and `ablate`.
+
+    Faults a retry clears leave a sample's lines as a fault-free run writes
+    them; every other sample fails where the plan exhausted or broke a
+    call, or carries what its cut reply earns. The endpoint sees exactly the
+    attempts the plan implies, and a rerun over the cache makes no call that
+    got a whole 200.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @settings(max_examples=4, derandomize=True, deadline=None)
+    @example(plan={
+        # s01's verdict is retried twice, then answered; s04's analyzer runs out of attempts
+        ("phase1", "s01", 0): Fault(429, {"retry-after": "1"}),
+        ("phase1", "s01", 1): Fault(error=TimeoutError("planned timeout")),
+        **{("phase3", "s04", k): Fault(503) for k in range(MAX_ATTEMPTS)},
+    })
+    @example(plan={
+        ("phase1", "s02", 0): Fault(finish_reason="length"),
+        ("phase2.type", "s09", 0): Fault(finish_reason=None),
+        ("phase2", "s05", 0): Fault(finish_reason="content_filter"),
+        ("phase3", "s07", 0): Fault(finish_reason="length"),
+        ("phase2", "s11", 0): Fault(body="not json"),
+        ("phase3", "s12", 1): Fault(error=ConnectionError("planned reset")),
+    })
+    @given(plan=fault_plans())
+    def test_every_sample_gets_what_its_plan_implies(
+        self, fault_free, tmp_path_factory, command, workers, plan
+    ):
+        run_dir = tmp_path_factory.mktemp("plan") / "run"
+        out_dir = run_dir / "out"
+        config = http_config(run_dir, workers=workers, cache_path=str(run_dir / "cache.jsonl"))
+        endpoint, completes = FaultyEndpoint(plan), Counter()
+        original = backends.HttpBackend.complete
+
+        def counted(backend, request):
+            completes[request.phase, request.sample_id] += 1  # one worker per sample
+            return original(backend, request)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(backends.HttpBackend, "complete", counted)
+            files = run_over(endpoint, command, config, out_dir)
+
+        # the endpoint saw exactly the attempts and sleeps the plan implies
+        sleeps, ends = [], {}
+        for pair in endpoint.asked.keys() | completes.keys():
+            calls, pair_sleeps, ends[pair] = planned(plan, pair, completes[pair])
+            assert endpoint.asked[pair] == calls, pair
+            sleeps += pair_sleeps
+        assert sorted(endpoint.sleeps) == sorted(sleeps)
+
+        clean = fault_free(command)
+        for sample_id in clean[next(iter(clean))]:
+            lines = [files[name][sample_id] for name in files]
+            events = [
+                (phase, end) for (phase, owner), pair_ends in ends.items() if owner == sample_id
+                for end in pair_ends if end is EXHAUSTED or end != Fault()
+            ]
+            if not events:  # every fault was retried away
+                assert lines == [clean[name][sample_id] for name in files], sample_id
+                continue
+            failures = Counter(
+                re.match(r"[^:]+: (TransportError: gave up after \d+ attempts|BadResponse: "
+                         r"malformed completion body)", line["failure"])[0]
+                for line in lines if line["failure"] is not None
+            )
+            assert failures == Counter(
+                failure_of(phase, end) for phase, end in events
+                if end is EXHAUSTED or not end.well_formed
+            ), sample_id
+            for phase, end in events:
+                if end is not EXHAUSTED and end.well_formed:
+                    assert any(shows_cut(line, phase, end.finish_reason) for line in lines), (
+                        sample_id, phase
+                    )
+
+        # report over the run's detections reproduces its report
+        if command == "run":
+            report_dir = run_dir / "report"
+            assert main(["report", str(out_dir / "detections.jsonl"), str(DATASET),
+                         "--out-dir", str(report_dir)]) == EXIT_OK
+            for name in ("report.csv", "report.md"):
+                assert (report_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
+        else:
+            grid = read_lines(out_dir / "ablation.csv")[1:]
+            for mode, row in zip(MODES, grid):
+                report_dir = run_dir / f"report_{mode}"
+                assert main(["report", str(out_dir / f"detections_{mode}.jsonl"), str(DATASET),
+                             "--out-dir", str(report_dir), "--model", mode]) == EXIT_OK
+                scored = read_lines(report_dir / "report.csv")[1]
+                assert row.startswith(scored + ","), mode
+
+        # a rerun over the cache asks again only what got no whole 200
+        whole = {
+            json.dumps(body, sort_keys=True)
+            for (_, _, body, _), (*_, fault) in zip(endpoint.sent, endpoint.log)
+            if fault.well_formed
+        }
+        rerun = FaultyEndpoint()
+        run_over(rerun, command, config, out_dir)
+        assert not whole & {json.dumps(body, sort_keys=True) for _, _, body, _ in rerun.sent}
+
+
+class TestOutputLocation:
+    """An output that cannot be made or written exits 2 with one line naming it."""
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("run", "out"), ("run", "out/detections.jsonl"), ("ablate", "out"),
+         ("ablate", "out/ablation.csv")],
+    )
+    def test_run_and_ablate(self, tmp_path, command, blocked):
+        config = write_config(tmp_path, tmp_path / "out")
+        target = tmp_path / blocked
+        if blocked == "out":
+            target.write_text("a file", encoding="utf-8")  # output_dir names a file
+        else:
+            target.mkdir(parents=True)  # an output file's path is a directory
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        [error] = [line for line in proc.stderr.splitlines() if line.startswith("ERROR")]
+        assert error.startswith(f"ERROR config: cannot write output {target}: ")
+
+    def test_a_failed_write_names_the_output_dir(self, tmp_path, monkeypatch, caplog, capsys):
+        def add(det_log, det):
+            raise OSError(errno.ENOSPC, "No space left on device")  # no file name, as write's
+
+        monkeypatch.setattr(pipeline.DetectionLog, "add", add)
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        capsys.readouterr()
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        out_dir = tmp_path / "out"
+        assert errors == [f"config: cannot write output {out_dir}: No space left on device"]
+
+    def test_report_out_dir(self, tmp_path):
+        target = tmp_path / "taken"
+        target.write_text("a file", encoding="utf-8")
+        proc = run_python(
+            "-m", "mathagent.cli", "report", str(FIXTURES / "golden_detections_full.jsonl"),
+            str(DATASET), "--out-dir", str(target),
+        )
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR config: cannot write output {target}: File exists"
+        ]
 
 
 class TestCachePath:
