@@ -238,7 +238,7 @@ def _retry_after(headers: Mapping[str, str]) -> float | None:
 
         try:
             when = email.utils.parsedate_to_datetime(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # Overflow: a year or zone past C int
             return None
         if when.tzinfo is None:  # "-0000": an HTTP date is in UTC
             when = when.replace(tzinfo=datetime.timezone.utc)

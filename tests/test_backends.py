@@ -371,12 +371,15 @@ class TestHttpBackend:
             (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
             (429, "999999999999", backends.RETRY_AFTER_CAP_S),
             (429, "soon", 0.1),
+            (429, "Mon, 01 Jan 99999999999 00:00:00 GMT", 0.1),
+            (503, "Mon, 01 Jan 2020 00:00:00 +99999999999999", 0.1),
             (429, "-1", 0.1),
             (429, "1.5", 0.1),
             (500, "2", 0.1),
         ],
         ids=["delta-seconds", "503", "future-date-capped", "past-date", "huge-delta-capped",
-             "garbage", "negative", "fraction", "500-ignores-it"],
+             "garbage", "year-overflow", "zone-overflow",
+             "negative", "fraction", "500-ignores-it"],
     )
     def test_retry_after_replaces_the_backoff(self, monkeypatch, status, retry_after, slept):
         endpoint = endpoint_for(Fault(status, {"reTry-aFter": retry_after}))

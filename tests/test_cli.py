@@ -1659,7 +1659,8 @@ SCRIPTED_PAIRS = [
     for phase, table in json.loads(SCRIPTS.read_text(encoding="utf-8"))["phases"].items()
     for sample_id in table
 ]
-MAX_ATTEMPTS, BACKOFF_S = 3, 0.25  # the retry policy http_config leaves at its default
+_POLICY = backends.RetryPolicy()  # the retry policy http_config leaves at its default
+MAX_ATTEMPTS, BACKOFF_S = _POLICY.max_attempts, _POLICY.backoff_base_ms / 1000
 EXHAUSTED = "exhausted"  # a complete() call whose every attempt was retried
 
 
