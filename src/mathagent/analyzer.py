@@ -47,7 +47,8 @@ def parse_analyzer_output(raw_text: str, n_steps: int) -> AnalyzerOutput:
     """Total parser for analyzer replies; never raises.
 
     The step is the first "Error Step" match anywhere in the reply; a
-    value outside [1, n_steps] keeps its number but fails the parse. The
+    value outside [1, n_steps] keeps its number but fails the parse, and
+    one too long for int() to read (over 4,300 digits) gives no step. The
     category is taken from the first "Error Category" line whose value
     resolves, trying the whole remainder of the line and then the part
     before the first punctuation break.
@@ -55,7 +56,10 @@ def parse_analyzer_output(raw_text: str, n_steps: int) -> AnalyzerOutput:
     step: int | None = None
     m = _STEP_RE.search(raw_text)
     if m is not None:
-        step = int(m.group(1))
+        try:
+            step = int(m.group(1))
+        except ValueError:  # more digits than int() converts (4,300): no step
+            pass
 
     category: ErrorCategory | None = None
     for line in raw_text.splitlines():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
+import inspect
 import json
 import logging
 import sys
@@ -73,7 +74,9 @@ class DatasetError(Exception):
 
 
 PHASE_NAMES = ("phase1", "phase2", "phase3")
-RATE_LIMIT = 4  # an http spec's rate_limit when it sets none
+# what an http spec's knobs default to when it sets none: HttpBackend's own defaults
+_HTTP_DEFAULTS = {k: p.default for k, p in inspect.signature(HttpBackend).parameters.items()}
+RATE_LIMIT = _HTTP_DEFAULTS["rate_limit"]
 
 # the keys each part of a config may hold; load_config warns about any other
 _CONFIG_KEYS = frozenset(
@@ -214,15 +217,16 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         retry_spec = _typed(spec, "retry", dict, {}, "an object")
         _warn_unknown(spec, _HTTP_KEYS, where)
         _warn_unknown(retry_spec, _RETRY_KEYS, where + "retry.")
+        default, retry = _HTTP_DEFAULTS, _HTTP_DEFAULTS["retry"]
         http = dict(
             base_url=base_url.rstrip("/"),
-            api_key_env=_typed(spec, "api_key_env", str, "MATHAGENT_API_KEY", "a string"),
-            retry=RetryPolicy(
-                max_attempts=_typed(retry_spec, "max_attempts", int, 3, "an integer"),
-                backoff_base_ms=_typed(retry_spec, "backoff_base_ms", int, 250, "an integer"),
-            ),
+            api_key_env=_typed(spec, "api_key_env", str, default["api_key_env"], "a string"),
+            retry=RetryPolicy(**{
+                key: _typed(retry_spec, key, int, getattr(retry, key), "an integer")
+                for key in ("max_attempts", "backoff_base_ms")
+            }),
             rate_limit=_typed(spec, "rate_limit", int, RATE_LIMIT, "an integer"),
-            timeout_s=_typed(spec, "timeout_s", (int, float), 60.0, "a number"),
+            timeout_s=_typed(spec, "timeout_s", (int, float), default["timeout_s"], "a number"),
         )
         HttpBackend(**http)  # built only for its range checks, as RetryPolicy was
     elif kind == "scripted":

@@ -81,111 +81,61 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<number>\d+(?:\.\d+)?)"
     r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,))"
 )
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # IDENT | NUMBER | ( | ) | , | EOF
-    text: str
-    offset: int  # character offset of the token start
+_TOKEN_KINDS = {"ident": "IDENT", "number": "NUMBER", "lparen": "(", "rparen": ")", "comma": ","}
+_NON_SPACE_RE = re.compile(r"\S")  # the same code points as `not str.isspace()`
 
 
 def _byte_offset(text: str, char_offset: int) -> int:
     return len(text[:char_offset].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, character offset) per token, then EOF; a stray character raises."""
+    tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            # skip leading whitespace manually to locate the bad character
-            stripped = pos
-            while stripped < len(text) and text[stripped].isspace():
-                stripped += 1
-            if stripped >= len(text):
-                break
-            raise ParseError(
-                _byte_offset(text, stripped),
-                frozenset({"IDENT", "NUMBER", "(", ")", ","}),
-                repr(text[stripped]),
-            )
-        for kind, label in (
-            ("ident", "IDENT"),
-            ("number", "NUMBER"),
-            ("lparen", "("),
-            ("rparen", ")"),
-            ("comma", ","),
-        ):
-            got = m.group(kind)
-            if got is not None:
-                tokens.append(_Token(label, got, m.start(kind)))
-                break
+    while (m := _TOKEN_RE.match(text, pos)) is not None:
+        tokens.append((_TOKEN_KINDS[m.lastgroup], m.group(m.lastgroup), m.start(m.lastgroup)))
         pos = m.end()
-    tokens.append(_Token("EOF", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, expected: frozenset[str]):
-        tok = self.peek()
-        found = "end of input" if tok.kind == "EOF" else repr(tok.text)
-        raise ParseError(_byte_offset(self.text, tok.offset), expected, found)
-
-    def expect(self, kind: str) -> _Token:
-        if self.peek().kind != kind:
-            self.fail(frozenset({kind}))
-        return self.advance()
-
-    def parse_arg(self) -> Arg:
-        tok = self.peek()
-        if tok.kind == "IDENT":
-            return Symbol(self.advance().text)
-        if tok.kind == "NUMBER":
-            return Number(Decimal(self.advance().text))
-        self.fail(frozenset({"IDENT", "NUMBER"}))
-
-    def parse_fact(self) -> GeometryFact:
-        if self.peek().kind != "IDENT":
-            self.fail(frozenset({"IDENT"}))
-        predicate = self.advance().text
-        self.expect("(")
-        args = [self.parse_arg()]
-        while self.peek().kind == ",":
-            self.advance()
-            args.append(self.parse_arg())
-        self.expect(")")
-        return GeometryFact(predicate=predicate, args=tuple(args))
-
-    def parse_fact_list(self) -> FactList:
-        if self.peek().kind == "EOF":
-            return ()
-        facts = [self.parse_fact()]
-        while self.peek().kind == ",":
-            self.advance()
-            facts.append(self.parse_fact())
-        if self.peek().kind != "EOF":
-            self.fail(frozenset({",", "EOF"}))
-        return tuple(facts)
+    stray = _NON_SPACE_RE.search(text, pos)
+    if stray is not None:
+        raise ParseError(
+            _byte_offset(text, stray.start()), frozenset(_TOKEN_KINDS.values()), repr(stray.group())
+        )
+    return tokens + [("EOF", "", len(text))]
 
 
 def parse_facts(text: str) -> FactList:
     """Parse a comma-separated fact list; empty or whitespace-only gives ()."""
-    return _Parser(text).parse_fact_list()
+    tokens = _tokenize(text)
+    pos = 0
+
+    def take(*kinds: str) -> tuple[str, str]:
+        """The next token's kind and text; a ParseError expecting kinds if it is none of them."""
+        nonlocal pos
+        kind, token, offset = tokens[pos]
+        if kind not in kinds:
+            found = "end of input" if kind == "EOF" else repr(token)
+            raise ParseError(_byte_offset(text, offset), frozenset(kinds), found)
+        pos += 1
+        return kind, token
+
+    if tokens[0][0] == "EOF":
+        return ()
+    facts = []
+    while True:
+        predicate = take("IDENT")[1]
+        take("(")
+        args = []
+        while True:
+            kind, token = take("IDENT", "NUMBER")
+            args.append(Symbol(token) if kind == "IDENT" else Number(Decimal(token)))
+            if tokens[pos][0] != ",":
+                break
+            pos += 1
+        take(")")
+        facts.append(GeometryFact(predicate=predicate, args=tuple(args)))
+        if take(",", "EOF")[0] == "EOF":
+            return tuple(facts)
 
 
 def serialize_facts(facts: Iterable[GeometryFact]) -> str:
@@ -239,28 +189,23 @@ class TableReport:
 
 _ENV_RE = re.compile(r"\\(begin|end)\{([A-Za-z*]+)\}")
 _RULE_RE = re.compile(r"\\(?:hline|toprule|midrule|bottomrule)\b|\\cline\{[^{}]*\}")
+# an escaped character (\{, \}, \&, ...) is one match, so it is skipped as a pair
+_BRACE_RE = re.compile(r"\\.|[{}]", re.S)
+_CELL_RE = re.compile(r"\\.|&", re.S)
 
 
 def _brace_findings(text: str) -> list[TableFinding]:
     findings = []
     stack: list[int] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\":
-            i += 2  # escaped character, including \{ and \}
-            continue
-        if c == "{":
-            stack.append(i)
-        elif c == "}":
+    for m in _BRACE_RE.finditer(text):
+        if m.group() == "{":
+            stack.append(m.start())
+        elif m.group() == "}":
             if stack:
                 stack.pop()
             else:
-                findings.append(TableFinding(i, "unmatched '}'"))
-        i += 1
-    for off in stack:
-        findings.append(TableFinding(off, "unmatched '{'"))
-    return findings
+                findings.append(TableFinding(m.start(), "unmatched '}'"))
+    return findings + [TableFinding(off, "unmatched '{'") for off in stack]
 
 
 def _env_spans(text: str):
@@ -300,65 +245,45 @@ def _env_spans(text: str):
 
 def _mask_spans(body: str, base: int, spans) -> str:
     """Blank out nested environment bodies so their cells are not counted."""
-    chars = list(body)
     for _, s, e in spans:
         if s >= base and e <= base + len(body):
-            for i in range(s - base, e - base):
-                if not chars[i].isspace():
-                    chars[i] = " "
-    return "".join(chars)
+            s, e = s - base, e - base
+            body = body[:s] + _NON_SPACE_RE.sub(" ", body[s:e]) + body[e:]
+    return body
 
 
 def _strip_env_args(body: str) -> tuple[str, int]:
-    """Drop leading [..] and {..} argument groups after \\begin{...}."""
+    """Drop leading [..] and {..} argument groups after \\begin{...}.
+
+    Only a {..} group skips escaped characters, so its end may lie one
+    past the body when the body ends in a backslash.
+    """
     i = 0
-    groups = 0
-    while i < len(body) and groups < 3:
+    for _ in range(3):
         while i < len(body) and body[i].isspace():
             i += 1
-        if i < len(body) and body[i] == "[":
-            depth = 0
-            while i < len(body):
-                if body[i] == "[":
-                    depth += 1
-                elif body[i] == "]":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
-            groups += 1
-        elif i < len(body) and body[i] == "{":
-            depth = 0
-            while i < len(body):
-                if body[i] == "\\":
-                    i += 2
-                    continue
-                if body[i] == "{":
-                    depth += 1
-                elif body[i] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        i += 1
-                        break
-                i += 1
-            groups += 1
-        else:
+        if i >= len(body) or body[i] not in "[{":
             break
+        opener = body[i]
+        closer = "]" if opener == "[" else "}"
+        depth = 0
+        while i < len(body):
+            if body[i] == "\\" and opener == "{":
+                i += 2
+                continue
+            if body[i] == opener:
+                depth += 1
+            elif body[i] == closer:
+                depth -= 1
+                if depth == 0:
+                    i += 1
+                    break
+            i += 1
     return body[i:], i
 
 
 def _count_cells(row: str) -> int:
-    cells = 1
-    i = 0
-    while i < len(row):
-        if row[i] == "\\":
-            i += 2
-            continue
-        if row[i] == "&":
-            cells += 1
-        i += 1
-    return cells
+    return 1 + _CELL_RE.findall(row).count("&")
 
 
 def _row_findings(name: str, body: str, body_start: int, all_spans):

@@ -8,6 +8,7 @@ question_type label always wins over inference.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from .backends import Backend, ImageSegment, ModelRequest, RequestSettings, TextSegment
@@ -43,6 +44,10 @@ TYPE_SYNONYMS: dict[QuestionType, tuple[str, ...]] = {
     ),
 }
 
+_SYNONYM_TYPES = {syn: qtype for qtype, synonyms in TYPE_SYNONYMS.items() for syn in synonyms}
+# longest first, so of the synonyms that start at the earliest match the longest is taken
+_TYPE_RE = re.compile("|".join(map(re.escape, sorted(_SYNONYM_TYPES, key=len, reverse=True))))
+
 _TYPE_REMINDER = (
     "Reply with exactly one of: plane geometry, solid geometry, diagram, "
     "algebra, math commonsense."
@@ -51,19 +56,8 @@ _TYPE_REMINDER = (
 
 def match_question_type(reply: str) -> QuestionType | None:
     """Earliest synonym occurrence wins; ties go to the longer synonym."""
-    low = reply.lower()
-    best: tuple[int, int, str] | None = None
-    best_type: QuestionType | None = None
-    for qtype, synonyms in TYPE_SYNONYMS.items():
-        for syn in synonyms:
-            idx = low.find(syn)
-            if idx < 0:
-                continue
-            key = (idx, -len(syn), qtype.value)
-            if best is None or key < best:
-                best = key
-                best_type = qtype
-    return best_type
+    m = _TYPE_RE.search(reply.lower())
+    return None if m is None else _SYNONYM_TYPES[m.group()]
 
 
 class TranscriptSource(enum.Enum):

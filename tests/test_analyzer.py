@@ -75,6 +75,15 @@ class TestParseRules:
         )
         assert out.error_category is ErrorCategory.VIS
 
+    def test_a_step_too_long_for_int_is_no_step(self):
+        category = "\nError Category: Calculation"
+        out = parse_analyzer_output("Error Step: #" + "9" * 5000 + category, 4)
+        assert (out.error_step, out.error_category, out.parse_ok) == (
+            None, ErrorCategory.CAL, False,
+        )
+        longest = parse_analyzer_output("Error Step: #" + "0" * 4299 + "3" + category, 4)
+        assert (longest.error_step, longest.parse_ok) == (3, True)
+
     @given(st.text(max_size=120), st.integers(1, 20))
     def test_total(self, text, n_steps):
         out = parse_analyzer_output(text, n_steps)
@@ -166,6 +175,13 @@ class TestAnalyze:
         assert out.error_step is None
         assert out.error_category is None
         assert out.raw_text == "still no format"
+        assert len(backend.requests) == 2
+
+    def test_a_step_too_long_for_int_earns_the_reask(self):
+        reply = "Error Step: #" + "9" * 5000 + "\nError Category: Calculation"
+        backend = CapturingBackend(reply, reply)
+        out = analyze(make_sample(), None, backend)
+        assert (out.error_step, out.parse_ok) == (None, False)
         assert len(backend.requests) == 2
 
     def test_never_more_than_two_calls(self):

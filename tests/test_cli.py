@@ -257,6 +257,19 @@ class TestRun:
             f"config: unknown key 'backends.phase1.{key}' ignored" for key in unknown
         ]
 
+    def test_an_http_spec_without_knobs_takes_the_backend_defaults(self, tmp_path):
+        spec = {"kind": "http", "base_url": "http://localhost:9/"}
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        specs = {"phase1": spec, "phase2": scripted, "phase3": scripted}
+        config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends=specs))
+        assert config.backends["phase1"].http == {
+            "base_url": "http://localhost:9",
+            "api_key_env": "MATHAGENT_API_KEY",
+            "retry": backends.RetryPolicy(max_attempts=3, backoff_base_ms=250),
+            "rate_limit": 4,
+            "timeout_s": 60.0,
+        }
+
     def test_the_test_and_benchmark_configs_warn_of_nothing(
         self, tmp_path, caplog, monkeypatch
     ):
@@ -274,6 +287,25 @@ class TestRun:
         capsys.readouterr()
         meta = json.loads((out_dir / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["call_counts"] == {"phase2.type": 2, "phase2": 10, "phase3": 14}
+
+    def test_a_step_number_too_long_for_int_is_unparsed(self, tmp_path):
+        # int() refuses more than 4,300 digits; the reply is unparsed, not a crash
+        reply = "Error Step: #" + "9" * 5000 + "\nError Category: Calculation"
+        analyzer = {"kind": "scripted", "phases": {}, "by_fingerprint": {}, "default_reply": reply}
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        config = write_config(
+            tmp_path, tmp_path / "out",
+            backends={"phase1": scripted, "phase2": scripted, "phase3": analyzer},
+        )
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        lines = [json.loads(line) for line in read_lines(tmp_path / "out" / "detections.jsonl")]
+        assert len(lines) == 12
+        for line in lines:
+            assert line["failure"] is None
+            assert line["predicted_step"] is None
+            assert sum(c["phase"] == "phase3" for c in line["trace"]["backend_calls"]) == 2
 
 
 class TestAblate:
@@ -2035,6 +2067,14 @@ class TestScripts:
         assert proc.returncode == 0, proc.stderr
         assert f"wrote 2500 samples to {out}" in proc.stdout
         assert len(load_dataset(out)) == 2500
+
+    def test_make_fixtures_rewrites_the_phase2_reader_fixture(self, tmp_path):
+        out = tmp_path / "phase2_readers.json"
+        proc = run_python(
+            str(REPO / "scripts" / "make_fixtures.py"), "--phase2-readers", str(out)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == (FIXTURES / "phase2_readers.json").read_bytes()
 
 
 class TestReadme:

@@ -1,10 +1,12 @@
 """Formal fact language: grammar, round-trip, arity, LaTeX table checks."""
 
+import importlib.util
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import REPO, load_corpus
 from latex_corpus import CASES as LATEX_CASES
 from mathagent import (
     DEFAULT_ARITY,
@@ -184,3 +186,34 @@ class TestLatexCorpus:
     def test_checker_is_total(self, text):
         report = check_latex_table(text)
         assert isinstance(report.ok, bool)
+
+
+def load_make_fixtures():
+    spec = importlib.util.spec_from_file_location(
+        "make_fixtures", REPO / "scripts" / "make_fixtures.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestPhase2ReadersFixture:
+    """tests/fixtures/phase2_readers.json: seeded fuzzed replies and what each reader made of them."""
+
+    CASES = load_corpus("phase2_readers.json")
+
+    @pytest.mark.parametrize("reader", ["facts", "latex", "type"])
+    def test_replays(self, reader):
+        read = load_make_fixtures().READERS[reader]
+        cases = [c for c in self.CASES if c["reader"] == reader]
+        assert len(cases) >= 200
+        mismatches = [c["text"] for c in cases if read(c["text"]) != c["result"]]
+        assert mismatches == []
+
+    def test_a_brace_group_cut_by_a_backslash_ends_the_body(self):
+        # the {..} group after \begin skips "\\" as an escape and runs past the body
+        (case,) = [c for c in self.CASES if c["text"] == r"\begin{tabular}{c\\end{tabular}"]
+        assert case["result"] == {
+            "ok": False, "findings": [[15, "unmatched '{'"]], "columns": None,
+            "environments": ["tabular"],
+        }
