@@ -6,11 +6,6 @@ snapshot the evaluation harness was tuned against: 2500 samples with
 fixed question-type and error-category counts, step counts, and
 question lengths. Construction is deterministic, so reruns produce
 byte-identical output.
-
-With --phase2-readers PATH it writes the phase-2 reader fixture in its
-place: seeded fuzzed fact lists, LaTeX replies and type replies, each
-with what parse_facts, check_latex_table or match_question_type made of
-it (tests/fixtures/phase2_readers.json; a test replays it).
 """
 
 import argparse
@@ -159,7 +154,11 @@ _PHASE2_EDGES = {
 
 
 def phase2_readers_json() -> str:
-    """The phase-2 reader fixture: one JSON case per line, reader, text and result."""
+    """The phase-2 reader fixture: one JSON case per line, reader, text and result.
+
+    tests/fixtures/phase2_readers.json holds these bytes, written before
+    the readers were last rewritten; a test checks that they still come out.
+    """
     rng = random.Random(PHASE2_SEED)
     makers = {"facts": (_fact_reply, 300), "latex": (_latex_reply, 300), "type": (_type_reply, 200)}
     cases = []
@@ -178,18 +177,7 @@ def main() -> int:
         default=Path("out/synthetic_reference.jsonl"),
         help="Destination JSONL path (parents created as needed).",
     )
-    parser.add_argument(
-        "--phase2-readers",
-        type=Path,
-        metavar="PATH",
-        help="Write the phase-2 reader fixture to PATH instead of the dataset.",
-    )
     args = parser.parse_args()
-
-    if args.phase2_readers is not None:
-        args.phase2_readers.write_bytes(phase2_readers_json().encode("ascii"))
-        print(f"wrote the phase-2 reader fixture to {args.phase2_readers}")
-        return 0
 
     samples = synthetic_reference_dataset()
     args.out.parent.mkdir(parents=True, exist_ok=True)

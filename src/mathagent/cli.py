@@ -76,7 +76,6 @@ class DatasetError(Exception):
 PHASE_NAMES = ("phase1", "phase2", "phase3")
 # what an http spec's knobs default to when it sets none: HttpBackend's own defaults
 _HTTP_DEFAULTS = {k: p.default for k, p in inspect.signature(HttpBackend).parameters.items()}
-RATE_LIMIT = _HTTP_DEFAULTS["rate_limit"]
 
 # the keys each part of a config may hold; load_config warns about any other
 _CONFIG_KEYS = frozenset(
@@ -225,7 +224,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
                 key: _typed(retry_spec, key, int, getattr(retry, key), "an integer")
                 for key in ("max_attempts", "backoff_base_ms")
             }),
-            rate_limit=_typed(spec, "rate_limit", int, RATE_LIMIT, "an integer"),
+            rate_limit=_typed(spec, "rate_limit", int, default["rate_limit"], "an integer"),
             timeout_s=_typed(spec, "timeout_s", (int, float), default["timeout_s"], "a number"),
         )
         HttpBackend(**http)  # built only for its range checks, as RetryPolicy was

@@ -250,4 +250,11 @@ CASES = [
         "ok": False, "columns": 2, "n_findings": 1,
         "findings": ["unmatched '}'"],
     },
+    {
+        # the {..} group after \begin skips "\\" as an escape and runs past the body
+        "text": r"\begin{tabular}{c\\end{tabular}",
+        "ok": False, "columns": None, "n_findings": 1,
+        "findings": ["unmatched '{'"],
+        "environments": ["tabular"],
+    },
 ]

@@ -2068,14 +2068,6 @@ class TestScripts:
         assert f"wrote 2500 samples to {out}" in proc.stdout
         assert len(load_dataset(out)) == 2500
 
-    def test_make_fixtures_rewrites_the_phase2_reader_fixture(self, tmp_path):
-        out = tmp_path / "phase2_readers.json"
-        proc = run_python(
-            str(REPO / "scripts" / "make_fixtures.py"), "--phase2-readers", str(out)
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert out.read_bytes() == (FIXTURES / "phase2_readers.json").read_bytes()
-
 
 class TestReadme:
     def test_python_api_blocks_run(self, tmp_path):

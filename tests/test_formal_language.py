@@ -6,7 +6,7 @@ from decimal import Decimal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import REPO, load_corpus
+from conftest import FIXTURES, REPO, load_corpus
 from latex_corpus import CASES as LATEX_CASES
 from mathagent import (
     DEFAULT_ARITY,
@@ -156,7 +156,7 @@ class TestArity:
 
 class TestLatexCorpus:
     def test_corpus_size(self):
-        assert len(LATEX_CASES) == 50
+        assert len(LATEX_CASES) == 51
 
     @pytest.mark.parametrize("case", LATEX_CASES, ids=lambda c: c["text"][:34])
     def test_labeled_case(self, case):
@@ -210,10 +210,6 @@ class TestPhase2ReadersFixture:
         mismatches = [c["text"] for c in cases if read(c["text"]) != c["result"]]
         assert mismatches == []
 
-    def test_a_brace_group_cut_by_a_backslash_ends_the_body(self):
-        # the {..} group after \begin skips "\\" as an escape and runs past the body
-        (case,) = [c for c in self.CASES if c["text"] == r"\begin{tabular}{c\\end{tabular}"]
-        assert case["result"] == {
-            "ok": False, "findings": [[15, "unmatched '{'"]], "columns": None,
-            "environments": ["tabular"],
-        }
+    def test_the_generator_rewrites_it_byte_for_byte(self):
+        fixture = (FIXTURES / "phase2_readers.json").read_bytes()
+        assert load_make_fixtures().phase2_readers_json().encode("ascii") == fixture
