@@ -15,7 +15,6 @@ from .backends import (
     CallRecord,
     FinishReason,
     HttpBackend,
-    ImageSegment,
     ModelRequest,
     ModelResponse,
     ReplayCache,
@@ -23,7 +22,6 @@ from .backends import (
     RetryPolicy,
     ScriptMiss,
     ScriptedBackend,
-    TextSegment,
     TransportError,
     request_fingerprint,
 )

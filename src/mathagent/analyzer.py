@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 
-from .backends import Backend, RequestSettings, TextSegment
+from .backends import Backend, ModelRequest, RequestSettings
 from .data_model import ErrorCategory, Sample, UnknownCategory, parse_category
 from .interpreter import Representation, VisualTranscript
 from .prompts import PromptSet, packaged_prompts
@@ -129,7 +129,7 @@ def analyze(
     """Run the analyzer with at most one format-reminder re-ask."""
 
     def ask(prompt: str) -> AnalyzerOutput:
-        response = backend.complete(settings.request((TextSegment(prompt),), "phase3", sample.id))
+        response = backend.complete(ModelRequest(prompt, None, settings, "phase3", sample.id))
         output = parse_analyzer_output(response.text, len(sample.steps))
         return replace(output, parse_ok=False) if response.cut else output
 

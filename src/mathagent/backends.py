@@ -6,9 +6,10 @@ backend only for requests it has not seen; each call is recorded as a
 CallRecord. ScriptedBackend is the one reader of the script format, and
 a scripted reply may carry a finish reason, so a cut reply can be
 scripted. ModelResponse.cut is the one whole-reply rule every phase
-reads: a reply is whole only on STOP. ModelRequest and RequestSettings
-share one range rule for the request knobs; HttpBackend and RetryPolicy
-reject knobs out of range.
+reads: a reply is whole only on STOP. A ModelRequest is one prompt, at
+most one image and its phase's RequestSettings, whose range rule for the
+knobs is the only one; HttpBackend and RetryPolicy reject knobs out of
+range.
 
 HttpBackend sends through its transport hook: transport(url, headers,
 body, timeout_s) returns (status, headers, text), the reply's status,
@@ -19,14 +20,15 @@ attempt, clamped to [0, RETRY_AFTER_CAP_S]; any other retry, or a
 Retry-After that does not parse, waits the exponential backoff.
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
-JSON form of (model_id, system_prompt, segments, temperature, max_tokens):
+JSON form of its settings' model_id, system_prompt, temperature and
+max_tokens, and a segments list of its prompt and then its image:
 
     {"max_tokens": int, "model_id": str, "segments": [...],
      "system_prompt": str, "temperature": float}
 
 serialized with sorted keys, separators (",", ":"), ensure_ascii=False,
-UTF-8 encoded, then hashed. Text segments appear as
-{"kind": "text", "text": ...}; image segments as
+UTF-8 encoded, then hashed. The prompt appears as
+{"kind": "text", "text": ...}, and an image, when there is one, after it as
 {"kind": "image", "media_type": ..., "sha256": ...}, the ImageRef's
 resolved_media_type and sha256 (over the image bytes, or a URL's address).
 The phase and sample_id routing metadata never enter the fingerprint.
@@ -88,49 +90,6 @@ CUT_NOTES = {
 
 
 @dataclass(frozen=True)
-class TextSegment:
-    text: str
-
-
-@dataclass(frozen=True)
-class ImageSegment:
-    ref: ImageRef
-
-
-Segment = TextSegment | ImageSegment
-
-
-def _check_knob_ranges(temperature: float, max_tokens: int) -> None:
-    if not 0.0 <= temperature <= 1.0:
-        raise ValueError(f"'temperature' {temperature} is outside [0, 1]")
-    if max_tokens < 1:
-        raise ValueError(f"'max_tokens' {max_tokens} is not positive")
-
-
-@dataclass(frozen=True)
-class ModelRequest:
-    model_id: str
-    system_prompt: str
-    segments: tuple[Segment, ...]
-    temperature: float = 0.0
-    max_tokens: int = 1024
-    # routing metadata for scripted fixtures and traces; not fingerprinted
-    phase: str = ""
-    sample_id: str | None = None
-    fingerprint: str = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.segments:
-            raise ValueError("request needs at least one segment")
-        images = [s for s in self.segments if isinstance(s, ImageSegment)]
-        if len(images) > 1:
-            raise ValueError("at most one image segment per request")
-        _check_knob_ranges(self.temperature, self.max_tokens)
-        # filled here, not by a cached_property, whose lock is class-wide on 3.11
-        object.__setattr__(self, "fingerprint", request_fingerprint(self))
-
-
-@dataclass(frozen=True)
 class ModelResponse:
     text: str
     finish_reason: FinishReason
@@ -153,13 +112,27 @@ class RequestSettings:
     max_tokens: int = 1024
 
     def __post_init__(self):
-        _check_knob_ranges(self.temperature, self.max_tokens)
+        if not 0.0 <= self.temperature <= 1.0:
+            raise ValueError(f"'temperature' {self.temperature} is outside [0, 1]")
+        if self.max_tokens < 1:
+            raise ValueError(f"'max_tokens' {self.max_tokens} is not positive")
 
-    def request(
-        self, segments: tuple[Segment, ...], phase: str, sample_id: str | None
-    ) -> ModelRequest:
-        """A request carrying every one of these knobs, for one phase of one sample."""
-        return ModelRequest(segments=segments, phase=phase, sample_id=sample_id, **vars(self))
+
+@dataclass(frozen=True)
+class ModelRequest:
+    """One model call: a prompt, at most one image, and the knobs of its phase."""
+
+    prompt: str
+    image: ImageRef | None
+    settings: RequestSettings
+    # routing metadata for scripted fixtures and traces; not fingerprinted
+    phase: str = ""
+    sample_id: str | None = None
+    fingerprint: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # filled here, not by a cached_property, whose lock is class-wide on 3.11
+        object.__setattr__(self, "fingerprint", request_fingerprint(self))
 
 
 class Backend(Protocol):
@@ -168,19 +141,17 @@ class Backend(Protocol):
 
 def request_fingerprint(request: ModelRequest) -> str:
     """SHA-256 hex digest of the canonical form in the module docstring."""
-    segments = []
-    for seg in request.segments:
-        if isinstance(seg, TextSegment):
-            segments.append({"kind": "text", "text": seg.text})
-        else:
-            media, digest = seg.ref.resolved_media_type, seg.ref.sha256
-            segments.append({"kind": "image", "media_type": media, "sha256": digest})
+    segments = [{"kind": "text", "text": request.prompt}]
+    if request.image is not None:
+        media, digest = request.image.resolved_media_type, request.image.sha256
+        segments.append({"kind": "image", "media_type": media, "sha256": digest})
+    settings = request.settings
     payload = {
-        "max_tokens": request.max_tokens,
-        "model_id": request.model_id,
+        "max_tokens": settings.max_tokens,
+        "model_id": settings.model_id,
         "segments": segments,
-        "system_prompt": request.system_prompt,
-        "temperature": request.temperature,
+        "system_prompt": settings.system_prompt,
+        "temperature": settings.temperature,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -283,21 +254,19 @@ class HttpBackend:
         self._gate = threading.Semaphore(rate_limit) if gate is None else gate
 
     def _build_body(self, request: ModelRequest) -> dict:
-        content = []
-        for seg in request.segments:
-            if isinstance(seg, TextSegment):
-                content.append({"type": "text", "text": seg.text})
-            else:
-                content.append({"type": "image_url", "image_url": {"url": seg.ref.data_url()}})
+        content = [{"type": "text", "text": request.prompt}]
+        if request.image is not None:
+            content.append({"type": "image_url", "image_url": {"url": request.image.data_url()}})
+        settings = request.settings
         messages = []
-        if request.system_prompt:
-            messages.append({"role": "system", "content": request.system_prompt})
+        if settings.system_prompt:
+            messages.append({"role": "system", "content": settings.system_prompt})
         messages.append({"role": "user", "content": content})
         return {
-            "model": request.model_id,
+            "model": settings.model_id,
             "messages": messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
+            "temperature": settings.temperature,
+            "max_tokens": settings.max_tokens,
         }
 
     def complete(self, request: ModelRequest) -> ModelResponse:
@@ -511,7 +480,7 @@ class ReplayCache:
                     "fingerprint": fp,
                     "response_text": response.text,
                     "finish_reason": response.finish_reason.value,
-                    "model_id": request.model_id,
+                    "model_id": request.settings.model_id,
                     "timestamp": time.time(),
                 }
                 if self._appends is None:

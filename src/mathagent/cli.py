@@ -116,7 +116,9 @@ class RunConfig:
     output_dir: Path
 
 
-def _resolve(base: Path, value: str) -> Path:
+def _resolve(base: Path, value: str, key: str) -> Path:
+    if "\0" in value:  # no file name holds one, and opening it raises a bare ValueError
+        raise ConfigError(f"{key!r} holds a NUL byte")
     path = Path(value)
     return path if path.is_absolute() else base / path
 
@@ -139,7 +141,7 @@ def _warn_unknown(obj: dict, known: frozenset, where: str) -> None:
 def _path(raw: dict, key: str, base: Path, default: str | None = None) -> Path | None:
     """raw[key] resolved against base; an absent, null or empty value gives default."""
     value = _typed(raw, key, (str, type(None)), None, "a path string") or default
-    return None if value is None else _resolve(base, value)
+    return None if value is None else _resolve(base, value, key)
 
 
 def load_config(path) -> RunConfig:
@@ -232,7 +234,8 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         _warn_unknown(spec, _SCRIPTED_KEYS if "script_path" in spec else _INLINE_SCRIPT_KEYS, where)
         script = spec
         if "script_path" in spec:
-            path = _resolve(base, _typed(spec, "script_path", str, None, "a path string"))
+            value = _typed(spec, "script_path", str, None, "a path string")
+            path = _resolve(base, value, where + "script_path")
             if path not in scripts:
                 try:
                     scripts[path] = parse_json(path.read_bytes())

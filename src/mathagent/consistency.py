@@ -9,7 +9,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 
-from .backends import Backend, ImageSegment, RequestSettings, TextSegment
+from .backends import Backend, ModelRequest, RequestSettings
 from .data_model import Sample
 from .prompts import PromptSet, packaged_prompts
 
@@ -75,9 +75,7 @@ def check_consistency(
     prompt = (prompts or packaged_prompts()).render(
         "phase1_consistency", {"question_text": sample.question_text}
     )
-    response = backend.complete(
-        settings.request((TextSegment(prompt), ImageSegment(sample.image)), "phase1", sample.id)
-    )
+    response = backend.complete(ModelRequest(prompt, sample.image, settings, "phase1", sample.id))
     if response.cut:
         return ConsistencyVerdict(
             consistent=False, raw_text=response.text, confidence_note=response.cut

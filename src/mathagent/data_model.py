@@ -191,6 +191,8 @@ class ImageRef:
             self._keep_digest(base64.b64decode(self.value, validate=True))
         elif self.kind is ImageKind.URL:  # remote bytes are not fetched: the address is hashed
             self._keep_digest(self.value.encode("utf-8"))
+        elif "\0" in self.value:  # no file name holds one, and opening it raises ValueError
+            raise ValueError("a file path may not hold a NUL byte")
 
     def _keep_digest(self, data: bytes) -> None:
         object.__setattr__(self, "_sha256", hashlib.sha256(data).hexdigest())

@@ -56,8 +56,8 @@ class Number:
     value: Decimal
 
     def render(self) -> str:
-        # strip superfluous trailing zeros: 45.0 -> 45, 4.50 -> 4.5
-        text = str(self.value)
+        # fixed-point, as NUMBER allows no exponent; strip trailing zeros: 4.50 -> 4.5, 45.0 -> 45
+        text = f"{self.value:f}"
         if "." in text:
             text = text.rstrip("0").rstrip(".")
         return text

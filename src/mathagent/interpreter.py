@@ -11,7 +11,7 @@ import enum
 import re
 from dataclasses import dataclass
 
-from .backends import Backend, ImageSegment, ModelRequest, RequestSettings, TextSegment
+from .backends import Backend, ModelRequest, RequestSettings
 from .data_model import QuestionType, Sample
 from .formal_language import (
     FactList,
@@ -81,12 +81,19 @@ class VisualTranscript:
     findings: tuple[str, ...] = ()
 
 
+# the transcription prompt of each route; any other route, or none, is captioned
+_ROUTE_PROMPTS = {
+    QuestionType.PLANE_GEOMETRY: "phase2_formal",
+    QuestionType.DIAGRAM: "phase2_latex",
+}
+
+
 def _image_request(
     sample: Sample, prompt: str, settings: RequestSettings, phase: str
 ) -> ModelRequest:
     if sample.image is None:
         raise ValueError(f"sample {sample.id} has no image to transcribe")
-    return settings.request((TextSegment(prompt), ImageSegment(sample.image)), phase, sample.id)
+    return ModelRequest(prompt, sample.image, settings, phase, sample.id)
 
 
 def resolve_question_type(
@@ -139,63 +146,28 @@ def interpret_visual(
     the parse failure recorded as a finding. A reply that is not whole
     (ModelResponse.cut) is kept, with its cut note as a finding too.
     """
-    route = question_type
-    if caption_only:
-        route = None
-
-    if route is QuestionType.PLANE_GEOMETRY:
-        prompt_name = "phase2_formal"
-    elif route is QuestionType.DIAGRAM:
-        prompt_name = "phase2_latex"
-    else:
-        prompt_name = "phase2_caption"
-
+    route = None if caption_only else question_type
     prompt = (prompts or packaged_prompts()).render(
-        prompt_name, {"question_text": sample.question_text}
+        _ROUTE_PROMPTS.get(route, "phase2_caption"), {"question_text": sample.question_text}
     )
     response = backend.complete(_image_request(sample, prompt, settings, "phase2"))
     reply = response.text
-    cut = (response.cut,) if response.cut else ()
-
+    representation, content, facts, findings = Representation.CAPTION, reply, None, ()
     if route is QuestionType.PLANE_GEOMETRY:
         try:
             facts = parse_facts(reply)
         except ParseError as exc:
-            return VisualTranscript(
-                representation=Representation.CAPTION,
-                content=reply,
-                question_type=question_type,
-                source=source,
-                findings=(f"formal parse failed: {exc}", *cut),
+            findings = (f"formal parse failed: {exc}",)
+        else:
+            representation, content = Representation.FORMAL_LANGUAGE, serialize_facts(facts)
+            findings = tuple(
+                f"arity: {v.predicate} expects {v.expected} args, got {v.actual}"
+                for v in validate_arity(facts)
             )
-        findings = tuple(
-            f"arity: {v.predicate} expects {v.expected} args, got {v.actual}"
-            for v in validate_arity(facts)
-        )
-        return VisualTranscript(
-            representation=Representation.FORMAL_LANGUAGE,
-            content=serialize_facts(facts),
-            question_type=question_type,
-            source=source,
-            facts=facts,
-            findings=findings + cut,
-        )
-
-    if route is QuestionType.DIAGRAM:
+    elif route is QuestionType.DIAGRAM:
+        representation = Representation.LATEX_TABLE
         report = check_latex_table(reply)
         findings = tuple(f"latex: {f.message} at {f.offset}" for f in report.findings)
-        return VisualTranscript(
-            representation=Representation.LATEX_TABLE,
-            content=reply,
-            question_type=question_type,
-            source=source,
-            findings=findings + cut,
-        )
-
-    return VisualTranscript(
-        representation=Representation.CAPTION,
-        content=reply,
-        question_type=question_type,
-        source=source,
-        findings=cut,
-    )
+    if response.cut:
+        findings += (response.cut,)
+    return VisualTranscript(representation, content, question_type, source, facts, findings)

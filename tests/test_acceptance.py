@@ -30,7 +30,6 @@ from mathagent import (
     Representation,
     RequestSettings,
     Symbol,
-    TextSegment,
     TranscriptSource,
     VisualTranscript,
     average_score,
@@ -494,16 +493,7 @@ def ablation_samples():
 
 def analyzer_fingerprint(sample, transcript, include_problem_text):
     prompt = build_analysis_prompt(sample, transcript, include_problem_text)
-    request = ModelRequest(
-        model_id=ABLATION_SETTINGS.model_id,
-        system_prompt=ABLATION_SETTINGS.system_prompt,
-        segments=(TextSegment(prompt),),
-        temperature=ABLATION_SETTINGS.temperature,
-        max_tokens=ABLATION_SETTINGS.max_tokens,
-        phase="phase3",
-        sample_id=sample.id,
-    )
-    return request_fingerprint(request)
+    return request_fingerprint(ModelRequest(prompt, None, ABLATION_SETTINGS, "phase3", sample.id))
 
 
 def formal(sample, content):

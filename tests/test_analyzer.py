@@ -163,8 +163,8 @@ class TestAnalyze:
         assert out.parse_ok
         assert out.error_step == 2
         assert len(backend.requests) == 2
-        first = backend.requests[0].segments[0].text
-        second = backend.requests[1].segments[0].text
+        first = backend.requests[0].prompt
+        second = backend.requests[1].prompt
         assert second.startswith(first)
         assert "Format reminder" in second
 
@@ -193,7 +193,7 @@ class TestAnalyze:
         backend = CapturingBackend("Error Step: #1\nError Category: cal")
         analyze(make_sample(), transcript(Representation.CAPTION, "a sketch"), backend)
         (request,) = backend.requests
-        assert len(request.segments) == 1
+        assert request.image is None
 
 
 class TestTruncatedReplies:
@@ -205,7 +205,7 @@ class TestTruncatedReplies:
         assert out.parse_ok
         assert out.error_step == 2
         assert len(backend.requests) == 2
-        assert "Format reminder" in backend.requests[1].segments[0].text
+        assert "Format reminder" in backend.requests[1].prompt
 
     def test_a_truncated_reask_is_unparsed(self):
         backend = CapturingBackend(truncated(self.CLEAN), truncated(self.CLEAN))
@@ -222,4 +222,4 @@ class TestTruncatedReplies:
         assert out.parse_ok
         assert out.error_step == 2
         assert len(backend.requests) == 2
-        assert "Format reminder" in backend.requests[1].segments[0].text
+        assert "Format reminder" in backend.requests[1].prompt

@@ -10,6 +10,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from mathagent import (
     HttpBackend,
     ImageKind,
     ImageRef,
-    ImageSegment,
     ModelRequest,
     ModelResponse,
     ReplayCache,
@@ -33,23 +33,22 @@ from mathagent import (
     RetryPolicy,
     ScriptMiss,
     ScriptedBackend,
-    TextSegment,
     TransportError,
+    analyze,
     backends,
+    build_analysis_prompt,
+    check_consistency,
+    interpret_visual,
+    load_dataset,
     request_fingerprint,
+    resolve_question_type,
 )
 
 
-def text_request(text="hello", **kwargs):
-    defaults = dict(
-        model_id="m",
-        system_prompt="sys",
-        segments=(TextSegment(text),),
-        temperature=0.0,
-        max_tokens=1024,
-    )
-    defaults.update(kwargs)
-    return ModelRequest(**defaults)
+def text_request(text="hello", image=None, phase="", sample_id=None, **knobs):
+    """A request whose settings are model "m" and system prompt "sys" unless knobs say else."""
+    settings = RequestSettings(**{"model_id": "m", "system_prompt": "sys", **knobs})
+    return ModelRequest(text, image, settings, phase, sample_id)
 
 
 def inline_ref(b64=TINY_PNG_BASE64, media_type="image/png"):
@@ -57,15 +56,6 @@ def inline_ref(b64=TINY_PNG_BASE64, media_type="image/png"):
 
 
 class TestRequestValidation:
-    def test_needs_a_segment(self):
-        with pytest.raises(ValueError):
-            text_request(segments=())
-
-    def test_at_most_one_image(self):
-        seg = ImageSegment(inline_ref())
-        with pytest.raises(ValueError):
-            text_request(segments=(seg, TextSegment("t"), seg))
-
     @pytest.mark.parametrize("temp", [-0.1, 1.5])
     def test_temperature_range(self, temp):
         with pytest.raises(ValueError):
@@ -106,7 +96,7 @@ class TestFingerprint:
         assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
 
     def test_image_segment_hashes_decoded_bytes(self):
-        req = text_request(segments=(TextSegment("q"), ImageSegment(inline_ref())))
+        req = text_request("q", inline_ref())
         digest = hashlib.sha256(base64.b64decode(TINY_PNG_BASE64)).hexdigest()
         payload = {
             "max_tokens": 1024,
@@ -135,7 +125,8 @@ class TestFingerprint:
             {"system_prompt": "other"},
             {"temperature": 0.1},
             {"max_tokens": 1023},
-            {"segments": (TextSegment("hello "),)},
+            {"text": "hello "},
+            {"image": inline_ref()},
         ],
     )
     def test_payload_fields_are_load_bearing(self, change):
@@ -147,28 +138,23 @@ class TestFingerprint:
         data = base64.b64decode(TINY_PNG_BASE64)
         path = tmp_path / "img.png"
         path.write_bytes(data)
-        inline = text_request(segments=(ImageSegment(inline_ref()), TextSegment("q")))
-        from_file = text_request(
-            segments=(
-                ImageSegment(ImageRef(kind=ImageKind.FILE_PATH, value=str(path))),
-                TextSegment("q"),
-            )
-        )
+        inline = text_request("q", inline_ref())
+        from_file = text_request("q", ImageRef(kind=ImageKind.FILE_PATH, value=str(path)))
         assert request_fingerprint(inline) == request_fingerprint(from_file)
 
     def test_url_identity_is_the_address(self):
         ref = ImageRef(kind=ImageKind.URL, value="https://example.org/a.png")
-        req = text_request(segments=(ImageSegment(ref), TextSegment("q")))
+        req = text_request("q", ref)
         payload = {
             "max_tokens": 1024,
             "model_id": "m",
             "segments": [
+                {"kind": "text", "text": "q"},
                 {
                     "kind": "image",
                     "media_type": "image/png",
                     "sha256": hashlib.sha256(b"https://example.org/a.png").hexdigest(),
                 },
-                {"kind": "text", "text": "q"},
             ],
             "system_prompt": "sys",
             "temperature": 0.0,
@@ -178,7 +164,7 @@ class TestFingerprint:
         ).encode("utf-8")
         assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
         other = ImageRef(kind=ImageKind.URL, value="https://example.org/b.png")
-        req2 = text_request(segments=(ImageSegment(other), TextSegment("q")))
+        req2 = text_request("q", other)
         assert request_fingerprint(req) != request_fingerprint(req2)
 
     @pytest.mark.parametrize(
@@ -203,7 +189,7 @@ class TestFingerprint:
             value = "https://example.org/fig"
             data = value.encode("utf-8")
         ref = ImageRef(kind=kind, value=value, media_type=media_type)
-        req = text_request(segments=(TextSegment("q"), ImageSegment(ref)))
+        req = text_request("q", ref)
         digest = hashlib.sha256(data).hexdigest()
         payload = {
             "max_tokens": 1024,
@@ -284,9 +270,7 @@ class TestHttpBackend:
     def test_request_body_shape(self, monkeypatch):
         endpoint = endpoint_for()
         backend = http_backend(endpoint, monkeypatch)
-        backend.complete(
-            text_request("look", segments=(TextSegment("look"), ImageSegment(inline_ref())))
-        )
+        backend.complete(text_request("look", inline_ref()))
         [(url, headers, body, _)] = endpoint.sent
         assert url == "https://api.example.test/v1/chat/completions"
         assert headers["Authorization"] == "Bearer test-key"
@@ -300,15 +284,15 @@ class TestHttpBackend:
         endpoint = endpoint_for()
         ref = ImageRef(kind=ImageKind.URL, value="https://example.org/fig.png")
         backend = http_backend(endpoint, monkeypatch)
-        backend.complete(text_request(segments=(ImageSegment(ref), TextSegment("q"))))
-        image = endpoint.sent[0][2]["messages"][1]["content"][0]
+        backend.complete(text_request("q", ref))
+        image = endpoint.sent[0][2]["messages"][1]["content"][1]
         assert image["image_url"]["url"] == "https://example.org/fig.png"
 
     def test_inline_image_without_media_type_sends_the_fingerprinted_one(self, monkeypatch):
         endpoint = endpoint_for()
         ref = inline_ref(media_type=None)
         backend = http_backend(endpoint, monkeypatch)
-        backend.complete(text_request(segments=(TextSegment("q"), ImageSegment(ref))))
+        backend.complete(text_request("q", ref))
         image = endpoint.sent[0][2]["messages"][1]["content"][1]
         # the media type the fingerprint hashes, not "data:None"
         assert image["image_url"]["url"] == (
@@ -327,7 +311,7 @@ class TestHttpBackend:
         assert reads == []  # a file ref is read at first use, not when built
         backend = http_backend(endpoint, monkeypatch)
         for text in ("first", "second"):
-            backend.complete(text_request(segments=(TextSegment(text), ImageSegment(ref))))
+            backend.complete(text_request(text, ref))
         # one read for the digest, kept by the ref, and one at each send
         assert reads == [path] * 3
         encoded = base64.b64encode(path.read_bytes()).decode("ascii")
@@ -486,6 +470,55 @@ class TestHttpBackend:
         assert endpoint.calls == 1
         assert endpoint.sleeps == []
 
+
+class TestRequestBodies:
+    """The body of each request shape the pipeline sends: text only, or text and then image."""
+
+    KNOBS = RequestSettings(model_id="m", system_prompt="sys", temperature=0.5, max_tokens=64)
+
+    @pytest.fixture()
+    def sample(self):
+        """A fixture sample with an image and no type label, so the endpoint routes its bodies."""
+        samples = load_dataset(FIXTURES / "dataset_12.jsonl")
+        return replace(next(s for s in samples if s.image is not None), question_type=None)
+
+    def test_a_phase3_request_carries_one_text_part(self, monkeypatch, sample):
+        endpoint = endpoint_for(reply="Error Step: #1\nError Category: cal")
+        analyze(sample, None, http_backend(endpoint, monkeypatch), self.KNOBS)
+        [(_, _, body, _)] = endpoint.sent
+        assert body == {
+            "model": "m",
+            "messages": [
+                {"role": "system", "content": "sys"},
+                {"role": "user", "content": [
+                    {"type": "text", "text": build_analysis_prompt(sample, None)},
+                ]},
+            ],
+            "temperature": 0.5,
+            "max_tokens": 64,
+        }
+
+    @pytest.mark.parametrize("ask", [
+        lambda sample, backend, knobs: check_consistency(sample, backend, knobs),
+        lambda sample, backend, knobs: resolve_question_type(sample, backend, knobs),
+        lambda sample, backend, knobs: interpret_visual(sample, None, backend, knobs),
+    ], ids=["phase1", "phase2.type", "phase2"])
+    def test_an_image_request_carries_text_then_image(self, monkeypatch, sample, ask):
+        endpoint = endpoint_for(reply="CONSISTENT: algebra")
+        ask(sample, http_backend(endpoint, monkeypatch), self.KNOBS)
+        [(_, _, body, _)] = endpoint.sent
+        system, user = body["messages"]
+        assert system == {"role": "system", "content": "sys"}
+        text, image = user["content"]
+        assert text["type"] == "text" and sample.question_text in text["text"]
+        assert image == {"type": "image_url", "image_url": {"url": sample.image.data_url()}}
+        assert (body["model"], body["temperature"], body["max_tokens"]) == ("m", 0.5, 64)
+
+    def test_an_empty_system_prompt_sends_only_the_user_message(self, monkeypatch):
+        endpoint = endpoint_for()
+        http_backend(endpoint, monkeypatch).complete(text_request("q", system_prompt=""))
+        [(_, _, body, _)] = endpoint.sent
+        assert body["messages"] == [{"role": "user", "content": [{"type": "text", "text": "q"}]}]
 
 class TestScriptedBackend:
     def test_phase_and_sample_lookup(self):
@@ -853,7 +886,7 @@ class TestReplayBackend:
                 with lock:
                     asked[request.fingerprint] += 1
                 time.sleep(0.002)  # long enough for other threads to miss on it too
-                text = request.segments[0].text.upper()
+                text = request.prompt.upper()
                 return ModelResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0)
 
         memo, echo = ReplayCache(cache), EchoBackend()
@@ -866,7 +899,7 @@ class TestReplayBackend:
         finally:
             sys.setswitchinterval(interval)
             memo.close()
-        assert [r.text for r in replies] == [r.segments[0].text.upper() for r in requests]
+        assert [r.text for r in replies] == [r.prompt.upper() for r in requests]
         fingerprints = {r.fingerprint for r in requests}
         assert asked == {fp: 1 for fp in fingerprints}
         lines = cache.read_text(encoding="utf-8").splitlines()

@@ -1094,6 +1094,60 @@ class TestUnreadableDatasetLine:
         assert not (tmp_path / "out").exists()
 
 
+
+class TestNulBytePaths:
+    """A NUL byte in a path from outside is a config or dataset error, never a traceback."""
+
+    @pytest.mark.parametrize("key", ["dataset", "cache_path", "output_dir", "prompt_dir"])
+    def test_a_config_path_exits_two_naming_its_key(self, tmp_path, key):
+        config = write_config(tmp_path, tmp_path / "out", **{key: "runs/fig\u0000.png"})
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [f"ERROR config: {key!r} holds a NUL byte"]
+
+    def test_a_script_path_exits_two_naming_its_spec(self, tmp_path):
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        broken = dict(scripted, script_path="scripts\u0000.json")
+        backends = {"phase1": scripted, "phase2": broken, "phase3": scripted}
+        config = write_config(tmp_path, tmp_path / "out", backends=backends)
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "ERROR config: 'backends.phase2.script_path' holds a NUL byte"
+        ]
+
+    @pytest.fixture()
+    def dataset(self, tmp_path):
+        lines = read_lines(DATASET)
+        sample = json.loads(lines[1])
+        sample["image"] = {"kind": "file_path", "value": "fig\u0000.png"}
+        lines[1] = json.dumps(sample)
+        path = tmp_path / "nul.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_validate_exits_one_with_a_finding_on_the_image(self, dataset):
+        proc = run_python("-m", "mathagent.cli", "validate", str(dataset))
+        assert proc.returncode == EXIT_FINDINGS, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith(
+            "line 2: field 'image.value': a file path may not hold a NUL byte\n"
+        )
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_detecting_command_exits_three(self, tmp_path, dataset, command):
+        config = write_config(tmp_path, tmp_path / "out", dataset=str(dataset))
+        proc = run_python("-m", "mathagent.cli", command, "--config", str(config))
+        assert proc.returncode == EXIT_DATASET, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"ERROR dataset: dataset {dataset}: line 2: field 'image.value': "
+            "a file path may not hold a NUL byte"
+        ]
+        assert not (tmp_path / "out").exists()
+
 class TestRouterConfig:
     def test_default_router_renames_phase2(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -1142,8 +1196,8 @@ class TestPromptDir:
         capsys.readouterr()
         phase3 = [r for r in seen if r.phase == "phase3"]
         assert len(phase3) == 14
-        assert all(r.segments[0].text.startswith("EDITED ANALYZER PROMPT\n") for r in phase3)
-        assert not any("EDITED" in r.segments[0].text for r in seen if r.phase != "phase3")
+        assert all(r.prompt.startswith("EDITED ANALYZER PROMPT\n") for r in phase3)
+        assert not any("EDITED" in r.prompt for r in seen if r.phase != "phase3")
 
     def test_every_allowed_placeholder_is_filled_by_its_phase(
         self, tmp_path, capsys, monkeypatch

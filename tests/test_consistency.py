@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import CapturingBackend, load_corpus, make_sample, truncated
-from mathagent import (
-    ImageSegment,
-    RequestSettings,
-    TextSegment,
-    check_consistency,
-    parse_verdict,
-)
+from mathagent import RequestSettings, check_consistency, parse_verdict
 
 CASES = load_corpus("verdict_cases.json")
 
@@ -78,13 +72,9 @@ class TestCheckConsistency:
         (request,) = backend.requests
         assert request.phase == "phase1"
         assert request.sample_id == "s7"
-        assert request.model_id == "vision-x"
-        assert request.max_tokens == 77
-        text_seg, image_seg = request.segments
-        assert isinstance(text_seg, TextSegment)
-        assert "Angle ABC is 40 degrees." in text_seg.text
-        assert isinstance(image_seg, ImageSegment)
-        assert image_seg.ref is sample.image
+        assert request.settings is settings
+        assert "Angle ABC is 40 degrees." in request.prompt
+        assert request.image is sample.image
 
     def test_negative_verdict_parsed(self):
         backend = CapturingBackend("The figure is NOT consistent with the problem.")

@@ -179,6 +179,12 @@ class TestSampleFromDict:
         )
         assert path.image.kind is ImageKind.FILE_PATH
 
+    def test_a_file_path_with_a_nul_byte_is_a_finding(self):
+        with pytest.raises(SchemaError) as err:
+            sample_from_dict(with_image(kind="file_path", value="fig\u0000.png", media_type=None))
+        assert err.value.field_path == "image.value"
+        assert err.value.message == "a file path may not hold a NUL byte"
+
 
 class TestImageRef:
     @pytest.mark.parametrize("value", ["!!not-base64!!", "iVBORw0K\u00e9"])

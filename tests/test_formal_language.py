@@ -90,8 +90,9 @@ class TestParse:
 idents = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,8}", fullmatch=True)
 numbers = st.one_of(
     st.integers(0, 99999).map(lambda n: Number(Decimal(n))),
-    st.tuples(st.integers(0, 999), st.integers(1, 999999)).map(
-        lambda t: Number(Decimal(f"{t[0]}.{t[1]}").normalize())
+    # leading zeros reach values below 1e-6, which str(Decimal) would write with an exponent
+    st.tuples(st.integers(0, 999), st.integers(0, 12), st.integers(0, 10**12)).map(
+        lambda t: Number(Decimal(f"{t[0]}.{'0' * t[1]}{t[2]}").normalize())
     ),
 )
 args = st.one_of(idents.map(Symbol), numbers)
@@ -115,6 +116,18 @@ class TestRoundTrip:
     def test_serialize_is_canonical_fixed_point(self, facts):
         text = serialize_facts(facts)
         assert serialize_facts(parse_facts(text)) == text
+
+    @pytest.mark.parametrize(
+        "text, canonical",
+        [
+            ("Angle(A, 0.0000001)", "Angle(A, 0.0000001)"),
+            ("Angle(A, 0.0000000)", "Angle(A, 0)"),
+            ("Line(AB, 120.000000000)", "Line(AB, 120)"),
+        ],
+    )
+    def test_small_and_zero_decimals_stay_fixed_point(self, text, canonical):
+        assert serialize_facts(parse_facts(text)) == canonical
+        assert parse_facts(canonical) == parse_facts(text)
 
     @given(st.text(max_size=60))
     @settings(max_examples=300)

@@ -64,8 +64,8 @@ class TestResolveQuestionType:
         got = resolve_question_type(make_sample(), backend)
         assert got == (QuestionType.ALGEBRA, TranscriptSource.INFERRED)
         assert len(backend.requests) == 2
-        first = backend.requests[0].segments[0].text
-        second = backend.requests[1].segments[0].text
+        first = backend.requests[0].prompt
+        second = backend.requests[1].prompt
         assert second.startswith(first)
         assert "Reply with exactly one of" in second
         assert "Reply with exactly one of" not in first
@@ -82,7 +82,7 @@ class TestResolveQuestionType:
         got = resolve_question_type(make_sample(), backend)
         assert got == (QuestionType.SOLID_GEOMETRY, TranscriptSource.INFERRED)
         assert len(backend.requests) == 2
-        assert "Reply with exactly one of" in backend.requests[1].segments[0].text
+        assert "Reply with exactly one of" in backend.requests[1].prompt
 
     def test_a_truncated_retry_raises(self):
         backend = CapturingBackend("no idea", truncated("This is a plane geometry"))
@@ -177,7 +177,7 @@ class TestInterpretVisual:
         for route in (QuestionType.PLANE_GEOMETRY, QuestionType.DIAGRAM, None):
             backend = CapturingBackend("Point(A)")
             interpret_visual(make_sample(), route, backend)
-            prompts[route] = backend.requests[0].segments[0].text
+            prompts[route] = backend.requests[0].prompt
         assert len(set(prompts.values())) == 3
 
     def test_imageless_sample_rejected(self):

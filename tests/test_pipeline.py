@@ -718,7 +718,7 @@ class TestSharedSteps:
             (record,) = [r for r in det.trace.backend_calls if r.phase == "phase2"]
             return record
 
-        assert [q.model_id for q in spy.requests if q.phase == "phase2"] == [
+        assert [q.settings.model_id for q in spy.requests if q.phase == "phase2"] == [
             "latex-reader", "scripted"
         ]
         assert not phase2(plain).from_cache
