@@ -225,9 +225,9 @@ class HttpBackend:
     docstring); 401/403 raise AuthError immediately. rate_limit bounds
     the number of in-flight requests across threads. A gate given in its
     place is shared: backends holding one gate (say, every backend of a
-    command on one base_url) are bound by it together. A rate_limit or timeout_s that
-    is not positive raises ValueError, as RetryPolicy does for
-    max_attempts below 1 or a negative backoff_base_ms.
+    command on one base_url) are bound by it together. A rate_limit below 1
+    or a timeout_s outside (0, threading.TIMEOUT_MAX] raises ValueError, as
+    RetryPolicy does for max_attempts below 1 or a negative backoff_base_ms.
     """
 
     def __init__(
@@ -243,8 +243,8 @@ class HttpBackend:
     ):
         if rate_limit < 1:
             raise ValueError(f"'rate_limit' {rate_limit} is not positive")
-        if not timeout_s > 0:
-            raise ValueError(f"'timeout_s' {timeout_s} is not positive")
+        if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # a socket timeout past it overflows
+            raise ValueError(f"'timeout_s' {timeout_s} is not in (0, {threading.TIMEOUT_MAX:g}]")
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
         self.retry = retry

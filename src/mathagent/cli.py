@@ -79,7 +79,7 @@ _HTTP_DEFAULTS = {k: p.default for k, p in inspect.signature(HttpBackend).parame
 
 # the keys each part of a config may hold; load_config warns about any other
 _CONFIG_KEYS = frozenset(
-    {"dataset", "mode", "backends", "router", "workers", "cache_path", "output_dir", "prompt_dir",
+    {"dataset", "mode", "backends", "router", "cache_path", "output_dir", "prompt_dir",
      "seed"}  # retired, and ignored
 )
 _SPEC_KEYS = frozenset({"kind", "model_id", "system_prompt", "temperature", "max_tokens"})
@@ -111,7 +111,6 @@ class RunConfig:
     backends: dict[str, BackendSpec]
     prompts: PromptSet
     router: dict[str, str]
-    workers: int
     cache_path: Path | None
     output_dir: Path
 
@@ -183,10 +182,6 @@ def load_config(path) -> RunConfig:
         if not isinstance(target, str) or target not in specs:
             raise ConfigError(f"router target {target!r} is not a configured backend")
 
-    workers = _typed(raw, "workers", int, 1, "a positive integer")
-    if workers < 1:
-        raise ConfigError("'workers' must be a positive integer")
-
     cache_path = _path(raw, "cache_path", base)
     output_dir = _path(raw, "output_dir", base, "runs/out")
     prompt_dir = _path(raw, "prompt_dir", base)
@@ -201,7 +196,7 @@ def load_config(path) -> RunConfig:
         # missing prompt assets or script files, bad scripts, knobs out of range
         raise ConfigError(str(exc)) from exc
     return RunConfig(
-        dataset, AblationMode(mode), backends, prompts, router, workers, cache_path, output_dir
+        dataset, AblationMode(mode), backends, prompts, router, cache_path, output_dir
     )
 
 
@@ -257,14 +252,16 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
     return BackendSpec(settings, http, script)
 
 
-def _http_gates(config: RunConfig) -> dict[str, threading.Semaphore]:
-    """One in-flight gate per HTTP base_url, sized by the smallest rate_limit on it."""
+def _http_gates(config: RunConfig) -> tuple[dict[str, threading.Semaphore], int]:
+    """One in-flight gate per HTTP base_url, sized by the smallest rate_limit on it, and workers."""
     limits: dict[str, int] = {}
     for spec in config.backends.values():
         if spec.http is not None:
             url, limit = spec.http["base_url"], spec.http["rate_limit"]
             limits[url] = min(limit, limits.get(url, limit))
-    return {url: threading.Semaphore(limit) for url, limit in limits.items()}
+    gates = {url: threading.Semaphore(limit) for url, limit in limits.items()}
+    # a worker per slot fills every gate; a scripted-only run is CPU-bound, so it takes one
+    return gates, sum(limits.values()) or 1
 
 
 def _open_cache(config: RunConfig) -> ReplayCache:
@@ -291,7 +288,7 @@ def build_setup(
     if cache is None:
         cache = _open_cache(config)
     if gates is None:
-        gates = _http_gates(config)
+        gates, _ = _http_gates(config)
     built = {
         name: PhaseSetup(backend=spec.build(gates), settings=spec.settings)
         for name, spec in config.backends.items()
@@ -331,8 +328,8 @@ def _utc_now() -> str:
 
 def _detect(
     config: RunConfig, modes: list[AblationMode], names: list[str]
-) -> tuple[list[Sample], list[DetectionLog]]:
-    """Stream each mode's detections into output_dir/<its name>: (samples, logs).
+) -> tuple[list[Sample], list[DetectionLog], int]:
+    """Stream each mode's detections into output_dir/<its name>: (samples, logs, workers).
 
     Each mode gets its own setup (fresh backends), all on one memo and
     one gate per base_url. The output directory is made only once those
@@ -340,14 +337,11 @@ def _detect(
     A mode with failed samples gets a warning naming its file.
     """
     with _open_cache(config) as cache:
-        gates = _http_gates(config)
+        gates, workers = _http_gates(config)
         setups = [build_setup(config, cache=cache, gates=gates) for _ in modes]
         samples = _load_samples(config.dataset)
-        log.info(
-            "running %d samples in mode %s",
-            len(samples),
-            ", then ".join(mode.value for mode in modes),
-        )
+        in_turn = ", then ".join(mode.value for mode in modes)
+        log.info("running %d samples in mode %s on %d worker(s)", len(samples), in_turn, workers)
         with _writing_under(config.output_dir), contextlib.ExitStack() as stack:
             config.output_dir.mkdir(parents=True, exist_ok=True)
             logs = [
@@ -358,17 +352,17 @@ def _detect(
                 for det_log, det in zip(logs, detections):
                     det_log.add(det)
 
-            stream_detections(samples, list(zip(modes, setups)), emit, config.workers)
+            stream_detections(samples, list(zip(modes, setups)), emit, workers)
     for name, det_log in zip(names, logs):
         if det_log.failures:
             log.warning("%d of %d samples failed; see %s", det_log.failures, len(samples), name)
-    return samples, logs
+    return samples, logs, workers
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
     started = _utc_now()
-    samples, (detections,) = _detect(config, [config.mode], ["detections.jsonl"])
+    samples, (detections,), workers = _detect(config, [config.mode], ["detections.jsonl"])
     finished = _utc_now()
     model = config.backends["phase3"].settings.model_id
 
@@ -383,7 +377,7 @@ def cmd_run(args) -> int:
         "n_samples": len(samples),
         "n_failures": detections.failures,
         "call_counts": detections.calls,
-        "workers": config.workers,
+        "workers": workers,
         "started_at": started,
         "finished_at": finished,
     }
@@ -401,7 +395,7 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     modes = list(AblationMode)
     names = [f"detections_{mode.value}.jsonl" for mode in modes]
-    samples, logs = _detect(config, modes, names)
+    samples, logs, _ = _detect(config, modes, names)
     entries = [
         (mode.value, build_report_row(det_log.records, samples, mode.value), det_log.calls)
         for mode, det_log in zip(modes, logs)

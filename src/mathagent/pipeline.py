@@ -18,13 +18,14 @@ detection_from_line reads its record back; the reader accepts only what
 the writer emits, so `report` on a detections file scores exactly what
 its run kept.
 
-Across modes, one SharedSteps table lives while one sample goes through
-them. Each phase step (the verdict, the type query, the transcript, the
-analysis) is stored under the inputs that fix its requests, and a later
-mode that reaches the same step reuses its result and copies its call
-records as memo hits (from_cache true, latency 0.0), which is what the
-memo would have answered. A step that raised is not stored, so a later
-mode asks again.
+Across modes whose setups share one prompt set and one memo, one
+SharedSteps table lives while one sample goes through them. Each phase
+step (the verdict, the type query, the transcript, the analysis) is
+stored under the other inputs that fix its requests, and a later mode
+that reaches the same step reuses its result and copies its call records
+as memo hits (from_cache true, latency 0.0), which is what the memo would
+have answered. A step that raised is not stored, so a later mode asks
+again.
 """
 
 from __future__ import annotations
@@ -288,9 +289,12 @@ def stream_detections(
     are done; what was emitted before it stays emitted.
     """
 
+    # a step's key leaves out the prompt set and the memo, so a table spans only runs sharing both
+    shared = len(runs) > 1 and len({(id(s.prompts), id(s.cache)) for _, s in runs}) == 1
+
     def detect(sample: Sample) -> tuple[Detection, ...]:
         # the sample's table lives only while it goes through the modes
-        steps = (SharedSteps(),) if len(runs) > 1 else ()
+        steps = (SharedSteps(),) if shared else ()
         return tuple(detect_errors(sample, mode, setup, *steps) for mode, setup in runs)
 
     pending = enumerate(samples)

@@ -187,11 +187,14 @@ class FaultyEndpoint:
     A 200's text is `reply` when given, else the pair's reply in
     scripts_12.json, one per 200 as ScriptedBackend hands them out.
 
-    It counts calls, the most calls in flight at once and the asks per pair,
-    and keeps what it was sent, as (url, headers, body, timeout_s), and each
-    call's (phase, sample_id, k, fault). sleep() is the sleep hook: it keeps
-    each backoff instead of waiting. post() is the endpoint as the
-    `requests.post` the default transport calls. Each call holds for hold_s.
+    It counts calls, the most calls in flight at once, in all and per url
+    (peaks), and the asks per pair, and keeps what it was sent, as (url,
+    headers, body, timeout_s), and each call's (phase, sample_id, k, fault).
+    sleep() is the sleep hook: it keeps each backoff instead of waiting.
+    post() is the endpoint as the `requests.post` the default transport
+    calls. Each call holds for hold_s. With a barrier, the first
+    barrier.parties calls also wait at it, in flight, until that many have
+    come (a BrokenBarrierError after 10 s when they do not).
     """
 
     PHASES = {  # prompt asset -> the phase tag of its requests
@@ -200,10 +203,11 @@ class FaultyEndpoint:
         "phase3_analyzer": "phase3",
     }
 
-    def __init__(self, plan=None, reply=None, hold_s=0.0):
+    def __init__(self, plan=None, reply=None, hold_s=0.0, barrier=None):
         self.plan = dict(plan or {})
         self.reply = reply
         self.hold_s = hold_s
+        self.barrier = barrier
         self.script = load_corpus("scripts_12.json")["phases"]
         self.samples = load_dataset(FIXTURES / "dataset_12.jsonl")
         self.phases = {
@@ -212,7 +216,8 @@ class FaultyEndpoint:
         }
         self.sent, self.log, self.sleeps = [], [], []
         self.asked, self.answered = Counter(), Counter()
-        self.in_flight = self.max_in_flight = 0
+        self.in_flight, self.peaks = Counter(), Counter()
+        self.max_in_flight = 0
         self.lock = threading.Lock()
 
     @property
@@ -232,8 +237,10 @@ class FaultyEndpoint:
     def __call__(self, url, headers, body, timeout_s):
         pair = self.route(body)
         with self.lock:
-            self.in_flight += 1
-            self.max_in_flight = max(self.max_in_flight, self.in_flight)
+            self.in_flight[url] += 1
+            self.peaks[url] = max(self.peaks[url], self.in_flight[url])
+            self.max_in_flight = max(self.max_in_flight, self.in_flight.total())
+            waits = self.barrier is not None and self.calls < self.barrier.parties
             k = self.asked[pair]
             self.asked[pair] += 1
             fault = self.plan.get((*pair, k), Fault())
@@ -242,10 +249,14 @@ class FaultyEndpoint:
             if fault.well_formed:
                 nth = self.answered[pair]
                 self.answered[pair] += 1
-        if self.hold_s:
-            time.sleep(self.hold_s)
-        with self.lock:
-            self.in_flight -= 1
+        try:
+            if waits:
+                self.barrier.wait(timeout=10)
+            if self.hold_s:
+                time.sleep(self.hold_s)
+        finally:
+            with self.lock:
+                self.in_flight[url] -= 1
         if fault.error is not None:
             raise fault.error.with_traceback(None)  # a fresh traceback at each raise
         if not fault.well_formed:

@@ -443,8 +443,13 @@ class TestHttpBackend:
             ({"timeout_s": 0}, "timeout_s"),
             ({"timeout_s": -1.5}, "timeout_s"),
             ({"timeout_s": float("nan")}, "timeout_s"),
+            ({"timeout_s": 1e10}, "timeout_s"),
+            ({"timeout_s": float("inf")}, "timeout_s"),
         ],
-        ids=["rate_limit", "timeout_s-zero", "timeout_s-negative", "timeout_s-nan"],
+        ids=[
+            "rate_limit", "timeout_s-zero", "timeout_s-negative", "timeout_s-nan",
+            "timeout_s-huge", "timeout_s-infinity",
+        ],
     )
     def test_out_of_range_knobs_are_rejected(self, kwargs, knob):
         with pytest.raises(ValueError, match=repr(knob)):
@@ -974,7 +979,6 @@ class TestDeferredHttpImport:
                 "dataset": str(FIXTURES / "dataset_12.jsonl"),
                 "backends": {"phase1": backend, "phase2": backend, "phase3": backend},
                 "output_dir": str(tmp_path / "out"),
-                "workers": 3,
             }),
             encoding="utf-8",
         )

@@ -270,15 +270,30 @@ class TestRun:
             "timeout_s": 60.0,
         }
 
-    def test_the_test_and_benchmark_configs_warn_of_nothing(
+    def test_the_test_config_warns_of_nothing_and_the_benchmark_config_of_workers(
         self, tmp_path, caplog, monkeypatch
     ):
         monkeypatch.syspath_prepend(str(REPO / "perfbench"))
         import workload
 
         cli.load_config(write_config(tmp_path, tmp_path / "out", seed=7))
-        cli.load_config(workload.write_config(tmp_path, cache=True))
         assert warnings(caplog) == []
+        # the benchmark still sets the retired key; its rate_limit gives the same count
+        config = cli.load_config(workload.write_config(tmp_path, cache=True))
+        assert warnings(caplog) == ["config: unknown key 'workers' ignored"]
+        assert cli._http_gates(config)[1] == workload.WORKERS
+
+    def test_a_workers_key_is_unknown_and_the_run_goes_on(self, tmp_path, capsys, caplog):
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path, out_dir, workers=3)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert warnings(caplog) == ["config: unknown key 'workers' ignored"]
+        meta = json.loads((out_dir / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["workers"] == 1  # a scripted-only run takes the calling thread alone
+        assert (out_dir / "detections.jsonl").read_bytes() == (
+            FIXTURES / "golden_detections_full.jsonl"
+        ).read_bytes()
 
     def test_mode_from_config(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -358,26 +373,32 @@ class TestAblate:
             first = read_lines(tmp_path / "ablate" / f"detections_{mode}.jsonl")[0]
             assert json.loads(first)["failure"] is not None, mode
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rate_limit", [1, 3])
     @pytest.mark.parametrize("ablate_cache", [False, True], ids=["uncached", "cached"])
-    def test_each_mode_matches_a_run_in_that_mode(self, tmp_path, capsys, workers, ablate_cache):
-        """Modes reuse each other's phase results; a run of each mode, in order, does not."""
+    def test_each_mode_matches_a_run_in_that_mode(
+        self, tmp_path, capsys, monkeypatch, rate_limit, ablate_cache
+    ):
+        """Modes reuse each other's phase results; a run of each mode, in order, does not.
+
+        Over HTTP, so that rate_limit sets the workers; one endpoint serves the
+        runs, as one serves the modes of `ablate`.
+        """
+        serve(FaultyEndpoint(), monkeypatch)
         runs = tmp_path / "runs"
-        runs.mkdir()
-        for mode in ("full", "no_validator", "no_interpreter", "no_analyzer"):
-            config = write_config(
-                runs, runs / mode, mode=mode, workers=workers,
-                cache_path=str(runs / "cache.jsonl"),
+        for mode in MODES:
+            config = http_config(
+                runs / mode, rate_limit, mode=mode, cache_path=str(runs / "cache.jsonl")
             )
             assert main(["run", "--config", str(config)]) == EXIT_OK
+        serve(FaultyEndpoint(), monkeypatch)
         extra = {"cache_path": str(tmp_path / "cache.jsonl")} if ablate_cache else {}
-        config = write_config(tmp_path, tmp_path / "ablate", workers=workers, **extra)
+        config = http_config(tmp_path / "ablate", rate_limit, **extra)
         assert main(["ablate", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
-        for mode in ("full", "no_validator", "no_interpreter", "no_analyzer"):
-            assert (tmp_path / "ablate" / f"detections_{mode}.jsonl").read_bytes() == (
-                runs / mode / "detections.jsonl"
-            ).read_bytes(), mode
+        for mode in MODES:
+            assert timeless(tmp_path / "ablate" / "out" / f"detections_{mode}.jsonl") == (
+                timeless(runs / mode / "out" / "detections.jsonl")
+            ), mode
 
 
 class TestReport:
@@ -592,11 +613,6 @@ class TestConfigErrors:
         assert_load_config_raises(config)
         assert main(["run", "--config", str(config)]) == EXIT_CONFIG
 
-    def test_workers_must_be_positive(self, tmp_path):
-        config = write_config(tmp_path, tmp_path / "out", workers=0)
-        assert_load_config_raises(config)
-        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
-
     def test_missing_script_file(self, tmp_path):
         config = write_config(tmp_path, tmp_path / "out")
         raw = json.loads(config.read_text(encoding="utf-8"))
@@ -626,13 +642,12 @@ class TestConfigErrors:
             ("phase1", {"kind": "http", "base_url": "http://localhost:9", "rate_limit": "x"}),
             ("phase1", {"kind": "http", "base_url": "http://localhost:9", "retry": 5}),
             ("phase1", {"kind": "scripted", "phases": [1]}),
-            ("workers", True),
             ("phase1", {"kind": "http", "base_url": "http://localhost:9", "rate_limit": True}),
             ("router", {"diagram": [1]}),
         ],
         ids=[
             "prompt_dir", "cache_path", "output_dir", "rate_limit", "retry", "phases",
-            "workers-bool", "rate_limit-bool", "router-target",
+            "rate_limit-bool", "router-target",
         ],
     )
     def test_wrong_typed_value(self, tmp_path, key, value):
@@ -653,8 +668,13 @@ class TestConfigErrors:
             ("rate_limit", 0),
             ("timeout_s", 0),
             ("timeout_s", -1.5),
+            ("timeout_s", 1e10),  # past threading.TIMEOUT_MAX: the socket timeout overflows
+            ("timeout_s", float("inf")),  # written as JSON's Infinity, which the reader takes
         ],
-        ids=["backoff_base_ms", "max_attempts", "rate_limit", "timeout_s-zero", "timeout_s-negative"],
+        ids=[
+            "backoff_base_ms", "max_attempts", "rate_limit", "timeout_s-zero", "timeout_s-negative",
+            "timeout_s-huge", "timeout_s-infinity",
+        ],
     )
     def test_http_knob_out_of_range(self, tmp_path, knob, value):
         spec = {"kind": "http", "base_url": "http://localhost:9", "rate_limit": 2}
@@ -1485,12 +1505,14 @@ class TestStreamedDetections:
             assert read_lines(path) == read_lines(whole_path)[:k], path.name
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rate_limit", [1, 3])
     def test_ctrl_c_at_sample_k_exits_130_with_whole_lines(
-        self, tmp_path, capsys, caplog, monkeypatch, command, workers
+        self, tmp_path, capsys, caplog, monkeypatch, command, rate_limit
     ):
+        serve(FaultyEndpoint(), monkeypatch)
         whole = tmp_path / "whole"
-        assert main([command, "--config", str(write_config(tmp_path, whole))]) == EXIT_OK
+        assert main([command, "--config", str(http_config(whole))]) == EXIT_OK
+        serve(FaultyEndpoint(), monkeypatch)
         k = 5
         interrupted = load_dataset(DATASET)[k].id
         original = pipeline.DetectionLog.add
@@ -1502,8 +1524,7 @@ class TestStreamedDetections:
 
         monkeypatch.setattr(pipeline.DetectionLog, "add", add)
         caplog.clear()
-        out_dir = tmp_path / "cut"
-        config = write_config(tmp_path, out_dir, workers=workers)
+        config = http_config(tmp_path / "cut", rate_limit)
         try:
             code = main([command, "--config", str(config)])
         except KeyboardInterrupt:  # uncaught, it would stop the whole test session
@@ -1515,21 +1536,29 @@ class TestStreamedDetections:
         ]
         # each file holds the first k samples' lines, whole and in order
         for path, whole_path in zip(
-            detection_files(command, out_dir), detection_files(command, whole)
+            detection_files(command, tmp_path / "cut" / "out"),
+            detection_files(command, whole / "out"),
         ):
-            whole_lines = whole_path.read_bytes().splitlines(keepends=True)
-            assert path.read_bytes() == b"".join(whole_lines[:k]), path.name
+            assert path.read_bytes().endswith(b"\n"), path.name
+            assert timeless(path) == timeless(whole_path)[:k], path.name
 
-    def test_sigint_exits_130_without_a_traceback(self, tmp_path, capsys):
+    def test_sigint_exits_130_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        serve(FaultyEndpoint(), monkeypatch)
         whole = tmp_path / "whole"
-        assert main(["run", "--config", str(write_config(tmp_path, whole))]) == EXIT_OK
+        assert main(["run", "--config", str(http_config(whole))]) == EXIT_OK
         capsys.readouterr()
-        out_dir = tmp_path / "cut"
-        config = write_config(tmp_path, out_dir, workers=2)
-        # the process signals itself as the sixth sample is written
+        out_dir = tmp_path / "cut" / "out"
+        config = http_config(tmp_path / "cut", rate_limit=2)
+        # the process signals itself as the sixth sample is written, on two workers
         code = (
-            "import os, signal, sys\n"
-            "from mathagent import cli, pipeline\n"
+            "import functools, os, signal, sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from conftest import FaultyEndpoint\n"
+            "from mathagent import backends, cli, pipeline\n"
+            "endpoint = FaultyEndpoint()\n"
+            "os.environ['MATHAGENT_API_KEY'] = 'test-key'\n"
+            "cli.HttpBackend = functools.partial(\n"
+            "    backends.HttpBackend, transport=endpoint, sleep=endpoint.sleep)\n"
             "add = pipeline.DetectionLog.add\n"
             "def interrupting_add(log, det):\n"
             f"    if det.sample_id == {load_dataset(DATASET)[5].id!r}:\n"
@@ -1542,20 +1571,22 @@ class TestStreamedDetections:
         assert proc.returncode == EXIT_INTERRUPTED, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("interrupted") == 1
-        cut = (out_dir / "detections.jsonl").read_bytes()
-        assert (whole / "detections.jsonl").read_bytes().startswith(cut)
-        assert cut.endswith(b"\n")
+        cut = out_dir / "detections.jsonl"
+        assert cut.read_bytes().endswith(b"\n")
+        lines = timeless(cut)
+        assert len(lines) >= 5  # every sample before the sixth was written
+        assert lines == timeless(whole / "out" / "detections.jsonl")[:len(lines)]
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_slow_first_sample_streams_the_sequential_bytes(
         self, tmp_path, capsys, monkeypatch, command
     ):
+        serve(FaultyEndpoint(), monkeypatch)
         sequential = tmp_path / "sequential"
-        config = write_config(tmp_path, sequential, workers=1)
-        assert main([command, "--config", str(config)]) == EXIT_OK
+        assert main([command, "--config", str(http_config(sequential, rate_limit=1))]) == EXIT_OK
+        serve(FaultyEndpoint(), monkeypatch)
         first = load_dataset(DATASET)[0].id
-        out_dir = tmp_path / "pooled"
-        files = detection_files(command, out_dir)
+        files = detection_files(command, tmp_path / "pooled" / "out")
         others = (len(load_dataset(DATASET)) - 1) * (1 if command == "run" else len(MODES))
         finished, others_done, held = [], threading.Event(), []
         real = pipeline.detect_errors
@@ -1573,12 +1604,12 @@ class TestStreamedDetections:
             return det
 
         monkeypatch.setattr(pipeline, "detect_errors", slow_first)
-        config = write_config(tmp_path, out_dir, workers=3)
+        config = http_config(tmp_path / "pooled", rate_limit=3)
         assert main([command, "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         assert held == [[0] * len(files)]
-        for path, sequential_path in zip(files, detection_files(command, sequential)):
-            assert path.read_bytes() == sequential_path.read_bytes(), path.name
+        for path, sequential_path in zip(files, detection_files(command, sequential / "out")):
+            assert timeless(path) == timeless(sequential_path), path.name
 
     def test_ablate_holds_one_table_per_busy_worker(self, tmp_path, capsys, monkeypatch):
         tables, peak = [], [0]
@@ -1593,8 +1624,8 @@ class TestStreamedDetections:
                 peak[0] = max(peak[0], alive())
 
         monkeypatch.setattr(pipeline, "SharedSteps", Counted)
-        config = write_config(tmp_path, tmp_path / "out", workers=3)
-        assert main(["ablate", "--config", str(config)]) == EXIT_OK
+        serve(FaultyEndpoint(), monkeypatch)
+        assert main(["ablate", "--config", str(http_config(tmp_path / "run", 3))]) == EXIT_OK
         capsys.readouterr()
         assert len(tables) == 12  # one table per sample, for all four modes
         assert 1 <= peak[0] <= 3
@@ -1609,10 +1640,15 @@ def serve(endpoint, monkeypatch) -> None:
     ))
 
 
-def http_config(run_dir: Path, **overrides) -> Path:
-    """A config in run_dir whose three phases use one HTTP spec, writing to run_dir/out."""
+def http_config(run_dir: Path, rate_limit: int | None = None, **overrides) -> Path:
+    """A config in run_dir whose three phases use one HTTP spec, writing to run_dir/out.
+
+    The spec sets rate_limit when one is given, and so the run's worker count.
+    """
     spec = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "scripted-12"}
-    run_dir.mkdir()
+    if rate_limit is not None:
+        spec["rate_limit"] = rate_limit
+    run_dir.mkdir(parents=True)
     return write_config(
         run_dir, run_dir / "out", backends={"phase1": spec, "phase2": spec, "phase3": spec},
         **overrides,
@@ -1624,6 +1660,11 @@ def zero_latency(line: str) -> dict:
     det = json.loads(line)
     calls = [{**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]]
     return {**det, "trace": {**det["trace"], "backend_calls": calls}}
+
+
+def timeless(path: Path) -> list[dict]:
+    """A detections file's lines in order, each as zero_latency reads it."""
+    return [zero_latency(line) for line in read_lines(path)]
 
 
 def run_over(endpoint, command: str, config: Path, out_dir: Path) -> dict:
@@ -1643,27 +1684,88 @@ def run_against(endpoint, run_dir: Path, **overrides) -> dict:
     return run_over(endpoint, "run", config, run_dir / "out")["detections.jsonl"]
 
 
+ONE_URL, OTHER_URL = "http://localhost:9/v1", "http://localhost:8/v1"
+
+
 class TestEndpointGate:
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_one_call_in_flight_per_base_url(self, tmp_path, capsys, monkeypatch, command):
         endpoint = FaultyEndpoint(hold_s=0.002)  # long enough for another worker's call to overlap
         serve(endpoint, monkeypatch)
-        spec = {"kind": "http", "base_url": "http://localhost:9/v1", "rate_limit": 1}
+        spec = {"kind": "http", "base_url": ONE_URL, "rate_limit": 1}
         config = write_config(
             tmp_path,
             tmp_path / "out",
-            workers=4,
-            # the smallest rate_limit on a base_url sizes its gate, trailing slash or not
+            # the smallest rate_limit on a base_url sizes its gate, trailing slash or not:
+            # one slot on ONE_URL and three on OTHER_URL, so four workers
             backends={
                 "phase1": spec,
-                "phase2": {**spec, "base_url": "http://localhost:9/v1/", "rate_limit": 4},
-                "phase3": {**spec, "rate_limit": 2},
+                "phase2": {**spec, "base_url": ONE_URL + "/", "rate_limit": 4},
+                "plane": {**spec, "rate_limit": 2},
+                "phase3": {**spec, "base_url": OTHER_URL, "rate_limit": 3},
             },
+            router={"plane_geometry": "plane"},
         )
         assert main([command, "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
-        assert endpoint.calls > 12
-        assert endpoint.max_in_flight == 1
+        urls = Counter(url.removesuffix("/chat/completions") for url, *_ in endpoint.sent)
+        assert urls[ONE_URL] > 12 and urls[OTHER_URL] >= 12
+        assert endpoint.peaks[ONE_URL + "/chat/completions"] == 1
+        assert 1 <= endpoint.peaks[OTHER_URL + "/chat/completions"] <= 3
+        assert endpoint.max_in_flight <= 4
+
+
+class TestWorkers:
+    """A run has as many workers as its gates have slots; a scripted-only run has one."""
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_default_http_run_fills_its_gate_and_no_more(
+        self, tmp_path, capsys, caplog, monkeypatch, command
+    ):
+        # the first three calls wait for one another, so they are in flight at once
+        endpoint = FaultyEndpoint(hold_s=0.002, barrier=threading.Barrier(3))
+        serve(endpoint, monkeypatch)
+        caplog.set_level("INFO", logger="mathagent")
+        config = http_config(tmp_path / "run", rate_limit=3)
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert not endpoint.barrier.broken
+        assert endpoint.max_in_flight == 3
+        assert any(r.getMessage().endswith(" on 3 worker(s)") for r in caplog.records)
+        if command == "run":
+            meta = json.loads((tmp_path / "run" / "out" / "run_meta.json").read_text("utf-8"))
+            assert meta["workers"] == 3
+
+    def test_two_base_urls_give_the_sum_of_their_gates(self, tmp_path, capsys, monkeypatch):
+        serve(FaultyEndpoint(), monkeypatch)
+        spec = {"kind": "http", "base_url": ONE_URL, "rate_limit": 2}
+        config = write_config(tmp_path, tmp_path / "out", backends={
+            "phase1": spec,
+            "phase2": {**spec, "rate_limit": 5},
+            "phase3": {**spec, "base_url": OTHER_URL, "rate_limit": 3},
+        })
+        assert cli._http_gates(cli.load_config(config))[1] == 2 + 3
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
+        assert meta["workers"] == 5
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_a_scripted_run_starts_no_pool_thread(self, tmp_path, capsys, monkeypatch, command):
+        threads, alive = set(), []
+        real = pipeline.detect_errors
+
+        def detect(sample, mode, setup, *steps):
+            threads.add(threading.current_thread())
+            alive.append(threading.active_count())
+            return real(sample, mode, setup, *steps)
+
+        monkeypatch.setattr(pipeline, "detect_errors", detect)
+        before = threading.active_count()
+        assert main([command, "--config", str(write_config(tmp_path, tmp_path / "out"))]) == EXIT_OK
+        capsys.readouterr()
+        assert threads == {threading.current_thread()}
+        assert max(alive) <= before
 
 
 class TestEndpointFinishReasons:
@@ -1831,7 +1933,7 @@ class TestFaultPlans:
     got a whole 200.
     """
 
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("rate_limit", [1, 3])
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @settings(max_examples=4, derandomize=True, deadline=None)
     @example(plan={
@@ -1850,11 +1952,11 @@ class TestFaultPlans:
     })
     @given(plan=fault_plans())
     def test_every_sample_gets_what_its_plan_implies(
-        self, fault_free, tmp_path_factory, command, workers, plan
+        self, fault_free, tmp_path_factory, command, rate_limit, plan
     ):
         run_dir = tmp_path_factory.mktemp("plan") / "run"
         out_dir = run_dir / "out"
-        config = http_config(run_dir, workers=workers, cache_path=str(run_dir / "cache.jsonl"))
+        config = http_config(run_dir, rate_limit, cache_path=str(run_dir / "cache.jsonl"))
         endpoint, completes = FaultyEndpoint(plan), Counter()
         original = backends.HttpBackend.complete
 

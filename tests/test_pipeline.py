@@ -44,6 +44,7 @@ from mathagent import (
     stream_detections,
 )
 from mathagent import BackendError, pipeline
+from mathagent.prompts import PromptSet, packaged_prompts
 
 
 def fresh_setup():
@@ -400,7 +401,8 @@ class TestDeterminismAndConcurrency:
             finally:
                 emitting.release()
 
-        runs = [(AblationMode.FULL, None), (AblationMode.NO_ANALYZER, None)]
+        setup = fresh_setup()
+        runs = [(AblationMode.FULL, setup), (AblationMode.NO_ANALYZER, setup)]
         driver = threading.Thread(target=stream_detections, args=(range(400), runs, emit, 9))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -726,6 +728,31 @@ class TestSharedSteps:
         assert plain.trace.phase1 is first.trace.phase1
         assert again.trace.phase2 is first.trace.phase2
         assert phase2(again).from_cache
+
+    @pytest.mark.parametrize("other", ["prompt-set", "memo"])
+    def test_setups_on_another_prompt_set_or_memo_share_no_table(self, samples_12, other):
+        """A step's key leaves out both, so such setups run as if one after the other."""
+        templates = dict(packaged_prompts().templates)
+        templates["phase1_consistency"] += "\nAnswer in one line."
+
+        def setups():
+            memo = ReplayCache()
+            if other == "prompt-set":
+                second = shared_setup(TimedScript(), cache=memo, prompts=PromptSet(templates))
+            else:
+                second = shared_setup(TimedScript(), cache=ReplayCache())
+            return shared_setup(TimedScript(), cache=memo), second
+
+        together, in_turn = setups(), setups()
+        emitted = []
+        stream_detections(samples_12, [(AblationMode.FULL, s) for s in together], emitted.append)
+        alone = [run_dataset(samples_12, AblationMode.FULL, s) for s in in_turn]
+        assert [list(map(detection_to_dict, run)) for run in zip(*emitted)] == [
+            list(map(detection_to_dict, run)) for run in alone
+        ]
+        asked = [[q.phase for q in s.phase1.backend.requests] for s in together]
+        assert asked == [[q.phase for q in s.phase1.backend.requests] for s in in_turn]
+        assert asked[1].count("phase1") == 10  # its own verdicts, asked of its own backend
 
 
 class TestDetectionStorage:
