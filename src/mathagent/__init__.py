@@ -85,7 +85,6 @@ from .pipeline import (
     PhaseSetup,
     PhaseTrace,
     PipelineSetup,
-    SharedSteps,
     call_counts,
     detect_errors,
     detection_from_line,

@@ -16,8 +16,8 @@ body, timeout_s) returns (status, headers, text), the reply's status,
 its headers as a mapping and its body, and raises ConnectionError or
 TimeoutError on IO trouble. A 429 or 503 that sends Retry-After, in
 delta-seconds or as an HTTP date, waits that long before the next
-attempt, clamped to [0, RETRY_AFTER_CAP_S]; any other retry, or a
-Retry-After that does not parse, waits the exponential backoff.
+attempt; any other retry, or a Retry-After that does not parse, waits
+the exponential backoff. Every wait is clamped to [0, RETRY_WAIT_CAP_S].
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of its settings' model_id, system_prompt, temperature and
@@ -157,6 +157,9 @@ def request_fingerprint(request: ModelRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+RETRY_WAIT_CAP_S = 60.0  # the longest wait between two attempts, backoff and Retry-After alike
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 3
@@ -165,8 +168,9 @@ class RetryPolicy:
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError(f"'max_attempts' {self.max_attempts} is not positive")
-        if self.backoff_base_ms < 0:
-            raise ValueError(f"'backoff_base_ms' {self.backoff_base_ms} is negative")
+        cap_ms = int(RETRY_WAIT_CAP_S * 1000)  # a longer base would only ever wait the cap
+        if not 0 <= self.backoff_base_ms <= cap_ms:
+            raise ValueError(f"'backoff_base_ms' {self.backoff_base_ms} is not in [0, {cap_ms}]")
 
 
 def __getattr__(name: str):
@@ -193,11 +197,8 @@ def _requests_transport(url, headers, body, timeout_s):
     return resp.status_code, resp.headers, resp.text
 
 
-RETRY_AFTER_CAP_S = 60.0  # the longest wait a Retry-After may ask for
-
-
 def _retry_after(headers: Mapping[str, str]) -> float | None:
-    """The wait a Retry-After header asks for, clamped; None when absent or unparseable."""
+    """The wait a Retry-After header asks for, at least 0; None when absent or unparseable."""
     value = next((v for k, v in headers.items() if k.lower() == "retry-after"), None)
     if value is None:
         return None
@@ -214,7 +215,10 @@ def _retry_after(headers: Mapping[str, str]) -> float | None:
         if when.tzinfo is None:  # "-0000": an HTTP date is in UTC
             when = when.replace(tzinfo=datetime.timezone.utc)
         seconds = when.timestamp() - time.time()
-    return min(max(seconds, 0.0), RETRY_AFTER_CAP_S)
+    return max(seconds, 0.0)
+
+
+MAX_RATE_LIMIT = 256  # the most calls in flight a gate allows
 
 
 class HttpBackend:
@@ -225,9 +229,10 @@ class HttpBackend:
     docstring); 401/403 raise AuthError immediately. rate_limit bounds
     the number of in-flight requests across threads. A gate given in its
     place is shared: backends holding one gate (say, every backend of a
-    command on one base_url) are bound by it together. A rate_limit below 1
-    or a timeout_s outside (0, threading.TIMEOUT_MAX] raises ValueError, as
-    RetryPolicy does for max_attempts below 1 or a negative backoff_base_ms.
+    command on one base_url) are bound by it together. A rate_limit outside
+    [1, MAX_RATE_LIMIT] or a timeout_s outside (0, threading.TIMEOUT_MAX]
+    raises ValueError, as RetryPolicy does for max_attempts below 1 or a
+    backoff_base_ms outside [0, RETRY_WAIT_CAP_S] in ms.
     """
 
     def __init__(
@@ -241,8 +246,8 @@ class HttpBackend:
         sleep: Callable[[float], None] = time.sleep,
         gate: threading.Semaphore | None = None,
     ):
-        if rate_limit < 1:
-            raise ValueError(f"'rate_limit' {rate_limit} is not positive")
+        if not 1 <= rate_limit <= MAX_RATE_LIMIT:  # rate_limit sets a command's worker threads
+            raise ValueError(f"'rate_limit' {rate_limit} is not in [1, {MAX_RATE_LIMIT}]")
         if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # a socket timeout past it overflows
             raise ValueError(f"'timeout_s' {timeout_s} is not in (0, {threading.TIMEOUT_MAX:g}]")
         self.base_url = base_url.rstrip("/")
@@ -305,9 +310,9 @@ class HttpBackend:
                     latency_ms = (time.monotonic() - started) * 1000.0
                     return self._parse_body(text, latency_ms)
             if attempt < attempts:
-                if wait_s is None:
-                    wait_s = self.retry.backoff_base_ms / 1000.0 * (2 ** (attempt - 1))
-                self._sleep(wait_s)
+                if wait_s is None:  # 16 doublings take even 1 ms past the cap; more could overflow
+                    wait_s = self.retry.backoff_base_ms * 2 ** min(attempt - 1, 16) / 1000.0
+                self._sleep(min(wait_s, RETRY_WAIT_CAP_S))
         raise TransportError(f"gave up after {attempts} attempts: {last_failure}")
 
     @staticmethod

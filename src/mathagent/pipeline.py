@@ -18,14 +18,10 @@ detection_from_line reads its record back; the reader accepts only what
 the writer emits, so `report` on a detections file scores exactly what
 its run kept.
 
-Across modes whose setups share one prompt set and one memo, one
-SharedSteps table lives while one sample goes through them. Each phase
-step (the verdict, the type query, the transcript, the analysis) is
-stored under the other inputs that fix its requests, and a later mode
-that reaches the same step reuses its result and copies its call records
-as memo hits (from_cache true, latency 0.0), which is what the memo would
-have answered. A step that raised is not stored, so a later mode asks
-again.
+A later mode that repeats a request an earlier one made is answered by
+the setup's ReplayCache, which records the call as a memo hit
+(from_cache true, latency 0.0). A call that raised is not stored, so a
+later mode asks again.
 """
 
 from __future__ import annotations
@@ -128,18 +124,6 @@ class Detection:
     failure: str | None = None
 
 
-@dataclass(slots=True)
-class SharedSteps:
-    """One sample's phase results, kept while that sample goes through the modes of a run.
-
-    Keys are the inputs that fix a step's requests; each value is the
-    step's result and its call records, which a reuse copies as memo hits.
-    Only steps that made a call are stored.
-    """
-
-    results: dict[tuple, tuple[object, tuple[CallRecord, ...]]] = field(default_factory=dict)
-
-
 @dataclass(frozen=True)
 class _RecordedCalls:
     """A phase backend as one sample calls it: through the memo, each call recorded."""
@@ -158,17 +142,11 @@ class _RecordedCalls:
         return response
 
 
-def detect_errors(
-    sample: Sample,
-    mode: AblationMode,
-    setup: PipelineSetup,
-    steps: SharedSteps | None = None,
-) -> Detection:
+def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> Detection:
     """Run one sample through the pipeline; never raises.
 
     Backend and IO failures mark the sample as failed (scored as a miss
-    on both subtasks) so one bad sample cannot sink a dataset run. With
-    steps, a step an earlier mode ran on the same inputs is reused.
+    on both subtasks) so one bad sample cannot sink a dataset run.
     """
     trace = PhaseTrace()
     calls = trace.backend_calls
@@ -176,38 +154,11 @@ def detect_errors(
     def bound(phase_setup: PhaseSetup) -> Backend:
         return _RecordedCalls(phase_setup.backend, setup.cache, calls)
 
-    def step(key: tuple, run):
-        """run(), or the result steps holds for key with its records as memo hits."""
-        if steps is None:
-            return run()
-        stored = steps.results.get(key)
-        if stored is not None:
-            result, records = stored
-            calls.extend(CallRecord(r.phase, r.fingerprint, True, 0.0) for r in records)
-            return result
-        made = len(calls)
-        result = run()
-        if len(calls) > made:
-            steps.results[key] = result, tuple(calls[made:])
-        return result
-
-    def resolve_type() -> tuple[QuestionType | None, TranscriptSource | None]:
-        try:
-            return resolve_question_type(
-                sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
-            )
-        except TypeInferenceError:
-            # unresolvable type: transcribe as a plain caption
-            return None, TranscriptSource.INFERRED
-
     phase = "phase1"
     try:
         if mode is not AblationMode.NO_VALIDATOR:
-            trace.phase1 = step(
-                ("phase1", setup.phase1.settings),
-                lambda: check_consistency(
-                    sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
-                ),
+            trace.phase1 = check_consistency(
+                sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
             )
 
         if mode is AblationMode.NO_VALIDATOR:
@@ -223,33 +174,33 @@ def detect_errors(
                 qtype, chosen = sample.question_type, setup.phase2
                 source = TranscriptSource.DATASET_LABEL if qtype is not None else None
             else:
-                qtype, source = step(("phase2.type", setup.phase2.settings), resolve_type)
+                try:
+                    qtype, source = resolve_question_type(
+                        sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
+                    )
+                except TypeInferenceError:
+                    # unresolvable type: transcribe as a plain caption
+                    qtype, source = None, TranscriptSource.INFERRED
                 chosen = setup.phase2_for(qtype)
-            trace.phase2 = step(
-                ("phase2", qtype, chosen.settings, source, caption_only),
-                lambda: interpret_visual(
-                    sample,
-                    qtype,
-                    bound(chosen),
-                    chosen.settings,
-                    setup.prompts,
-                    source=source,
-                    caption_only=caption_only,
-                ),
+            trace.phase2 = interpret_visual(
+                sample,
+                qtype,
+                bound(chosen),
+                chosen.settings,
+                setup.prompts,
+                source=source,
+                caption_only=caption_only,
             )
 
         phase = "phase3"
         include_problem_text = mode is not AblationMode.NO_ANALYZER
-        output = step(
-            ("phase3", trace.phase2, include_problem_text, setup.phase3.settings),
-            lambda: analyze(
-                sample,
-                trace.phase2,
-                bound(setup.phase3),
-                setup.phase3.settings,
-                include_problem_text=include_problem_text,
-                prompts=setup.prompts,
-            ),
+        output = analyze(
+            sample,
+            trace.phase2,
+            bound(setup.phase3),
+            setup.phase3.settings,
+            include_problem_text=include_problem_text,
+            prompts=setup.prompts,
         )
         trace.phase3_raw = output.raw_text
         return Detection(
@@ -289,14 +240,6 @@ def stream_detections(
     are done; what was emitted before it stays emitted.
     """
 
-    # a step's key leaves out the prompt set and the memo, so a table spans only runs sharing both
-    shared = len(runs) > 1 and len({(id(s.prompts), id(s.cache)) for _, s in runs}) == 1
-
-    def detect(sample: Sample) -> tuple[Detection, ...]:
-        # the sample's table lives only while it goes through the modes
-        steps = (SharedSteps(),) if shared else ()
-        return tuple(detect_errors(sample, mode, setup, *steps) for mode, setup in runs)
-
     pending = enumerate(samples)
     claim, emitting = threading.Lock(), threading.Lock()
     ready: dict[int, tuple[Detection, ...]] = {}  # the reorder buffer
@@ -312,7 +255,7 @@ def stream_detections(
                 if claimed is None:
                     return
                 index, sample = claimed
-                ready[index] = detect(sample)
+                ready[index] = tuple(detect_errors(sample, mode, setup) for mode, setup in runs)
                 # No worker blocks on another's emit, since workers that
                 # wait and wake trade the interpreter lock and slowed a
                 # CPU-bound warm run by about a third. While one worker

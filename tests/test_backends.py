@@ -351,9 +351,9 @@ class TestHttpBackend:
         [
             (429, "2", 2.0),
             (503, " 3 ", 3.0),
-            (429, "Fri, 31 Dec 9999 23:59:59 GMT", backends.RETRY_AFTER_CAP_S),
+            (429, "Fri, 31 Dec 9999 23:59:59 GMT", backends.RETRY_WAIT_CAP_S),
             (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.0),
-            (429, "999999999999", backends.RETRY_AFTER_CAP_S),
+            (429, "999999999999", backends.RETRY_WAIT_CAP_S),
             (429, "soon", 0.1),
             (429, "Mon, 01 Jan 99999999999 00:00:00 GMT", 0.1),
             (503, "Mon, 01 Jan 2020 00:00:00 +99999999999999", 0.1),
@@ -394,6 +394,24 @@ class TestHttpBackend:
         )
         assert backend.complete(text_request()).text == "fine"
         assert endpoint.sleeps == [5.0, 0.2, 0.4]
+
+    def test_no_wait_passes_the_cap(self, monkeypatch):
+        faults = [Fault(500), Fault(error=TimeoutError("slow")), Fault(429, {"Retry-After": "999"})]
+        endpoint = endpoint_for(*faults * 7)
+        backend = http_backend(
+            endpoint, monkeypatch, retry=RetryPolicy(max_attempts=20, backoff_base_ms=60_000)
+        )
+        with pytest.raises(TransportError, match="gave up after 20 attempts"):
+            backend.complete(text_request())
+        assert endpoint.sleeps == [backends.RETRY_WAIT_CAP_S] * 19
+
+    def test_the_default_backoff_doubles_up_to_the_cap(self, monkeypatch):
+        endpoint = endpoint_for(*[Fault(503)] * 20)
+        backend = http_backend(endpoint, monkeypatch, retry=RetryPolicy(max_attempts=20))
+        with pytest.raises(TransportError):
+            backend.complete(text_request())
+        # 0.25 s doubled: 64 s at the ninth wait, so the cap from there on
+        assert endpoint.sleeps == [0.25 * 2**k for k in range(8)] + [60.0] * 11
 
     @pytest.mark.parametrize("status", [401, 403])
     def test_auth_statuses_never_retried(self, monkeypatch, status):
@@ -440,6 +458,7 @@ class TestHttpBackend:
         "kwargs, knob",
         [
             ({"rate_limit": 0}, "rate_limit"),
+            ({"rate_limit": backends.MAX_RATE_LIMIT + 1}, "rate_limit"),
             ({"timeout_s": 0}, "timeout_s"),
             ({"timeout_s": -1.5}, "timeout_s"),
             ({"timeout_s": float("nan")}, "timeout_s"),
@@ -447,18 +466,25 @@ class TestHttpBackend:
             ({"timeout_s": float("inf")}, "timeout_s"),
         ],
         ids=[
-            "rate_limit", "timeout_s-zero", "timeout_s-negative", "timeout_s-nan",
-            "timeout_s-huge", "timeout_s-infinity",
+            "rate_limit", "rate_limit-above-max", "timeout_s-zero", "timeout_s-negative",
+            "timeout_s-nan", "timeout_s-huge", "timeout_s-infinity",
         ],
     )
     def test_out_of_range_knobs_are_rejected(self, kwargs, knob):
+        threads = threading.active_count()
         with pytest.raises(ValueError, match=repr(knob)):
             HttpBackend("https://api.example.test/v1", **kwargs)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize(
         "kwargs, knob",
-        [({"max_attempts": 0}, "max_attempts"), ({"backoff_base_ms": -5}, "backoff_base_ms")],
-        ids=["max_attempts", "backoff_base_ms"],
+        [
+            ({"max_attempts": 0}, "max_attempts"),
+            ({"backoff_base_ms": -5}, "backoff_base_ms"),
+            ({"backoff_base_ms": 60_001}, "backoff_base_ms"),
+            ({"backoff_base_ms": 10**13}, "backoff_base_ms"),
+        ],
+        ids=["max_attempts", "backoff_base_ms", "backoff_base_ms-past-cap", "backoff_base_ms-huge"],
     )
     def test_out_of_range_retry_policy_is_rejected(self, kwargs, knob):
         with pytest.raises(ValueError, match=repr(knob)):

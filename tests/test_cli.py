@@ -7,7 +7,6 @@ import json
 import re
 import shutil
 import threading
-import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -664,16 +663,20 @@ class TestConfigErrors:
         "knob, value",
         [
             ("backoff_base_ms", -5),
+            ("backoff_base_ms", 10**13),  # past the wait cap; time.sleep overflowed on it
+            ("backoff_base_ms", int("9" * 322)),  # past a float
             ("max_attempts", 0),
             ("rate_limit", 0),
+            ("rate_limit", 10**6),  # as many worker threads; rejected before any starts
             ("timeout_s", 0),
             ("timeout_s", -1.5),
             ("timeout_s", 1e10),  # past threading.TIMEOUT_MAX: the socket timeout overflows
             ("timeout_s", float("inf")),  # written as JSON's Infinity, which the reader takes
         ],
         ids=[
-            "backoff_base_ms", "max_attempts", "rate_limit", "timeout_s-zero", "timeout_s-negative",
-            "timeout_s-huge", "timeout_s-infinity",
+            "backoff_base_ms", "backoff_base_ms-huge", "backoff_base_ms-past-float",
+            "max_attempts", "rate_limit", "rate_limit-huge", "timeout_s-zero",
+            "timeout_s-negative", "timeout_s-huge", "timeout_s-infinity",
         ],
     )
     def test_http_knob_out_of_range(self, tmp_path, knob, value):
@@ -1345,7 +1348,7 @@ class TestComputedOnce:
         assert len(asked) == len(distinct) < len(records)
         assert sum(not record["from_cache"] for record in records) == len(distinct)
 
-    def test_uncached_ablate_fingerprints_each_step_once(self, tmp_path, capsys, monkeypatch):
+    def test_uncached_commands_fingerprint_each_call_once(self, tmp_path, capsys, monkeypatch):
         fingerprinted = []
         original = backends.request_fingerprint
         monkeypatch.setattr(
@@ -1354,18 +1357,24 @@ class TestComputedOnce:
             lambda request: fingerprinted.append(request) or original(request),
         )
         out_dir = tmp_path / "out"
-        assert main(["ablate", "--config", str(write_config(tmp_path, out_dir))]) == EXIT_OK
+        config = str(write_config(tmp_path, out_dir))
+        records = {}
+        for command, pattern in (("run", "detections.jsonl"), ("ablate", "detections_*.jsonl")):
+            fingerprinted.clear()
+            assert main([command, "--config", config]) == EXIT_OK
+            records[command] = [
+                record
+                for path in sorted(out_dir.glob(pattern))
+                for line in read_lines(path)
+                for record in json.loads(line)["trace"]["backend_calls"]
+            ]
+            # one request built per call record, a memo hit included
+            assert len(fingerprinted) == len(records[command]), command
         capsys.readouterr()
-        # 120 calls over the four modes, 60 of them repeats; a step a later mode
-        # reuses builds no request, so only 67 requests are built
-        assert len(fingerprinted) == 67
-        records = [
-            record
-            for path in sorted(out_dir.glob("detections_*.jsonl"))
-            for line in read_lines(path)
-            for record in json.loads(line)["trace"]["backend_calls"]
-        ]
-        assert Counter(record["from_cache"] for record in records) == {True: 60, False: 60}
+        assert len(records["run"]) == 32
+        # 120 calls over the four modes, 60 of them repeats the memo answers
+        assert len(records["ablate"]) == 120
+        assert Counter(record["from_cache"] for record in records["ablate"]) == {True: 60, False: 60}
         assert (out_dir / "ablation.csv").read_text(encoding="utf-8") == (
             "mode,step,vis,cal,reas,know,mis,overall,average,"
             "calls_phase1,calls_phase2_type,calls_phase2,calls_phase3\n"
@@ -1591,12 +1600,12 @@ class TestStreamedDetections:
         finished, others_done, held = [], threading.Event(), []
         real = pipeline.detect_errors
 
-        def slow_first(sample, mode, setup, *steps):
+        def slow_first(sample, mode, setup):
             if sample.id == first and not held:
                 assert others_done.wait(timeout=10)
                 # every other sample is done, yet none may pass the first one
                 held.append([len(read_lines(path)) for path in files])
-            det = real(sample, mode, setup, *steps)
+            det = real(sample, mode, setup)
             if sample.id != first:
                 finished.append(sample.id)
                 if len(finished) == others:
@@ -1610,26 +1619,6 @@ class TestStreamedDetections:
         assert held == [[0] * len(files)]
         for path, sequential_path in zip(files, detection_files(command, sequential / "out")):
             assert timeless(path) == timeless(sequential_path), path.name
-
-    def test_ablate_holds_one_table_per_busy_worker(self, tmp_path, capsys, monkeypatch):
-        tables, peak = [], [0]
-
-        def alive() -> int:
-            return sum(table() is not None for table in tables)
-
-        class Counted(pipeline.SharedSteps):
-            def __init__(self):
-                super().__init__()
-                tables.append(weakref.ref(self))
-                peak[0] = max(peak[0], alive())
-
-        monkeypatch.setattr(pipeline, "SharedSteps", Counted)
-        serve(FaultyEndpoint(), monkeypatch)
-        assert main(["ablate", "--config", str(http_config(tmp_path / "run", 3))]) == EXIT_OK
-        capsys.readouterr()
-        assert len(tables) == 12  # one table per sample, for all four modes
-        assert 1 <= peak[0] <= 3
-        assert alive() == 0
 
 
 def serve(endpoint, monkeypatch) -> None:
@@ -1755,10 +1744,10 @@ class TestWorkers:
         threads, alive = set(), []
         real = pipeline.detect_errors
 
-        def detect(sample, mode, setup, *steps):
+        def detect(sample, mode, setup):
             threads.add(threading.current_thread())
             alive.append(threading.active_count())
-            return real(sample, mode, setup, *steps)
+            return real(sample, mode, setup)
 
         monkeypatch.setattr(pipeline, "detect_errors", detect)
         before = threading.active_count()
@@ -2238,3 +2227,13 @@ class TestReadme:
         assert "| demo |" in proc.stdout
         # one line per distinct request of the cold run; the warm run added none
         assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 32
+
+    def test_exit_codes_line_names_the_cli_constants(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        line = readme.split("Exit codes: ")[1].split("(")[0]
+        documented = {word: int(code) for code, word in re.findall(r"(\d+) (\w+)", line)}
+        assert documented == {
+            name.removeprefix("EXIT_").lower(): value
+            for name, value in vars(cli).items()
+            if name.startswith("EXIT_")
+        }

@@ -32,7 +32,6 @@ from mathagent import (
     Representation,
     RequestSettings,
     ScriptedBackend,
-    SharedSteps,
     TranscriptSource,
     TransportError,
     build_report_row,
@@ -368,7 +367,7 @@ class TestDeterminismAndConcurrency:
         jitter = random.Random(7)
         delays = [jitter.choice([0, 0, 0.001, 0.003]) for _ in range(400)]
 
-        def fake_detect(sample, mode, setup, *steps):
+        def fake_detect(sample, mode, setup):
             time.sleep(delays[sample])
             return sample, mode
 
@@ -431,7 +430,7 @@ class TestInterrupt:
         started, handled = [], threading.Event()
         real = pipeline.detect_errors
 
-        def detect(sample, mode, setup, *steps):
+        def detect(sample, mode, setup):
             if mode is AblationMode.FULL:
                 started.append(sample.id)
                 if sample.id == ids[k]:
@@ -439,7 +438,7 @@ class TestInterrupt:
                     signal.pthread_kill(caller.ident, signal.SIGINT)
                     assert handled.wait(timeout=5)
             time.sleep(0.005)  # leaves the interpreter lock free for the handler
-            return real(sample, mode, setup, *steps)
+            return real(sample, mode, setup)
 
         def on_sigint(signum, frame):
             handled.set()
@@ -475,10 +474,10 @@ class TestInterrupt:
         threads = set()
         real = pipeline.detect_errors
 
-        def detect(sample, mode, setup, *steps):
+        def detect(sample, mode, setup):
             threads.add(threading.current_thread())
             time.sleep(0.005)
-            return real(sample, mode, setup, *steps)
+            return real(sample, mode, setup)
 
         monkeypatch.setattr(pipeline, "detect_errors", detect)
         run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=workers)
@@ -615,7 +614,7 @@ def ablate(samples, scripts, workers=1):
 
 
 def modes_in_turn(samples, scripts, workers=1):
-    """The four modes over one memo, each over the whole dataset before the next, no tables."""
+    """The four modes over one memo, each over the whole dataset before the next."""
     memo = ReplayCache()
     return {
         mode: [
@@ -627,18 +626,18 @@ def modes_in_turn(samples, scripts, workers=1):
 
 
 class TestSharedSteps:
-    """Phase results one mode ran, reused by a later mode through a per-sample table."""
+    """Steps a later mode repeats, answered by the setup's memo as memo hits."""
 
     def test_a_repeated_step_is_reused_as_memo_hits(self, samples_12):
-        sample, steps, spy = sample_by_id(samples_12, "s09"), SharedSteps(), TimedScript()
+        sample, spy = sample_by_id(samples_12, "s09"), TimedScript()
         setup = shared_setup(spy)
-        full = detect_errors(sample, AblationMode.FULL, setup, steps)
+        full = detect_errors(sample, AblationMode.FULL, setup)
         assert len(spy.requests) == 4
-        cut = detect_errors(sample, AblationMode.NO_ANALYZER, setup, steps)
-        # only the analyzer prompt changes; the three earlier steps are reused
+        cut = detect_errors(sample, AblationMode.NO_ANALYZER, setup)
+        # only the analyzer prompt changes; the three earlier requests are memo hits
         assert [q.phase for q in spy.requests[4:]] == ["phase3"]
-        assert cut.trace.phase1 is full.trace.phase1
-        assert cut.trace.phase2 is full.trace.phase2
+        assert cut.trace.phase1 == full.trace.phase1
+        assert cut.trace.phase2 == full.trace.phase2
         assert [(r.phase, r.fingerprint, r.from_cache, r.latency_ms)
                 for r in cut.trace.backend_calls[:3]] == [
             (r.phase, r.fingerprint, True, 0.0) for r in full.trace.backend_calls[:3]
@@ -647,37 +646,18 @@ class TestSharedSteps:
             (False, 7.5)
         ] * 4
 
-    def test_only_steps_that_made_a_call_are_stored(self, samples_12):
-        tables = {sample_id: SharedSteps() for sample_id in ("s01", "s04", "s09")}
-        setup = fresh_setup()
-        for sample_id, steps in tables.items():
-            detect_errors(sample_by_id(samples_12, sample_id), AblationMode.FULL, setup, steps)
-        phases = {k: [key[0] for key in t.results] for k, t in tables.items()}
-        # s04 has no image, so no verdict call; s01 is labeled, so no type call
-        assert phases == {
-            "s01": ["phase1", "phase2", "phase3"],
-            "s04": ["phase3"],
-            "s09": ["phase1", "phase2.type", "phase2", "phase3"],
-        }
-
     def test_each_sample_gets_a_table_for_its_modes(self, samples_12, monkeypatch):
-        tables, modes_seen = [], []
+        modes_seen = []
         real = pipeline.detect_errors
 
-        def recording(sample, mode, setup, *steps):
-            tables.append(steps)
+        def recording(sample, mode, setup):
             modes_seen.append((sample.id, mode))
-            return real(sample, mode, setup, *steps)
+            return real(sample, mode, setup)
 
         monkeypatch.setattr(pipeline, "detect_errors", recording)
         ablate(samples_12[:2], ModeScripts())
-        # each sample runs through the four modes in order, on one table of its own
+        # each sample runs through the four modes in order before the next sample
         assert modes_seen == [(s.id, m) for s in samples_12[:2] for m in AblationMode]
-        assert all(len(steps) == 1 for steps in tables)
-        assert len({id(steps[0]) for steps in tables[:4]}) == 1
-        assert tables[0][0] is not tables[4][0]
-        run_dataset(samples_12[:1], AblationMode.FULL, fresh_setup())
-        assert tables[-1] == ()  # one mode has no later mode to reuse anything
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_ablate_matches_the_modes_run_without_tables(self, samples_12, workers):
@@ -710,11 +690,11 @@ class TestSharedSteps:
         sample = sample_by_id(samples_12, "s07")  # a diagram, judged inconsistent
         spy = TimedScript()
         routed = PhaseSetup(backend=spy, settings=RequestSettings(model_id="latex-reader"))
-        memo, steps = ReplayCache(), SharedSteps()
+        memo = ReplayCache()
         with_router = shared_setup(spy, cache=memo, router={QuestionType.DIAGRAM: routed})
-        first = detect_errors(sample, AblationMode.FULL, with_router, steps)
-        plain = detect_errors(sample, AblationMode.FULL, shared_setup(spy, cache=memo), steps)
-        again = detect_errors(sample, AblationMode.FULL, with_router, steps)
+        first = detect_errors(sample, AblationMode.FULL, with_router)
+        plain = detect_errors(sample, AblationMode.FULL, shared_setup(spy, cache=memo))
+        again = detect_errors(sample, AblationMode.FULL, with_router)
 
         def phase2(det):
             (record,) = [r for r in det.trace.backend_calls if r.phase == "phase2"]
@@ -725,13 +705,13 @@ class TestSharedSteps:
         ]
         assert not phase2(plain).from_cache
         assert phase2(plain).fingerprint != phase2(first).fingerprint
-        assert plain.trace.phase1 is first.trace.phase1
-        assert again.trace.phase2 is first.trace.phase2
+        assert plain.trace.phase1 == first.trace.phase1
+        assert again.trace.phase2 == first.trace.phase2
         assert phase2(again).from_cache
 
     @pytest.mark.parametrize("other", ["prompt-set", "memo"])
     def test_setups_on_another_prompt_set_or_memo_share_no_table(self, samples_12, other):
-        """A step's key leaves out both, so such setups run as if one after the other."""
+        """Such setups share no memo hit, so they run as if one after the other."""
         templates = dict(packaged_prompts().templates)
         templates["phase1_consistency"] += "\nAnswer in one line."
 
