@@ -31,7 +31,9 @@ UTF-8 encoded, then hashed. The prompt appears as
 {"kind": "text", "text": ...}, and an image, when there is one, after it as
 {"kind": "image", "media_type": ..., "sha256": ...}, the ImageRef's
 resolved_media_type and sha256 (over the image bytes, or a URL's address).
-The phase and sample_id routing metadata never enter the fingerprint.
+The phase and sample_id routing metadata never enter the fingerprint. Each
+RequestSettings writes the form's text around the segments once, when it
+is built, so a fingerprint encodes only its prompt and image anew.
 """
 
 from __future__ import annotations
@@ -102,6 +104,14 @@ class ModelResponse:
         return CUT_NOTES.get(self.finish_reason)
 
 
+def _canonical(value) -> str:
+    """A scalar setting as the canonical form writes it."""
+    return json.dumps(value, ensure_ascii=False)
+
+
+_encode_str = json.encoder.encode_basestring  # a str as _canonical writes it, quotes included
+
+
 @dataclass(frozen=True)
 class RequestSettings:
     """Per-phase knobs applied to every request an agent builds."""
@@ -111,11 +121,18 @@ class RequestSettings:
     temperature: float = 0.0
     max_tokens: int = 1024
 
+    # the canonical form's text before a request's prompt and after its segments
+    _frame: tuple[str, str] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         if not 0.0 <= self.temperature <= 1.0:
             raise ValueError(f"'temperature' {self.temperature} is outside [0, 1]")
         if self.max_tokens < 1:
             raise ValueError(f"'max_tokens' {self.max_tokens} is not positive")
+        c = _canonical
+        head = f'{{"max_tokens":{c(self.max_tokens)},"model_id":{c(self.model_id)},"segments":['
+        tail = f'],"system_prompt":{c(self.system_prompt)},"temperature":{c(self.temperature)}}}'
+        object.__setattr__(self, "_frame", (head + '{"kind":"text","text":', tail))
 
 
 @dataclass(frozen=True)
@@ -141,20 +158,12 @@ class Backend(Protocol):
 
 def request_fingerprint(request: ModelRequest) -> str:
     """SHA-256 hex digest of the canonical form in the module docstring."""
-    segments = [{"kind": "text", "text": request.prompt}]
+    head, tail = request.settings._frame
+    blob = head + _encode_str(request.prompt) + "}"
     if request.image is not None:
-        media, digest = request.image.resolved_media_type, request.image.sha256
-        segments.append({"kind": "image", "media_type": media, "sha256": digest})
-    settings = request.settings
-    payload = {
-        "max_tokens": settings.max_tokens,
-        "model_id": settings.model_id,
-        "segments": segments,
-        "system_prompt": settings.system_prompt,
-        "temperature": settings.temperature,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        media, digest = _encode_str(request.image.resolved_media_type), request.image.sha256
+        blob += f',{{"kind":"image","media_type":{media},"sha256":"{digest}"}}'
+    return hashlib.sha256((blob + tail).encode("utf-8")).hexdigest()
 
 
 RETRY_WAIT_CAP_S = 60.0  # the longest wait between two attempts, backoff and Retry-After alike

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import (
+    MAX_RATE_LIMIT,
     Backend,
     HttpBackend,
     ReplayCache,
@@ -260,8 +261,9 @@ def _http_gates(config: RunConfig) -> tuple[dict[str, threading.Semaphore], int]
             url, limit = spec.http["base_url"], spec.http["rate_limit"]
             limits[url] = min(limit, limits.get(url, limit))
     gates = {url: threading.Semaphore(limit) for url, limit in limits.items()}
-    # a worker per slot fills every gate; a scripted-only run is CPU-bound, so it takes one
-    return gates, sum(limits.values()) or 1
+    # a worker per slot fills every gate, up to one gate's bound in all; a scripted-only run
+    # is CPU-bound, so it takes one
+    return gates, min(sum(limits.values()), MAX_RATE_LIMIT) or 1
 
 
 def _open_cache(config: RunConfig) -> ReplayCache:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data_model import BadText, decode_utf8
@@ -30,9 +30,15 @@ _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
 @dataclass(frozen=True)
 class PromptSet:
-    """The six prompt templates of one pipeline setup, read from disk once."""
+    """The six prompt templates of one pipeline setup, read from disk and split once."""
 
     templates: dict[str, str]
+    # each template split once: literal text at even indices, placeholder names at odd ones
+    _parts: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        parts = {name: tuple(_PLACEHOLDER_RE.split(text)) for name, text in self.templates.items()}
+        object.__setattr__(self, "_parts", parts)
 
     @classmethod
     def load(cls, prompt_dir=None) -> "PromptSet":
@@ -61,20 +67,18 @@ class PromptSet:
         return cls(templates)
 
     def render(self, name: str, values: dict[str, str]) -> str:
-        return render_prompt(self.templates[name], values)
+        return render_prompt(self._parts[name], values)
 
 
 # the packaged set, read on first call and shared afterwards
 packaged_prompts = functools.cache(PromptSet.load)
 
 
-def render_prompt(template: str, values: dict[str, str]) -> str:
-    """Substitute every {{name}}; unresolved placeholders are an error."""
-
-    def replace(match: re.Match) -> str:
-        key = match.group(1)
-        if key not in values:
-            raise ValueError(f"prompt placeholder {{{{{key}}}}} has no value")
-        return values[key]
-
-    return _PLACEHOLDER_RE.sub(replace, template)
+def render_prompt(parts: tuple[str, ...], values: dict[str, str]) -> str:
+    """Join a split template, each {{name}} filled; unresolved placeholders are an error."""
+    filled = list(parts)
+    for i in range(1, len(parts), 2):
+        if parts[i] not in values:
+            raise ValueError(f"prompt placeholder {{{{{parts[i]}}}}} has no value")
+        filled[i] = values[parts[i]]
+    return "".join(filled)

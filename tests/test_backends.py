@@ -55,6 +55,23 @@ def inline_ref(b64=TINY_PNG_BASE64, media_type="image/png"):
     return ImageRef(kind=ImageKind.INLINE_BASE64, value=b64, media_type=media_type)
 
 
+def canonical_sha256(payload) -> str:
+    """The reference fingerprint: SHA-256 of the whole payload as json.dumps writes it."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+# text with what JSON must escape or may pass through: quotes, backslashes,
+# control characters, the two line separators JavaScript rejects, non-BMP characters
+awkward_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029", "\U0001f600"]),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=30,
+)
+
+
 class TestRequestValidation:
     @pytest.mark.parametrize("temp", [-0.1, 1.5])
     def test_temperature_range(self, temp):
@@ -90,10 +107,7 @@ class TestFingerprint:
             "system_prompt": "be brief",
             "temperature": 0.5,
         }
-        blob = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
-        assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
+        assert request_fingerprint(req) == canonical_sha256(payload)
 
     def test_image_segment_hashes_decoded_bytes(self):
         req = text_request("q", inline_ref())
@@ -108,10 +122,7 @@ class TestFingerprint:
             "system_prompt": "sys",
             "temperature": 0.0,
         }
-        blob = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
-        assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
+        assert request_fingerprint(req) == canonical_sha256(payload)
 
     def test_routing_metadata_excluded(self):
         base = text_request(phase="phase1", sample_id="s01")
@@ -159,10 +170,7 @@ class TestFingerprint:
             "system_prompt": "sys",
             "temperature": 0.0,
         }
-        blob = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
-        assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
+        assert request_fingerprint(req) == canonical_sha256(payload)
         other = ImageRef(kind=ImageKind.URL, value="https://example.org/b.png")
         req2 = text_request("q", other)
         assert request_fingerprint(req) != request_fingerprint(req2)
@@ -201,10 +209,7 @@ class TestFingerprint:
             "system_prompt": "sys",
             "temperature": 0.0,
         }
-        blob = json.dumps(
-            payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-        ).encode("utf-8")
-        assert request_fingerprint(req) == hashlib.sha256(blob).hexdigest()
+        assert request_fingerprint(req) == canonical_sha256(payload)
 
     def test_no_collisions_over_many_requests(self):
         seen = set()
@@ -218,6 +223,46 @@ class TestFingerprint:
         a = text_request(user_text, system_prompt=sys_prompt)
         b = text_request(user_text, system_prompt=sys_prompt)
         assert request_fingerprint(a) == request_fingerprint(b)
+
+    @given(
+        prompt=awkward_text, system_prompt=awkward_text, model_id=awkward_text,
+        temperature=st.one_of(st.integers(0, 1), st.floats(0.0, 1.0)),
+        max_tokens=st.integers(1, 2**40),
+        image_kind=st.one_of(st.none(), st.sampled_from(ImageKind)),
+        media_type=st.one_of(st.none(), st.sampled_from(["image/webp", "image/png"]), awkward_text),
+        file_name=st.sampled_from(["fig.jpg", "fig", "fig.gif"]),
+    )
+    @settings(max_examples=300)
+    def test_equals_the_sha256_of_the_reference_json_form(
+        self, tmp_path_factory, prompt, system_prompt, model_id, temperature, max_tokens,
+        image_kind, media_type, file_name,
+    ):
+        """The framed form hashes the bytes json.dumps writes for the whole payload."""
+        png = base64.b64decode(TINY_PNG_BASE64)
+        if image_kind is None:
+            image = None
+        elif image_kind is ImageKind.INLINE_BASE64:
+            image = ImageRef(image_kind, TINY_PNG_BASE64, media_type)
+        elif image_kind is ImageKind.FILE_PATH:
+            path = tmp_path_factory.getbasetemp() / file_name
+            path.write_bytes(png)
+            image = ImageRef(image_kind, str(path), media_type)
+        else:
+            image = ImageRef(image_kind, "https://example.org/" + file_name, media_type)
+        settings_ = RequestSettings(model_id, system_prompt, temperature, max_tokens)
+        request = ModelRequest(prompt, image, settings_)
+        segments = [{"kind": "text", "text": prompt}]
+        if image is not None:
+            media = image.resolved_media_type
+            segments.append({"kind": "image", "media_type": media, "sha256": image.sha256})
+        payload = {
+            "max_tokens": max_tokens,
+            "model_id": model_id,
+            "segments": segments,
+            "system_prompt": system_prompt,
+            "temperature": temperature,
+        }
+        assert request.fingerprint == request_fingerprint(request) == canonical_sha256(payload)
 
 
 def endpoint_for(*faults, reply="fine", hold_s=0.0):

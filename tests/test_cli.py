@@ -1739,6 +1739,17 @@ class TestWorkers:
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["workers"] == 5
 
+    def test_the_sum_over_base_urls_is_capped(self, tmp_path):
+        """Three base_urls at the largest rate_limit would sum to three times the cap."""
+        top = backends.MAX_RATE_LIMIT
+        urls = ["http://localhost:7/v1", ONE_URL, OTHER_URL]
+        config = write_config(tmp_path, tmp_path / "out", backends={
+            phase: {"kind": "http", "base_url": url, "rate_limit": top}
+            for phase, url in zip(["phase1", "phase2", "phase3"], urls)
+        })
+        gates, workers = cli._http_gates(cli.load_config(config))  # builds no pool
+        assert len(gates) == 3 and workers == top
+
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_scripted_run_starts_no_pool_thread(self, tmp_path, capsys, monkeypatch, command):
         threads, alive = set(), []
@@ -1912,7 +1923,27 @@ def fault_free(tmp_path_factory):
     return lines
 
 
-class TestFaultPlans:
+@pytest.mark.parametrize("rate_limit", [1, 3])
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@settings(max_examples=4, derandomize=True, deadline=None)
+@example(plan={
+    # s01's verdict is retried twice, then answered; s04's analyzer runs out of attempts
+    ("phase1", "s01", 0): Fault(429, {"retry-after": "1"}),
+    ("phase1", "s01", 1): Fault(error=TimeoutError("planned timeout")),
+    **{("phase3", "s04", k): Fault(503) for k in range(MAX_ATTEMPTS)},
+})
+@example(plan={
+    ("phase1", "s02", 0): Fault(finish_reason="length"),
+    ("phase2.type", "s09", 0): Fault(finish_reason=None),
+    ("phase2", "s05", 0): Fault(finish_reason="content_filter"),
+    ("phase3", "s07", 0): Fault(finish_reason="length"),
+    ("phase2", "s11", 0): Fault(body="not json"),
+    ("phase3", "s12", 1): Fault(error=ConnectionError("planned reset")),
+})
+@given(plan=fault_plans())
+def test_every_sample_gets_what_its_plan_implies(
+    fault_free, tmp_path_factory, command, rate_limit, plan
+):
     """A seeded fault plan behind the transport hook, through `run` and `ablate`.
 
     Faults a retry clears leave a sample's lines as a fault-free run writes
@@ -1920,101 +1951,83 @@ class TestFaultPlans:
     call, or carries what its cut reply earns. The endpoint sees exactly the
     attempts the plan implies, and a rerun over the cache makes no call that
     got a whole 200.
+
+    A function, not a method: pytest runs each case of a parametrized method
+    on a new instance of its class, which hypothesis's differing_executors
+    health check can fail.
     """
+    run_dir = tmp_path_factory.mktemp("plan") / "run"
+    out_dir = run_dir / "out"
+    config = http_config(run_dir, rate_limit, cache_path=str(run_dir / "cache.jsonl"))
+    endpoint, completes = FaultyEndpoint(plan), Counter()
+    original = backends.HttpBackend.complete
 
-    @pytest.mark.parametrize("rate_limit", [1, 3])
-    @pytest.mark.parametrize("command", ["run", "ablate"])
-    @settings(max_examples=4, derandomize=True, deadline=None)
-    @example(plan={
-        # s01's verdict is retried twice, then answered; s04's analyzer runs out of attempts
-        ("phase1", "s01", 0): Fault(429, {"retry-after": "1"}),
-        ("phase1", "s01", 1): Fault(error=TimeoutError("planned timeout")),
-        **{("phase3", "s04", k): Fault(503) for k in range(MAX_ATTEMPTS)},
-    })
-    @example(plan={
-        ("phase1", "s02", 0): Fault(finish_reason="length"),
-        ("phase2.type", "s09", 0): Fault(finish_reason=None),
-        ("phase2", "s05", 0): Fault(finish_reason="content_filter"),
-        ("phase3", "s07", 0): Fault(finish_reason="length"),
-        ("phase2", "s11", 0): Fault(body="not json"),
-        ("phase3", "s12", 1): Fault(error=ConnectionError("planned reset")),
-    })
-    @given(plan=fault_plans())
-    def test_every_sample_gets_what_its_plan_implies(
-        self, fault_free, tmp_path_factory, command, rate_limit, plan
-    ):
-        run_dir = tmp_path_factory.mktemp("plan") / "run"
-        out_dir = run_dir / "out"
-        config = http_config(run_dir, rate_limit, cache_path=str(run_dir / "cache.jsonl"))
-        endpoint, completes = FaultyEndpoint(plan), Counter()
-        original = backends.HttpBackend.complete
+    def counted(backend, request):
+        completes[request.phase, request.sample_id] += 1  # one worker per sample
+        return original(backend, request)
 
-        def counted(backend, request):
-            completes[request.phase, request.sample_id] += 1  # one worker per sample
-            return original(backend, request)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backends.HttpBackend, "complete", counted)
+        files = run_over(endpoint, command, config, out_dir)
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(backends.HttpBackend, "complete", counted)
-            files = run_over(endpoint, command, config, out_dir)
+    # the endpoint saw exactly the attempts and sleeps the plan implies
+    sleeps, ends = [], {}
+    for pair in endpoint.asked.keys() | completes.keys():
+        calls, pair_sleeps, ends[pair] = planned(plan, pair, completes[pair])
+        assert endpoint.asked[pair] == calls, pair
+        sleeps += pair_sleeps
+    assert sorted(endpoint.sleeps) == sorted(sleeps)
 
-        # the endpoint saw exactly the attempts and sleeps the plan implies
-        sleeps, ends = [], {}
-        for pair in endpoint.asked.keys() | completes.keys():
-            calls, pair_sleeps, ends[pair] = planned(plan, pair, completes[pair])
-            assert endpoint.asked[pair] == calls, pair
-            sleeps += pair_sleeps
-        assert sorted(endpoint.sleeps) == sorted(sleeps)
+    clean = fault_free(command)
+    for sample_id in clean[next(iter(clean))]:
+        lines = [files[name][sample_id] for name in files]
+        events = [
+            (phase, end) for (phase, owner), pair_ends in ends.items() if owner == sample_id
+            for end in pair_ends if end is EXHAUSTED or end != Fault()
+        ]
+        if not events:  # every fault was retried away
+            assert lines == [clean[name][sample_id] for name in files], sample_id
+            continue
+        failures = Counter(
+            re.match(r"[^:]+: (TransportError: gave up after \d+ attempts|BadResponse: "
+                     r"malformed completion body)", line["failure"])[0]
+            for line in lines if line["failure"] is not None
+        )
+        assert failures == Counter(
+            failure_of(phase, end) for phase, end in events
+            if end is EXHAUSTED or not end.well_formed
+        ), sample_id
+        for phase, end in events:
+            if end is not EXHAUSTED and end.well_formed:
+                assert any(shows_cut(line, phase, end.finish_reason) for line in lines), (
+                    sample_id, phase
+                )
 
-        clean = fault_free(command)
-        for sample_id in clean[next(iter(clean))]:
-            lines = [files[name][sample_id] for name in files]
-            events = [
-                (phase, end) for (phase, owner), pair_ends in ends.items() if owner == sample_id
-                for end in pair_ends if end is EXHAUSTED or end != Fault()
-            ]
-            if not events:  # every fault was retried away
-                assert lines == [clean[name][sample_id] for name in files], sample_id
-                continue
-            failures = Counter(
-                re.match(r"[^:]+: (TransportError: gave up after \d+ attempts|BadResponse: "
-                         r"malformed completion body)", line["failure"])[0]
-                for line in lines if line["failure"] is not None
-            )
-            assert failures == Counter(
-                failure_of(phase, end) for phase, end in events
-                if end is EXHAUSTED or not end.well_formed
-            ), sample_id
-            for phase, end in events:
-                if end is not EXHAUSTED and end.well_formed:
-                    assert any(shows_cut(line, phase, end.finish_reason) for line in lines), (
-                        sample_id, phase
-                    )
+    # report over the run's detections reproduces its report
+    if command == "run":
+        report_dir = run_dir / "report"
+        assert main(["report", str(out_dir / "detections.jsonl"), str(DATASET),
+                     "--out-dir", str(report_dir)]) == EXIT_OK
+        for name in ("report.csv", "report.md"):
+            assert (report_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
+    else:
+        grid = read_lines(out_dir / "ablation.csv")[1:]
+        for mode, row in zip(MODES, grid):
+            report_dir = run_dir / f"report_{mode}"
+            assert main(["report", str(out_dir / f"detections_{mode}.jsonl"), str(DATASET),
+                         "--out-dir", str(report_dir), "--model", mode]) == EXIT_OK
+            scored = read_lines(report_dir / "report.csv")[1]
+            assert row.startswith(scored + ","), mode
 
-        # report over the run's detections reproduces its report
-        if command == "run":
-            report_dir = run_dir / "report"
-            assert main(["report", str(out_dir / "detections.jsonl"), str(DATASET),
-                         "--out-dir", str(report_dir)]) == EXIT_OK
-            for name in ("report.csv", "report.md"):
-                assert (report_dir / name).read_bytes() == (out_dir / name).read_bytes(), name
-        else:
-            grid = read_lines(out_dir / "ablation.csv")[1:]
-            for mode, row in zip(MODES, grid):
-                report_dir = run_dir / f"report_{mode}"
-                assert main(["report", str(out_dir / f"detections_{mode}.jsonl"), str(DATASET),
-                             "--out-dir", str(report_dir), "--model", mode]) == EXIT_OK
-                scored = read_lines(report_dir / "report.csv")[1]
-                assert row.startswith(scored + ","), mode
-
-        # a rerun over the cache asks again only what got no whole 200
-        whole = {
-            json.dumps(body, sort_keys=True)
-            for (_, _, body, _), (*_, fault) in zip(endpoint.sent, endpoint.log)
-            if fault.well_formed
-        }
-        rerun = FaultyEndpoint()
-        run_over(rerun, command, config, out_dir)
-        assert not whole & {json.dumps(body, sort_keys=True) for _, _, body, _ in rerun.sent}
+    # a rerun over the cache asks again only what got no whole 200
+    whole = {
+        json.dumps(body, sort_keys=True)
+        for (_, _, body, _), (*_, fault) in zip(endpoint.sent, endpoint.log)
+        if fault.well_formed
+    }
+    rerun = FaultyEndpoint()
+    run_over(rerun, command, config, out_dir)
+    assert not whole & {json.dumps(body, sort_keys=True) for _, _, body, _ in rerun.sent}
 
 
 class TestOutputLocation:
