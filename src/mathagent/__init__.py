@@ -58,7 +58,6 @@ from .formal_language import (
 from .interpreter import (
     Representation,
     TranscriptSource,
-    TypeInferenceError,
     VisualTranscript,
     interpret_visual,
     match_question_type,
@@ -81,7 +80,6 @@ from .pipeline import (
     Detection,
     DetectionLog,
     DetectionRecord,
-    PhaseError,
     PhaseSetup,
     PhaseTrace,
     PipelineSetup,

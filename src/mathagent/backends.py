@@ -287,6 +287,8 @@ class HttpBackend:
         key = os.environ.get(self.api_key_env)
         if not key:
             raise AuthError(f"environment variable {self.api_key_env} is not set")
+        if not (key.isascii() and key.isprintable()):  # no HTTP header can carry it
+            raise AuthError(f"environment variable {self.api_key_env} is not printable ASCII")
         headers = {
             "Authorization": f"Bearer {key}",
             "Content-Type": "application/json",

@@ -24,10 +24,6 @@ from .formal_language import (
 from .prompts import PromptSet, packaged_prompts
 
 
-class TypeInferenceError(Exception):
-    """The backend reply matched no question type, even after a retry."""
-
-
 # Lowercased spellings recognized in type-inference replies.
 TYPE_SYNONYMS: dict[QuestionType, tuple[str, ...]] = {
     QuestionType.PLANE_GEOMETRY: (
@@ -101,32 +97,25 @@ def resolve_question_type(
     backend: Backend,
     settings: RequestSettings = RequestSettings(),
     prompts: PromptSet | None = None,
-) -> tuple[QuestionType, TranscriptSource]:
+) -> QuestionType | None:
     """Dataset label if present (zero calls); otherwise ask the backend.
 
     An unmatched reply earns one retry with an explicit format reminder;
-    a second miss raises TypeInferenceError. A reply that is not whole
+    after a second miss the type is None. A reply that is not whole
     (ModelResponse.cut) counts as unmatched, whatever it names.
     """
     if sample.question_type is not None:
-        return sample.question_type, TranscriptSource.DATASET_LABEL
+        return sample.question_type
 
     prompt = (prompts or packaged_prompts()).render(
         "phase2_question_type", {"question_text": sample.question_text}
     )
-
-    def ask(text: str) -> tuple[QuestionType | None, str]:
+    for text in (prompt, prompt + "\n" + _TYPE_REMINDER):
         response = backend.complete(_image_request(sample, text, settings, "phase2.type"))
-        return (None if response.cut else match_question_type(response.text)), response.text
-
-    matched, _ = ask(prompt)
-    if matched is None:
-        matched, retry_reply = ask(prompt + "\n" + _TYPE_REMINDER)
-        if matched is None:
-            raise TypeInferenceError(
-                f"sample {sample.id}: no question type in reply {retry_reply!r}"
-            )
-    return matched, TranscriptSource.INFERRED
+        matched = None if response.cut else match_question_type(response.text)
+        if matched is not None:
+            return matched
+    return None
 
 
 def interpret_visual(
@@ -135,7 +124,6 @@ def interpret_visual(
     backend: Backend,
     settings: RequestSettings = RequestSettings(),
     prompts: PromptSet | None = None,
-    source: TranscriptSource | None = None,
     caption_only: bool = False,
 ) -> VisualTranscript:
     """Transcribe the sample image with exactly one backend call.
@@ -144,7 +132,9 @@ def interpret_visual(
     type-driven scheduling is ablated away). A formal-language reply that
     fails to parse falls back to a caption carrying the raw reply, with
     the parse failure recorded as a finding. A reply that is not whole
-    (ModelResponse.cut) is kept, with its cut note as a finding too.
+    (ModelResponse.cut) is kept, with its cut note as a finding too. The
+    transcript's source is the dataset label when the sample has one,
+    otherwise inference, or None when caption_only left no type to infer.
     """
     route = None if caption_only else question_type
     prompt = (prompts or packaged_prompts()).render(
@@ -170,4 +160,8 @@ def interpret_visual(
         findings = tuple(f"latex: {f.message} at {f.offset}" for f in report.findings)
     if response.cut:
         findings += (response.cut,)
+    if sample.question_type is not None:
+        source = TranscriptSource.DATASET_LABEL
+    else:
+        source = None if caption_only else TranscriptSource.INFERRED
     return VisualTranscript(representation, content, question_type, source, facts, findings)

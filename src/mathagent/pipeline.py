@@ -47,13 +47,7 @@ from .backends import (
 )
 from .consistency import ConsistencyVerdict, check_consistency
 from .data_model import ErrorCategory, QuestionType, Sample, parse_json
-from .interpreter import (
-    TranscriptSource,
-    TypeInferenceError,
-    VisualTranscript,
-    interpret_visual,
-    resolve_question_type,
-)
+from .interpreter import VisualTranscript, interpret_visual, resolve_question_type
 from .prompts import PromptSet, packaged_prompts
 
 
@@ -62,15 +56,6 @@ class AblationMode(enum.Enum):
     NO_VALIDATOR = "no_validator"
     NO_INTERPRETER = "no_interpreter"
     NO_ANALYZER = "no_analyzer"
-
-
-class PhaseError(Exception):
-    """A pipeline phase failed for one sample."""
-
-    def __init__(self, phase: str, cause: Exception):
-        self.phase = phase
-        self.cause = cause
-        super().__init__(f"{phase}: {type(cause).__name__}: {cause}")
 
 
 @dataclass(frozen=True)
@@ -155,40 +140,30 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
         return _RecordedCalls(phase_setup.backend, setup.cache, calls)
 
     phase = "phase1"
+    step = category = failure = None
     try:
         if mode is not AblationMode.NO_VALIDATOR:
             trace.phase1 = check_consistency(
                 sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
             )
 
-        if mode is AblationMode.NO_VALIDATOR:
-            needs_transcript = sample.image is not None
-        else:
-            needs_transcript = sample.image is not None and not trace.phase1.consistent
-
-        if needs_transcript:
+        if sample.image is not None and (trace.phase1 is None or not trace.phase1.consistent):
             phase = "phase2"
             caption_only = mode is AblationMode.NO_INTERPRETER
             if caption_only:
                 # unified captioning: no type-driven scheduling, no inference
                 qtype, chosen = sample.question_type, setup.phase2
-                source = TranscriptSource.DATASET_LABEL if qtype is not None else None
             else:
-                try:
-                    qtype, source = resolve_question_type(
-                        sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
-                    )
-                except TypeInferenceError:
-                    # unresolvable type: transcribe as a plain caption
-                    qtype, source = None, TranscriptSource.INFERRED
-                chosen = setup.phase2_for(qtype)
+                qtype = resolve_question_type(
+                    sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
+                )
+                chosen = setup.phase2_for(qtype)  # an unresolved type (None) gets phase2
             trace.phase2 = interpret_visual(
                 sample,
                 qtype,
                 bound(chosen),
                 chosen.settings,
                 setup.prompts,
-                source=source,
                 caption_only=caption_only,
             )
 
@@ -203,23 +178,11 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
             prompts=setup.prompts,
         )
         trace.phase3_raw = output.raw_text
-        return Detection(
-            sample_id=sample.id,
-            mode=mode,
-            predicted_step=output.error_step if output.parse_ok else None,
-            predicted_category=output.error_category if output.parse_ok else None,
-            trace=trace,
-        )
+        if output.parse_ok:
+            step, category = output.error_step, output.error_category
     except (BackendError, OSError) as exc:
-        return Detection(
-            sample_id=sample.id,
-            mode=mode,
-            predicted_step=None,
-            predicted_category=None,
-            trace=trace,
-            # no local keeps the PhaseError, whose cause's traceback holds this frame
-            failure=str(PhaseError(phase, exc)),
-        )
+        failure = f"{phase}: {type(exc).__name__}: {exc}"
+    return Detection(sample.id, mode, step, category, trace, failure)
 
 
 def stream_detections(

@@ -279,12 +279,19 @@ def http_backend(endpoint, monkeypatch, **kwargs):
 
 
 class TestHttpBackend:
-    def test_missing_key_raises_auth_error_without_io(self, monkeypatch):
-        monkeypatch.delenv("MATHAGENT_API_KEY", raising=False)
+    @pytest.mark.parametrize(
+        "key", [None, "sk-abc\u2026", "sk-abc\n"], ids=["unset", "non-ascii", "newline"]
+    )
+    def test_missing_key_raises_auth_error_without_io(self, monkeypatch, key):
+        if key is None:
+            monkeypatch.delenv("MATHAGENT_API_KEY", raising=False)
+        else:
+            monkeypatch.setenv("MATHAGENT_API_KEY", key)
         endpoint = endpoint_for()
         backend = HttpBackend("https://api.example.test/v1", transport=endpoint)
-        with pytest.raises(AuthError):
+        with pytest.raises(AuthError, match="environment variable MATHAGENT_API_KEY") as err:
             backend.complete(text_request())
+        assert "sk-abc" not in str(err.value)
         assert endpoint.calls == 0
 
     def test_success_parses_completion(self, monkeypatch):

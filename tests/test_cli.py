@@ -321,6 +321,26 @@ class TestRun:
             assert line["predicted_step"] is None
             assert sum(c["phase"] == "phase3" for c in line["trace"]["backend_calls"]) == 2
 
+    def test_a_key_no_header_can_carry_fails_each_sample_without_a_traceback(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("MATHAGENT_API_KEY", "sk-abc\u2026")
+        http = {"kind": "http", "base_url": "http://127.0.0.1:9", "model_id": "m"}
+        config = write_config(
+            tmp_path, tmp_path / "out", backends={"phase1": http, "phase2": http, "phase3": http}
+        )
+        proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "12 of 12 samples failed" in proc.stderr
+        detections = (tmp_path / "out" / "detections.jsonl").read_text(encoding="utf-8")
+        assert "sk-abc" not in proc.stderr + detections
+        # an imageless sample makes no phase 1 call, so its first call is phase 3's
+        assert {json.loads(line)["failure"] for line in detections.splitlines()} == {
+            f"{phase}: AuthError: environment variable MATHAGENT_API_KEY is not printable ASCII"
+            for phase in ("phase1", "phase3")
+        }
+
 
 class TestAblate:
     def test_grid_and_artifacts(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from mathagent import (
     QuestionType,
     Representation,
     TranscriptSource,
-    TypeInferenceError,
     match_question_type,
     interpret_visual,
     resolve_question_type,
@@ -49,20 +48,20 @@ class TestResolveQuestionType:
         backend = CapturingBackend("diagram")
         sample = make_sample(question_type=QuestionType.SOLID_GEOMETRY)
         got = resolve_question_type(sample, backend)
-        assert got == (QuestionType.SOLID_GEOMETRY, TranscriptSource.DATASET_LABEL)
+        assert got is QuestionType.SOLID_GEOMETRY
         assert backend.requests == []
 
     def test_inference_takes_one_call(self):
         backend = CapturingBackend("This is plane geometry.")
         got = resolve_question_type(make_sample(), backend)
-        assert got == (QuestionType.PLANE_GEOMETRY, TranscriptSource.INFERRED)
+        assert got is QuestionType.PLANE_GEOMETRY
         (request,) = backend.requests
         assert request.phase == "phase2.type"
 
     def test_miss_earns_one_reminder_retry(self):
         backend = CapturingBackend("no idea", "fine: algebra")
         got = resolve_question_type(make_sample(), backend)
-        assert got == (QuestionType.ALGEBRA, TranscriptSource.INFERRED)
+        assert got is QuestionType.ALGEBRA
         assert len(backend.requests) == 2
         first = backend.requests[0].prompt
         second = backend.requests[1].prompt
@@ -72,22 +71,19 @@ class TestResolveQuestionType:
 
     def test_double_miss_raises(self):
         backend = CapturingBackend("no idea", "still no idea")
-        with pytest.raises(TypeInferenceError) as err:
-            resolve_question_type(make_sample(sample_id="q42"), backend)
-        assert "q42" in str(err.value)
+        assert resolve_question_type(make_sample(sample_id="q42"), backend) is None
         assert len(backend.requests) == 2
 
     def test_a_truncated_reply_earns_the_retry(self):
         backend = CapturingBackend(truncated("This is a plane geometry"), "solid geometry")
         got = resolve_question_type(make_sample(), backend)
-        assert got == (QuestionType.SOLID_GEOMETRY, TranscriptSource.INFERRED)
+        assert got is QuestionType.SOLID_GEOMETRY
         assert len(backend.requests) == 2
         assert "Reply with exactly one of" in backend.requests[1].prompt
 
     def test_a_truncated_retry_raises(self):
         backend = CapturingBackend("no idea", truncated("This is a plane geometry"))
-        with pytest.raises(TypeInferenceError):
-            resolve_question_type(make_sample(), backend)
+        assert resolve_question_type(make_sample(), backend) is None
         assert len(backend.requests) == 2
 
     def test_imageless_sample_cannot_be_typed(self):
@@ -98,12 +94,8 @@ class TestResolveQuestionType:
 class TestInterpretVisual:
     def test_plane_geometry_formal_route(self):
         backend = CapturingBackend("Triangle(P,Q,R), Angle(PQR, 60), Line(PR, 10)")
-        transcript = interpret_visual(
-            make_sample(),
-            QuestionType.PLANE_GEOMETRY,
-            backend,
-            source=TranscriptSource.DATASET_LABEL,
-        )
+        sample = make_sample(question_type=QuestionType.PLANE_GEOMETRY)
+        transcript = interpret_visual(sample, QuestionType.PLANE_GEOMETRY, backend)
         assert transcript.representation is Representation.FORMAL_LANGUAGE
         # content is re-serialized into canonical spacing
         assert transcript.content == "Triangle(P, Q, R), Angle(PQR, 60), Line(PR, 10)"
@@ -179,6 +171,23 @@ class TestInterpretVisual:
             interpret_visual(make_sample(), route, backend)
             prompts[route] = backend.requests[0].prompt
         assert len(set(prompts.values())) == 3
+
+    @pytest.mark.parametrize(
+        "label, caption_only, source",
+        [
+            (QuestionType.ALGEBRA, False, TranscriptSource.DATASET_LABEL),
+            (QuestionType.ALGEBRA, True, TranscriptSource.DATASET_LABEL),
+            (None, False, TranscriptSource.INFERRED),
+            (None, True, None),
+        ],
+        ids=["labeled", "labeled-caption-only", "inferred", "caption-only"],
+    )
+    def test_the_source_follows_the_label_and_the_route(self, label, caption_only, source):
+        sample = make_sample(question_type=label)
+        transcript = interpret_visual(
+            sample, label, CapturingBackend("a cube"), caption_only=caption_only
+        )
+        assert transcript.source is source
 
     def test_imageless_sample_rejected(self):
         with pytest.raises(ValueError):

@@ -206,15 +206,33 @@ class TestFailureContainment:
         assert det.predicted_step is None
         assert det.predicted_category is None
 
-    def test_failure_cites_the_failing_phase(self):
-        sample = make_sample(sample_id="ghost", image=None)
+    @pytest.mark.parametrize(
+        "sample_shape, mode, phase, call, fingerprint",
+        [
+            ({}, AblationMode.FULL, "phase1", "phase1", "c54623b56b27"),
+            ({}, AblationMode.NO_VALIDATOR, "phase2", "phase2.type", "d3567dd3897a"),
+            (
+                {"question_type": QuestionType.ALGEBRA},
+                AblationMode.NO_VALIDATOR,
+                "phase2",
+                "phase2",
+                "e917b3d94bee",
+            ),
+            ({"image": None}, AblationMode.FULL, "phase3", "phase3", "8ecca0b10748"),
+        ],
+        ids=["phase1", "type-query", "transcription", "phase3"],
+    )
+    def test_failure_cites_the_failing_phase(self, sample_shape, mode, phase, call, fingerprint):
+        sample = make_sample(sample_id="ghost", **sample_shape)
         setup = PipelineSetup(
             phase1=PhaseSetup(backend=ScriptedBackend()),
             phase2=PhaseSetup(backend=ScriptedBackend()),
             phase3=PhaseSetup(backend=ScriptedBackend()),
         )
-        det = detect_errors(sample, AblationMode.FULL, setup)
-        assert det.failure.startswith("phase3: ScriptMiss")
+        assert detect_errors(sample, mode, setup).failure == (
+            f"{phase}: ScriptMiss: no scripted reply for phase='{call}' sample='ghost' "
+            f"fingerprint={fingerprint}"
+        )
 
     def test_missing_image_file_fails_the_sample_only(self, samples_12):
         broken = make_sample(
