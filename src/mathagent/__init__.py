@@ -86,7 +86,7 @@ from .pipeline import (
     call_counts,
     detect_errors,
     detection_from_line,
-    detection_to_dict,
+    detection_line,
     load_detections,
     run_dataset,
     stream_detections,

@@ -13,10 +13,11 @@ order. `run` streams one mode, `ablate` four, and run_dataset collects
 one mode's detections into a list. A DetectionLog writes one mode's
 detections as they are emitted, one flushed line per sample, and keeps
 each one's DetectionRecord: the line without its trace, which is what a
-report and run_meta.json read. detection_to_dict writes a line and
-detection_from_line reads its record back; the reader accepts only what
-the writer emits, so `report` on a detections file scores exactly what
-its run kept.
+report and run_meta.json read. detection_line, the one writer, frames
+a line field by field in the bytes json.dumps gives, building no dict,
+and detection_from_line reads its record back; the reader accepts only
+what the writer emits, so `report` on a detections file scores exactly
+what its run kept.
 
 A later mode that repeats a request an earlier one made is answered by
 the setup's ReplayCache, which records the call as a memo hit
@@ -27,12 +28,12 @@ later mode asks again.
 from __future__ import annotations
 
 import enum
-import json
 import reprlib
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring as _quote
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analyzer import analyze
@@ -265,11 +266,11 @@ def call_counts(detections: Iterable[Detection]) -> dict[str, int]:
 class DetectionLog:
     """One mode's detections as a run emits them, written and then let go.
 
-    Each detection is written to path as one JSON line and flushed, so a
-    killed run leaves whole lines in sample order. What is kept is what a
-    report and run_meta.json read: the records load_detections reads back,
-    the number of failed samples and the calls per phase tag. close() (or
-    leaving a `with` block) closes the file.
+    Each detection is written to path as its detection_line and flushed at
+    once, so a killed run leaves whole lines in sample order. What is kept
+    is what a report and run_meta.json read: the records load_detections
+    reads back, the number of failed samples and the calls per phase tag.
+    close() (or leaving a `with` block) closes the file.
     """
 
     def __init__(self, path):
@@ -279,8 +280,7 @@ class DetectionLog:
         self._file = open(path, "w", encoding="utf-8")
 
     def add(self, det: Detection) -> None:
-        line = json.dumps(detection_to_dict(det), sort_keys=True, ensure_ascii=False)
-        self._file.write(line + "\n")
+        self._file.write(detection_line(det))
         self._file.flush()
         self.records.append(DetectionRecord(
             det.sample_id, det.mode, det.predicted_step, det.predicted_category, det.failure
@@ -301,52 +301,52 @@ class DetectionLog:
 # --- detection (de)serialization -------------------------------------------
 
 
-def _transcript_to_dict(t: VisualTranscript | None):
-    if t is None:
-        return None
-    return {
-        "representation": t.representation.value,
-        "content": t.content,
-        "question_type": t.question_type.value if t.question_type else None,
-        "source": t.source.value if t.source else None,
-        "findings": list(t.findings),
-    }
+_SPELLINGS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity",
+              "-inf": "-Infinity"}
 
 
-def _verdict_to_dict(v: ConsistencyVerdict | None):
-    if v is None:
-        return None
-    return {
-        "consistent": v.consistent,
-        "raw_text": v.raw_text,
-        "confidence_note": v.confidence_note,
-    }
+def _scalar(value: bool | int | float | None) -> str:
+    text = repr(value)  # json.dumps writes the same, but for the words it spells otherwise
+    return _SPELLINGS.get(text, text)
 
 
-def detection_to_dict(det: Detection) -> dict:
-    return {
-        "sample_id": det.sample_id,
-        "mode": det.mode.value,
-        "predicted_step": det.predicted_step,
-        "predicted_category": (
-            det.predicted_category.value if det.predicted_category else None
-        ),
-        "failure": det.failure,
-        "trace": {
-            "phase1": _verdict_to_dict(det.trace.phase1),
-            "phase2": _transcript_to_dict(det.trace.phase2),
-            "phase3_raw": det.trace.phase3_raw,
-            "backend_calls": [
-                {
-                    "phase": r.phase,
-                    "fingerprint": r.fingerprint,
-                    "from_cache": r.from_cache,
-                    "latency_ms": r.latency_ms,
-                }
-                for r in det.trace.backend_calls
-            ],
-        },
-    }
+def _text(value: str | enum.Enum | None) -> str:
+    if value is None:
+        return "null"
+    return _quote(value.value if isinstance(value, enum.Enum) else value)
+
+
+def _verdict(v: ConsistencyVerdict | None) -> str:
+    return "null" if v is None else (
+        f'{{"confidence_note": {_text(v.confidence_note)}, '
+        f'"consistent": {_scalar(v.consistent)}, "raw_text": {_quote(v.raw_text)}}}'
+    )
+
+
+def _transcript(t: VisualTranscript | None) -> str:
+    return "null" if t is None else (
+        f'{{"content": {_quote(t.content)}, "findings": [{", ".join(map(_quote, t.findings))}], '
+        f'"question_type": {_text(t.question_type)}, '
+        f'"representation": {_text(t.representation)}, "source": {_text(t.source)}}}'
+    )
+
+
+def detection_line(det: Detection) -> str:
+    """det's detections-file line: json.dumps(..., sort_keys=True, ensure_ascii=False) + "\\n"."""
+    trace = det.trace
+    calls = ", ".join(
+        f'{{"fingerprint": {_quote(r.fingerprint)}, "from_cache": {_scalar(r.from_cache)}, '
+        f'"latency_ms": {_scalar(r.latency_ms)}, "phase": {_quote(r.phase)}}}'
+        for r in trace.backend_calls
+    )
+    return (
+        f'{{"failure": {_text(det.failure)}, "mode": {_text(det.mode)}, '
+        f'"predicted_category": {_text(det.predicted_category)}, '
+        f'"predicted_step": {_scalar(det.predicted_step)}, '
+        f'"sample_id": {_quote(det.sample_id)}, "trace": {{"backend_calls": [{calls}], '
+        f'"phase1": {_verdict(trace.phase1)}, "phase2": {_transcript(trace.phase2)}, '
+        f'"phase3_raw": {_quote(trace.phase3_raw)}}}}}\n'
+    )
 
 
 _MODE_CODES = tuple(m.value for m in AblationMode)
@@ -354,7 +354,7 @@ _CATEGORY_CODES = tuple(c.value for c in ErrorCategory)
 
 
 def detection_from_line(line: str | bytes) -> DetectionRecord:
-    """The record of one line detection_to_dict wrote; the trace is not read.
+    """The record of one line detection_line wrote; the trace is not read.
 
     A line the writer could not have emitted raises ValueError naming the field.
     """

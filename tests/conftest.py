@@ -12,6 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import strategies as st
 
 import mathagent.backends
 from mathagent import (
@@ -39,11 +40,26 @@ TINY_PNG_BASE64 = (
     "AAAADUlEQVR42mP8z8BQDwAEhQGAhKmMIQAAAABJRU5ErkJggg=="
 )
 
+# text with what JSON must escape or may pass through: quotes, backslashes,
+# control characters, the two line separators JavaScript rejects, non-BMP
+# characters, and nothing at all
+awkward_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029", "\U0001f600"]),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=30,
+)
+
 
 
 def run_python(*argv: str, cwd=None) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter with the sources on PYTHONPATH; stderr is captured."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    """Run a fresh interpreter with the sources first on PYTHONPATH; stderr is captured.
+
+    The caller's PYTHONPATH follows the sources, so a child finds what its parent found.
+    """
+    path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120, cwd=cwd
     )

@@ -9,6 +9,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ from mathagent import (
     average_score,
     build_analysis_prompt,
     call_counts,
-    detection_to_dict,
+    detection_line,
     improvement_delta,
     mean_delta,
     parse_analyzer_output,
@@ -296,13 +297,12 @@ def test_criterion_4_determinism_and_replay(
             warm = run_dataset(samples_12, AblationMode.FULL, replay_setup(memo))
         assert transport.calls == cold_calls, "warm replay hit the network"
 
-        strip = lambda dets: [detection_to_dict(d) for d in dets]
-        cold_dicts, warm_dicts = strip(cold), strip(warm)
-        for det in cold_dicts + warm_dicts:
-            for record in det["trace"]["backend_calls"]:
-                record.pop("from_cache")
-                record.pop("latency_ms")
-        assert cold_dicts == warm_dicts
+        def strip(det):  # its line with each call's from_cache false and latency_ms 0.0
+            calls = [replace(r, from_cache=False, latency_ms=0.0) for r in det.trace.backend_calls]
+            return detection_line(replace(det, trace=replace(det.trace, backend_calls=calls)))
+
+        cold_lines, warm_lines = list(map(strip, cold)), list(map(strip, warm))
+        assert cold_lines == warm_lines
 
 
 # --- 5: formal-language round-trip -------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    FIXTURES, TINY_PNG_BASE64, Fault, FaultyEndpoint, run_python, track_appends
+    FIXTURES, TINY_PNG_BASE64, Fault, FaultyEndpoint, awkward_text, run_python, track_appends
 )
 from mathagent import (
     AuthError,
@@ -59,17 +59,6 @@ def canonical_sha256(payload) -> str:
     """The reference fingerprint: SHA-256 of the whole payload as json.dumps writes it."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-# text with what JSON must escape or may pass through: quotes, backslashes,
-# control characters, the two line separators JavaScript rejects, non-BMP characters
-awkward_text = st.text(
-    st.one_of(
-        st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\u2028", "\u2029", "\U0001f600"]),
-        st.characters(exclude_categories=("Cs",)),
-    ),
-    max_size=30,
-)
 
 
 class TestRequestValidation:

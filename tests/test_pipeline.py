@@ -17,15 +17,19 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FIXTURES, CapturingBackend, make_sample, truncated
+from conftest import FIXTURES, CapturingBackend, awkward_text, make_sample, truncated
 from mathagent import (
     AblationMode,
+    CallRecord,
+    ConsistencyVerdict,
+    Detection,
     DetectionLog,
     ErrorCategory,
     ImageKind,
     ImageRef,
     ModelResponse,
     PhaseSetup,
+    PhaseTrace,
     PipelineSetup,
     QuestionType,
     ReplayCache,
@@ -34,10 +38,12 @@ from mathagent import (
     ScriptedBackend,
     TranscriptSource,
     TransportError,
+    VisualTranscript,
     build_report_row,
     call_counts,
     detect_errors,
-    detection_to_dict,
+    detection_from_line,
+    detection_line,
     load_detections,
     run_dataset,
     stream_detections,
@@ -279,22 +285,22 @@ class TestRouter:
 
 class TestDeterminismAndConcurrency:
     def test_back_to_back_runs_are_identical(self, samples_12):
-        first = [detection_to_dict(d) for d in run(samples_12, AblationMode.FULL)]
-        second = [detection_to_dict(d) for d in run(samples_12, AblationMode.FULL)]
+        first = [detection_line(d) for d in run(samples_12, AblationMode.FULL)]
+        second = [detection_line(d) for d in run(samples_12, AblationMode.FULL)]
         assert first == second
 
     def test_worker_pool_matches_sequential(self, samples_12):
-        sequential = [detection_to_dict(d) for d in run(samples_12, AblationMode.FULL)]
+        sequential = [detection_line(d) for d in run(samples_12, AblationMode.FULL)]
         pooled = [
-            detection_to_dict(d)
+            detection_line(d)
             for d in run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=4)
         ]
         assert pooled == sequential
 
     def test_more_workers_than_samples_matches_sequential(self, samples_12):
-        sequential = [detection_to_dict(d) for d in run(samples_12, AblationMode.FULL)]
+        sequential = [detection_line(d) for d in run(samples_12, AblationMode.FULL)]
         pooled = [
-            detection_to_dict(d)
+            detection_line(d)
             for d in run_dataset(samples_12, AblationMode.FULL, fresh_setup(), workers=32)
         ]
         assert pooled == sequential
@@ -625,7 +631,7 @@ def ablate(samples, scripts, workers=1):
 
     def emit(detections):
         for mode, det in zip(AblationMode, detections):
-            out[mode].append(detection_to_dict(det))
+            out[mode].append(detection_line(det))
 
     stream_detections(samples, runs, emit, workers)
     return out
@@ -636,7 +642,7 @@ def modes_in_turn(samples, scripts, workers=1):
     memo = ReplayCache()
     return {
         mode: [
-            detection_to_dict(d)
+            detection_line(d)
             for d in run_dataset(samples, mode, scripts.setup(mode, memo), workers)
         ]
         for mode in AblationMode
@@ -695,14 +701,14 @@ class TestSharedSteps:
         assert runs == modes_in_turn(samples_12, plain)
         assert reusing.asked == plain.asked
         index = [s.id for s in samples_12].index(sample_id)
-        failure = runs[AblationMode.FULL][index]["failure"]
+        failure = detection_from_line(runs[AblationMode.FULL][index]).failure
         assert failure.startswith(f"{phase.split('.')[0]}: BackendError")
         assert any(
             (p, s) == (phase, sample_id) and mode is not AblationMode.FULL
             for mode, p, s in reusing.asked
         ), "no later mode asked the backend again"
         for mode in list(AblationMode)[1:]:
-            assert all(det["failure"] is None for det in runs[mode]), mode
+            assert all(detection_from_line(line).failure is None for line in runs[mode]), mode
 
     def test_a_routed_transcript_is_not_reused_under_another_phase2_setting(self, samples_12):
         sample = sample_by_id(samples_12, "s07")  # a diagram, judged inconsistent
@@ -745,8 +751,8 @@ class TestSharedSteps:
         emitted = []
         stream_detections(samples_12, [(AblationMode.FULL, s) for s in together], emitted.append)
         alone = [run_dataset(samples_12, AblationMode.FULL, s) for s in in_turn]
-        assert [list(map(detection_to_dict, run)) for run in zip(*emitted)] == [
-            list(map(detection_to_dict, run)) for run in alone
+        assert [list(map(detection_line, run)) for run in zip(*emitted)] == [
+            list(map(detection_line, run)) for run in alone
         ]
         asked = [[q.phase for q in s.phase1.backend.requests] for s in together]
         assert asked == [[q.phase for q in s.phase1.backend.requests] for s in in_turn]
@@ -833,3 +839,82 @@ class TestDetectionLineRoundTrip:
                     log.add(det)
             assert load_detections(path) == log.records
         assert [r.sample_id for r in log.records] == [s.id for s in samples_12]
+
+
+def reference_line(det):
+    """A detection's line as the dict-and-json.dumps writer built it: detection_line's reference."""
+    v, t = det.trace.phase1, det.trace.phase2
+    obj = {
+        "sample_id": det.sample_id,
+        "mode": det.mode.value,
+        "predicted_step": det.predicted_step,
+        "predicted_category": det.predicted_category.value if det.predicted_category else None,
+        "failure": det.failure,
+        "trace": {
+            "phase1": None if v is None else {
+                "consistent": v.consistent,
+                "raw_text": v.raw_text,
+                "confidence_note": v.confidence_note,
+            },
+            "phase2": None if t is None else {
+                "representation": t.representation.value,
+                "content": t.content,
+                "question_type": t.question_type.value if t.question_type else None,
+                "source": t.source.value if t.source else None,
+                "findings": list(t.findings),
+            },
+            "phase3_raw": det.trace.phase3_raw,
+            "backend_calls": [
+                {
+                    "phase": r.phase,
+                    "fingerprint": r.fingerprint,
+                    "from_cache": r.from_cache,
+                    "latency_ms": r.latency_ms,
+                }
+                for r in det.trace.backend_calls
+            ],
+        },
+    }
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+DETECTIONS = st.builds(
+    Detection,
+    sample_id=awkward_text,
+    mode=st.sampled_from(AblationMode),
+    predicted_step=st.none() | st.just(1) | st.integers(min_value=2**63),
+    predicted_category=st.none() | st.sampled_from(ErrorCategory),
+    failure=st.none() | awkward_text,
+    trace=st.builds(
+        PhaseTrace,
+        phase1=st.none() | st.builds(
+            ConsistencyVerdict, st.booleans(), awkward_text, st.none() | awkward_text
+        ),
+        phase2=st.none() | st.builds(
+            VisualTranscript,
+            representation=st.sampled_from(Representation),
+            content=awkward_text,
+            question_type=st.none() | st.sampled_from(QuestionType),
+            source=st.none() | st.sampled_from(TranscriptSource),
+            findings=st.lists(awkward_text, max_size=3).map(tuple),
+        ),
+        phase3_raw=awkward_text,
+        backend_calls=st.lists(
+            st.builds(
+                CallRecord,
+                awkward_text,
+                awkward_text,
+                st.booleans(),
+                st.sampled_from([0.0, 1e-7, 123.456, 1e16, 5e-324]) | st.floats(),
+            ),
+            max_size=4,
+        ),
+    ),
+)
+
+
+class TestDetectionLine:
+    @settings(max_examples=300, deadline=None)
+    @given(det=DETECTIONS)
+    def test_the_line_is_what_json_dumps_writes_of_the_detection(self, det):
+        assert detection_line(det) == reference_line(det)
