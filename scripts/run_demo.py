@@ -3,7 +3,8 @@
 
 Uses the scripted backend shipped with the test suite, so no network
 access or API key is needed. Prints the scored report for the full
-pipeline, then the four-row ablation grid.
+pipeline, then the four-row ablation grid, all from one setup: its memo
+answers the requests a later run repeats.
 """
 
 import sys
@@ -28,17 +29,13 @@ from mathagent import (
 FIXTURES = REPO_ROOT / "tests" / "fixtures"
 
 
-def scripted_setup() -> PipelineSetup:
-    backend = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
-    phase = PhaseSetup(backend=backend)
-    return PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
-
-
 def main() -> int:
     samples = load_dataset(FIXTURES / "dataset_12.jsonl")
     print(f"loaded {len(samples)} samples from {FIXTURES / 'dataset_12.jsonl'}")
 
-    detections = run_dataset(samples, AblationMode.FULL, scripted_setup())
+    phase = PhaseSetup(backend=ScriptedBackend.from_file(FIXTURES / "scripts_12.json"))
+    setup = PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
+    detections = run_dataset(samples, AblationMode.FULL, setup)
     failures = [d for d in detections if d.failure is not None]
     print(f"full pipeline: {len(detections)} detections, {len(failures)} failures")
     print()
@@ -46,7 +43,7 @@ def main() -> int:
 
     entries = []
     for mode in AblationMode:
-        mode_detections = run_dataset(samples, mode, scripted_setup())
+        mode_detections = run_dataset(samples, mode, setup)
         row = build_report_row(mode_detections, samples, mode.value)
         entries.append((mode.value, row, call_counts(mode_detections)))
     print("ablation grid:")

@@ -128,13 +128,14 @@ def analyze(
 ) -> AnalyzerOutput:
     """Run the analyzer with at most one format-reminder re-ask."""
 
-    def ask(prompt: str) -> AnalyzerOutput:
-        response = backend.complete(ModelRequest(prompt, None, settings, "phase3", sample.id))
+    def ask(prompt: str, attempt: int) -> AnalyzerOutput:
+        request = ModelRequest(prompt, None, settings, "phase3", sample.id, attempt)
+        response = backend.complete(request)
         output = parse_analyzer_output(response.text, len(sample.steps))
         return replace(output, parse_ok=False) if response.cut else output
 
     prompt = build_analysis_prompt(sample, transcript, include_problem_text, prompts)
-    result = ask(prompt)
+    result = ask(prompt, 0)
     if result.parse_ok:
         return result
-    return ask(prompt + "\n" + _FORMAT_REMINDER)
+    return ask(prompt + "\n" + _FORMAT_REMINDER, 1)

@@ -3,13 +3,14 @@
 HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
 backend only for requests it has not seen; each call is recorded as a
-CallRecord. ScriptedBackend is the one reader of the script format, and
-a scripted reply may carry a finish reason, so a cut reply can be
-scripted. ModelResponse.cut is the one whole-reply rule every phase
-reads: a reply is whole only on STOP. A ModelRequest is one prompt, at
-most one image and its phase's RequestSettings, whose range rule for the
-knobs is the only one; HttpBackend and RetryPolicy reject knobs out of
-range.
+CallRecord. ScriptedBackend is the one reader of the script format; a
+scripted reply may carry a finish reason, so a cut reply can be
+scripted, and a reply list answers by the request's attempt, never by
+the calls before it. ModelResponse.cut is the one whole-reply rule every
+phase reads: a reply is whole only on STOP. A ModelRequest is one
+prompt, at most one image and its phase's RequestSettings, whose range
+rule for the knobs is the only one; HttpBackend and RetryPolicy reject
+knobs out of range.
 
 HttpBackend sends through its transport hook: transport(url, headers,
 body, timeout_s) returns (status, headers, text), the reply's status,
@@ -31,9 +32,10 @@ UTF-8 encoded, then hashed. The prompt appears as
 {"kind": "text", "text": ...}, and an image, when there is one, after it as
 {"kind": "image", "media_type": ..., "sha256": ...}, the ImageRef's
 resolved_media_type and sha256 (over the image bytes, or a URL's address).
-The phase and sample_id routing metadata never enter the fingerprint. Each
-RequestSettings writes the form's text around the segments once, when it
-is built, so a fingerprint encodes only its prompt and image anew.
+The phase, sample_id and attempt routing metadata never enter the
+fingerprint. Each RequestSettings writes the form's text around the
+segments once, when it is built, so a fingerprint encodes only its
+prompt and image anew.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from __future__ import annotations
 import datetime
 import enum
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -50,7 +51,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 from .data_model import ImageRef, parse_json
 
@@ -145,6 +146,7 @@ class ModelRequest:
     # routing metadata for scripted fixtures and traces; not fingerprinted
     phase: str = ""
     sample_id: str | None = None
+    attempt: int = 0  # 1 for a re-ask after a reply that did not parse
     fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -352,9 +354,10 @@ class ScriptedBackend:
     A script is {"phases": {phase: {sample_id: reply}}, "by_fingerprint":
     {fingerprint: reply}, "default_reply": reply}, looked up fingerprint
     first, default last. A reply is a string, a {"text": ..., "finish_reason":
-    ...} object ("stop" when absent) or a list of these handed out one per
-    call, the last repeating (as a re-ask needs). Other shapes raise
-    ValueError. Latency is always 0.0 so runs are byte-reproducible.
+    ...} object ("stop" when absent) or a list of these, one per attempt of
+    the request, the last repeating (as a re-ask needs). Other shapes raise
+    ValueError. The backend holds no state that a call changes, and latency
+    is always 0.0, so runs are byte-reproducible in any order.
     """
 
     def __init__(
@@ -372,7 +375,6 @@ class ScriptedBackend:
             self._replies.update(_reply_table(table, f"phases.{phase}", ("ps", phase)))
         if default_reply is not None:
             self._replies[("default",)] = _script_replies(default_reply, "default_reply")
-        self._lock = threading.Lock()
 
     @classmethod
     def from_script(cls, script) -> "ScriptedBackend":
@@ -388,23 +390,23 @@ class ScriptedBackend:
     def complete(self, request: ModelRequest) -> ModelResponse:
         fp = request.fingerprint
         for key in (("fp", fp), ("ps", request.phase, request.sample_id), ("default",)):
-            if key in self._replies:
-                with self._lock:
-                    return next(self._replies[key])
+            replies = self._replies.get(key)
+            if replies is not None:
+                return replies[min(request.attempt, len(replies) - 1)]
         raise ScriptMiss(
             f"no scripted reply for phase={request.phase!r} "
             f"sample={request.sample_id!r} fingerprint={fp[:12]}"
         )
 
 
-def _reply_table(table, where: str, prefix: tuple) -> dict[tuple, Iterator[ModelResponse]]:
+def _reply_table(table, where: str, prefix: tuple) -> dict[tuple, tuple[ModelResponse, ...]]:
     if not isinstance(table, Mapping):
         raise ValueError(f"script {where!r} must be an object")
     return {(*prefix, k): _script_replies(v, f"{where}.{k}") for k, v in table.items()}
 
 
-def _script_replies(value, where: str) -> Iterator[ModelResponse]:
-    """A scripted reply value as ready responses, handed out in turn, the last repeating."""
+def _script_replies(value, where: str) -> tuple[ModelResponse, ...]:
+    """A scripted reply value as ready responses, one per attempt."""
     replies = []
     for item in value if isinstance(value, list) and value else [value]:
         text, reason = item, "stop"
@@ -414,7 +416,7 @@ def _script_replies(value, where: str) -> Iterator[ModelResponse]:
             raise ValueError(f"script {where!r}: {item!r} is not a string, a non-empty list or "
                              '{"text": str, "finish_reason": "stop" | "length" | "error"}')
         replies.append(ModelResponse(text, FinishReason(reason), latency_ms=0.0))
-    return itertools.chain(replies, itertools.repeat(replies[-1]))
+    return tuple(replies)
 
 
 class ReplayCache:

@@ -1,5 +1,8 @@
 """Command-line harness: run, ablate, validate, report.
 
+run and ablate each build one PipelineSetup, whose modes share its
+backends, its memo and one in-flight gate per base_url.
+
 Exit codes: 0 success, 1 validation or alignment findings, 2 config
 error or an output location that cannot be made or written, 3 dataset
 error, 130 interrupted (Ctrl-C). Logs go to stderr; stdout carries
@@ -80,8 +83,7 @@ _HTTP_DEFAULTS = {k: p.default for k, p in inspect.signature(HttpBackend).parame
 
 # the keys each part of a config may hold; load_config warns about any other
 _CONFIG_KEYS = frozenset(
-    {"dataset", "mode", "backends", "router", "cache_path", "output_dir", "prompt_dir",
-     "seed"}  # retired, and ignored
+    {"dataset", "mode", "backends", "router", "cache_path", "output_dir", "prompt_dir"}
 )
 _SPEC_KEYS = frozenset({"kind", "model_id", "system_prompt", "temperature", "max_tokens"})
 _HTTP_KEYS = _SPEC_KEYS | {"base_url", "api_key_env", "retry", "rate_limit", "timeout_s"}
@@ -96,12 +98,12 @@ class BackendSpec:
 
     settings: RequestSettings
     http: dict | None  # HttpBackend's keyword arguments, retry built
-    script: object  # the parsed script, when http is None
+    scripted: ScriptedBackend | None  # the spec's backend, when http is None
 
     def build(self, gates: dict[str, threading.Semaphore]) -> Backend:
-        """A fresh backend (scripted replies start anew); an http one takes its base_url's gate."""
+        """The scripted backend, which holds no state, or an http one on its base_url's gate."""
         if self.http is None:
-            return ScriptedBackend.from_script(self.script)
+            return self.scripted
         return HttpBackend(**self.http, gate=gates.get(self.http["base_url"]))
 
 
@@ -206,7 +208,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
     if not isinstance(spec, dict):
         raise ConfigError("backend spec must be an object")
     kind = spec.get("kind")
-    http = script = None
+    http = scripted = None
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http backend needs 'base_url'")
@@ -240,7 +242,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
             script = scripts[path]
             if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
                 script = {**script, "default_reply": spec["default_reply"]}
-        ScriptedBackend.from_script(script)  # built only for its shape checks
+        scripted = ScriptedBackend.from_script(script)  # checks the script's shape
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
     default = RequestSettings()
@@ -250,7 +252,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
         max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
     )
-    return BackendSpec(settings, http, script)
+    return BackendSpec(settings, http, scripted)
 
 
 def _http_gates(config: RunConfig) -> tuple[dict[str, threading.Semaphore], int]:
@@ -274,23 +276,16 @@ def _open_cache(config: RunConfig) -> ReplayCache:
         raise ConfigError(str(exc)) from exc
 
 
-def build_setup(
-    config: RunConfig,
-    config_base: Path | None = None,
-    cache: ReplayCache | None = None,
-    gates: dict[str, threading.Semaphore] | None = None,
-) -> PipelineSetup:
-    """Fresh backends on the config's checked specs, for one pipeline run.
+def build_setup(config: RunConfig, config_base: Path | None = None) -> PipelineSetup:
+    """One command's setup on the config's checked specs; the caller closes its cache.
 
     config_base is unused, since load_config resolved every path. Every
-    call asks `cache` first, by default the config's own, opened here, and
-    each HTTP backend waits on its base_url's gate in `gates`, by default
-    new ones shared only within this setup.
+    call asks the config's cache, opened here, and each HTTP backend waits
+    on its base_url's gate, new here and shared by every mode run on the
+    setup. Scripted backends are the config's own.
     """
-    if cache is None:
-        cache = _open_cache(config)
-    if gates is None:
-        gates, _ = _http_gates(config)
+    cache = _open_cache(config)
+    gates, _ = _http_gates(config)
     built = {
         name: PhaseSetup(backend=spec.build(gates), settings=spec.settings)
         for name, spec in config.backends.items()
@@ -333,14 +328,13 @@ def _detect(
 ) -> tuple[list[Sample], list[DetectionLog], int]:
     """Stream each mode's detections into output_dir/<its name>: (samples, logs, workers).
 
-    Each mode gets its own setup (fresh backends), all on one memo and
-    one gate per base_url. The output directory is made only once those
-    and the dataset have loaded, so a run that exits 2 or 3 leaves none.
-    A mode with failed samples gets a warning naming its file.
+    Every mode runs on one setup. The output directory is made only once
+    it and the dataset have loaded, so a run that exits 2 or 3 leaves
+    none. A mode with failed samples gets a warning naming its file.
     """
-    with _open_cache(config) as cache:
-        gates, workers = _http_gates(config)
-        setups = [build_setup(config, cache=cache, gates=gates) for _ in modes]
+    setup = build_setup(config)
+    with setup.cache:
+        _, workers = _http_gates(config)
         samples = _load_samples(config.dataset)
         in_turn = ", then ".join(mode.value for mode in modes)
         log.info("running %d samples in mode %s on %d worker(s)", len(samples), in_turn, workers)
@@ -354,7 +348,7 @@ def _detect(
                 for det_log, det in zip(logs, detections):
                     det_log.add(det)
 
-            stream_detections(samples, list(zip(modes, setups)), emit, workers)
+            stream_detections(samples, modes, setup, emit, workers)
     for name, det_log in zip(names, logs):
         if det_log.failures:
             log.warning("%d of %d samples failed; see %s", det_log.failures, len(samples), name)

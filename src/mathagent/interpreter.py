@@ -85,11 +85,11 @@ _ROUTE_PROMPTS = {
 
 
 def _image_request(
-    sample: Sample, prompt: str, settings: RequestSettings, phase: str
+    sample: Sample, prompt: str, settings: RequestSettings, phase: str, attempt: int = 0
 ) -> ModelRequest:
     if sample.image is None:
         raise ValueError(f"sample {sample.id} has no image to transcribe")
-    return ModelRequest(prompt, sample.image, settings, phase, sample.id)
+    return ModelRequest(prompt, sample.image, settings, phase, sample.id, attempt)
 
 
 def resolve_question_type(
@@ -110,8 +110,8 @@ def resolve_question_type(
     prompt = (prompts or packaged_prompts()).render(
         "phase2_question_type", {"question_text": sample.question_text}
     )
-    for text in (prompt, prompt + "\n" + _TYPE_REMINDER):
-        response = backend.complete(_image_request(sample, text, settings, "phase2.type"))
+    for attempt, text in enumerate((prompt, prompt + "\n" + _TYPE_REMINDER)):
+        response = backend.complete(_image_request(sample, text, settings, "phase2.type", attempt))
         matched = None if response.cut else match_question_type(response.text)
         if matched is not None:
             return matched

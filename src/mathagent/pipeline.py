@@ -7,8 +7,8 @@ replace phase 2 routing with plain captioning, or cut the problem text
 out of the analyzer prompt. A failing sample is recorded, never fatal.
 
 stream_detections is the one driver: each worker takes the next sample
-and runs it through every (mode, setup) in order, then hands the
-sample's detections to a reorder buffer that emits them in sample
+and runs it through every mode in order on the one setup, then hands
+the sample's detections to a reorder buffer that emits them in sample
 order. `run` streams one mode, `ablate` four, and run_dataset collects
 one mode's detections into a list. A DetectionLog writes one mode's
 detections as they are emitted, one flushed line per sample, and keeps
@@ -22,7 +22,8 @@ what its run kept.
 A later mode that repeats a request an earlier one made is answered by
 the setup's ReplayCache, which records the call as a memo hit
 (from_cache true, latency 0.0). A call that raised is not stored, so a
-later mode asks again.
+later mode asks again. No backend keeps state between calls, so a
+sample's detections do not depend on the samples or modes before it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ class PipelineSetup:
     # per-question-type overrides for phase 2; phase2 handles the rest
     router: dict[QuestionType, PhaseSetup] = field(default_factory=dict)
     prompts: PromptSet = field(default_factory=packaged_prompts)
-    # the memo every call asks first; runs that share this setup share it too
+    # the memo every call asks first; the modes and runs on this setup share it
     cache: ReplayCache = field(default_factory=ReplayCache)
 
     def phase2_for(self, question_type: QuestionType | None) -> PhaseSetup:
@@ -188,13 +189,14 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
 
 def stream_detections(
     samples: Sequence[Sample],
-    runs: Sequence[tuple[AblationMode, PipelineSetup]],
+    modes: Sequence[AblationMode],
+    setup: PipelineSetup,
     emit: Callable[[tuple[Detection, ...]], None],
     workers: int = 1,
 ) -> None:
-    """Run each sample through every (mode, setup) of runs, in order.
+    """Run each sample through every mode of modes on setup, in order.
 
-    emit gets each sample's detections, one per run, in sample order and
+    emit gets each sample's detections, one per mode, in sample order and
     from one thread at a time. The calling thread and workers - 1 pool
     threads each take the next sample as soon as they are free, so a slow
     call holds up one worker, not a share of the dataset; a sample that
@@ -219,7 +221,7 @@ def stream_detections(
                 if claimed is None:
                     return
                 index, sample = claimed
-                ready[index] = tuple(detect_errors(sample, mode, setup) for mode, setup in runs)
+                ready[index] = tuple(detect_errors(sample, mode, setup) for mode in modes)
                 # No worker blocks on another's emit, since workers that
                 # wait and wake trade the interpreter lock and slowed a
                 # CPU-bound warm run by about a third. While one worker
@@ -254,7 +256,7 @@ def run_dataset(
 ) -> list[Detection]:
     """Detect over a dataset in one mode; results come back in sample order."""
     detections: list[Detection] = []
-    stream_detections(list(samples), [(mode, setup)], detections.extend, workers)
+    stream_detections(list(samples), [mode], setup, detections.extend, workers)
     return detections
 
 

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    FIXTURES, TINY_PNG_BASE64, Fault, FaultyEndpoint, awkward_text, run_python, track_appends
+    FIXTURES, TINY_PNG_BASE64, CapturingBackend, Fault, FaultyEndpoint, awkward_text, run_python,
+    track_appends,
 )
 from mathagent import (
     AuthError,
@@ -45,10 +46,10 @@ from mathagent import (
 )
 
 
-def text_request(text="hello", image=None, phase="", sample_id=None, **knobs):
+def text_request(text="hello", image=None, phase="", sample_id=None, attempt=0, **knobs):
     """A request whose settings are model "m" and system prompt "sys" unless knobs say else."""
     settings = RequestSettings(**{"model_id": "m", "system_prompt": "sys", **knobs})
-    return ModelRequest(text, image, settings, phase, sample_id)
+    return ModelRequest(text, image, settings, phase, sample_id, attempt)
 
 
 def inline_ref(b64=TINY_PNG_BASE64, media_type="image/png"):
@@ -619,17 +620,44 @@ class TestScriptedBackend:
         assert "phase2" in str(err.value)
         assert "s9" in str(err.value)
 
-    def test_list_replies_consumed_in_order_then_repeat(self):
-        backend = ScriptedBackend(phases={"p": {"s": ["first", "second"]}})
-        req = text_request(phase="p", sample_id="s")
-        texts = [backend.complete(req).text for _ in range(4)]
-        assert texts == ["first", "second", "second", "second"]
+    @pytest.mark.parametrize("where", ["phases", "by_fingerprint", "default_reply"])
+    def test_a_list_gives_one_reply_per_attempt_the_last_repeating(self, where):
+        replies = ["first", "second"]
+        asks = [text_request(phase="p", sample_id="s", attempt=n) for n in (0, 1, 2)]
+        script = {
+            "phases": {"phases": {"p": {"s": replies}}},
+            "by_fingerprint": {"by_fingerprint": {asks[0].fingerprint: replies}},
+            "default_reply": {"default_reply": replies},
+        }[where]
+        expected = ["first", "second", "second"]
+        fresh = [ScriptedBackend.from_script(script).complete(ask).text for ask in asks]
+        assert fresh == expected
+        reused = ScriptedBackend.from_script(script)
+        for _ in range(2):
+            assert [reused.complete(ask).text for ask in asks] == expected
+            assert [reused.complete(ask).text for ask in reversed(asks)] == expected[::-1]
 
-    def test_list_cursors_independent_per_sample(self):
+    def test_a_reply_does_not_depend_on_the_calls_before_it(self):
         backend = ScriptedBackend(phases={"p": {"a": ["a1", "a2"], "b": ["b1", "b2"]}})
-        assert backend.complete(text_request(phase="p", sample_id="a")).text == "a1"
-        assert backend.complete(text_request(phase="p", sample_id="b")).text == "b1"
-        assert backend.complete(text_request(phase="p", sample_id="a")).text == "a2"
+        first = text_request(phase="p", sample_id="a")
+        assert backend.complete(first).text == "a1"
+        assert backend.complete(text_request(phase="p", sample_id="b", attempt=1)).text == "b2"
+        assert backend.complete(first).text == "a1"
+        assert backend.complete(text_request(phase="p", sample_id="a", attempt=1)).text == "a2"
+
+    def test_the_attempt_routes_but_is_not_fingerprinted(self):
+        asks = [text_request(phase="p", sample_id="s", attempt=n) for n in (0, 1)]
+        assert asks[0].fingerprint == asks[1].fingerprint == request_fingerprint(asks[1])
+        assert asks[0] != asks[1]
+
+    def test_the_phase_agents_send_their_reask_as_attempt_1(self, samples_12):
+        sample = next(s for s in samples_12 if s.id == "s09")  # imaged, with no type label
+        backend = CapturingBackend("no step or type named here")
+        analyze(sample, None, backend)
+        resolve_question_type(sample, backend)
+        assert [(r.phase, r.attempt) for r in backend.requests] == [
+            ("phase3", 0), ("phase3", 1), ("phase2.type", 0), ("phase2.type", 1),
+        ]
 
     def test_from_file(self, tmp_path):
         script = {
@@ -699,8 +727,8 @@ class TestScriptFormat:
         backend = ScriptedBackend(
             phases={"p": {"s": [{"text": "first", "finish_reason": "length"}, "second"]}}
         )
-        req = text_request(phase="p", sample_id="s")
-        got = [(r.text, r.finish_reason) for r in (backend.complete(req) for _ in range(3))]
+        asks = [text_request(phase="p", sample_id="s", attempt=n) for n in range(3)]
+        got = [(r.text, r.finish_reason) for r in map(backend.complete, asks)]
         assert got == [
             ("first", FinishReason.LENGTH), ("second", FinishReason.STOP),
             ("second", FinishReason.STOP),
@@ -728,8 +756,10 @@ class TestScriptFormat:
         for phase, replies in script["phases"].items():
             for sample_id, reply in replies.items():
                 texts = reply if isinstance(reply, list) else [reply]
-                req = text_request(phase=phase, sample_id=sample_id)
-                got = [backend.complete(req) for _ in texts]
+                got = [
+                    backend.complete(text_request(phase=phase, sample_id=sample_id, attempt=n))
+                    for n in range(len(texts))
+                ]
                 assert [r.text for r in got] == texts
                 assert {r.finish_reason for r in got} == {FinishReason.STOP}
 

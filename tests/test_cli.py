@@ -207,11 +207,12 @@ class TestRun:
             second = (dirs[1] / name).read_bytes()
             assert first == second, name
 
-    def test_seed_key_is_ignored(self, tmp_path, capsys):
+    def test_seed_key_is_ignored(self, tmp_path, capsys, caplog):
         out_dir = tmp_path / "out"
         config = write_config(tmp_path, out_dir, seed="not even an integer")
         assert main(["run", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
+        assert warnings(caplog) == ["config: unknown key 'seed' ignored"]
         meta = json.loads((out_dir / "run_meta.json").read_text(encoding="utf-8"))
         assert "seed" not in meta
 
@@ -275,7 +276,7 @@ class TestRun:
         monkeypatch.syspath_prepend(str(REPO / "perfbench"))
         import workload
 
-        cli.load_config(write_config(tmp_path, tmp_path / "out", seed=7))
+        cli.load_config(write_config(tmp_path, tmp_path / "out"))
         assert warnings(caplog) == []
         # the benchmark still sets the retired key; its rate_limit gives the same count
         config = cli.load_config(workload.write_config(tmp_path, cache=True))
@@ -1329,19 +1330,42 @@ class TestComputedOnce:
         capsys.readouterr()
         assert passes == {"run": 1, "ablate": 4, "report": 1, "report --baseline": 2}
 
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    def test_one_setup_and_one_backend_per_scripted_spec_per_command(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        built = Counter()
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                built[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(cli, "build_setup", counted("build_setup", cli.build_setup))
+        monkeypatch.setattr(
+            ScriptedBackend, "from_script", counted("from_script", ScriptedBackend.from_script)
+        )
+        config = write_config(tmp_path, tmp_path / "out")
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        # the test config's three scripted specs, each built once by load_config
+        assert built == {"build_setup": 1, "from_script": 3}
+
     def test_prompt_assets_read_once_per_command(self, tmp_path, capsys, monkeypatch):
         reads = count_file_reads(monkeypatch)
         config = write_config(tmp_path, tmp_path / "out")
         assert main(["ablate", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
-        # ablate builds one setup per mode, all on the one prompt set load_config read
+        # ablate's one setup runs every mode on the one prompt set load_config read
         prompt_reads = Counter(path.name for path in reads if path.suffix == ".prompt")
         assert prompt_reads == {name: 1 for name in prompts.PROMPT_FILES.values()}
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_script_file_is_read_once_per_command(self, tmp_path, capsys, monkeypatch, command):
         reads = count_file_reads(monkeypatch)
-        # all three specs name the one script file, and ablate builds four setups
+        # all three specs name the one script file
         config = write_config(tmp_path, tmp_path / "out")
         assert main([command, "--config", str(config)]) == EXIT_OK
         capsys.readouterr()

@@ -338,6 +338,24 @@ class TestDeterminismAndConcurrency:
         assert len({r.fingerprint for r in calls if r.phase == "phase1"}) == 1
         assert ref.sha256 == hashlib.sha256(b"a figure").hexdigest()
 
+    def test_a_sample_detects_the_same_whichever_samples_ran_before_it(self, samples_12):
+        """A scripted reply list answers an ask by its attempt, not by the calls before it."""
+
+        def setup():
+            fixture = PhaseSetup(ScriptedBackend.from_file(FIXTURES / "scripts_12.json"))
+            analyzer = PhaseSetup(ScriptedBackend(default_reply=[
+                "The mistake is somewhere in the middle.",
+                "Error Step: #2\nError Category: Calculation Error",
+            ]))
+            return PipelineSetup(phase1=fixture, phase2=fixture, phase3=analyzer)
+
+        whole = run_dataset(samples_12, AblationMode.FULL, setup())
+        rest = run_dataset(samples_12[1:], AblationMode.FULL, setup())
+        assert list(map(detection_line, rest)) == list(map(detection_line, whole[1:]))
+        # every sample asks twice: its first ask gets the first reply, its re-ask the second
+        assert [call_counts([d])["phase3"] for d in whole] == [2] * len(samples_12)
+        assert {(d.predicted_step, d.predicted_category) for d in whole} == {(2, ErrorCategory.CAL)}
+
     def test_empty_dataset_with_workers(self):
         assert run_dataset([], AblationMode.FULL, fresh_setup(), workers=4) == []
 
@@ -424,9 +442,10 @@ class TestDeterminismAndConcurrency:
             finally:
                 emitting.release()
 
-        setup = fresh_setup()
-        runs = [(AblationMode.FULL, setup), (AblationMode.NO_ANALYZER, setup)]
-        driver = threading.Thread(target=stream_detections, args=(range(400), runs, emit, 9))
+        modes = [AblationMode.FULL, AblationMode.NO_ANALYZER]
+        driver = threading.Thread(
+            target=stream_detections, args=(range(400), modes, fresh_setup(), emit, 9)
+        )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -480,7 +499,7 @@ class TestInterrupt:
         previous = signal.signal(signal.SIGINT, on_sigint)
         try:
             with pytest.raises(KeyboardInterrupt):
-                stream_detections(samples_12, [(m, fresh_setup()) for m in modes], emit, workers)
+                stream_detections(samples_12, modes, fresh_setup(), emit, workers)
         finally:
             signal.signal(signal.SIGINT, previous)
             for det_log in logs:
@@ -593,58 +612,56 @@ class TestCallRecords:
 
 
 class ModeScripts:
-    """The fixture script, one fresh backend per mode as `ablate` builds them; keeps who asked what.
+    """The fixture script as one backend, as `ablate` builds it; keeps which mode asked what.
 
-    With fail=(phase, sample id, n), the n-th request for that phase and
-    sample raises BackendError, once.
+    Each ask is credited to the mode that detect_errors is running in the
+    asking thread, seen through that seam. With fail=(phase, sample id, n),
+    the n-th request for that phase and sample raises BackendError, once.
     """
 
-    def __init__(self, fail=None):
+    def __init__(self, monkeypatch, fail=None):
+        self.script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
         self.fail = fail
         self.seen = 0
         self.asked = Counter()  # (mode, phase, sample id) of every request answered
         self.lock = threading.Lock()
+        self.running = threading.local()  # .mode: the mode detect_errors runs in this thread
+        real = pipeline.detect_errors
 
-    def setup(self, mode, memo):
-        script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
-        owner = self
+        def detect(sample, mode, setup):
+            self.running.mode = mode
+            return real(sample, mode, setup)
 
-        class ModeBackend:
-            def complete(self, request):
-                key = (request.phase, request.sample_id)
-                with owner.lock:
-                    if owner.fail is not None and key == owner.fail[:2]:
-                        owner.seen += 1
-                        if owner.seen == owner.fail[2]:
-                            raise BackendError("endpoint down")
-                    owner.asked[(mode, *key)] += 1
-                return script.complete(request)
+        monkeypatch.setattr(pipeline, "detect_errors", detect)
 
-        return shared_setup(ModeBackend(), cache=memo)
+    def complete(self, request):
+        key = (request.phase, request.sample_id)
+        with self.lock:
+            if self.fail is not None and key == self.fail[:2]:
+                self.seen += 1
+                if self.seen == self.fail[2]:
+                    raise BackendError("endpoint down")
+            self.asked[(self.running.mode, *key)] += 1
+        return self.script.complete(request)
 
 
 def ablate(samples, scripts, workers=1):
-    """The four modes over one memo, as `mathagent ablate` runs them: each sample through all."""
-    memo = ReplayCache()
-    runs = [(mode, scripts.setup(mode, memo)) for mode in AblationMode]
+    """The four modes on one setup, as `mathagent ablate` runs them: each sample through all."""
     out = {mode: [] for mode in AblationMode}
 
     def emit(detections):
         for mode, det in zip(AblationMode, detections):
             out[mode].append(detection_line(det))
 
-    stream_detections(samples, runs, emit, workers)
+    stream_detections(samples, list(AblationMode), shared_setup(scripts), emit, workers)
     return out
 
 
 def modes_in_turn(samples, scripts, workers=1):
-    """The four modes over one memo, each over the whole dataset before the next."""
-    memo = ReplayCache()
+    """The four modes on one setup, each over the whole dataset before the next."""
+    setup = shared_setup(scripts)
     return {
-        mode: [
-            detection_line(d)
-            for d in run_dataset(samples, mode, scripts.setup(mode, memo), workers)
-        ]
+        mode: [detection_line(d) for d in run_dataset(samples, mode, setup, workers)]
         for mode in AblationMode
     }
 
@@ -679,13 +696,13 @@ class TestSharedSteps:
             return real(sample, mode, setup)
 
         monkeypatch.setattr(pipeline, "detect_errors", recording)
-        ablate(samples_12[:2], ModeScripts())
+        ablate(samples_12[:2], ModeScripts(monkeypatch))
         # each sample runs through the four modes in order before the next sample
         assert modes_seen == [(s.id, m) for s in samples_12[:2] for m in AblationMode]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_ablate_matches_the_modes_run_without_tables(self, samples_12, workers):
-        reusing, plain = ModeScripts(), ModeScripts()
+    def test_ablate_matches_the_modes_run_without_tables(self, samples_12, monkeypatch, workers):
+        reusing, plain = ModeScripts(monkeypatch), ModeScripts(monkeypatch)
         runs = ablate(samples_12, reusing, workers)
         assert runs == modes_in_turn(samples_12, plain, workers)
         assert reusing.asked == plain.asked
@@ -695,8 +712,11 @@ class TestSharedSteps:
         [("phase1", "s01", 1), ("phase2.type", "s11", 1), ("phase3", "s03", 2)],
         ids=["verdict", "type-query", "reask"],
     )
-    def test_a_failed_step_is_asked_again_in_a_later_mode(self, samples_12, phase, sample_id, nth):
-        reusing, plain = ModeScripts((phase, sample_id, nth)), ModeScripts((phase, sample_id, nth))
+    def test_a_failed_step_is_asked_again_in_a_later_mode(
+        self, samples_12, monkeypatch, phase, sample_id, nth
+    ):
+        fail = (phase, sample_id, nth)
+        reusing, plain = ModeScripts(monkeypatch, fail), ModeScripts(monkeypatch, fail)
         runs = ablate(samples_12, reusing)
         assert runs == modes_in_turn(samples_12, plain)
         assert reusing.asked == plain.asked
@@ -735,28 +755,25 @@ class TestSharedSteps:
 
     @pytest.mark.parametrize("other", ["prompt-set", "memo"])
     def test_setups_on_another_prompt_set_or_memo_share_no_table(self, samples_12, other):
-        """Such setups share no memo hit, so they run as if one after the other."""
+        """A setup on another prompt set gets no memo hit for the requests it changes, and one
+        on another memo none at all, from a run on the first setup before it."""
         templates = dict(packaged_prompts().templates)
         templates["phase1_consistency"] += "\nAnswer in one line."
-
-        def setups():
-            memo = ReplayCache()
-            if other == "prompt-set":
-                second = shared_setup(TimedScript(), cache=memo, prompts=PromptSet(templates))
-            else:
-                second = shared_setup(TimedScript(), cache=ReplayCache())
-            return shared_setup(TimedScript(), cache=memo), second
-
-        together, in_turn = setups(), setups()
-        emitted = []
-        stream_detections(samples_12, [(AblationMode.FULL, s) for s in together], emitted.append)
-        alone = [run_dataset(samples_12, AblationMode.FULL, s) for s in in_turn]
-        assert [list(map(detection_line, run)) for run in zip(*emitted)] == [
-            list(map(detection_line, run)) for run in alone
+        memo = ReplayCache()
+        if other == "prompt-set":
+            second = shared_setup(TimedScript(), cache=memo, prompts=PromptSet(templates))
+        else:
+            second = shared_setup(TimedScript(), cache=ReplayCache())
+        first = run_dataset(samples_12, AblationMode.FULL, shared_setup(TimedScript(), cache=memo))
+        then = run_dataset(samples_12, AblationMode.FULL, second)
+        asked = [q.phase for q in second.phase1.backend.requests]
+        assert asked.count("phase1") == 10  # its own verdicts, asked of its own backend
+        calls = [r for d in then for r in d.trace.backend_calls]
+        assert len(asked) == sum(not r.from_cache for r in calls)
+        assert len(asked) == (10 if other == "prompt-set" else len(calls))
+        assert [(d.predicted_step, d.predicted_category) for d in then] == [
+            (d.predicted_step, d.predicted_category) for d in first
         ]
-        asked = [[q.phase for q in s.phase1.backend.requests] for s in together]
-        assert asked == [[q.phase for q in s.phase1.backend.requests] for s in in_turn]
-        assert asked[1].count("phase1") == 10  # its own verdicts, asked of its own backend
 
 
 class TestDetectionStorage:
