@@ -11,7 +11,7 @@ counts as unparsed, even when its lines happen to parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .backends import Backend, ModelRequest, RequestSettings
 from .data_model import ErrorCategory, Sample, UnknownCategory, parse_category
@@ -35,8 +35,7 @@ _VISUAL_HEADERS = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class AnalyzerOutput:
+class AnalyzerOutput(NamedTuple):
     error_step: int | None
     error_category: ErrorCategory | None
     parse_ok: bool
@@ -132,7 +131,7 @@ def analyze(
         request = ModelRequest(prompt, None, settings, "phase3", sample.id, attempt)
         response = backend.complete(request)
         output = parse_analyzer_output(response.text, len(sample.steps))
-        return replace(output, parse_ok=False) if response.cut else output
+        return output._replace(parse_ok=False) if response.cut else output
 
     prompt = build_analysis_prompt(sample, transcript, include_problem_text, prompts)
     result = ask(prompt, 0)

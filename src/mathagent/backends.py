@@ -10,7 +10,14 @@ the calls before it. ModelResponse.cut is the one whole-reply rule every
 phase reads: a reply is whole only on STOP. A ModelRequest is one
 prompt, at most one image and its phase's RequestSettings, whose range
 rule for the knobs is the only one; HttpBackend and RetryPolicy reject
-knobs out of range.
+knobs out of range. ModelRequest, ModelResponse and CallRecord, the
+values built for each call, are immutable NamedTuples.
+
+The replay cache's lines and HTTP reply bodies are read by
+data_model.parse_json. It reads most of them in one scan of json's
+scanner: a value followed by JSON whitespace alone, with no \\u escape.
+Any other text goes through its full check, so both ways give the same
+value or the same error.
 
 HttpBackend sends through its transport hook: transport(url, headers,
 body, timeout_s) returns (status, headers, text), the reply's status,
@@ -51,7 +58,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Protocol
+from typing import Callable, Mapping, NamedTuple, Protocol
 
 from .data_model import ImageRef, parse_json
 
@@ -92,8 +99,10 @@ CUT_NOTES = {
 }
 
 
-@dataclass(frozen=True)
-class ModelResponse:
+_FINISH_REASONS = {reason.value: reason for reason in FinishReason}
+
+
+class ModelResponse(NamedTuple):
     text: str
     finish_reason: FinishReason
     latency_ms: float
@@ -136,10 +145,8 @@ class RequestSettings:
         object.__setattr__(self, "_frame", (head + '{"kind":"text","text":', tail))
 
 
-@dataclass(frozen=True)
-class ModelRequest:
-    """One model call: a prompt, at most one image, and the knobs of its phase."""
-
+# typing.NamedTuple takes no __new__ of its own, so ModelRequest's is on a subclass
+class _RequestFields(NamedTuple):
     prompt: str
     image: ImageRef | None
     settings: RequestSettings
@@ -147,11 +154,30 @@ class ModelRequest:
     phase: str = ""
     sample_id: str | None = None
     attempt: int = 0  # 1 for a re-ask after a reply that did not parse
-    fingerprint: str = field(init=False, repr=False, compare=False)
+    fingerprint: str = ""
 
-    def __post_init__(self):
-        # filled here, not by a cached_property, whose lock is class-wide on 3.11
-        object.__setattr__(self, "fingerprint", request_fingerprint(self))
+
+class ModelRequest(_RequestFields):
+    """One model call: a prompt, at most one image, and the knobs of its phase.
+
+    Built from every field but fingerprint, which request_fingerprint fills
+    once, here; _replace builds a new request, so its fingerprint is new too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, prompt, image, settings, phase="", sample_id=None, attempt=0):
+        fields = (prompt, image, settings, phase, sample_id, attempt)
+        unsigned = tuple.__new__(cls, (*fields, ""))  # all but the fingerprint it is to get
+        return tuple.__new__(cls, (*fields, request_fingerprint(unsigned)))
+
+    def __getnewargs__(self):  # what copy and pickle pass to __new__
+        return self[:-1]
+
+    def _replace(self, **changes) -> "ModelRequest":
+        fields = self._asdict()
+        del fields["fingerprint"]  # computed anew, so not a field to set
+        return ModelRequest(**{**fields, **changes})
 
 
 class Backend(Protocol):
@@ -468,7 +494,12 @@ class ReplayCache:
                 fp, text = obj["fingerprint"], obj["response_text"]
                 if not isinstance(fp, str) or not isinstance(text, str):
                     raise TypeError("fingerprint and response_text must be strings")
-                self._replies[fp] = (text, FinishReason(obj.get("finish_reason", "stop")))
+                raw = obj.get("finish_reason", "stop")
+                try:
+                    reason = _FINISH_REASONS[raw]
+                except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
+                    raise ValueError(f"{raw!r} is not a valid FinishReason") from None
+                self._replies[fp] = (text, reason)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"corrupt replay cache {self.path} line {line_no}: {exc}") from exc
 
@@ -481,7 +512,7 @@ class ReplayCache:
                 self._replies[fp] = flight = Future()
         if stored is not None:
             text, reason = stored.result() if isinstance(stored, Future) else stored
-            return ModelResponse(text, reason, latency_ms=0.0, from_cache=True)
+            return ModelResponse(text, reason, 0.0, True)
         try:
             response = inner.complete(request)
         except BaseException as exc:
@@ -521,8 +552,7 @@ class ReplayCache:
         self.close()
 
 
-@dataclass(frozen=True, slots=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     """One model call of a sample: its request's phase and fingerprint, and how it was answered."""
 
     phase: str

@@ -46,6 +46,7 @@ from .metrics import AlignmentError
 from .pipeline import (
     AblationMode,
     DetectionLog,
+    DetectionRecord,
     PhaseSetup,
     PipelineSetup,
     load_detections,
@@ -363,7 +364,7 @@ def cmd_run(args) -> int:
     model = config.backends["phase3"].settings.model_id
 
     out_dir = config.output_dir
-    row = build_report_row(detections.records, samples, model)
+    row = build_report_row(detections.records, samples, model, detections.failures)
     csv_text = render_csv([row])
 
     meta = {
@@ -442,6 +443,10 @@ def cmd_validate(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
+def _failures(records: list[DetectionRecord]) -> int:
+    return sum(record.failure is not None for record in records)
+
+
 def cmd_report(args) -> int:
     samples = _load_samples(Path(args.dataset))
     try:
@@ -465,10 +470,12 @@ def cmd_report(args) -> int:
             model = "run"
 
     try:
-        row = build_report_row(detections, samples, model)
+        row = build_report_row(detections, samples, model, _failures(detections))
         rows = [row]
         if baseline is not None:
-            base_row = build_report_row(baseline, samples, model + " (baseline)")
+            base_row = build_report_row(
+                baseline, samples, model + " (baseline)", _failures(baseline)
+            )
             rows = [base_row, attach_deltas(row, base_row)]
     except AlignmentError as exc:  # typed records leave scoring no other error
         log.error("alignment: %s", exc)

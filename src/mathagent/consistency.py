@@ -7,7 +7,7 @@ phases can skip transcription and work from the text alone.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backends import Backend, ModelRequest, RequestSettings
 from .data_model import Sample
@@ -18,8 +18,7 @@ from .prompts import PromptSet, packaged_prompts
 NEGATION_TOKENS = ("not", "in")
 
 
-@dataclass(frozen=True, slots=True)
-class ConsistencyVerdict:
+class ConsistencyVerdict(NamedTuple):
     consistent: bool
     raw_text: str
     confidence_note: str | None = None

@@ -51,6 +51,7 @@ def decode_utf8(data: bytes) -> str:
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a \uD800-\uDFFF escape
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, without its wrappers
 
 
 def parse_json(text: str | bytes):
@@ -59,9 +60,23 @@ def parse_json(text: str | bytes):
     Bytes decode strictly. Every parse failure, a nesting too deep to parse
     and too long an integer included, is BadText, and so is a lone surrogate
     in a string or key, whether a str carries it raw or the text escapes it.
+
+    Most text is read in one scan: a value that starts the text and is
+    followed by JSON whitespace alone (" \\t\\n\\r"), in a text with no
+    \\u escape that, given as a str, is ASCII, so it holds no surrogate.
+    Such a value is the one json.loads gives. Any other text, and any
+    text that scan rejects, goes through the full check below.
     """
     raw = isinstance(text, str) and not text.isascii()  # only a str can carry a raw surrogate
     text = decode_utf8(text) if isinstance(text, bytes) else text
+    if not raw and "\\u" not in text:
+        try:
+            value, end = _scan_once(text, 0)
+        except (StopIteration, ValueError, RecursionError):  # the full check words the error
+            pass
+        else:
+            if not text[end:].strip(" \t\n\r"):
+                return value
     try:
         value = json.loads(text.encode("utf-8") if raw else text)  # a raw surrogate fails here
         if _SURROGATE_ESCAPE.search(text):

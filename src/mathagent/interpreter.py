@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .backends import Backend, ModelRequest, RequestSettings
 from .data_model import QuestionType, Sample
@@ -67,8 +67,7 @@ class Representation(enum.Enum):
     CAPTION = "caption"
 
 
-@dataclass(frozen=True, slots=True)
-class VisualTranscript:
+class VisualTranscript(NamedTuple):
     representation: Representation
     content: str  # serialized facts, LaTeX source, or caption text
     question_type: QuestionType | None

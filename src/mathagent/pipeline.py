@@ -111,13 +111,15 @@ class Detection:
     failure: str | None = None
 
 
-@dataclass(frozen=True)
 class _RecordedCalls:
     """A phase backend as one sample calls it: through the memo, each call recorded."""
 
-    backend: Backend
-    cache: ReplayCache
-    records: list[CallRecord]
+    __slots__ = ("backend", "cache", "records")
+
+    def __init__(self, backend: Backend, cache: ReplayCache, records: list[CallRecord]):
+        self.backend = backend
+        self.cache = cache
+        self.records = records
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         response = self.cache.complete(self.backend, request)

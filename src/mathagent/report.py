@@ -1,16 +1,17 @@
 """Report rendering: per-run CSV/Markdown tables and the ablation grid.
 
 Cells show 2 decimals; improvement deltas against a baseline show 1
-signed decimal as a superscript in the Markdown table.
+signed decimal as a superscript in the Markdown table. Under the
+Markdown table, a row with failed samples gets one line saying how many.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .data_model import ErrorCategory, Sample
 from .metrics import Prediction, average_score, improvement_delta, score_run
@@ -46,12 +47,17 @@ class ReportRow:
     model: str
     values: dict[str, Decimal | None]
     deltas: dict[str, Decimal] = field(default_factory=dict)
+    failures: int = 0  # the samples of n_samples that failed, each scored as a miss
+    n_samples: int = 0
 
 
 def build_report_row(
-    predictions: Iterable[Prediction], samples: list[Sample], model: str
+    predictions: Iterable[Prediction], samples: list[Sample], model: str, failures: int = 0
 ) -> ReportRow:
-    """Score a run and round every cell at this, and only this, boundary."""
+    """Score a run and round every cell at this, and only this, boundary.
+
+    failures is how many of the samples failed, for render_markdown to state.
+    """
     scored = score_run(predictions, samples)
     step = scored.step_accuracy()
     cats = scored.category_accuracy()
@@ -62,7 +68,7 @@ def build_report_row(
     values["overall"] = round_half_up(overall, 2)
     # the average is taken over unrounded inputs, then rounded once
     values["average"] = average_score(step, overall)
-    return ReportRow(model=model, values=values)
+    return ReportRow(model, values, failures=failures, n_samples=len(samples))
 
 
 def attach_deltas(row: ReportRow, baseline: ReportRow) -> ReportRow:
@@ -73,7 +79,7 @@ def attach_deltas(row: ReportRow, baseline: ReportRow) -> ReportRow:
         base = baseline.values.get(column)
         if ours is not None and base is not None:
             deltas[column] = improvement_delta(base, ours)
-    return ReportRow(model=row.model, values=row.values, deltas=deltas)
+    return replace(row, deltas=deltas)
 
 
 def _cell(value: Decimal | None) -> str:
@@ -89,7 +95,8 @@ def render_csv(rows: Iterable[ReportRow]) -> str:
     return buf.getvalue()
 
 
-def render_markdown(rows: Iterable[ReportRow]) -> str:
+def render_markdown(rows: Sequence[ReportRow]) -> str:
+    """The table, then a line for each row with failures, naming the row when there are two."""
     header = "| Model | " + " | ".join(_MD_TITLES[c] for c in COLUMNS) + " |"
     rule = "|" + "---|" * (len(COLUMNS) + 1)
     lines = [header, rule]
@@ -105,6 +112,14 @@ def render_markdown(rows: Iterable[ReportRow]) -> str:
                 text += f" <sup>{format_signed(row.deltas[column], 1)}</sup>"
             cells.append(text)
         lines.append("| " + row.model + " | " + " | ".join(cells) + " |")
+    notes = [
+        f"{row.model + ': ' if len(rows) > 1 else ''}{row.failures} of {row.n_samples} samples "
+        "failed; a failed sample is scored as wrong"
+        for row in rows
+        if row.failures
+    ]
+    if notes:  # after a blank line, which ends the table
+        lines += ["", *notes]
     return "\n".join(lines) + "\n"
 
 

@@ -30,7 +30,8 @@ from mathagent import (
     load_dataset,
     prompts,
 )
-from mathagent.analyzer import format_steps
+from mathagent.analyzer import _FORMAT_REMINDER, format_steps
+from mathagent.interpreter import _TYPE_REMINDER
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO = Path(__file__).resolve().parents[1]
@@ -201,7 +202,9 @@ class FaultyEndpoint:
     not build routes to (None, None). The k-th ask of a pair (k from 0) gets
     plan[(phase, sample_id, k)], by default Fault(): a 200 ending in stop.
     A 200's text is `reply` when given, else the pair's reply in
-    scripts_12.json, one per 200 as ScriptedBackend hands them out.
+    scripts_12.json, picked by the ask as ScriptedBackend picks it: a list's
+    entry 1 for a re-ask (a prompt holding the type query's or the
+    analyzer's reminder), else its entry 0.
 
     It counts calls, the most calls in flight at once, in all and per url
     (peaks), and the asks per pair, and keeps what it was sent, as (url,
@@ -231,7 +234,7 @@ class FaultyEndpoint:
             for name, phase in self.PHASES.items()
         }
         self.sent, self.log, self.sleeps = [], [], []
-        self.asked, self.answered = Counter(), Counter()
+        self.asked = Counter()
         self.in_flight, self.peaks = Counter(), Counter()
         self.max_in_flight = 0
         self.lock = threading.Lock()
@@ -240,9 +243,13 @@ class FaultyEndpoint:
     def calls(self) -> int:
         return len(self.sent)
 
+    @staticmethod
+    def prompt(body) -> str:
+        return next(part["text"] for part in body["messages"][-1]["content"] if "text" in part)
+
     def route(self, body) -> tuple:
         """The (phase, sample_id) a body asks about; (None, None) for a body from elsewhere."""
-        text = next(part["text"] for part in body["messages"][-1]["content"] if "text" in part)
+        text = self.prompt(body)
         phase = self.phases.get(text.split("\n")[0])
         if phase is None:
             return None, None
@@ -262,9 +269,6 @@ class FaultyEndpoint:
             fault = self.plan.get((*pair, k), Fault())
             self.sent.append((url, headers, body, timeout_s))
             self.log.append((*pair, k, fault))
-            if fault.well_formed:
-                nth = self.answered[pair]
-                self.answered[pair] += 1
         try:
             if waits:
                 self.barrier.wait(timeout=10)
@@ -280,8 +284,10 @@ class FaultyEndpoint:
         text = self.reply
         if text is None:
             text = self.script[pair[0]][pair[1]]
-            if isinstance(text, list):  # handed out in turn, the last repeating
-                text = text[min(nth, len(text) - 1)]
+            if isinstance(text, list):  # as ScriptedBackend reads ModelRequest.attempt
+                prompt = self.prompt(body)
+                reask = _TYPE_REMINDER in prompt or _FORMAT_REMINDER in prompt
+                text = text[min(int(reask), len(text) - 1)]
         choice = {"message": {"content": text}, "finish_reason": fault.finish_reason}
         return 200, fault.headers, json.dumps({"choices": [choice]})
 

@@ -298,7 +298,7 @@ def test_criterion_4_determinism_and_replay(
         assert transport.calls == cold_calls, "warm replay hit the network"
 
         def strip(det):  # its line with each call's from_cache false and latency_ms 0.0
-            calls = [replace(r, from_cache=False, latency_ms=0.0) for r in det.trace.backend_calls]
+            calls = [r._replace(from_cache=False, latency_ms=0.0) for r in det.trace.backend_calls]
             return detection_line(replace(det, trace=replace(det.trace, backend_calls=calls)))
 
         cold_lines, warm_lines = list(map(strip, cold)), list(map(strip, warm))

@@ -1,10 +1,12 @@
 """Backends: fingerprints, HTTP retry behaviour, scripted and replay layers."""
 
 import base64
+import copy
 import email.utils
 import hashlib
 import json
 import os
+import pickle
 import sys
 import threading
 import time
@@ -21,8 +23,11 @@ from conftest import (
     track_appends,
 )
 from mathagent import (
+    AnalyzerOutput,
     AuthError,
     BadResponse,
+    CallRecord,
+    ConsistencyVerdict,
     FinishReason,
     HttpBackend,
     ImageKind,
@@ -30,11 +35,13 @@ from mathagent import (
     ModelRequest,
     ModelResponse,
     ReplayCache,
+    Representation,
     RequestSettings,
     RetryPolicy,
     ScriptMiss,
     ScriptedBackend,
     TransportError,
+    VisualTranscript,
     analyze,
     backends,
     build_analysis_prompt,
@@ -81,6 +88,40 @@ class TestRequestValidation:
         with pytest.raises(ValueError, match=repr(knob)) as from_settings:
             RequestSettings(**{knob: value})
         assert str(from_request.value) == str(from_settings.value)
+
+
+class TestValueTypes:
+    """The values built for each model call are immutable tuples."""
+
+    VALUES = {
+        "ModelRequest": text_request(),
+        "ModelResponse": ModelResponse("reply", FinishReason.STOP, 0.0),
+        "CallRecord": CallRecord("phase1", "f" * 64, False, 0.0),
+        "ConsistencyVerdict": ConsistencyVerdict(True, ""),
+        "AnalyzerOutput": AnalyzerOutput(1, None, False, ""),
+        "VisualTranscript": VisualTranscript(Representation.CAPTION, "c", None, None),
+    }
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_assigning_to_a_field_raises(self, name):
+        value = self.VALUES[name]
+        for field in (*value._fields, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+        assert value == self.VALUES[name]
+
+    def test_a_replaced_request_is_fingerprinted_anew(self):
+        request = text_request("one", phase="phase1", sample_id="s01")
+        replaced = request._replace(prompt="two", attempt=1)
+        assert replaced == text_request("two", phase="phase1", sample_id="s01", attempt=1)
+        assert replaced.fingerprint == request_fingerprint(text_request("two"))
+        with pytest.raises(TypeError):
+            request._replace(fingerprint="f" * 64)
+
+    def test_a_request_copies_and_pickles_whole(self):
+        request = text_request(image=inline_ref(), phase="phase2", sample_id="s01")
+        assert copy.copy(request) == copy.deepcopy(request) == request
+        assert pickle.loads(pickle.dumps(request)) == request
 
 
 class TestFingerprint:
@@ -875,6 +916,17 @@ class TestReplayBackend:
         with pytest.raises(ValueError) as err:
             ReplayCache(cache)
         assert "line 2" in str(err.value)
+
+    @pytest.mark.parametrize("reason", ["bogus", None, 1, ["stop"], {"stop": 1}])
+    def test_an_unknown_finish_reason_is_named_as_the_enum_names_it(self, tmp_path, reason):
+        cache = tmp_path / "cache.jsonl"
+        record = {"fingerprint": "f" * 64, "response_text": "x", "finish_reason": reason}
+        cache.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError) as by_the_enum:
+            FinishReason(reason)
+        with pytest.raises(ValueError) as err:
+            ReplayCache(cache)
+        assert str(err.value) == f"corrupt replay cache {cache} line 1: {by_the_enum.value}"
 
     @pytest.mark.parametrize("key", ["response_text", "fingerprint"])
     def test_non_string_value_cites_line_number(self, tmp_path, key):

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import FIXTURES, REPO, Fault, FaultyEndpoint, run_python, track_appends
 from mathagent import (
+    CSV_HEADER,
     ScriptedBackend,
     backends,
     cli,
@@ -476,6 +477,37 @@ class TestReport:
         assert lines[2].startswith("self,")
         md = (out_dir / "report.md").read_text(encoding="utf-8")
         assert "<sup>+0.0</sup>" in md
+
+    def test_failed_samples_get_a_line_under_the_table(
+        self, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        every_first_ask = {
+            (phase, sample.id, 0): Fault(404)
+            for phase in ("phase1", "phase2.type", "phase2", "phase3")
+            for sample in load_dataset(DATASET)
+        }
+        serve(FaultyEndpoint(every_first_ask), monkeypatch)
+        assert main(["run", "--config", str(http_config(tmp_path / "failed"))]) == EXIT_OK
+        failed = tmp_path / "failed" / "out"
+        note = "12 of 12 samples failed; a failed sample is scored as wrong"
+        table = (run_dir / "report.md").read_text(encoding="utf-8")
+        assert "failed" not in table
+        assert (failed / "report.md").read_text(encoding="utf-8").endswith(f" |\n\n{note}\n")
+        assert (failed / "report.csv").read_text(encoding="utf-8").splitlines()[0] == CSV_HEADER
+        detections = str(failed / "detections.jsonl")
+        reported = tmp_path / "reported"
+        assert main(["report", detections, str(DATASET), "--out-dir", str(reported)]) == EXIT_OK
+        assert (reported / "report.md").read_bytes() == (failed / "report.md").read_bytes()
+        clean = str(run_dir / "detections.jsonl")
+        for ours, theirs, named in ((detections, clean, "m"), (clean, detections, "m (baseline)")):
+            out_dir = tmp_path / named
+            assert main([
+                "report", ours, str(DATASET), "--baseline", theirs, "--model", "m",
+                "--out-dir", str(out_dir),
+            ]) == EXIT_OK
+            lines = (out_dir / "report.md").read_text(encoding="utf-8").splitlines()
+            assert lines[-3].startswith("| ") and lines[-2:] == ["", f"{named}: {note}"]
+        capsys.readouterr()
 
     def test_corrupt_detections_exit_one(self, run_dir, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -1524,6 +1556,19 @@ class TestGoldenDetections:
             assert (tmp_path / "out" / f"detections_{mode}.jsonl").read_bytes() == (
                 FIXTURES / f"golden_detections_{mode}.jsonl"
             ).read_bytes(), mode
+
+    def test_ablate_over_http_writes_the_golden_detections(self, tmp_path, capsys, monkeypatch):
+        """The test endpoint hands a reply list out by the ask, as a script does."""
+        serve(FaultyEndpoint(), monkeypatch)
+        out_dir = tmp_path / "run" / "out"
+        assert main(["ablate", "--config", str(http_config(tmp_path / "run", 1))]) == EXIT_OK
+        capsys.readouterr()
+        grid = (out_dir / "ablation.csv").read_text(encoding="utf-8").splitlines()
+        assert grid[4].startswith("no_analyzer,") and grid[4].endswith(",14")
+        for mode in MODES:
+            assert timeless(out_dir / f"detections_{mode}.jsonl") == (
+                timeless(FIXTURES / f"golden_detections_{mode}.jsonl")
+            ), mode
 
 
 class TestStreamedDetections:

@@ -3,12 +3,13 @@
 import base64
 import hashlib
 import json
+import re
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import TINY_PNG_BASE64, make_sample
+from conftest import TINY_PNG_BASE64, awkward_text, make_sample
 from mathagent import (
     EmptyDataset,
     ErrorCategory,
@@ -26,7 +27,7 @@ from mathagent import (
     scan_dataset,
     write_dataset,
 )
-from mathagent.data_model import BadText, parse_json
+from mathagent.data_model import BadText, decode_utf8, parse_json
 
 VALID = {
     "id": "q1",
@@ -388,8 +389,86 @@ OUTSIDE_TEXT = st.one_of(
     LONG_INT.map(lambda t: ("[" + t + "]").encode()),
 )
 
+# what may stand before or after a value: JSON whitespace, whitespace JSON
+# does not allow, a byte-order mark, a second value or the start of one
+AROUND = st.sampled_from(
+    ["", " ", "\t", "\n", "\r\n", " \t\r\n", "\x0b", "\x0c", "\xa0", "\u2028", "\ufeff",
+     " 2", "[]", '{"b": 1}', "nul"]
+)
+JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), awkward_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(awkward_text, inner, max_size=3)),
+    max_leaves=8,
+)
+VALUE = st.one_of(
+    SPLICED,
+    DEEP,
+    LONG_INT,
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "7" * 4300, "-0.0", "1e400", "true"]),
+    st.builds(json.dumps, JSON_VALUE, ensure_ascii=st.booleans()),
+)
+AROUND_A_VALUE = st.builds(lambda lead, value, trail: lead + value + trail, AROUND, VALUE, AROUND)
+ANY_INPUT = st.one_of(
+    AROUND_A_VALUE,
+    AROUND_A_VALUE.map(lambda t: t.encode("utf-8", "surrogatepass")),
+    st.builds(lambda t, junk: t.encode("utf-8", "surrogatepass") + junk,
+              AROUND_A_VALUE, st.binary(min_size=1, max_size=3)),
+    st.binary(max_size=64),
+)
+
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
+def reference_parse_json(text: str | bytes):
+    """parse_json as it was before its one-scan path: json.loads for every text."""
+    raw = isinstance(text, str) and not text.isascii()
+    text = decode_utf8(text) if isinstance(text, bytes) else text
+    try:
+        value = json.loads(text.encode("utf-8") if raw else text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        code = ord(exc.object[exc.start])
+        raise BadText(f"lone surrogate \\u{code:04x}, which UTF-8 cannot encode") from None
+    except (ValueError, RecursionError) as exc:
+        one_line = isinstance(exc, json.JSONDecodeError) and exc.lineno == 1
+        why = f"{exc.msg} (column {exc.colno})" if one_line else exc
+        raise BadText(f"invalid JSON: {why}") from None
+    return value
+
+
+def outcome(parse, text) -> tuple[str, str]:
+    """What parse makes of text; repr, since NaN is not equal to itself and 1 equals True."""
+    try:
+        return "value", repr(parse(text))
+    except BadText as exc:
+        return "BadText", str(exc)
+
 
 class TestParseJson:
+    @settings(max_examples=500, deadline=None)
+    @given(ANY_INPUT)
+    @example('{"a": 1}\x0b')
+    @example('[1]\x0c')
+    @example(b'"x"\xc2\xa0')
+    @example("2\u2028")
+    @example(b'\xef\xbb\xbf{"a": 1}')
+    @example('\ufeff{"a": 1}')
+    @example(' \t\r\n[1]\n')
+    @example('["\\ud83d"]')
+    @example(b'{"\\uDC80": 1}')
+    @example('["\\ud83d\\ude00"]')
+    @example('["x\ud83d"]')
+    @example("[NaN, Infinity, -Infinity]")
+    @example("[" + "7" * 4301 + "]")
+    @example("[" * 100_000 + "]" * 100_000)
+    @example(b'{"a": "\xff"}')
+    @example("1 2")
+    @example(b'{"a": 1}{"b": 2}\n')
+    def test_the_same_value_or_message_as_the_reference(self, text):
+        assert outcome(parse_json, text) == outcome(reference_parse_json, text)
+
     @settings(max_examples=300, deadline=None)
     @given(OUTSIDE_TEXT)
     def test_a_value_utf8_can_encode_or_bad_text(self, text):
