@@ -449,7 +449,9 @@ class ReplayCache:
     """Fingerprint -> reply memo for every phase backend of one command.
 
     A repeated request gets the stored reply, with from_cache set and
-    latency 0.0. Concurrent misses on one fingerprint make one inner call
+    latency 0.0: one ModelResponse is made per fingerprint, when a line
+    is loaded or a miss is answered, and every hit returns that one.
+    Concurrent misses on one fingerprint make one inner call
     (single-flight); a failed call stores nothing, and its waiters raise.
     With a path, the memo persists as append-only JSONL read once here, one
     {fingerprint, response_text, finish_reason, model_id, timestamp} per
@@ -465,7 +467,7 @@ class ReplayCache:
     def __init__(self, path=None):
         self.path = None if path is None else Path(path)
         # a Future while the one call asking for it is in flight
-        self._replies: dict[str, tuple[str, FinishReason] | Future] = {}
+        self._replies: dict[str, ModelResponse | Future] = {}
         self._lock = threading.Lock()
         self._appends = None  # the append handle, opened at the first append
         if self.path is not None and self.path.exists():
@@ -499,7 +501,7 @@ class ReplayCache:
                     reason = _FINISH_REASONS[raw]
                 except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
                     raise ValueError(f"{raw!r} is not a valid FinishReason") from None
-                self._replies[fp] = (text, reason)
+                self._replies[fp] = ModelResponse(text, reason, 0.0, True)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"corrupt replay cache {self.path} line {line_no}: {exc}") from exc
 
@@ -511,8 +513,7 @@ class ReplayCache:
             if stored is None:
                 self._replies[fp] = flight = Future()
         if stored is not None:
-            text, reason = stored.result() if isinstance(stored, Future) else stored
-            return ModelResponse(text, reason, 0.0, True)
+            return stored.result() if isinstance(stored, Future) else stored
         try:
             response = inner.complete(request)
         except BaseException as exc:
@@ -520,7 +521,7 @@ class ReplayCache:
                 del self._replies[fp]
             flight.set_exception(exc)
             raise
-        reply = (response.text, response.finish_reason)
+        reply = ModelResponse(response.text, response.finish_reason, 0.0, True)
         flight.set_result(reply)  # first, so a failed append strands no waiter
         with self._lock:
             self._replies[fp] = reply

@@ -4,9 +4,10 @@ run and ablate each build one PipelineSetup, whose modes share its
 backends, its memo and one in-flight gate per base_url.
 
 Exit codes: 0 success, 1 validation or alignment findings, 2 config
-error or an output location that cannot be made or written, 3 dataset
-error, 130 interrupted (Ctrl-C). Logs go to stderr; stdout carries
-report data.
+error, an output location that cannot be made or written, or an
+AuthError, which stops a run (its detections keep their aligned
+prefix), 3 dataset error, 130 interrupted (Ctrl-C). Logs go to stderr;
+stdout carries report data.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 from .backends import (
     MAX_RATE_LIMIT,
+    AuthError,
     Backend,
     HttpBackend,
     ReplayCache,
@@ -330,8 +332,9 @@ def _detect(
     """Stream each mode's detections into output_dir/<its name>: (samples, logs, workers).
 
     Every mode runs on one setup. The output directory is made only once
-    it and the dataset have loaded, so a run that exits 2 or 3 leaves
-    none. A mode with failed samples gets a warning naming its file.
+    it and the dataset have loaded, so a config or dataset error leaves
+    none; an AuthError that stops the run leaves the lines written before
+    it. A mode with failed samples gets a warning naming its file.
     """
     setup = build_setup(config)
     with setup.cache:
@@ -531,6 +534,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         log.error("config: %s", exc)
+        return EXIT_CONFIG
+    except AuthError as exc:  # it names the variable or the URL, never the key
+        log.error("auth: %s", exc)
         return EXIT_CONFIG
     except (DatasetError, EmptyDataset) as exc:
         log.error("dataset: %s", exc)

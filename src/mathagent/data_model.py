@@ -2,6 +2,12 @@
 
 A dataset is JSONL, one sample per line. Step indices are 1-based
 throughout: gt_error_step = 1 means the first solution step is wrong.
+
+A Sample is an immutable NamedTuple, so a changed copy is made with
+_replace. sample_from_dict checks a line's object in one pass: it reads
+each field once and takes a value of exactly the expected type as it is;
+any other value goes through the full check, which raises the SchemaError
+naming it. Question types and image kinds are looked up by their value.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rounding import round_half_up
 
@@ -57,9 +63,11 @@ _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, withou
 def parse_json(text: str | bytes):
     """The one reader of outside JSON: a value UTF-8 can encode, else BadText.
 
-    Bytes decode strictly. Every parse failure, a nesting too deep to parse
-    and too long an integer included, is BadText, and so is a lone surrogate
-    in a string or key, whether a str carries it raw or the text escapes it.
+    Bytes decode strictly, and a str is parsed as the str it is, so both
+    read alike: a leading byte-order mark is BadText in either. Every parse
+    failure, a nesting too deep to parse and too long an integer included,
+    is BadText, and so is a lone surrogate in a string or key, whether a
+    str carries it raw or the text escapes it.
 
     Most text is read in one scan: a value that starts the text and is
     followed by JSON whitespace alone (" \\t\\n\\r"), in a text with no
@@ -78,7 +86,9 @@ def parse_json(text: str | bytes):
             if not text[end:].strip(" \t\n\r"):
                 return value
     try:
-        value = json.loads(text.encode("utf-8") if raw else text)  # a raw surrogate fails here
+        if raw:
+            text.encode("utf-8")  # only to find a raw surrogate: the text is parsed as a str
+        value = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:  # a ValueError, so caught first
@@ -236,8 +246,7 @@ class ImageRef:
         return f"data:{self.resolved_media_type};base64,{encoded}"
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     id: str
     question_text: str
     correct_answer: str
@@ -292,19 +301,28 @@ def _require(obj: dict, key: str, kind, line_no: int):
     return value
 
 
+_IMAGE_KINDS = {kind.value: kind for kind in ImageKind}
+_QUESTION_TYPES = {qtype.value: qtype for qtype in QuestionType}
+
+
 def _image_from_obj(obj, line_no: int) -> ImageRef:
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "image", f"expected object, got {type(obj).__name__}")
-    kind_raw = _require(obj, "kind", str, line_no)
-    try:
-        kind = ImageKind(kind_raw)
-    except ValueError:
-        raise SchemaError(
-            line_no, "image.kind",
-            f"unknown kind {kind_raw!r}; expected one of "
-            + ", ".join(k.value for k in ImageKind),
-        ) from None
-    value = _require(obj, "value", str, line_no)
+    kind_raw = obj.get("kind")
+    kind = _IMAGE_KINDS.get(kind_raw) if type(kind_raw) is str else None
+    if kind is None:
+        kind_raw = _require(obj, "kind", str, line_no)
+        try:
+            kind = ImageKind(kind_raw)
+        except ValueError:
+            raise SchemaError(
+                line_no, "image.kind",
+                f"unknown kind {kind_raw!r}; expected one of "
+                + ", ".join(k.value for k in ImageKind),
+            ) from None
+    value = obj.get("value")
+    if type(value) is not str:
+        value = _require(obj, "value", str, line_no)
     if not value:
         raise SchemaError(line_no, "image.value", "must be non-empty")
     media_type = obj.get("media_type")
@@ -325,68 +343,82 @@ def _image_from_obj(obj, line_no: int) -> ImageRef:
         raise SchemaError(line_no, "image.value", message) from None
 
 
+def _question_type(qt_raw, line_no: int) -> QuestionType:
+    if not isinstance(qt_raw, str):
+        raise SchemaError(line_no, "question_type", "expected string")
+    try:
+        return QuestionType(qt_raw)
+    except ValueError:
+        raise SchemaError(
+            line_no, "question_type",
+            f"unknown type {qt_raw!r}; expected one of "
+            + ", ".join(q.value for q in QuestionType),
+        ) from None
+
+
 def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
     """Validate one wire-format object and build a Sample.
 
     Raises SchemaError naming the offending field. Unknown keys are ignored.
+    Each field is read once: a value of exactly the expected type (str,
+    list or int, never bool) is taken as it is, and any other goes through
+    _require, which names what is wrong with it, in field order.
     """
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "", f"expected object, got {type(obj).__name__}")
-    sample_id = _require(obj, "id", str, line_no)
+    get = obj.get
+    sample_id = get("id")
+    if type(sample_id) is not str:
+        sample_id = _require(obj, "id", str, line_no)
     if not sample_id:
         raise SchemaError(line_no, "id", "must be non-empty")
-    question_text = _require(obj, "question_text", str, line_no)
-    correct = _require(obj, "correct_answer", str, line_no)
-    incorrect = _require(obj, "incorrect_answer", str, line_no)
+    question_text = get("question_text")
+    if type(question_text) is not str:
+        question_text = _require(obj, "question_text", str, line_no)
+    correct = get("correct_answer")
+    if type(correct) is not str:
+        correct = _require(obj, "correct_answer", str, line_no)
+    incorrect = get("incorrect_answer")
+    if type(incorrect) is not str:
+        incorrect = _require(obj, "incorrect_answer", str, line_no)
 
-    steps_raw = _require(obj, "steps", list, line_no)
-    if not steps_raw:
+    steps = get("steps")
+    if type(steps) is not list:
+        steps = _require(obj, "steps", list, line_no)
+    if not steps:
         raise SchemaError(line_no, "steps", "must be a non-empty array")
-    for i, step in enumerate(steps_raw):
+    for i, step in enumerate(steps):
         if not isinstance(step, str):
             raise SchemaError(line_no, f"steps[{i}]", "expected string")
 
-    gt_step = _require(obj, "gt_error_step", int, line_no)
-    if not 1 <= gt_step <= len(steps_raw):
+    gt_step = get("gt_error_step")
+    if type(gt_step) is not int:
+        gt_step = _require(obj, "gt_error_step", int, line_no)
+    if not 1 <= gt_step <= len(steps):
         raise SchemaError(
             line_no, "gt_error_step",
-            f"{gt_step} outside [1, {len(steps_raw)}] (1-based step index)",
+            f"{gt_step} outside [1, {len(steps)}] (1-based step index)",
         )
 
-    cat_raw = _require(obj, "gt_error_category", str, line_no)
+    cat_raw = get("gt_error_category")
+    if type(cat_raw) is not str:
+        cat_raw = _require(obj, "gt_error_category", str, line_no)
     try:
         category = parse_category(cat_raw)
     except UnknownCategory as exc:
         raise SchemaError(line_no, "gt_error_category", str(exc)) from None
 
-    image = None
-    if obj.get("image") is not None:
-        image = _image_from_obj(obj["image"], line_no)
+    image = get("image")
+    if image is not None:
+        image = _image_from_obj(image, line_no)
 
-    qtype = None
-    if obj.get("question_type") is not None:
-        qt_raw = obj["question_type"]
-        if not isinstance(qt_raw, str):
-            raise SchemaError(line_no, "question_type", "expected string")
-        try:
-            qtype = QuestionType(qt_raw)
-        except ValueError:
-            raise SchemaError(
-                line_no, "question_type",
-                f"unknown type {qt_raw!r}; expected one of "
-                + ", ".join(q.value for q in QuestionType),
-            ) from None
+    qt_raw = get("question_type")
+    qtype = _QUESTION_TYPES.get(qt_raw) if type(qt_raw) is str else None
+    if qtype is None and qt_raw is not None:
+        qtype = _question_type(qt_raw, line_no)
 
     return Sample(
-        id=sample_id,
-        question_text=question_text,
-        correct_answer=correct,
-        incorrect_answer=incorrect,
-        steps=tuple(steps_raw),
-        gt_error_step=gt_step,
-        gt_error_category=category,
-        image=image,
-        question_type=qtype,
+        sample_id, question_text, correct, incorrect, tuple(steps), gt_step, category, image, qtype
     )
 
 

@@ -4,20 +4,24 @@ Per sample: (1) decide whether the image adds information beyond the
 text, (2) if it does, transcribe it according to the question type,
 (3) hand everything to the text-only analyzer. Ablations drop phase 1,
 replace phase 2 routing with plain captioning, or cut the problem text
-out of the analyzer prompt. A failing sample is recorded, never fatal.
+out of the analyzer prompt. A failing sample is recorded, never fatal,
+unless it failed on an AuthError, which stops the run: the endpoint or
+key that refused one sample would refuse them all. The values built for
+each sample, its Detection and the PhaseTrace inside it, are immutable
+NamedTuples, built once, when the sample is done.
 
 stream_detections is the one driver: each worker takes the next sample
 and runs it through every mode in order on the one setup, then hands
 the sample's detections to a reorder buffer that emits them in sample
 order. `run` streams one mode, `ablate` four, and run_dataset collects
 one mode's detections into a list. A DetectionLog writes one mode's
-detections as they are emitted, one flushed line per sample, and keeps
-each one's DetectionRecord: the line without its trace, which is what a
-report and run_meta.json read. detection_line, the one writer, frames
-a line field by field in the bytes json.dumps gives, building no dict,
-and detection_from_line reads its record back; the reader accepts only
-what the writer emits, so `report` on a detections file scores exactly
-what its run kept.
+detections as they are emitted, each line's UTF-8 bytes in one
+unbuffered write, and keeps each one's DetectionRecord: the line
+without its trace, which is what a report and run_meta.json read.
+detection_line, the one writer, frames a line field by field in the
+bytes json.dumps gives, building no dict, and detection_from_line reads
+its record back; the reader accepts only what the writer emits, so
+`report` on a detections file scores exactly what its run kept.
 
 A later mode that repeats a request an earlier one made is answered by
 the setup's ReplayCache, which records the call as a memo hit
@@ -39,6 +43,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .analyzer import analyze
 from .backends import (
+    AuthError,
     Backend,
     BackendError,
     CallRecord,
@@ -83,12 +88,13 @@ class PipelineSetup:
         return self.phase2
 
 
-@dataclass
-class PhaseTrace:
-    phase1: ConsistencyVerdict | None = None
-    phase2: VisualTranscript | None = None
-    phase3_raw: str = ""
-    backend_calls: list[CallRecord] = field(default_factory=list)
+class PhaseTrace(NamedTuple):
+    """What each phase of one sample's run gave, and its calls in order."""
+
+    phase1: ConsistencyVerdict | None
+    phase2: VisualTranscript | None
+    phase3_raw: str
+    backend_calls: list[CallRecord]  # no default, so no two traces share one list
 
 
 class DetectionRecord(NamedTuple):
@@ -101,8 +107,7 @@ class DetectionRecord(NamedTuple):
     failure: str | None
 
 
-@dataclass
-class Detection:
+class Detection(NamedTuple):
     sample_id: str
     mode: AblationMode
     predicted_step: int | None
@@ -132,26 +137,28 @@ class _RecordedCalls:
 
 
 def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> Detection:
-    """Run one sample through the pipeline; never raises.
+    """Run one sample through the pipeline.
 
     Backend and IO failures mark the sample as failed (scored as a miss
-    on both subtasks) so one bad sample cannot sink a dataset run.
+    on both subtasks) so one bad sample cannot sink a dataset run. An
+    AuthError is raised instead: a key or endpoint that refuses one
+    sample refuses them all, so it is a fault of the run.
     """
-    trace = PhaseTrace()
-    calls = trace.backend_calls
+    calls: list[CallRecord] = []
 
     def bound(phase_setup: PhaseSetup) -> Backend:
         return _RecordedCalls(phase_setup.backend, setup.cache, calls)
 
     phase = "phase1"
-    step = category = failure = None
+    verdict = transcript = step = category = failure = None
+    raw = ""
     try:
         if mode is not AblationMode.NO_VALIDATOR:
-            trace.phase1 = check_consistency(
+            verdict = check_consistency(
                 sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
             )
 
-        if sample.image is not None and (trace.phase1 is None or not trace.phase1.consistent):
+        if sample.image is not None and (verdict is None or not verdict.consistent):
             phase = "phase2"
             caption_only = mode is AblationMode.NO_INTERPRETER
             if caption_only:
@@ -162,7 +169,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                     sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
                 )
                 chosen = setup.phase2_for(qtype)  # an unresolved type (None) gets phase2
-            trace.phase2 = interpret_visual(
+            transcript = interpret_visual(
                 sample,
                 qtype,
                 bound(chosen),
@@ -175,18 +182,22 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
         include_problem_text = mode is not AblationMode.NO_ANALYZER
         output = analyze(
             sample,
-            trace.phase2,
+            transcript,
             bound(setup.phase3),
             setup.phase3.settings,
             include_problem_text=include_problem_text,
             prompts=setup.prompts,
         )
-        trace.phase3_raw = output.raw_text
+        raw = output.raw_text
         if output.parse_ok:
             step, category = output.error_step, output.error_category
+    except AuthError:
+        raise
     except (BackendError, OSError) as exc:
         failure = f"{phase}: {type(exc).__name__}: {exc}"
-    return Detection(sample.id, mode, step, category, trace, failure)
+    return Detection(
+        sample.id, mode, step, category, PhaseTrace(verdict, transcript, raw, calls), failure
+    )
 
 
 def stream_detections(
@@ -256,7 +267,12 @@ def run_dataset(
     setup: PipelineSetup,
     workers: int = 1,
 ) -> list[Detection]:
-    """Detect over a dataset in one mode; results come back in sample order."""
+    """Detect over a dataset in one mode; results come back in sample order.
+
+    A failed sample is a Detection with its failure set, but an AuthError
+    is raised: no sample is claimed after it, and the samples in flight
+    finish first.
+    """
     detections: list[Detection] = []
     stream_detections(list(samples), [mode], setup, detections.extend, workers)
     return detections
@@ -270,27 +286,33 @@ def call_counts(detections: Iterable[Detection]) -> dict[str, int]:
 class DetectionLog:
     """One mode's detections as a run emits them, written and then let go.
 
-    Each detection is written to path as its detection_line and flushed at
-    once, so a killed run leaves whole lines in sample order. What is kept
-    is what a report and run_meta.json read: the records load_detections
-    reads back, the number of failed samples and the calls per phase tag.
-    close() (or leaving a `with` block) closes the file.
+    Each detection's detection_line is written to path as UTF-8 bytes in
+    one unbuffered write, so it has left the process before the next
+    sample is emitted, and a killed run leaves whole lines in sample
+    order. What is kept is what a report and run_meta.json read: the
+    records load_detections reads back, the number of failed samples and
+    the calls per phase tag. close() (or leaving a `with` block) closes
+    the file.
     """
 
     def __init__(self, path):
         self.records: list[DetectionRecord] = []
         self.failures = 0
         self.calls: Counter[str] = Counter()
-        self._file = open(path, "w", encoding="utf-8")
+        self._file = open(path, "wb", buffering=0)  # each write() is one write(2)
 
     def add(self, det: Detection) -> None:
-        self._file.write(detection_line(det))
-        self._file.flush()
+        line = detection_line(det).encode("utf-8")
+        written = self._file.write(line)
+        while written < len(line):  # a short write: the rest follows before anything else
+            written += self._file.write(line[written:])
         self.records.append(DetectionRecord(
             det.sample_id, det.mode, det.predicted_step, det.predicted_category, det.failure
         ))
         self.failures += det.failure is not None
-        self.calls.update(r.phase for r in det.trace.backend_calls)
+        calls = self.calls
+        for record in det.trace.backend_calls:
+            calls[record.phase] += 1
 
     def close(self) -> None:
         self._file.close()

@@ -9,7 +9,6 @@ import json
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
@@ -299,7 +298,7 @@ def test_criterion_4_determinism_and_replay(
 
         def strip(det):  # its line with each call's from_cache false and latency_ms 0.0
             calls = [r._replace(from_cache=False, latency_ms=0.0) for r in det.trace.backend_calls]
-            return detection_line(replace(det, trace=replace(det.trace, backend_calls=calls)))
+            return detection_line(det._replace(trace=det.trace._replace(backend_calls=calls)))
 
         cold_lines, warm_lines = list(map(strip, cold)), list(map(strip, warm))
         assert cold_lines == warm_lines

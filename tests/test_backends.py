@@ -12,28 +12,32 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    FIXTURES, TINY_PNG_BASE64, CapturingBackend, Fault, FaultyEndpoint, awkward_text, run_python,
-    track_appends,
+    FIXTURES, TINY_PNG_BASE64, CapturingBackend, Fault, FaultyEndpoint, awkward_text, make_sample,
+    run_python, track_appends,
 )
 from mathagent import (
+    AblationMode,
     AnalyzerOutput,
     AuthError,
     BadResponse,
     CallRecord,
     ConsistencyVerdict,
+    Detection,
     FinishReason,
     HttpBackend,
     ImageKind,
     ImageRef,
     ModelRequest,
     ModelResponse,
+    PhaseSetup,
+    PhaseTrace,
+    PipelineSetup,
     ReplayCache,
     Representation,
     RequestSettings,
@@ -46,6 +50,7 @@ from mathagent import (
     backends,
     build_analysis_prompt,
     check_consistency,
+    detect_errors,
     interpret_visual,
     load_dataset,
     request_fingerprint,
@@ -91,7 +96,7 @@ class TestRequestValidation:
 
 
 class TestValueTypes:
-    """The values built for each model call are immutable tuples."""
+    """The values built for each model call and for each sample are immutable tuples."""
 
     VALUES = {
         "ModelRequest": text_request(),
@@ -100,6 +105,9 @@ class TestValueTypes:
         "ConsistencyVerdict": ConsistencyVerdict(True, ""),
         "AnalyzerOutput": AnalyzerOutput(1, None, False, ""),
         "VisualTranscript": VisualTranscript(Representation.CAPTION, "c", None, None),
+        "Sample": make_sample(),
+        "PhaseTrace": PhaseTrace(None, None, "", []),
+        "Detection": Detection("t1", AblationMode.FULL, None, None, PhaseTrace(None, None, "", [])),
     }
 
     @pytest.mark.parametrize("name", VALUES)
@@ -109,6 +117,20 @@ class TestValueTypes:
             with pytest.raises(AttributeError):
                 setattr(value, field, None)
         assert value == self.VALUES[name]
+
+    def test_two_traces_never_share_a_call_list(self):
+        assert "backend_calls" not in PhaseTrace._field_defaults
+        with pytest.raises(TypeError):
+            PhaseTrace(None, None, "")  # every field is given, the call list included
+        analyzer = ScriptedBackend(default_reply="Error Step: #1\nError Category: cal")
+        phase = PhaseSetup(backend=analyzer)
+        setup = PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
+        first, second = (
+            detect_errors(make_sample(sample_id, image=None), AblationMode.FULL, setup)
+            for sample_id in ("t1", "t2")
+        )
+        assert len(first.trace.backend_calls) == len(second.trace.backend_calls) == 1
+        assert first.trace.backend_calls is not second.trace.backend_calls
 
     def test_a_replaced_request_is_fingerprinted_anew(self):
         request = text_request("one", phase="phase1", sample_id="s01")
@@ -594,7 +616,7 @@ class TestRequestBodies:
     def sample(self):
         """A fixture sample with an image and no type label, so the endpoint routes its bodies."""
         samples = load_dataset(FIXTURES / "dataset_12.jsonl")
-        return replace(next(s for s in samples if s.image is not None), question_type=None)
+        return next(s for s in samples if s.image is not None)._replace(question_type=None)
 
     def test_a_phase3_request_carries_one_text_part(self, monkeypatch, sample):
         endpoint = endpoint_for(reply="Error Step: #1\nError Category: cal")
@@ -893,6 +915,17 @@ class TestReplayBackend:
             resp = memo.complete(inner, text_request())
         assert inner.calls == 1
         assert resp.from_cache
+
+    def test_a_hit_returns_the_one_stored_reply(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        stored = ModelResponse("inner reply", FinishReason.STOP, 0.0, True)
+        with ReplayCache(cache) as cold:  # stored when the miss is answered
+            assert cold.complete(CountingBackend(), text_request()).latency_ms == 12.5
+            hits = [cold.complete(CountingBackend(), text_request()) for _ in range(2)]
+        assert hits == [stored, stored] and hits[0] is hits[1]
+        warm = ReplayCache(cache)  # stored when the line is loaded
+        hits = [warm.complete(CountingBackend(), text_request()) for _ in range(2)]
+        assert hits == [stored, stored] and hits[0] is hits[1]
 
     def test_last_line_wins_on_duplicate_fingerprints(self, tmp_path):
         cache = tmp_path / "cache.jsonl"

@@ -332,16 +332,16 @@ class TestRun:
             tmp_path, tmp_path / "out", backends={"phase1": http, "phase2": http, "phase3": http}
         )
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
-        assert proc.returncode == EXIT_OK, proc.stderr
+        # an AuthError is a fault of the run: the first sample's stops it
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
-        assert "12 of 12 samples failed" in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "INFO running 12 samples in mode full on 4 worker(s)",
+            "ERROR auth: environment variable MATHAGENT_API_KEY is not printable ASCII",
+        ]
         detections = (tmp_path / "out" / "detections.jsonl").read_text(encoding="utf-8")
         assert "sk-abc" not in proc.stderr + detections
-        # an imageless sample makes no phase 1 call, so its first call is phase 3's
-        assert {json.loads(line)["failure"] for line in detections.splitlines()} == {
-            f"{phase}: AuthError: environment variable MATHAGENT_API_KEY is not printable ASCII"
-            for phase in ("phase1", "phase3")
-        }
+        assert detections == ""
 
 
 class TestAblate:
@@ -1916,6 +1916,90 @@ class TestEndpointBodies:
             assert faulty[sample_id] == clean[sample_id], sample_id
         meta = json.loads((tmp_path / "faulty" / "out" / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["n_failures"] == 1
+
+
+class TestAuthStopsTheRun:
+    """An AuthError is a fault of the run: it stops it with exit 2 and one line.
+
+    No sample starts after it, the samples in flight finish, and each
+    detections file keeps the lines of the samples before the refused one.
+    """
+
+    URL = "http://localhost:9/v1/chat/completions"
+
+    @staticmethod
+    def refusing_from(k: int, status: int = 401) -> dict:
+        """A plan answering status to every ask about a sample from index k of the dataset on."""
+        return {
+            (phase, sample.id, ask): Fault(status, body="denied")
+            for phase in ("phase1", "phase2.type", "phase2", "phase3")
+            for sample in load_dataset(DATASET)[k:]
+            for ask in range(4)
+        }
+
+    @staticmethod
+    def errors(caplog) -> list[str]:
+        return [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize(
+        "key, message",
+        [(None, "is not set"), ("sk-abc\u2026", "is not printable ASCII")],
+        ids=["unset", "non-ascii"],
+    )
+    def test_a_refused_key_stops_the_run_before_any_call(
+        self, tmp_path, capsys, caplog, monkeypatch, command, key, message
+    ):
+        endpoint = FaultyEndpoint()
+        serve(endpoint, monkeypatch)
+        if key is None:
+            monkeypatch.delenv("MATHAGENT_API_KEY")
+        else:
+            monkeypatch.setenv("MATHAGENT_API_KEY", key)
+        config = http_config(tmp_path / "run", rate_limit=3)
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert self.errors(caplog) == [
+            f"auth: environment variable MATHAGENT_API_KEY {message}"
+        ]
+        assert endpoint.calls == 0
+        for path in detection_files(command, tmp_path / "run" / "out"):
+            assert read_lines(path) == [], path.name
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("rate_limit", [1, 3])
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_a_refusal_on_every_call_stops_the_run_after_a_call_per_worker(
+        self, tmp_path, capsys, caplog, monkeypatch, command, rate_limit, status
+    ):
+        endpoint = FaultyEndpoint(self.refusing_from(0, status))
+        serve(endpoint, monkeypatch)
+        config = http_config(tmp_path / "run", rate_limit)
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert capsys.readouterr().out == ""
+        assert self.errors(caplog) == [f"auth: HTTP {status} from {self.URL}"]
+        # a refusal is not retried, and each worker stops at its first sample's first call
+        assert 1 <= endpoint.calls <= rate_limit
+        assert endpoint.sleeps == []
+        for path in detection_files(command, tmp_path / "run" / "out"):
+            assert read_lines(path) == [], path.name
+
+    @pytest.mark.parametrize("command", ["run", "ablate"])
+    @pytest.mark.parametrize("rate_limit", [1, 3])
+    def test_a_refusal_at_sample_k_leaves_the_first_k_lines(
+        self, fault_free, tmp_path, capsys, caplog, monkeypatch, command, rate_limit
+    ):
+        k = 5
+        serve(FaultyEndpoint(self.refusing_from(k)), monkeypatch)
+        out_dir = tmp_path / "run" / "out"
+        config = http_config(tmp_path / "run", rate_limit)
+        assert main([command, "--config", str(config)]) == EXIT_CONFIG
+        assert self.errors(caplog) == [f"auth: HTTP 401 from {self.URL}"]
+        clean = fault_free(command)
+        first_k = [sample.id for sample in load_dataset(DATASET)[:k]]
+        for path in detection_files(command, out_dir):
+            assert timeless(path) == [clean[path.name][sample_id] for sample_id in first_k]
+        assert not (out_dir / "report.csv").exists()
 
 
 # every fault a plan may hold

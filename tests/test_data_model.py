@@ -27,7 +27,7 @@ from mathagent import (
     scan_dataset,
     write_dataset,
 )
-from mathagent.data_model import BadText, decode_utf8, parse_json
+from mathagent.data_model import DEFAULT_IMAGE_MEDIA_TYPES, BadText, decode_utf8, parse_json
 
 VALID = {
     "id": "q1",
@@ -185,6 +185,219 @@ class TestSampleFromDict:
             sample_from_dict(with_image(kind="file_path", value="fig\u0000.png", media_type=None))
         assert err.value.field_path == "image.value"
         assert err.value.message == "a file path may not hold a NUL byte"
+
+
+def reference_require(obj: dict, key: str, kind, line_no: int):
+    if key not in obj or obj[key] is None:
+        raise SchemaError(line_no, key, "missing required field")
+    value = obj[key]
+    if kind is int and isinstance(value, bool):
+        raise SchemaError(line_no, key, f"expected int, got bool")
+    if not isinstance(value, kind):
+        raise SchemaError(line_no, key, f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def reference_image_from_obj(obj, line_no: int) -> ImageRef:
+    if not isinstance(obj, dict):
+        raise SchemaError(line_no, "image", f"expected object, got {type(obj).__name__}")
+    kind_raw = reference_require(obj, "kind", str, line_no)
+    try:
+        kind = ImageKind(kind_raw)
+    except ValueError:
+        raise SchemaError(
+            line_no, "image.kind",
+            f"unknown kind {kind_raw!r}; expected one of "
+            + ", ".join(k.value for k in ImageKind),
+        ) from None
+    value = reference_require(obj, "value", str, line_no)
+    if not value:
+        raise SchemaError(line_no, "image.value", "must be non-empty")
+    media_type = obj.get("media_type")
+    if media_type is not None and not isinstance(media_type, str):
+        raise SchemaError(line_no, "image.media_type", "expected string")
+    if kind is ImageKind.INLINE_BASE64:
+        if media_type is None:
+            raise SchemaError(line_no, "image.media_type", "required for inline_base64")
+        if media_type not in DEFAULT_IMAGE_MEDIA_TYPES:
+            raise SchemaError(
+                line_no, "image.media_type",
+                f"{media_type!r} not in allowed set {sorted(DEFAULT_IMAGE_MEDIA_TYPES)}",
+            )
+    try:
+        return ImageRef(kind=kind, value=value, media_type=media_type)
+    except ValueError as exc:
+        message = "not valid base64" if kind is ImageKind.INLINE_BASE64 else str(exc)
+        raise SchemaError(line_no, "image.value", message) from None
+
+
+def reference_sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
+    """sample_from_dict as it was before its one pass: every field through reference_require."""
+    if not isinstance(obj, dict):
+        raise SchemaError(line_no, "", f"expected object, got {type(obj).__name__}")
+    sample_id = reference_require(obj, "id", str, line_no)
+    if not sample_id:
+        raise SchemaError(line_no, "id", "must be non-empty")
+    question_text = reference_require(obj, "question_text", str, line_no)
+    correct = reference_require(obj, "correct_answer", str, line_no)
+    incorrect = reference_require(obj, "incorrect_answer", str, line_no)
+
+    steps_raw = reference_require(obj, "steps", list, line_no)
+    if not steps_raw:
+        raise SchemaError(line_no, "steps", "must be a non-empty array")
+    for i, step in enumerate(steps_raw):
+        if not isinstance(step, str):
+            raise SchemaError(line_no, f"steps[{i}]", "expected string")
+
+    gt_step = reference_require(obj, "gt_error_step", int, line_no)
+    if not 1 <= gt_step <= len(steps_raw):
+        raise SchemaError(
+            line_no, "gt_error_step",
+            f"{gt_step} outside [1, {len(steps_raw)}] (1-based step index)",
+        )
+
+    cat_raw = reference_require(obj, "gt_error_category", str, line_no)
+    try:
+        category = parse_category(cat_raw)
+    except UnknownCategory as exc:
+        raise SchemaError(line_no, "gt_error_category", str(exc)) from None
+
+    image = None
+    if obj.get("image") is not None:
+        image = reference_image_from_obj(obj["image"], line_no)
+
+    qtype = None
+    if obj.get("question_type") is not None:
+        qt_raw = obj["question_type"]
+        if not isinstance(qt_raw, str):
+            raise SchemaError(line_no, "question_type", "expected string")
+        try:
+            qtype = QuestionType(qt_raw)
+        except ValueError:
+            raise SchemaError(
+                line_no, "question_type",
+                f"unknown type {qt_raw!r}; expected one of "
+                + ", ".join(q.value for q in QuestionType),
+            ) from None
+
+    return Sample(
+        id=sample_id,
+        question_text=question_text,
+        correct_answer=correct,
+        incorrect_answer=incorrect,
+        steps=tuple(steps_raw),
+        gt_error_step=gt_step,
+        gt_error_category=category,
+        image=image,
+        question_type=qtype,
+    )
+
+
+class Text(str):
+    """A str subclass, which the loader reads as the str it is."""
+
+
+DROP = object()  # a replacement that removes the key, or the step
+TEXT = object()  # a replacement by a str subclass of the value it replaces
+IMAGES = [
+    {"kind": "inline_base64", "value": TINY_PNG_BASE64, "media_type": "image/png"},
+    {"kind": "url", "value": "https://example.org/x.png"},
+    {"kind": "file_path", "value": "imgs/x.png", "media_type": "image/jpeg"},
+]
+VALID_OBJECTS = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["q1", "s-02"]),
+        "question_text": st.text(max_size=5),
+        "correct_answer": st.text(max_size=3),
+        "incorrect_answer": st.text(max_size=3),
+        "steps": st.lists(st.text(max_size=5), min_size=1, max_size=4),
+        "gt_error_category": st.sampled_from(
+            ["cal", "CAL", "Visual Perception Error", "misinterpretation of the qns"]
+        ),
+    },
+    optional={
+        "image": st.sampled_from(IMAGES).map(dict),
+        "question_type": st.sampled_from([q.value for q in QuestionType]),
+    },
+).flatmap(lambda obj: st.integers(1, len(obj["steps"])).map(
+    lambda step: {**obj, "gt_error_step": step}
+))
+# what may stand in any field's place
+ANYWHERE = [DROP, TEXT, None, True, False, 0, 1, 2.0, 1.5, {}, {"a": 1}, "", [], ["x"]]
+# and what may stand in one field's place: the values its own checks are about
+IN_PLACE_OF = {
+    "id": [],
+    "question_text": [7],
+    "correct_answer": [],
+    "incorrect_answer": [],
+    "steps": [["x", 7], [None], [True], "Solve it"],
+    "step": [7, None],
+    "gt_error_step": [-1, 2, 3, 4, 5],
+    "gt_error_category": [" Calculation Error. ", "syntax error", "Calculation"],
+    "question_type": ["geometry", "Plane_Geometry", 7],
+    "image": ["https://example.org/x.png", {"kind": "url"}],
+    "kind": ["base64", "url", "file_path", "inline_base64", 7],
+    "value": ["!!not-base64!!", "iVBORw0K\u00e9", "https://x.org/\udc80", "fig\u0000.png",
+              TINY_PNG_BASE64],
+    "media_type": ["image/tiff", "image/webp", 7],
+}
+
+
+def one_field_mutations(obj: dict):
+    """Every copy of obj with one field, one image field or one step replaced or dropped.
+
+    An image field is mutated in a copy given each kind of image in turn.
+    """
+    for name, own in IN_PLACE_OF.items():
+        for value in ANYWHERE + own:
+            if name in ("kind", "value", "media_type"):
+                targets = [("image", dict(image), name) for image in IMAGES]
+            elif name == "step":
+                targets = [("steps", list(obj["steps"]), i) for i in range(len(obj["steps"]))]
+            else:
+                targets = [(None, None, name)]
+            for field, inner, key in targets:
+                mutated = dict(obj)
+                parent = mutated if field is None else inner
+                if field is not None:
+                    mutated[field] = inner
+                original = parent.get(key) if isinstance(parent, dict) else parent[key]
+                if value is DROP:
+                    if isinstance(parent, dict):
+                        parent.pop(key, None)
+                    else:
+                        del parent[key]
+                elif value is TEXT:
+                    if not isinstance(original, str):
+                        continue
+                    parent[key] = Text(original)
+                else:
+                    parent[key] = value
+                yield mutated
+
+
+def loaded(load, obj) -> tuple:
+    try:
+        return "sample", load(obj, 7)
+    except SchemaError as exc:
+        return "error", (exc.line_no, exc.field_path, exc.message)
+
+
+class TestOnePassLoader:
+    @settings(max_examples=60, deadline=None)
+    @given(obj=VALID_OBJECTS)
+    @example(obj=VALID)
+    @example(obj=with_image())
+    def test_the_same_sample_or_error_as_the_reference(self, obj):
+        for mutated in [obj, *one_field_mutations(obj)]:
+            assert loaded(sample_from_dict, mutated) == loaded(
+                reference_sample_from_dict, mutated
+            ), mutated
+
+    def test_a_str_subclass_is_kept_as_given(self):
+        sample = sample_from_dict(dict(VALID, id=Text("q1")))
+        assert type(sample.id) is Text
+        assert sample == reference_sample_from_dict(dict(VALID, id=Text("q1")))
 
 
 class TestImageRef:
@@ -421,11 +634,17 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def reference_parse_json(text: str | bytes):
-    """parse_json as it was before its one-scan path: json.loads for every text."""
+    """parse_json as it was before its one-scan path: json.loads for every text.
+
+    A str is parsed as a str, so a leading byte-order mark fails as it does
+    in bytes; it is encoded only to find a raw surrogate.
+    """
     raw = isinstance(text, str) and not text.isascii()
     text = decode_utf8(text) if isinstance(text, bytes) else text
     try:
-        value = json.loads(text.encode("utf-8") if raw else text)
+        if raw:
+            text.encode("utf-8")
+        value = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):
             json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -488,8 +707,11 @@ class TestParseJson:
             ("[" * 100_000 + "]" * 100_000, "invalid JSON"),
             ("1" * 5000, "invalid JSON"),
             ("{broken", "invalid JSON: Expecting property name"),
+            ('\ufeff{"a": 1}', "invalid JSON: Unexpected UTF-8 BOM"),
+            (b'\xef\xbb\xbf{"a": 1}', "invalid JSON: Unexpected UTF-8 BOM"),
         ],
-        ids=["not-utf8", "lone-high", "lone-low-key", "raw-surrogate", "deep", "long-int", "syntax"],
+        ids=["not-utf8", "lone-high", "lone-low-key", "raw-surrogate", "deep", "long-int", "syntax",
+             "bom-str", "bom-bytes"],
     )
     def test_rejections_say_why(self, text, message):
         with pytest.raises(BadText) as err:

@@ -48,7 +48,7 @@ from mathagent import (
     run_dataset,
     stream_detections,
 )
-from mathagent import BackendError, pipeline
+from mathagent import AuthError, BackendError, pipeline
 from mathagent.prompts import PromptSet, packaged_prompts
 
 
@@ -250,6 +250,32 @@ class TestFailureContainment:
         assert detections[-1].failure is not None
         assert "phase1" in detections[-1].failure
         assert all(d.failure is None for d in detections[:-1])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_auth_error_stops_the_run_after_an_aligned_prefix(self, samples_12, workers):
+        k = 5
+        refused = samples_12[k].id
+        scripted = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
+
+        class Refusing:
+            def complete(self, request):
+                if request.sample_id == refused:
+                    raise AuthError("HTTP 401 from http://localhost:9/v1/chat/completions")
+                return scripted.complete(request)
+
+        phase = PhaseSetup(backend=Refusing())
+        setup = PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
+        with pytest.raises(AuthError):
+            detect_errors(samples_12[k], AblationMode.FULL, setup)
+        emitted = []
+        with pytest.raises(AuthError, match="HTTP 401"):
+            stream_detections(samples_12, list(AblationMode), setup, emitted.append, workers)
+        # the samples claimed before the refused one finish and are emitted, no later one is
+        assert [dets[0].sample_id for dets in emitted] == [s.id for s in samples_12[:k]]
+        whole = run_dataset(samples_12, AblationMode.FULL, fresh_setup())
+        assert [detection_line(dets[0]) for dets in emitted] == list(
+            map(detection_line, whole[:k])
+        )
 
 
 class TestRouter:
@@ -813,6 +839,48 @@ class TestDetectionStorage:
         direct = build_report_row(detections, list(samples_12), "m")
         reloaded = build_report_row(loaded, list(samples_12), "m")
         assert direct.values == reloaded.values
+
+    def test_each_line_is_one_write_and_a_short_one_is_finished(self, tmp_path, samples_12):
+        detections = run(samples_12, AblationMode.FULL)
+        path = tmp_path / "detections.jsonl"
+        writes = []
+        with DetectionLog(path) as log:
+            real = log._file
+
+            class Short:  # the file as a write(2) that takes at most 100 bytes at a time
+                def write(self, data):
+                    writes.append((bytes(data), path.read_bytes()))
+                    return real.write(bytes(data[:100]))
+
+            log._file = Short()
+            for det in detections[:2]:
+                log.add(det)
+            log._file = real
+        lines = [detection_line(det).encode("utf-8") for det in detections[:2]]
+        assert path.read_bytes() == b"".join(lines)
+        # each call hands over the whole rest of one line, and the next line starts only
+        # once the one before it is on disk
+        assert [data for data, _ in writes] == [
+            line[start:] for line in lines for start in range(0, len(line), 100)
+        ]
+        first_of_second = -(len(lines[0]) // -100)  # the writes the first line took
+        assert writes[0] == (lines[0], b"")
+        assert writes[first_of_second] == (lines[1], lines[0])
+
+    def test_a_whole_log_writes_each_line_once(self, tmp_path, samples_12):
+        detections = run(samples_12, AblationMode.FULL)
+        path = tmp_path / "detections.jsonl"
+        with DetectionLog(path) as log:
+            counted = Counter()
+            real_write = log._file.write
+            log._file = SimpleNamespace(
+                write=lambda data: counted.update(["write"]) or real_write(data),
+                close=log._file.close,
+            )
+            for det in detections:
+                log.add(det)
+        assert counted["write"] == len(detections)
+        assert path.read_bytes() == "".join(map(detection_line, detections)).encode("utf-8")
 
 
 # Replies that steer a sample down every path: verdicts, question types,
