@@ -82,7 +82,8 @@ def parse_analyzer_output(raw_text: str, n_steps: int) -> AnalyzerOutput:
 
 
 def format_steps(steps) -> str:
-    return "\n".join(f"Step {i}: {text}" for i, text in enumerate(steps, start=1))
+    # a list, not a generator: join makes a list of a generator first anyway
+    return "\n".join([f"Step {i}: {text}" for i, text in enumerate(steps, start=1)])
 
 
 def build_analysis_prompt(

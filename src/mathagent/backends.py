@@ -3,10 +3,13 @@
 HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
 backend only for requests it has not seen; each call is recorded as a
-CallRecord. ScriptedBackend is the one reader of the script format; a
-scripted reply may carry a finish reason, so a cut reply can be
-scripted, and a reply list answers by the request's attempt, never by
-the calls before it. ModelResponse.cut is the one whole-reply rule every
+CallRecord. Threads that miss on one request together make one call
+(single-flight): the first asker holds a lock until its reply or its
+exception is set, and the others block on that lock, then share it.
+ScriptedBackend is the one reader of the script format; a scripted
+reply may carry a finish reason, so a cut reply can be scripted, and a
+reply list answers by the request's attempt, never by the calls before
+it. ModelResponse.cut is the one whole-reply rule every
 phase reads: a reply is whole only on STOP. A ModelRequest is one
 prompt, at most one image and its phase's RequestSettings, whose range
 rule for the knobs is the only one; HttpBackend and RetryPolicy reject
@@ -19,13 +22,15 @@ scanner: a value followed by JSON whitespace alone, with no \\u escape.
 Any other text goes through its full check, so both ways give the same
 value or the same error.
 
-HttpBackend sends through its transport hook: transport(url, headers,
-body, timeout_s) returns (status, headers, text), the reply's status,
-its headers as a mapping and its body, and raises ConnectionError or
-TimeoutError on IO trouble. A 429 or 503 that sends Retry-After, in
-delta-seconds or as an HTTP date, waits that long before the next
-attempt; any other retry, or a Retry-After that does not parse, waits
-the exponential backoff. Every wait is clamped to [0, RETRY_WAIT_CAP_S].
+HttpBackend builds its URL once, and its headers once per API key
+value; it reads and checks the key at every call. It sends through its
+transport hook: transport(url, headers, body, timeout_s) returns
+(status, headers, text), the reply's status, its headers as a mapping
+and its body, and raises ConnectionError or TimeoutError on IO
+trouble. A 429 or 503 that sends Retry-After, in delta-seconds or as an
+HTTP date, waits that long before the next attempt; any other retry,
+or a Retry-After that does not parse, waits the exponential backoff.
+Every wait is clamped to [0, RETRY_WAIT_CAP_S].
 
 Every request has a stable SHA-256 fingerprint computed over a canonical
 JSON form of its settings' model_id, system_prompt, temperature and
@@ -48,19 +53,17 @@ prompt and image anew.
 from __future__ import annotations
 
 import datetime
-import enum
 import hashlib
 import json
 import logging
 import os
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
 
-from .data_model import ImageRef, parse_json
+from .data_model import IdentityEnum, ImageRef, parse_json
 
 log = logging.getLogger(__name__)
 
@@ -85,7 +88,7 @@ class ScriptMiss(BackendError):
     """A scripted backend had no reply for the request."""
 
 
-class FinishReason(enum.Enum):
+class FinishReason(IdentityEnum):
     STOP = "stop"
     LENGTH = "length"
     ERROR = "error"
@@ -111,7 +114,8 @@ class ModelResponse(NamedTuple):
     @property
     def cut(self) -> str | None:
         """None for a whole reply, else the note for its finish reason (CUT_NOTES)."""
-        return CUT_NOTES.get(self.finish_reason)
+        reason = self.finish_reason
+        return None if reason is FinishReason.STOP else CUT_NOTES.get(reason)
 
 
 def _canonical(value) -> str:
@@ -187,11 +191,13 @@ class Backend(Protocol):
 def request_fingerprint(request: ModelRequest) -> str:
     """SHA-256 hex digest of the canonical form in the module docstring."""
     head, tail = request.settings._frame
-    blob = head + _encode_str(request.prompt) + "}"
-    if request.image is not None:
-        media, digest = _encode_str(request.image.resolved_media_type), request.image.sha256
-        blob += f',{{"kind":"image","media_type":{media},"sha256":"{digest}"}}'
-    return hashlib.sha256((blob + tail).encode("utf-8")).hexdigest()
+    image = request.image
+    if image is None:
+        blob = f"{head}{_encode_str(request.prompt)}}}{tail}"
+    else:
+        blob = (f'{head}{_encode_str(request.prompt)}}},{{"kind":"image","media_type":'
+                f'{_encode_str(image.resolved_media_type)},"sha256":"{image.sha256}"}}{tail}')
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 RETRY_WAIT_CAP_S = 60.0  # the longest wait between two attempts, backoff and Retry-After alike
@@ -288,7 +294,9 @@ class HttpBackend:
         if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # a socket timeout past it overflows
             raise ValueError(f"'timeout_s' {timeout_s} is not in (0, {threading.TIMEOUT_MAX:g}]")
         self.base_url = base_url.rstrip("/")
+        self._url = f"{self.base_url}/chat/completions"
         self.api_key_env = api_key_env
+        self._auth: tuple[str | None, dict] = (None, {})  # the last key read, and its headers
         self.retry = retry
         self.timeout_s = timeout_s
         self._transport = transport
@@ -317,11 +325,11 @@ class HttpBackend:
             raise AuthError(f"environment variable {self.api_key_env} is not set")
         if not (key.isascii() and key.isprintable()):  # no HTTP header can carry it
             raise AuthError(f"environment variable {self.api_key_env} is not printable ASCII")
-        headers = {
-            "Authorization": f"Bearer {key}",
-            "Content-Type": "application/json",
-        }
-        url = f"{self.base_url}/chat/completions"
+        held_key, headers = self._auth
+        if key != held_key:  # one headers dict per key value, swapped whole for other threads
+            headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
+            self._auth = (key, headers)
+        url = self._url
         body = self._build_body(request)
 
         attempts = self.retry.max_attempts
@@ -445,30 +453,54 @@ def _script_replies(value, where: str) -> tuple[ModelResponse, ...]:
     return tuple(replies)
 
 
+class _Flight:
+    """A request in flight: its asker holds lock, and releases it once reply or error is set."""
+
+    __slots__ = ("lock", "reply", "error")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.reply: ModelResponse | None = None
+        self.error: BaseException | None = None
+
+    def wait(self) -> ModelResponse:
+        """The asker's reply, once it releases the lock; if its call failed, that exception."""
+        with self.lock:
+            pass
+        if self.error is not None:
+            raise self.error
+        return self.reply
+
+
 class ReplayCache:
     """Fingerprint -> reply memo for every phase backend of one command.
 
     A repeated request gets the stored reply, with from_cache set and
     latency 0.0: one ModelResponse is made per fingerprint, when a line
-    is loaded or a miss is answered, and every hit returns that one.
+    is loaded or a miss is answered, and every hit returns that one. A hit
+    takes no lock, since a stored reply is never replaced or removed.
     Concurrent misses on one fingerprint make one inner call
-    (single-flight); a failed call stores nothing, and its waiters raise.
-    With a path, the memo persists as append-only JSONL read once here, one
-    {fingerprint, response_text, finish_reason, model_id, timestamp} per
-    line (finish_reason stop when absent, the last line winning). A torn
-    final line (a crash mid-append) is cut with a warning; any other bad
-    line, one parse_json rejects included, raises ValueError naming it,
-    and a path whose directory does not exist raises FileNotFoundError.
-    Only this object orders appends: one per file. The file is opened for
-    appending at the first miss and each line is flushed whole; close()
-    (or leaving a `with` block) closes it.
+    (single-flight): the first asker marks the fingerprint with a flight
+    whose lock it holds until the call returns or raises, and every other
+    asker blocks on that lock, then returns the same reply or raises the
+    same exception. A failed call stores nothing, so a later ask calls
+    again. With a path, the memo persists as append-only JSONL read once
+    here, one {fingerprint, response_text, finish_reason, model_id,
+    timestamp} per line (finish_reason stop when absent, the last line
+    winning). A torn final line (a crash mid-append) is cut with a
+    warning; any other bad line, one parse_json rejects included, raises
+    ValueError naming it, and a path whose directory does not exist
+    raises FileNotFoundError. Only this object orders appends: one per
+    file. The file is opened for appending at the first miss and each
+    line is flushed whole; close() (or leaving a `with` block) closes it.
     """
 
     def __init__(self, path=None):
         self.path = None if path is None else Path(path)
-        # a Future while the one call asking for it is in flight
-        self._replies: dict[str, ModelResponse | Future] = {}
-        self._lock = threading.Lock()
+        # a _Flight while the one call asking for it is in flight
+        self._replies: dict[str, ModelResponse | _Flight] = {}
+        self._lock = threading.Lock()  # orders flight starts and appends
         self._appends = None  # the append handle, opened at the first append
         if self.path is not None and self.path.exists():
             self._load()
@@ -508,31 +540,34 @@ class ReplayCache:
     def complete(self, inner: Backend, request: ModelRequest) -> ModelResponse:
         """The stored reply to request; on a miss, inner's reply, then stored."""
         fp = request.fingerprint
-        with self._lock:
-            stored = self._replies.get(fp)
-            if stored is None:
-                self._replies[fp] = flight = Future()
+        stored = self._replies.get(fp)
+        if stored is None:
+            with self._lock:  # one asker per fingerprint starts a flight
+                stored = self._replies.get(fp)
+                if stored is None:
+                    self._replies[fp] = flight = _Flight()
         if stored is not None:
-            return stored.result() if isinstance(stored, Future) else stored
+            return stored if stored.__class__ is ModelResponse else stored.wait()
+        # only this asker replaces or removes its flight, so neither takes the lock
         try:
             response = inner.complete(request)
         except BaseException as exc:
-            with self._lock:
-                del self._replies[fp]
-            flight.set_exception(exc)
+            del self._replies[fp]
+            flight.error = exc
+            flight.lock.release()
             raise
-        reply = ModelResponse(response.text, response.finish_reason, 0.0, True)
-        flight.set_result(reply)  # first, so a failed append strands no waiter
-        with self._lock:
-            self._replies[fp] = reply
-            if self.path is not None:
-                record = {
-                    "fingerprint": fp,
-                    "response_text": response.text,
-                    "finish_reason": response.finish_reason.value,
-                    "model_id": request.settings.model_id,
-                    "timestamp": time.time(),
-                }
+        flight.reply = reply = ModelResponse(response.text, response.finish_reason, 0.0, True)
+        self._replies[fp] = reply
+        flight.lock.release()  # before the append, so a failed append strands no waiter
+        if self.path is not None:
+            record = {
+                "fingerprint": fp,
+                "response_text": response.text,
+                "finish_reason": response.finish_reason.value,
+                "model_id": request.settings.model_id,
+                "timestamp": time.time(),
+            }
+            with self._lock:
                 if self._appends is None:
                     self._appends = open(self.path, "a", encoding="utf-8")
                 self._appends.write(json.dumps(record, ensure_ascii=False) + "\n")

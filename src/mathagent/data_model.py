@@ -101,7 +101,19 @@ def parse_json(text: str | bytes):
     return value
 
 
-class ErrorCategory(enum.Enum):
+class IdentityEnum(enum.Enum):
+    """The base of every mathagent enum: a member hashes by identity, as it compares.
+
+    Enum's own __hash__ hashes the member's name, in Python, at every dict
+    or set lookup. A member is a singleton that compares by identity, so
+    object.__hash__ keys every dict and set alike; only hash(member) differs
+    from hash(member.name).
+    """
+
+    __hash__ = object.__hash__
+
+
+class ErrorCategory(IdentityEnum):
     VIS = "VIS"
     CAL = "CAL"
     REAS = "REAS"
@@ -177,7 +189,7 @@ def parse_category(text: str) -> ErrorCategory:
         raise UnknownCategory(f"unrecognized error category: {text!r}") from None
 
 
-class QuestionType(enum.Enum):
+class QuestionType(IdentityEnum):
     PLANE_GEOMETRY = "plane_geometry"
     SOLID_GEOMETRY = "solid_geometry"
     DIAGRAM = "diagram"
@@ -185,7 +197,7 @@ class QuestionType(enum.Enum):
     MATH_COMMONSENSE = "math_commonsense"
 
 
-class ImageKind(enum.Enum):
+class ImageKind(IdentityEnum):
     FILE_PATH = "file_path"
     INLINE_BASE64 = "inline_base64"
     URL = "url"

@@ -93,8 +93,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, character offset) per token, then EOF; a stray character raises."""
     tokens = []
     pos = 0
-    while (m := _TOKEN_RE.match(text, pos)) is not None:
-        tokens.append((_TOKEN_KINDS[m.lastgroup], m.group(m.lastgroup), m.start(m.lastgroup)))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:  # a gap: what lies at pos is no token
+            break
+        kind = m.lastgroup
+        tokens.append((_TOKEN_KINDS[kind], m.group(kind), m.start(kind)))
         pos = m.end()
     stray = _NON_SPACE_RE.search(text, pos)
     if stray is not None:

@@ -7,12 +7,11 @@ question_type label always wins over inference.
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import NamedTuple
 
 from .backends import Backend, ModelRequest, RequestSettings
-from .data_model import QuestionType, Sample
+from .data_model import IdentityEnum, QuestionType, Sample
 from .formal_language import (
     FactList,
     ParseError,
@@ -56,12 +55,12 @@ def match_question_type(reply: str) -> QuestionType | None:
     return None if m is None else _SYNONYM_TYPES[m.group()]
 
 
-class TranscriptSource(enum.Enum):
+class TranscriptSource(IdentityEnum):
     DATASET_LABEL = "dataset_label"
     INFERRED = "inferred"
 
 
-class Representation(enum.Enum):
+class Representation(IdentityEnum):
     FORMAL_LANGUAGE = "formal_language"
     LATEX_TABLE = "latex_table"
     CAPTION = "caption"

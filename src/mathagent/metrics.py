@@ -101,8 +101,8 @@ def score_run(predictions: Iterable[Prediction], samples: list[Sample]) -> Score
             step_hits += 1
         if pred.predicted_category is not None and pred.predicted_category is gt_cat:
             cat_hits[gt_cat] = cat_hits.get(gt_cat, 0) + 1
-        row = pred.predicted_category.value if pred.predicted_category else UNPARSED
-        key = (row, gt_cat.value)
+        row = pred.predicted_category._value_ if pred.predicted_category else UNPARSED
+        key = (row, gt_cat._value_)  # _value_: the stored value, with no Python property call
         confusion[key] = confusion.get(key, 0) + 1
     return ScoredRun(
         n=len(samples),

@@ -32,7 +32,6 @@ sample's detections do not depend on the samples or modes before it.
 
 from __future__ import annotations
 
-import enum
 import reprlib
 import threading
 from collections import Counter
@@ -53,12 +52,12 @@ from .backends import (
     RequestSettings,
 )
 from .consistency import ConsistencyVerdict, check_consistency
-from .data_model import ErrorCategory, QuestionType, Sample, parse_json
+from .data_model import ErrorCategory, IdentityEnum, QuestionType, Sample, parse_json
 from .interpreter import VisualTranscript, interpret_visual, resolve_question_type
 from .prompts import PromptSet, packaged_prompts
 
 
-class AblationMode(enum.Enum):
+class AblationMode(IdentityEnum):
     FULL = "full"
     NO_VALIDATOR = "no_validator"
     NO_INTERPRETER = "no_interpreter"
@@ -336,10 +335,11 @@ def _scalar(value: bool | int | float | None) -> str:
     return _SPELLINGS.get(text, text)
 
 
-def _text(value: str | enum.Enum | None) -> str:
+def _text(value: str | IdentityEnum | None) -> str:
     if value is None:
         return "null"
-    return _quote(value.value if isinstance(value, enum.Enum) else value)
+    # _value_ is where the member keeps its value; .value reads it through a Python property
+    return _quote(value._value_ if isinstance(value, IdentityEnum) else value)
 
 
 def _verdict(v: ConsistencyVerdict | None) -> str:

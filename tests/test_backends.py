@@ -1064,6 +1064,29 @@ class TestReplayBackend:
         assert memo.complete(inner, text_request()).from_cache
         assert inner.calls == 1
 
+    def test_a_waiter_gets_the_reply_the_asker_waited_a_backoff_for(self, monkeypatch):
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        endpoint = FaultyEndpoint({(None, None, 0): Fault(503)}, reply="after the backoff")
+        memo, waiters, outcomes = ReplayCache(), [], []
+
+        def sleep(seconds):  # the asker's backoff after its 503: a second caller asks meanwhile
+            waiter = threading.Thread(
+                target=lambda: outcomes.append(memo.complete(http, text_request())), daemon=True
+            )
+            waiter.start()
+            waiter.join(0.2)
+            waiters.append((waiter, waiter.is_alive()))
+
+        http = HttpBackend("http://localhost:9/v1", transport=endpoint, sleep=sleep)
+        reply = memo.complete(http, text_request())
+        [(waiter, blocked)] = waiters
+        waiter.join(5)
+        assert blocked and not waiter.is_alive()
+        assert endpoint.calls == 2
+        assert (reply.text, reply.from_cache) == ("after the backoff", False)
+        [waited] = outcomes
+        assert (waited.text, waited.from_cache) == ("after the backoff", True)
+
     def test_racing_threads_ask_once_per_fingerprint(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         asked, lock = Counter(), threading.Lock()

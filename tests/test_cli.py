@@ -2203,6 +2203,103 @@ def test_every_sample_gets_what_its_plan_implies(
     assert not whole & {json.dumps(body, sort_keys=True) for _, _, body, _ in rerun.sent}
 
 
+# the faults a retry clears; RECOVERABLE_ASKS of them per pair leave every call an attempt
+RETRIED_FAULTS = (
+    Fault(429),
+    Fault(429, {"retry-after": "1"}),
+    Fault(503),
+    Fault(error=ConnectionError("planned reset")),
+    Fault(error=TimeoutError("planned timeout")),
+)
+RECOVERABLE_ASKS = MAX_ATTEMPTS - 1
+
+
+def recoverable_plans():
+    """Plans keyed by (phase, sample_id, k) that fault only a pair's first RECOVERABLE_ASKS asks.
+
+    Every complete() call on a pair makes its asks among that pair's, so
+    none meets more than RECOVERABLE_ASKS faults, and none runs out of attempts.
+    """
+    schedules = st.dictionaries(
+        st.sampled_from(SCRIPTED_PAIRS),
+        st.lists(st.none() | st.sampled_from(RETRIED_FAULTS), min_size=1,
+                 max_size=RECOVERABLE_ASKS),
+        max_size=6,
+    )
+    return schedules.map(lambda by_pair: {
+        (*pair, k): fault
+        for pair, faults in by_pair.items() for k, fault in enumerate(faults) if fault is not None
+    })
+
+
+@pytest.fixture(scope="module")
+def scripted_calls(tmp_path_factory):
+    """The scripted runs' calls: `run`'s call_counts per mode, and `ablate`'s ablation.csv."""
+    root = tmp_path_factory.mktemp("scripted-calls")
+    counts = {}
+    for mode in MODES:
+        (root / mode).mkdir()
+        config = write_config(root / mode, root / mode / "out", mode=mode)
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        meta = json.loads((root / mode / "out" / "run_meta.json").read_text(encoding="utf-8"))
+        counts[mode] = meta["call_counts"]
+    config = write_config(root, root / "ablate")
+    assert main(["ablate", "--config", str(config)]) == EXIT_OK
+    return counts, (root / "ablate" / "ablation.csv").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("rate_limit", [1, 2, 3, 4])
+@pytest.mark.parametrize("command", ["run", "ablate"])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@example(plan={
+    ("phase1", "s01", 0): Fault(429, {"retry-after": "1"}),
+    ("phase1", "s01", 1): Fault(error=TimeoutError("planned timeout")),
+    ("phase2.type", "s09", 0): Fault(429),
+    ("phase2", "s05", 1): Fault(503),
+    ("phase3", "s03", 0): Fault(error=ConnectionError("planned reset")),
+    ("phase3", "s03", 1): Fault(503),
+})
+@given(plan=recoverable_plans())
+def test_a_recoverable_plan_writes_the_golden_detections(
+    scripted_calls, tmp_path_factory, command, rate_limit, plan
+):
+    """Faults that retries clear change nothing a run writes, at any worker count.
+
+    `ablate`, and `run` in each mode in turn on one cache (so that each
+    mode's repeats of the modes before it are hits, as in `ablate`), write
+    the golden detections over HTTP, but for latency, and make the calls per
+    phase the scripted runs make.
+    """
+    run_dir = tmp_path_factory.mktemp("recoverable")
+    endpoint = FaultyEndpoint(plan, hold_s=0.0005)  # so that the workers' calls overlap
+    with pytest.MonkeyPatch.context() as mp:
+        serve(endpoint, mp)
+        if command == "ablate":
+            config = http_config(run_dir / "ablate", rate_limit)
+            assert main(["ablate", "--config", str(config)]) == EXIT_OK
+            written = {
+                mode: run_dir / "ablate" / "out" / f"detections_{mode}.jsonl" for mode in MODES
+            }
+        else:
+            for mode in MODES:
+                config = http_config(
+                    run_dir / mode, rate_limit, mode=mode, cache_path=str(run_dir / "cache.jsonl")
+                )
+                assert main(["run", "--config", str(config)]) == EXIT_OK
+            written = {mode: run_dir / mode / "out" / "detections.jsonl" for mode in MODES}
+    # every fault reached the transport and was retried once
+    assert len(endpoint.sleeps) == sum(fault != Fault() for *_, fault in endpoint.log)
+    for mode, path in written.items():
+        assert timeless(path) == timeless(FIXTURES / f"golden_detections_{mode}.jsonl"), mode
+    counts, grid = scripted_calls
+    if command == "ablate":
+        assert (run_dir / "ablate" / "out" / "ablation.csv").read_text(encoding="utf-8") == grid
+    else:
+        for mode in MODES:
+            meta = json.loads((run_dir / mode / "out" / "run_meta.json").read_text("utf-8"))
+            assert meta["call_counts"] == counts[mode], mode
+
+
 class TestOutputLocation:
     """An output that cannot be made or written exits 2 with one line naming it."""
 

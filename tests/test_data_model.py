@@ -1,8 +1,13 @@
 """Dataset schema: parsing, validation findings, image refs, round-trip, statistics."""
 
 import base64
+import copy
+import enum
 import hashlib
+import importlib
 import json
+import pickle
+import pkgutil
 import re
 import sys
 
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import TINY_PNG_BASE64, awkward_text, make_sample
+import mathagent
 from mathagent import (
     EmptyDataset,
     ErrorCategory,
@@ -27,7 +33,9 @@ from mathagent import (
     scan_dataset,
     write_dataset,
 )
-from mathagent.data_model import DEFAULT_IMAGE_MEDIA_TYPES, BadText, decode_utf8, parse_json
+from mathagent.data_model import (
+    DEFAULT_IMAGE_MEDIA_TYPES, BadText, IdentityEnum, decode_utf8, parse_json,
+)
 
 VALID = {
     "id": "q1",
@@ -792,3 +800,44 @@ def test_category_counts_sum_to_total(cats):
     stats = dataset_stats(samples)
     assert sum(stats.by_error_category.values()) == len(cats)
     assert stats.total == len(cats)
+
+
+def mathagent_enums() -> list[type[enum.Enum]]:
+    """Every enum with members that a mathagent module defines."""
+    modules = [
+        importlib.import_module(f"mathagent.{info.name}")
+        for info in pkgutil.iter_modules(mathagent.__path__)
+    ]
+    found = {
+        obj for module in modules for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, enum.Enum)
+        and obj.__module__ == module.__name__ and len(obj) > 0
+    }
+    return sorted(found, key=lambda e: e.__name__)
+
+
+ENUMS = mathagent_enums()
+
+
+class TestIdentityEnums:
+    """Every mathagent enum member hashes by identity, and keys dicts and sets as before."""
+
+    def test_every_enum_is_found(self):
+        assert {e.__name__ for e in ENUMS} == {
+            "AblationMode", "ErrorCategory", "FinishReason", "ImageKind", "QuestionType",
+            "Representation", "TranscriptSource",
+        }
+
+    @pytest.mark.parametrize("members", ENUMS, ids=lambda e: e.__name__)
+    def test_members_hash_by_identity_and_survive_copies(self, members):
+        assert issubclass(members, IdentityEnum)
+        for member in members:
+            assert hash(member) == object.__hash__(member), member
+            assert copy.copy(member) is member
+            assert copy.deepcopy(member) is member
+            assert pickle.loads(pickle.dumps(member)) is member
+            assert member in {member}
+            assert member._value_ == member.value
+        keyed = {member: member.name for member in members}
+        assert all(keyed[member] == member.name for member in members)
+        assert {members(member.value) for member in members} == set(members)

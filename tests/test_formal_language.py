@@ -10,6 +10,7 @@ from conftest import FIXTURES, REPO, load_corpus
 from latex_corpus import CASES as LATEX_CASES
 from mathagent import (
     DEFAULT_ARITY,
+    formal_language,
     GeometryFact,
     Number,
     ParseError,
@@ -137,6 +138,51 @@ class TestRoundTrip:
         except ParseError:
             return
         assert isinstance(result, tuple)
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokenizer as one match call per token: what formal_language._tokenize must equal."""
+    tokens = []
+    pos = 0
+    while (m := formal_language._TOKEN_RE.match(text, pos)) is not None:
+        kind = m.lastgroup
+        tokens.append((formal_language._TOKEN_KINDS[kind], m.group(kind), m.start(kind)))
+        pos = m.end()
+    stray = formal_language._NON_SPACE_RE.search(text, pos)
+    if stray is not None:
+        raise ParseError(
+            formal_language._byte_offset(text, stray.start()),
+            frozenset(formal_language._TOKEN_KINDS.values()),
+            repr(stray.group()),
+        )
+    return tokens + [("EOF", "", len(text))]
+
+
+def tokenized(tokenize, text: str):
+    """tokenize's tokens for text, or the offset, expected set and found of its ParseError."""
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return exc.offset, exc.expected, exc.found
+
+
+# the grammar's characters, stray ones, and the Unicode spaces and digits that \s and \d match
+TOKEN_CHARS = (
+    list("ABLinexyz_0159.,() \t\n#-+é")
+    + ["\u00a0", "\u2003", "\u3000", "\u0663", "\u096d", "\uff11"]
+)
+TOKEN_PIECES = ["Line", "AB", "(", ")", ",", "12", "4.5", "7.", ".5", " ", "\u2003", "\u0663",
+                "#", "é"]
+
+
+class TestTokenize:
+    @given(st.one_of(
+        st.text(alphabet=st.sampled_from(TOKEN_CHARS), max_size=40),
+        st.lists(st.sampled_from(TOKEN_PIECES), max_size=16).map("".join),
+    ))
+    @settings(max_examples=400)
+    def test_tokens_and_errors_match_the_reference(self, text):
+        assert tokenized(formal_language._tokenize, text) == tokenized(reference_tokenize, text)
 
 
 class TestArity:
