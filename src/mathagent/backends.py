@@ -14,7 +14,9 @@ phase reads: a reply is whole only on STOP. A ModelRequest is one
 prompt, at most one image and its phase's RequestSettings, whose range
 rule for the knobs is the only one; HttpBackend and RetryPolicy reject
 knobs out of range. ModelRequest, ModelResponse and CallRecord, the
-values built for each call, are immutable NamedTuples.
+values built for each call, are immutable NamedTuples, and so are
+RequestSettings and RetryPolicy, whose __new__ checks their knobs at
+every build, _replace included.
 
 The replay cache's lines and HTTP reply bodies are read by
 data_model.parse_json. It reads most of them in one scan of json's
@@ -23,7 +25,10 @@ Any other text goes through its full check, so both ways give the same
 value or the same error.
 
 HttpBackend builds its URL once, and its headers once per API key
-value; it reads and checks the key at every call. It sends through its
+value; it reads and checks the key at every call, with read_api_key,
+which cli also applies to each HTTP backend a run uses before it makes
+any output. Its defaults are the DEFAULT_* constants, which cli gives a
+spec that leaves a knob out. It sends through its
 transport hook: transport(url, headers, body, timeout_s) returns
 (status, headers, text), the reply's status, its headers as a mapping
 and its body, and raises ConnectionError or TimeoutError on IO
@@ -46,8 +51,8 @@ UTF-8 encoded, then hashed. The prompt appears as
 resolved_media_type and sha256 (over the image bytes, or a URL's address).
 The phase, sample_id and attempt routing metadata never enter the
 fingerprint. Each RequestSettings writes the form's text around the
-segments once, when it is built, so a fingerprint encodes only its
-prompt and image anew.
+segments once, when it is built, into its frame field, so a
+fingerprint encodes only its prompt and image anew.
 """
 
 from __future__ import annotations
@@ -59,11 +64,10 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Protocol
 
-from .data_model import IdentityEnum, ImageRef, parse_json
+from .data_model import BuiltByNew, IdentityEnum, ImageRef, parse_json
 
 log = logging.getLogger(__name__)
 
@@ -126,30 +130,46 @@ def _canonical(value) -> str:
 _encode_str = json.encoder.encode_basestring  # a str as _canonical writes it, quotes included
 
 
-@dataclass(frozen=True)
-class RequestSettings:
-    """Per-phase knobs applied to every request an agent builds."""
-
-    model_id: str = "scripted"
-    system_prompt: str = ""
-    temperature: float = 0.0
-    max_tokens: int = 1024
-
+# typing.NamedTuple takes no __new__ of its own, so a class that checks its fields or
+# derives one has its __new__ on a subclass of its fields (see data_model.BuiltByNew)
+class _SettingsFields(NamedTuple):
+    model_id: str
+    system_prompt: str
+    temperature: float
+    max_tokens: int
     # the canonical form's text before a request's prompt and after its segments
-    _frame: tuple[str, str] = field(init=False, repr=False, compare=False)
+    frame: tuple[str, str]
 
-    def __post_init__(self):
-        if not 0.0 <= self.temperature <= 1.0:
-            raise ValueError(f"'temperature' {self.temperature} is outside [0, 1]")
-        if self.max_tokens < 1:
-            raise ValueError(f"'max_tokens' {self.max_tokens} is not positive")
+
+class RequestSettings(BuiltByNew, _SettingsFields):
+    """Per-phase knobs applied to every request an agent builds.
+
+    Built from every field but frame, which __new__ writes once, here; a
+    temperature keeps its type, so an int 0 frames as 0, as json.dumps
+    writes it, not as 0.0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, model_id="scripted", system_prompt="", temperature=0.0, max_tokens=1024):
+        if not 0.0 <= temperature <= 1.0:
+            raise ValueError(f"'temperature' {temperature} is outside [0, 1]")
+        if max_tokens < 1:
+            raise ValueError(f"'max_tokens' {max_tokens} is not positive")
         c = _canonical
-        head = f'{{"max_tokens":{c(self.max_tokens)},"model_id":{c(self.model_id)},"segments":['
-        tail = f'],"system_prompt":{c(self.system_prompt)},"temperature":{c(self.temperature)}}}'
-        object.__setattr__(self, "_frame", (head + '{"kind":"text","text":', tail))
+        head = f'{{"max_tokens":{c(max_tokens)},"model_id":{c(model_id)},"segments":['
+        tail = f'],"system_prompt":{c(system_prompt)},"temperature":{c(temperature)}}}'
+        frame = (head + '{"kind":"text","text":', tail)
+        return tuple.__new__(cls, (model_id, system_prompt, temperature, max_tokens, frame))
+
+    def __getnewargs__(self):  # what copy, pickle and _replace pass to __new__
+        return self[:-1]
+
+    def __repr__(self):
+        return ("RequestSettings(model_id=%r, system_prompt=%r, temperature=%r, max_tokens=%r)"
+                % self[:-1])
 
 
-# typing.NamedTuple takes no __new__ of its own, so ModelRequest's is on a subclass
 class _RequestFields(NamedTuple):
     prompt: str
     image: ImageRef | None
@@ -161,7 +181,7 @@ class _RequestFields(NamedTuple):
     fingerprint: str = ""
 
 
-class ModelRequest(_RequestFields):
+class ModelRequest(BuiltByNew, _RequestFields):
     """One model call: a prompt, at most one image, and the knobs of its phase.
 
     Built from every field but fingerprint, which request_fingerprint fills
@@ -175,13 +195,8 @@ class ModelRequest(_RequestFields):
         unsigned = tuple.__new__(cls, (*fields, ""))  # all but the fingerprint it is to get
         return tuple.__new__(cls, (*fields, request_fingerprint(unsigned)))
 
-    def __getnewargs__(self):  # what copy and pickle pass to __new__
+    def __getnewargs__(self):  # what copy, pickle and _replace pass to __new__
         return self[:-1]
-
-    def _replace(self, **changes) -> "ModelRequest":
-        fields = self._asdict()
-        del fields["fingerprint"]  # computed anew, so not a field to set
-        return ModelRequest(**{**fields, **changes})
 
 
 class Backend(Protocol):
@@ -190,7 +205,7 @@ class Backend(Protocol):
 
 def request_fingerprint(request: ModelRequest) -> str:
     """SHA-256 hex digest of the canonical form in the module docstring."""
-    head, tail = request.settings._frame
+    head, tail = request.settings.frame
     image = request.image
     if image is None:
         blob = f"{head}{_encode_str(request.prompt)}}}{tail}"
@@ -203,17 +218,28 @@ def request_fingerprint(request: ModelRequest) -> str:
 RETRY_WAIT_CAP_S = 60.0  # the longest wait between two attempts, backoff and Retry-After alike
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    max_attempts: int = 3
-    backoff_base_ms: int = 250
+class _RetryFields(NamedTuple):
+    max_attempts: int
+    backoff_base_ms: int
 
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError(f"'max_attempts' {self.max_attempts} is not positive")
+
+class RetryPolicy(BuiltByNew, _RetryFields):
+    __slots__ = ()
+
+    def __new__(cls, max_attempts=3, backoff_base_ms=250):
+        if max_attempts < 1:
+            raise ValueError(f"'max_attempts' {max_attempts} is not positive")
         cap_ms = int(RETRY_WAIT_CAP_S * 1000)  # a longer base would only ever wait the cap
-        if not 0 <= self.backoff_base_ms <= cap_ms:
-            raise ValueError(f"'backoff_base_ms' {self.backoff_base_ms} is not in [0, {cap_ms}]")
+        if not 0 <= backoff_base_ms <= cap_ms:
+            raise ValueError(f"'backoff_base_ms' {backoff_base_ms} is not in [0, {cap_ms}]")
+        return tuple.__new__(cls, (max_attempts, backoff_base_ms))
+
+
+# HttpBackend's defaults, which cli gives an http spec that sets none of these keys
+DEFAULT_API_KEY_ENV = "MATHAGENT_API_KEY"
+DEFAULT_RETRY = RetryPolicy()
+DEFAULT_RATE_LIMIT = 4
+DEFAULT_TIMEOUT_S = 60.0
 
 
 def __getattr__(name: str):
@@ -264,6 +290,16 @@ def _retry_after(headers: Mapping[str, str]) -> float | None:
 MAX_RATE_LIMIT = 256  # the most calls in flight a gate allows
 
 
+def read_api_key(env_name: str) -> str:
+    """The API key in the environment variable env_name; AuthError if no request can send it."""
+    key = os.environ.get(env_name)
+    if not key:
+        raise AuthError(f"environment variable {env_name} is not set")
+    if not (key.isascii() and key.isprintable()):  # no HTTP header can carry it
+        raise AuthError(f"environment variable {env_name} is not printable ASCII")
+    return key
+
+
 class HttpBackend:
     """Chat-completions client for OpenAI-compatible endpoints.
 
@@ -281,10 +317,10 @@ class HttpBackend:
     def __init__(
         self,
         base_url: str,
-        api_key_env: str = "MATHAGENT_API_KEY",
-        retry: RetryPolicy = RetryPolicy(),
-        rate_limit: int = 4,
-        timeout_s: float = 60.0,
+        api_key_env: str = DEFAULT_API_KEY_ENV,
+        retry: RetryPolicy = DEFAULT_RETRY,
+        rate_limit: int = DEFAULT_RATE_LIMIT,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
         transport: Callable = _requests_transport,
         sleep: Callable[[float], None] = time.sleep,
         gate: threading.Semaphore | None = None,
@@ -320,11 +356,7 @@ class HttpBackend:
         }
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        key = os.environ.get(self.api_key_env)
-        if not key:
-            raise AuthError(f"environment variable {self.api_key_env} is not set")
-        if not (key.isascii() and key.isprintable()):  # no HTTP header can carry it
-            raise AuthError(f"environment variable {self.api_key_env} is not printable ASCII")
+        key = read_api_key(self.api_key_env)
         held_key, headers = self._auth
         if key != held_key:  # one headers dict per key value, swapped whole for other threads
             headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}

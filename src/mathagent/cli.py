@@ -15,15 +15,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import datetime
-import inspect
 import json
 import logging
 import sys
 import threading
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .backends import (
+    DEFAULT_API_KEY_ENV,
+    DEFAULT_RATE_LIMIT,
+    DEFAULT_RETRY,
+    DEFAULT_TIMEOUT_S,
     MAX_RATE_LIMIT,
     AuthError,
     Backend,
@@ -32,6 +35,7 @@ from .backends import (
     RequestSettings,
     RetryPolicy,
     ScriptedBackend,
+    read_api_key,
 )
 from .data_model import (
     EmptyDataset,
@@ -81,8 +85,6 @@ class DatasetError(Exception):
 
 
 PHASE_NAMES = ("phase1", "phase2", "phase3")
-# what an http spec's knobs default to when it sets none: HttpBackend's own defaults
-_HTTP_DEFAULTS = {k: p.default for k, p in inspect.signature(HttpBackend).parameters.items()}
 
 # the keys each part of a config may hold; load_config warns about any other
 _CONFIG_KEYS = frozenset(
@@ -95,8 +97,7 @@ _SCRIPTED_KEYS = _SPEC_KEYS | {"script_path", "default_reply"}
 _INLINE_SCRIPT_KEYS = _SCRIPTED_KEYS | {"phases", "by_fingerprint"}  # a script in the spec
 
 
-@dataclass(frozen=True)
-class BackendSpec:
+class BackendSpec(NamedTuple):
     """One checked backend spec: its request knobs and what builds its backend."""
 
     settings: RequestSettings
@@ -110,8 +111,7 @@ class BackendSpec:
         return HttpBackend(**self.http, gate=gates.get(self.http["base_url"]))
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     dataset: Path
     mode: AblationMode
     backends: dict[str, BackendSpec]
@@ -219,16 +219,16 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         retry_spec = _typed(spec, "retry", dict, {}, "an object")
         _warn_unknown(spec, _HTTP_KEYS, where)
         _warn_unknown(retry_spec, _RETRY_KEYS, where + "retry.")
-        default, retry = _HTTP_DEFAULTS, _HTTP_DEFAULTS["retry"]
+        # a knob the spec leaves out gets HttpBackend's own default
         http = dict(
             base_url=base_url.rstrip("/"),
-            api_key_env=_typed(spec, "api_key_env", str, default["api_key_env"], "a string"),
+            api_key_env=_typed(spec, "api_key_env", str, DEFAULT_API_KEY_ENV, "a string"),
             retry=RetryPolicy(**{
-                key: _typed(retry_spec, key, int, getattr(retry, key), "an integer")
-                for key in ("max_attempts", "backoff_base_ms")
+                key: _typed(retry_spec, key, int, default, "an integer")
+                for key, default in DEFAULT_RETRY._asdict().items()
             }),
-            rate_limit=_typed(spec, "rate_limit", int, default["rate_limit"], "an integer"),
-            timeout_s=_typed(spec, "timeout_s", (int, float), default["timeout_s"], "a number"),
+            rate_limit=_typed(spec, "rate_limit", int, DEFAULT_RATE_LIMIT, "an integer"),
+            timeout_s=_typed(spec, "timeout_s", (int, float), DEFAULT_TIMEOUT_S, "a number"),
         )
         HttpBackend(**http)  # built only for its range checks, as RetryPolicy was
     elif kind == "scripted":
@@ -282,11 +282,19 @@ def _open_cache(config: RunConfig) -> ReplayCache:
 def build_setup(config: RunConfig, config_base: Path | None = None) -> PipelineSetup:
     """One command's setup on the config's checked specs; the caller closes its cache.
 
-    config_base is unused, since load_config resolved every path. Every
-    call asks the config's cache, opened here, and each HTTP backend waits
-    on its base_url's gate, new here and shared by every mode run on the
-    setup. Scripted backends are the config's own.
+    config_base is unused, since load_config resolved every path. An HTTP
+    backend the setup uses whose key variable no request could send (see
+    backends.read_api_key) raises AuthError first, before any output is
+    made. Every call asks the config's cache, opened here, and each HTTP
+    backend waits on its base_url's gate, new here and shared by every
+    mode run on the setup. Scripted backends are the config's own.
     """
+    phase2 = config.router.get("default", "phase2")
+    # each backend a phase or a route uses, in the order a sample's calls meet them
+    for name in dict.fromkeys(("phase1", phase2, "phase3", *config.router.values())):
+        http = config.backends[name].http
+        if http is not None:
+            read_api_key(http["api_key_env"])
     cache = _open_cache(config)
     gates, _ = _http_gates(config)
     built = {
@@ -295,7 +303,7 @@ def build_setup(config: RunConfig, config_base: Path | None = None) -> PipelineS
     }
     router = {QuestionType(k): built[v] for k, v in config.router.items() if k != "default"}
     return PipelineSetup(
-        built["phase1"], built[config.router.get("default", "phase2")], built["phase3"],
+        built["phase1"], built[phase2], built["phase3"],
         router=router, prompts=config.prompts, cache=cache,
     )
 

@@ -18,7 +18,6 @@ import hashlib
 import json
 import mimetypes
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -111,6 +110,22 @@ class IdentityEnum(enum.Enum):
     """
 
     __hash__ = object.__hash__
+
+
+class BuiltByNew:
+    """Mixin for a NamedTuple subclass whose __new__ checks its fields or derives some.
+
+    The subclass lists it first and sets __slots__ = (). _replace then
+    builds through __new__, as copy and pickle do, from the arguments
+    __getnewargs__ gives with the changes over them, so a replaced value is
+    checked again, and a derived field is derived anew, not set.
+    """
+
+    __slots__ = ()
+
+    def _replace(self, **changes):
+        args = dict(zip(self._fields, self.__getnewargs__()))
+        return self.__class__(**{**args, **changes})
 
 
 class ErrorCategory(IdentityEnum):
@@ -209,35 +224,63 @@ DEFAULT_IMAGE_MEDIA_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class ImageRef:
     """An image: the one place its kind maps to bytes, media type and digest.
 
     sha256 is computed once: an inline ref's when built, by the decode that
     validates it (ValueError if not base64), a file ref's at first use, so a
-    missing file fails only its sample. The ref keeps no image bytes.
+    missing file fails only its sample. The ref keeps no image bytes. Its
+    fields are slots that only __init__ and that first use set: assigning
+    to one raises AttributeError, and two refs are equal when their kind,
+    value and media_type are.
     """
 
-    kind: ImageKind
-    value: str
-    media_type: str | None = None
-    _sha256: str | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("kind", "value", "media_type", "_sha256")
 
-    def __post_init__(self):
-        if self.kind is ImageKind.INLINE_BASE64:
-            self._keep_digest(base64.b64decode(self.value, validate=True))
-        elif self.kind is ImageKind.URL:  # remote bytes are not fetched: the address is hashed
-            self._keep_digest(self.value.encode("utf-8"))
-        elif "\0" in self.value:  # no file name holds one, and opening it raises ValueError
+    def __init__(self, kind: ImageKind, value: str, media_type: str | None = None):
+        if kind is ImageKind.INLINE_BASE64:
+            sha256 = _digest(base64.b64decode(value, validate=True))
+        elif kind is ImageKind.URL:  # remote bytes are not fetched: the address is hashed
+            sha256 = _digest(value.encode("utf-8"))
+        elif "\0" in value:  # no file name holds one, and opening it raises ValueError
             raise ValueError("a file path may not hold a NUL byte")
+        else:
+            sha256 = None
+        set_field = object.__setattr__  # past the __setattr__ that refuses every assignment
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "media_type", media_type)
+        set_field(self, "_sha256", sha256)
 
-    def _keep_digest(self, data: bytes) -> None:
-        object.__setattr__(self, "_sha256", hashlib.sha256(data).hexdigest())
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an ImageRef")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an ImageRef")
+
+    def _key(self) -> tuple:
+        return self.kind, self.value, self.media_type
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"ImageRef(kind={self.kind!r}, value={self.value!r}, media_type={self.media_type!r})"
+
+    def __reduce__(self):  # copy and pickle build the ref anew
+        return ImageRef, self._key()
 
     @property
     def sha256(self) -> str:
         if self._sha256 is None:  # a file ref's first use
-            self._keep_digest(Path(self.value).read_bytes())
+            object.__setattr__(self, "_sha256", _digest(Path(self.value).read_bytes()))
         return self._sha256
 
     @property
@@ -475,8 +518,7 @@ def load_dataset(path) -> list[Sample]:
     return samples
 
 
-@dataclass
-class DatasetStats:
+class DatasetStats(NamedTuple):
     total: int
     by_question_type: dict[QuestionType | None, int]
     by_error_category: dict[ErrorCategory, int]

@@ -16,9 +16,8 @@ points. Canonical serialization joins facts with ", " and arguments with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import Decimal
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 # Known predicate arities; unknown predicates are allowed any arity.
 DEFAULT_ARITY: Mapping[str, int] = {
@@ -43,16 +42,14 @@ class ParseError(ValueError):
         super().__init__(f"at byte {offset}: expected {want}, found {found}")
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
+class Symbol(NamedTuple):
     name: str
 
     def render(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True)
-class Number:
+class Number(NamedTuple):
     value: Decimal
 
     def render(self) -> str:
@@ -66,8 +63,7 @@ class Number:
 Arg = Symbol | Number
 
 
-@dataclass(frozen=True, slots=True)
-class GeometryFact:
+class GeometryFact(NamedTuple):
     predicate: str
     args: tuple[Arg, ...]
 
@@ -146,8 +142,7 @@ def serialize_facts(facts: Iterable[GeometryFact]) -> str:
     return ", ".join(f.render() for f in facts)
 
 
-@dataclass(frozen=True)
-class ArityViolation:
+class ArityViolation(NamedTuple):
     fact_index: int
     predicate: str
     expected: int
@@ -176,14 +171,12 @@ TABULAR_ENVIRONMENTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class TableFinding:
+class TableFinding(NamedTuple):
     offset: int  # character offset into the checked text
     message: str
 
 
-@dataclass
-class TableReport:
+class TableReport(NamedTuple):
     ok: bool
     findings: list[TableFinding]
     columns: int | None

@@ -8,10 +8,9 @@ algebraic identity, because no floating point enters the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, NamedTuple, Protocol
 
 from .data_model import ErrorCategory, Sample
 from .rounding import as_fraction, round_half_up
@@ -37,8 +36,7 @@ UNPARSED = "unparsed"
 CONFUSION_ROWS = tuple(c.value for c in ErrorCategory) + (UNPARSED,)
 
 
-@dataclass
-class ScoredRun:
+class ScoredRun(NamedTuple):
     """One scoring pass; category_accuracy leaves out categories the samples lack."""
 
     n: int

@@ -36,7 +36,6 @@ import reprlib
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring as _quote
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -52,7 +51,7 @@ from .backends import (
     RequestSettings,
 )
 from .consistency import ConsistencyVerdict, check_consistency
-from .data_model import ErrorCategory, IdentityEnum, QuestionType, Sample, parse_json
+from .data_model import BuiltByNew, ErrorCategory, IdentityEnum, QuestionType, Sample, parse_json
 from .interpreter import VisualTranscript, interpret_visual, resolve_question_type
 from .prompts import PromptSet, packaged_prompts
 
@@ -64,22 +63,39 @@ class AblationMode(IdentityEnum):
     NO_ANALYZER = "no_analyzer"
 
 
-@dataclass(frozen=True)
-class PhaseSetup:
+class PhaseSetup(NamedTuple):
     backend: Backend
     settings: RequestSettings = RequestSettings()
 
 
-@dataclass(frozen=True)
-class PipelineSetup:
+class _SetupFields(NamedTuple):
     phase1: PhaseSetup
     phase2: PhaseSetup
     phase3: PhaseSetup
     # per-question-type overrides for phase 2; phase2 handles the rest
-    router: dict[QuestionType, PhaseSetup] = field(default_factory=dict)
-    prompts: PromptSet = field(default_factory=packaged_prompts)
+    router: dict[QuestionType, PhaseSetup]
+    prompts: PromptSet
     # the memo every call asks first; the modes and runs on this setup share it
-    cache: ReplayCache = field(default_factory=ReplayCache)
+    cache: ReplayCache
+
+
+class PipelineSetup(BuiltByNew, _SetupFields):
+    """One command's phases, routes, prompts and memo.
+
+    A router, prompts or cache left out (or None) is made here: an empty
+    router, the packaged prompts, and a new in-memory ReplayCache, so no
+    two setups share a cache they were not given.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, phase1, phase2, phase3, router=None, prompts=None, cache=None):
+        return tuple.__new__(cls, (
+            phase1, phase2, phase3,
+            {} if router is None else router,
+            packaged_prompts() if prompts is None else prompts,
+            ReplayCache() if cache is None else cache,
+        ))
 
     def phase2_for(self, question_type: QuestionType | None) -> PhaseSetup:
         if question_type is not None and question_type in self.router:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .data_model import BadText, decode_utf8
+from .data_model import BadText, BuiltByNew, decode_utf8
 
 PROMPT_FILES = {
     "phase1_consistency": "phase1_consistency.prompt",
@@ -28,17 +28,29 @@ _PACKAGED_DIR = Path(__file__).parent / "prompts"
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
 
 
-@dataclass(frozen=True)
-class PromptSet:
-    """The six prompt templates of one pipeline setup, read from disk and split once."""
-
+class _PromptFields(NamedTuple):
     templates: dict[str, str]
     # each template split once: literal text at even indices, placeholder names at odd ones
-    _parts: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    parts: dict[str, tuple[str, ...]]
 
-    def __post_init__(self):
-        parts = {name: tuple(_PLACEHOLDER_RE.split(text)) for name, text in self.templates.items()}
-        object.__setattr__(self, "_parts", parts)
+
+class PromptSet(BuiltByNew, _PromptFields):
+    """The six prompt templates of one pipeline setup, read from disk and split once.
+
+    Built from its templates alone; __new__ splits them into parts, here.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, templates: dict[str, str]):
+        parts = {name: tuple(_PLACEHOLDER_RE.split(text)) for name, text in templates.items()}
+        return tuple.__new__(cls, (templates, parts))
+
+    def __getnewargs__(self):  # what copy, pickle and _replace pass to __new__
+        return self[:-1]
+
+    def __repr__(self):
+        return f"PromptSet(templates={self.templates!r})"
 
     @classmethod
     def load(cls, prompt_dir=None) -> "PromptSet":
@@ -67,7 +79,7 @@ class PromptSet:
         return cls(templates)
 
     def render(self, name: str, values: dict[str, str]) -> str:
-        return render_prompt(self._parts[name], values)
+        return render_prompt(self.parts[name], values)
 
 
 # the packaged set, read on first call and shared afterwards

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
 from decimal import Decimal
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .data_model import ErrorCategory, Sample
+from .data_model import BuiltByNew, ErrorCategory, Sample
 from .metrics import Prediction, average_score, improvement_delta, score_run
 from .rounding import format_signed, round_half_up
 
@@ -42,13 +41,22 @@ CALL_COLUMNS = (
 )
 
 
-@dataclass
-class ReportRow:
+class _RowFields(NamedTuple):
     model: str
     values: dict[str, Decimal | None]
-    deltas: dict[str, Decimal] = field(default_factory=dict)
-    failures: int = 0  # the samples of n_samples that failed, each scored as a miss
-    n_samples: int = 0
+    deltas: dict[str, Decimal]
+    failures: int  # the samples of n_samples that failed, each scored as a miss
+    n_samples: int
+
+
+class ReportRow(BuiltByNew, _RowFields):
+    """One report row; deltas left out (or None) is a new empty dict, never a shared one."""
+
+    __slots__ = ()
+
+    def __new__(cls, model, values, deltas=None, failures=0, n_samples=0):
+        deltas = {} if deltas is None else deltas
+        return tuple.__new__(cls, (model, values, deltas, failures, n_samples))
 
 
 def build_report_row(
@@ -79,7 +87,7 @@ def attach_deltas(row: ReportRow, baseline: ReportRow) -> ReportRow:
         base = baseline.values.get(column)
         if ours is not None and base is not None:
             deltas[column] = improvement_delta(base, ours)
-    return replace(row, deltas=deltas)
+    return row._replace(deltas=deltas)
 
 
 def _cell(value: Decimal | None) -> str:

@@ -4,6 +4,7 @@ import base64
 import copy
 import email.utils
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -12,6 +13,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -30,32 +32,42 @@ from mathagent import (
     ConsistencyVerdict,
     Detection,
     FinishReason,
+    GeometryFact,
     HttpBackend,
     ImageKind,
     ImageRef,
     ModelRequest,
     ModelResponse,
+    Number,
     PhaseSetup,
     PhaseTrace,
     PipelineSetup,
     ReplayCache,
+    ReportRow,
     Representation,
     RequestSettings,
     RetryPolicy,
     ScriptMiss,
     ScriptedBackend,
+    Symbol,
     TransportError,
     VisualTranscript,
     analyze,
     backends,
     build_analysis_prompt,
     check_consistency,
+    check_latex_table,
+    cli,
+    dataset_stats,
     detect_errors,
     interpret_visual,
     load_dataset,
     request_fingerprint,
     resolve_question_type,
+    score_run,
+    validate_arity,
 )
+from mathagent.prompts import packaged_prompts
 
 
 def text_request(text="hello", image=None, phase="", sample_id=None, attempt=0, **knobs):
@@ -66,6 +78,14 @@ def text_request(text="hello", image=None, phase="", sample_id=None, attempt=0, 
 
 def inline_ref(b64=TINY_PNG_BASE64, media_type="image/png"):
     return ImageRef(kind=ImageKind.INLINE_BASE64, value=b64, media_type=media_type)
+
+
+def loaded_spec(tmp_path, spec: dict):
+    """The BackendSpec cli.load_config makes of spec, from a config whose three phases use it."""
+    config = tmp_path / "config.json"
+    phases = {"phase1": spec, "phase2": spec, "phase3": spec}
+    config.write_text(json.dumps({"dataset": "d.jsonl", "backends": phases}), encoding="utf-8")
+    return cli.load_config(config).backends["phase1"]
 
 
 def canonical_sha256(payload) -> str:
@@ -95,8 +115,15 @@ class TestRequestValidation:
         assert str(from_request.value) == str(from_settings.value)
 
 
+PHASE = PhaseSetup(ScriptedBackend(default_reply="ok"))
+HTTP_SPEC = cli.BackendSpec(
+    RequestSettings(), {"base_url": "http://localhost:9", "retry": RetryPolicy()}, None
+)
+DETECTION = Detection("t1", AblationMode.FULL, 1, None, PhaseTrace(None, None, "", []))
+
+
 class TestValueTypes:
-    """The values built for each model call and for each sample are immutable tuples."""
+    """Every mathagent value type is an immutable tuple, but ImageRef, a slots class."""
 
     VALUES = {
         "ModelRequest": text_request(),
@@ -107,16 +134,79 @@ class TestValueTypes:
         "VisualTranscript": VisualTranscript(Representation.CAPTION, "c", None, None),
         "Sample": make_sample(),
         "PhaseTrace": PhaseTrace(None, None, "", []),
-        "Detection": Detection("t1", AblationMode.FULL, None, None, PhaseTrace(None, None, "", [])),
+        "Detection": DETECTION,
+        "RequestSettings": RequestSettings("m", "sys", 0.5, 64),
+        "RetryPolicy": RetryPolicy(2, 10),
+        "BackendSpec": HTTP_SPEC,
+        "RunConfig": cli.RunConfig(
+            Path("d.jsonl"), AblationMode.FULL, {"phase1": HTTP_SPEC}, packaged_prompts(), {},
+            None, Path("out"),
+        ),
+        "ImageRef": inline_ref(),
+        "DatasetStats": dataset_stats([make_sample()]),
+        "Symbol": Symbol("AB"),
+        "Number": Number(Decimal("4.5")),
+        "GeometryFact": GeometryFact("Line", (Symbol("AB"), Number(Decimal("5")))),
+        "ArityViolation": validate_arity([GeometryFact("Line", (Symbol("AB"),))])[0],
+        "TableFinding": check_latex_table("{").findings[0],
+        "TableReport": check_latex_table("\\begin{tabular}{cc}a & b\\\\ c & d\\end{tabular}"),
+        "ScoredRun": score_run([DETECTION], [make_sample()]),
+        "PhaseSetup": PHASE,
+        "PipelineSetup": PipelineSetup(PHASE, PHASE, PHASE),
+        "PromptSet": packaged_prompts(),
+        "ReportRow": ReportRow("m", {"step": Decimal("50.00")}, {"step": Decimal("1.5")}, 1, 2),
     }
+    # a backend and a memo compare by identity, and a memo holds a lock, which cannot be
+    # pickled, so only a shallow copy of a value holding one equals it
+    HOLDS_A_BACKEND = {"PhaseSetup", "PipelineSetup"}
 
     @pytest.mark.parametrize("name", VALUES)
     def test_assigning_to_a_field_raises(self, name):
         value = self.VALUES[name]
-        for field in (*value._fields, "not_a_field"):
+        fields = value._fields if isinstance(value, tuple) else value.__slots__
+        for field in (*fields, "not_a_field"):  # not_a_field: no subclass has a __dict__
             with pytest.raises(AttributeError):
                 setattr(value, field, None)
         assert value == self.VALUES[name]
+
+    @pytest.mark.parametrize("name", VALUES)
+    def test_copies_and_pickles_equal(self, name):
+        value = self.VALUES[name]
+        copies = [copy.copy(value)]
+        if name not in self.HOLDS_A_BACKEND:
+            copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+        for copied in copies:
+            assert type(copied) is type(value)
+            assert copied == value
+            assert repr(copied) == repr(value)
+
+    def test_replace_checks_and_derives_again(self):
+        with pytest.raises(ValueError, match="'max_attempts'"):
+            RetryPolicy()._replace(max_attempts=0)
+        with pytest.raises(ValueError, match="'temperature'"):
+            RequestSettings()._replace(temperature=2)
+        assert RequestSettings()._replace(model_id="x") == RequestSettings(model_id="x")
+        with pytest.raises(TypeError):
+            RequestSettings()._replace(frame=("", ""))  # derived, so not a field to set
+        prompts = packaged_prompts()._replace(templates={"one": "a {{b}}"})
+        assert prompts.parts == {"one": ("a ", "b", "")}
+
+    def test_setups_built_without_a_cache_never_share_one(self):
+        first, second = PipelineSetup(PHASE, PHASE, PHASE), PipelineSetup(PHASE, PHASE, PHASE)
+        assert isinstance(first.cache, ReplayCache)
+        assert first.cache is not second.cache
+        assert first.router is not second.router
+        assert first.prompts is second.prompts is packaged_prompts()
+        assert first._replace(phase1=PHASE).cache is first.cache  # a given cache is kept
+        assert ReportRow("m", {}).deltas is not ReportRow("m", {}).deltas
+
+    def test_cli_fills_an_http_spec_with_the_backend_defaults(self, tmp_path):
+        spec = {"kind": "http", "base_url": "http://localhost:9"}
+        knobs = dict(loaded_spec(tmp_path, spec).http)
+        assert knobs.pop("base_url") == "http://localhost:9"
+        parameters = inspect.signature(HttpBackend).parameters
+        assert knobs == {name: parameters[name].default for name in knobs}
+        assert knobs.keys() == {"api_key_env", "retry", "rate_limit", "timeout_s"}
 
     def test_two_traces_never_share_a_call_list(self):
         assert "backend_calls" not in PhaseTrace._field_defaults
@@ -316,6 +406,24 @@ class TestFingerprint:
             "temperature": temperature,
         }
         assert request.fingerprint == request_fingerprint(request) == canonical_sha256(payload)
+
+    def test_a_config_temperature_of_0_frames_as_json_writes_it(self, tmp_path):
+        spec = {"kind": "scripted", "default_reply": "ok", "model_id": "m", "temperature": 0}
+        settings_ = loaded_spec(tmp_path, spec).settings
+        assert type(settings_.temperature) is int
+        assert settings_.frame[1].endswith(',"temperature":0}')
+        request = ModelRequest("q", None, settings_)
+        payload = {
+            "max_tokens": 1024,
+            "model_id": "m",
+            "segments": [{"kind": "text", "text": "q"}],
+            "system_prompt": "",
+            "temperature": 0,
+        }
+        assert request.fingerprint == canonical_sha256(payload)
+        as_float = ModelRequest("q", None, settings_._replace(temperature=0.0))
+        assert as_float.fingerprint == canonical_sha256({**payload, "temperature": 0.0})
+        assert as_float.fingerprint != request.fingerprint
 
 
 def endpoint_for(*faults, reply="fine", hold_s=0.0):
@@ -1163,7 +1271,10 @@ class TestReplayCacheAppends:
 
 
 class TestDeferredHttpImport:
-    """`requests` loads at the first HTTP send, not with mathagent."""
+    """`requests` loads at the first HTTP send, not with mathagent.
+
+    Importing mathagent loads neither dataclasses nor inspect at all.
+    """
 
     def run_code(self, code):
         proc = run_python("-c", code)
@@ -1193,6 +1304,15 @@ class TestDeferredHttpImport:
             "print(code, 'requests' in sys.modules)"
         )
         assert out.splitlines()[-1] == "0 False"
+
+    def test_import_leaves_dataclasses_and_inspect_unloaded(self):
+        # -S: no site hook (a .pth file of the interpreter's) imports either before mathagent
+        proc = run_python(
+            "-S", "-c", "import sys, mathagent.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_module_attribute_names_requests(self):
         import requests

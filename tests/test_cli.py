@@ -332,16 +332,14 @@ class TestRun:
             tmp_path, tmp_path / "out", backends={"phase1": http, "phase2": http, "phase3": http}
         )
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
-        # an AuthError is a fault of the run: the first sample's stops it
+        # an AuthError is a fault of the run: the setup finds this key before any sample runs
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
-            "INFO running 12 samples in mode full on 4 worker(s)",
             "ERROR auth: environment variable MATHAGENT_API_KEY is not printable ASCII",
         ]
-        detections = (tmp_path / "out" / "detections.jsonl").read_text(encoding="utf-8")
-        assert "sk-abc" not in proc.stderr + detections
-        assert detections == ""
+        assert "sk-abc" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestAblate:
@@ -1963,8 +1961,32 @@ class TestAuthStopsTheRun:
             f"auth: environment variable MATHAGENT_API_KEY {message}"
         ]
         assert endpoint.calls == 0
-        for path in detection_files(command, tmp_path / "run" / "out"):
-            assert read_lines(path) == [], path.name
+        assert not (tmp_path / "run" / "out").exists()  # found by the setup, before any output
+
+    @pytest.mark.parametrize("routed", [False, True], ids=["spare", "routed"])
+    def test_the_setup_checks_the_key_of_each_http_backend_it_uses(
+        self, tmp_path, capsys, caplog, monkeypatch, routed
+    ):
+        endpoint = FaultyEndpoint()
+        serve(endpoint, monkeypatch)
+        monkeypatch.delenv("MATHAGENT_API_KEY")
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
+        spare = {"kind": "http", "base_url": "http://localhost:9/v1"}
+        config = write_config(
+            tmp_path, tmp_path / "out",
+            backends={"phase1": scripted, "phase2": scripted, "phase3": scripted, "spare": spare},
+            router={"diagram": "spare"} if routed else {},
+        )
+        code = main(["run", "--config", str(config)])
+        capsys.readouterr()
+        if routed:
+            assert code == EXIT_CONFIG
+            message = "auth: environment variable MATHAGENT_API_KEY is not set"
+            assert self.errors(caplog) == [message]
+            assert not (tmp_path / "out").exists()
+        else:  # a spec no phase or route uses makes no call, so its key is not read
+            assert code == EXIT_OK
+        assert endpoint.calls == 0
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("rate_limit", [1, 3])

@@ -423,7 +423,8 @@ class TestImageRef:
         from_file = ImageRef(kind=ImageKind.FILE_PATH, value=str(path))
         assert inline.sha256 == from_file.sha256 == hashlib.sha256(data).hexdigest()
         for ref in (inline, from_file):
-            assert not any(isinstance(v, bytes) for v in vars(ref).values())
+            kept = [getattr(ref, name) for name in ImageRef.__slots__]  # all it holds
+            assert not any(isinstance(v, bytes) for v in kept)
 
     def test_a_hashed_file_ref_equals_a_fresh_one(self, tmp_path):
         path = tmp_path / "fig.png"
