@@ -19,10 +19,7 @@ RequestSettings and RetryPolicy, whose __new__ checks their knobs at
 every build, _replace included.
 
 The replay cache's lines and HTTP reply bodies are read by
-data_model.parse_json. It reads most of them in one scan of json's
-scanner: a value followed by JSON whitespace alone, with no \\u escape.
-Any other text goes through its full check, so both ways give the same
-value or the same error.
+data_model.parse_json, whose docstring says which texts it reads in one scan.
 
 HttpBackend builds its URL once, and its headers once per API key
 value; it reads and checks the key at every call, with read_api_key,

@@ -8,6 +8,10 @@ _replace. sample_from_dict checks a line's object in one pass: it reads
 each field once and takes a value of exactly the expected type as it is;
 any other value goes through the full check, which raises the SchemaError
 naming it. Question types and image kinds are looked up by their value.
+
+A category's accepted spellings are its short name, its long name and
+its entries in _CATEGORY_VARIANTS, all lowercased; parse_category looks
+a reply up among them.
 """
 
 from __future__ import annotations
@@ -148,44 +152,26 @@ _CATEGORY_LONG_NAMES = {
     ErrorCategory.MIS: "Misinterpretation of the Question",
 }
 
-# Accepted spellings, lowercased with collapsed whitespace. Total over the
-# canonical short and long names plus common variants seen in model replies.
-_CATEGORY_SYNONYMS: dict[str, ErrorCategory] = {}
+# plurals and variants seen in model replies, lowercased and single-spaced
+_CATEGORY_VARIANTS: dict[ErrorCategory, tuple[str, ...]] = {
+    ErrorCategory.VIS: ("visual perception errors", "visual perception", "visual error", "visual"),
+    ErrorCategory.CAL: (
+        "calculation errors", "calculation", "computational error", "computation error",
+    ),
+    ErrorCategory.REAS: ("reasoning errors", "reasoning", "logical error", "logic error"),
+    ErrorCategory.KNOW: ("knowledge errors", "knowledge"),
+    ErrorCategory.MIS: (
+        "misinterpretation of the qns", "misinterpretation error", "misinterpretation",
+        "question misinterpretation", "misunderstanding of the question",
+    ),
+}
 
-
-def _register_category(cat: ErrorCategory, *names: str) -> None:
-    for name in names:
-        key = " ".join(name.lower().split())
-        if key in _CATEGORY_SYNONYMS and _CATEGORY_SYNONYMS[key] is not cat:
-            raise AssertionError(f"ambiguous category synonym: {name}")
-        _CATEGORY_SYNONYMS[key] = cat
-
-
-_register_category(
-    ErrorCategory.VIS,
-    "vis", "visual perception error", "visual perception errors",
-    "visual perception", "visual error", "visual",
-)
-_register_category(
-    ErrorCategory.CAL,
-    "cal", "calculation error", "calculation errors", "calculation",
-    "computational error", "computation error",
-)
-_register_category(
-    ErrorCategory.REAS,
-    "reas", "reasoning error", "reasoning errors", "reasoning",
-    "logical error", "logic error",
-)
-_register_category(
-    ErrorCategory.KNOW,
-    "know", "knowledge error", "knowledge errors", "knowledge",
-)
-_register_category(
-    ErrorCategory.MIS,
-    "mis", "misinterpretation of the question", "misinterpretation of the qns",
-    "misinterpretation error", "misinterpretation",
-    "question misinterpretation", "misunderstanding of the question",
-)
+# every accepted spelling, in the form parse_category reduces its input to
+_CATEGORY_SYNONYMS = {
+    spelling: cat
+    for cat, variants in _CATEGORY_VARIANTS.items()
+    for spelling in (cat.value.lower(), _CATEGORY_LONG_NAMES[cat].lower(), *variants)
+}
 
 _STRIP_CHARS = " \t\r\n.,;:!?\"'`()[]{}#*_-"
 
@@ -360,21 +346,22 @@ _IMAGE_KINDS = {kind.value: kind for kind in ImageKind}
 _QUESTION_TYPES = {qtype.value: qtype for qtype in QuestionType}
 
 
+def _member(members: dict, raw: str, line_no: int, field_path: str, noun: str):
+    """The member of members whose value raw is; SchemaError lists the values if none is."""
+    member = members.get(raw)
+    if member is None:
+        message = f"unknown {noun} {raw!r}; expected one of " + ", ".join(members)
+        raise SchemaError(line_no, field_path, message)
+    return member
+
+
 def _image_from_obj(obj, line_no: int) -> ImageRef:
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "image", f"expected object, got {type(obj).__name__}")
     kind_raw = obj.get("kind")
-    kind = _IMAGE_KINDS.get(kind_raw) if type(kind_raw) is str else None
-    if kind is None:
+    if not isinstance(kind_raw, str):
         kind_raw = _require(obj, "kind", str, line_no)
-        try:
-            kind = ImageKind(kind_raw)
-        except ValueError:
-            raise SchemaError(
-                line_no, "image.kind",
-                f"unknown kind {kind_raw!r}; expected one of "
-                + ", ".join(k.value for k in ImageKind),
-            ) from None
+    kind = _member(_IMAGE_KINDS, kind_raw, line_no, "image.kind", "kind")
     value = obj.get("value")
     if type(value) is not str:
         value = _require(obj, "value", str, line_no)
@@ -396,19 +383,6 @@ def _image_from_obj(obj, line_no: int) -> ImageRef:
     except ValueError as exc:  # not base64, or a URL with a lone surrogate
         message = "not valid base64" if kind is ImageKind.INLINE_BASE64 else str(exc)
         raise SchemaError(line_no, "image.value", message) from None
-
-
-def _question_type(qt_raw, line_no: int) -> QuestionType:
-    if not isinstance(qt_raw, str):
-        raise SchemaError(line_no, "question_type", "expected string")
-    try:
-        return QuestionType(qt_raw)
-    except ValueError:
-        raise SchemaError(
-            line_no, "question_type",
-            f"unknown type {qt_raw!r}; expected one of "
-            + ", ".join(q.value for q in QuestionType),
-        ) from None
 
 
 def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
@@ -467,10 +441,11 @@ def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
     if image is not None:
         image = _image_from_obj(image, line_no)
 
-    qt_raw = get("question_type")
-    qtype = _QUESTION_TYPES.get(qt_raw) if type(qt_raw) is str else None
-    if qtype is None and qt_raw is not None:
-        qtype = _question_type(qt_raw, line_no)
+    qtype = get("question_type")
+    if isinstance(qtype, str):
+        qtype = _member(_QUESTION_TYPES, qtype, line_no, "question_type", "type")
+    elif qtype is not None:
+        raise SchemaError(line_no, "question_type", "expected string")
 
     return Sample(
         sample_id, question_text, correct, incorrect, tuple(steps), gt_step, category, image, qtype

@@ -98,9 +98,7 @@ class PipelineSetup(BuiltByNew, _SetupFields):
         ))
 
     def phase2_for(self, question_type: QuestionType | None) -> PhaseSetup:
-        if question_type is not None and question_type in self.router:
-            return self.router[question_type]
-        return self.phase2
+        return self.router.get(question_type, self.phase2)
 
 
 class PhaseTrace(NamedTuple):
@@ -159,37 +157,34 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
     AuthError is raised instead: a key or endpoint that refuses one
     sample refuses them all, so it is a fault of the run.
     """
+    phase1, phase2, phase3, _, prompts, cache = setup  # a local reads faster than a field
     calls: list[CallRecord] = []
 
     def bound(phase_setup: PhaseSetup) -> Backend:
-        return _RecordedCalls(phase_setup.backend, setup.cache, calls)
+        return _RecordedCalls(phase_setup.backend, cache, calls)
 
     phase = "phase1"
     verdict = transcript = step = category = failure = None
     raw = ""
     try:
         if mode is not AblationMode.NO_VALIDATOR:
-            verdict = check_consistency(
-                sample, bound(setup.phase1), setup.phase1.settings, setup.prompts
-            )
+            verdict = check_consistency(sample, bound(phase1), phase1.settings, prompts)
 
         if sample.image is not None and (verdict is None or not verdict.consistent):
             phase = "phase2"
             caption_only = mode is AblationMode.NO_INTERPRETER
             if caption_only:
                 # unified captioning: no type-driven scheduling, no inference
-                qtype, chosen = sample.question_type, setup.phase2
+                qtype, chosen = sample.question_type, phase2
             else:
-                qtype = resolve_question_type(
-                    sample, bound(setup.phase2), setup.phase2.settings, setup.prompts
-                )
+                qtype = resolve_question_type(sample, bound(phase2), phase2.settings, prompts)
                 chosen = setup.phase2_for(qtype)  # an unresolved type (None) gets phase2
             transcript = interpret_visual(
                 sample,
                 qtype,
                 bound(chosen),
                 chosen.settings,
-                setup.prompts,
+                prompts,
                 caption_only=caption_only,
             )
 
@@ -198,10 +193,10 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
         output = analyze(
             sample,
             transcript,
-            bound(setup.phase3),
-            setup.phase3.settings,
+            bound(phase3),
+            phase3.settings,
             include_problem_text=include_problem_text,
-            prompts=setup.prompts,
+            prompts=prompts,
         )
         raw = output.raw_text
         if output.parse_ok:

@@ -10,12 +10,11 @@ from typing import NamedTuple
 from .data_model import BadText, BuiltByNew, decode_utf8
 
 PROMPT_FILES = {
-    "phase1_consistency": "phase1_consistency.prompt",
-    "phase2_question_type": "phase2_question_type.prompt",
-    "phase2_formal": "phase2_formal.prompt",
-    "phase2_latex": "phase2_latex.prompt",
-    "phase2_caption": "phase2_caption.prompt",
-    "phase3_analyzer": "phase3_analyzer.prompt",
+    name: f"{name}.prompt"
+    for name in (
+        "phase1_consistency", "phase2_question_type", "phase2_formal",
+        "phase2_latex", "phase2_caption", "phase3_analyzer",
+    )
 }
 
 # the placeholders each template's phase fills

@@ -16,28 +16,18 @@ from .data_model import BuiltByNew, ErrorCategory, Sample
 from .metrics import Prediction, average_score, improvement_delta, score_run
 from .rounding import format_signed, round_half_up
 
-COLUMNS = ("step", "vis", "cal", "reas", "know", "mis", "overall", "average")
-CSV_HEADER = "model,step,vis,cal,reas,know,mis,overall,average"
+_CATEGORY_COLUMNS = {c.value.lower(): c for c in ErrorCategory}
+COLUMNS = ("step", *_CATEGORY_COLUMNS, "overall", "average")
+CSV_HEADER = ",".join(("model", *COLUMNS))
 
 _MD_TITLES = {
-    "step": "STEP", "vis": "VIS", "cal": "CAL", "reas": "REAS",
-    "know": "KNOW", "mis": "MIS", "overall": "Overall", "average": "Average",
-}
-
-_CATEGORY_COLUMNS = {
-    "vis": ErrorCategory.VIS,
-    "cal": ErrorCategory.CAL,
-    "reas": ErrorCategory.REAS,
-    "know": ErrorCategory.KNOW,
-    "mis": ErrorCategory.MIS,
+    "step": "STEP", **{column: c.value for column, c in _CATEGORY_COLUMNS.items()},
+    "overall": "Overall", "average": "Average",
 }
 
 # phase tag -> ablation.csv call-count column
-CALL_COLUMNS = (
-    ("phase1", "calls_phase1"),
-    ("phase2.type", "calls_phase2_type"),
-    ("phase2", "calls_phase2"),
-    ("phase3", "calls_phase3"),
+CALL_COLUMNS = tuple(
+    (tag, "calls_" + tag.replace(".", "_")) for tag in ("phase1", "phase2.type", "phase2", "phase3")
 )
 
 
@@ -103,6 +93,11 @@ def render_csv(rows: Iterable[ReportRow]) -> str:
     return buf.getvalue()
 
 
+def _label_cell(label: str) -> str:
+    """label as one Markdown table cell: a pipe escaped, a line break a space."""
+    return label.replace("|", "\\|").replace("\r", " ").replace("\n", " ")
+
+
 def render_markdown(rows: Sequence[ReportRow]) -> str:
     """The table, then a line for each row with failures, naming the row when there are two."""
     header = "| Model | " + " | ".join(_MD_TITLES[c] for c in COLUMNS) + " |"
@@ -119,7 +114,7 @@ def render_markdown(rows: Sequence[ReportRow]) -> str:
             if column in row.deltas:
                 text += f" <sup>{format_signed(row.deltas[column], 1)}</sup>"
             cells.append(text)
-        lines.append("| " + row.model + " | " + " | ".join(cells) + " |")
+        lines.append("| " + _label_cell(row.model) + " | " + " | ".join(cells) + " |")
     notes = [
         f"{row.model + ': ' if len(rows) > 1 else ''}{row.failures} of {row.n_samples} samples "
         "failed; a failed sample is scored as wrong"

@@ -33,9 +33,11 @@ from mathagent import (
     scan_dataset,
     write_dataset,
 )
+from mathagent import data_model
 from mathagent.data_model import (
     DEFAULT_IMAGE_MEDIA_TYPES, BadText, IdentityEnum, decode_utf8, parse_json,
 )
+from mathagent.interpreter import TYPE_SYNONYMS
 
 VALID = {
     "id": "q1",
@@ -82,6 +84,40 @@ class TestParseCategory:
         for cat in ErrorCategory:
             assert parse_category(cat.long_name) is cat
             assert parse_category(cat.value) is cat
+
+
+# every spelling parse_category accepts, and the category it names
+CATEGORY_SPELLINGS = {
+    "vis": "VIS", "visual perception error": "VIS", "visual perception errors": "VIS",
+    "visual perception": "VIS", "visual error": "VIS", "visual": "VIS",
+    "cal": "CAL", "calculation error": "CAL", "calculation errors": "CAL",
+    "calculation": "CAL", "computational error": "CAL", "computation error": "CAL",
+    "reas": "REAS", "reasoning error": "REAS", "reasoning errors": "REAS",
+    "reasoning": "REAS", "logical error": "REAS", "logic error": "REAS",
+    "know": "KNOW", "knowledge error": "KNOW", "knowledge errors": "KNOW", "knowledge": "KNOW",
+    "mis": "MIS", "misinterpretation of the question": "MIS",
+    "misinterpretation of the qns": "MIS", "misinterpretation error": "MIS",
+    "misinterpretation": "MIS", "question misinterpretation": "MIS",
+    "misunderstanding of the question": "MIS",
+}
+
+
+class TestLabelTables:
+    def test_each_spelling_names_one_label_in_the_form_it_is_looked_up(self):
+        categories = {
+            cat: (cat.value.lower(), cat.long_name.lower(), *data_model._CATEGORY_VARIANTS[cat])
+            for cat in ErrorCategory
+        }
+        for table in (categories, TYPE_SYNONYMS):
+            label_of = {}
+            for label, spellings in table.items():
+                for spelling in spellings:
+                    first = label_of.setdefault(spelling, label)
+                    assert first is label, f"{spelling!r} is listed under {first} and {label}"
+        for key in data_model._CATEGORY_SYNONYMS:
+            assert key == " ".join(key.strip(data_model._STRIP_CHARS).lower().split()), key
+        resolved = {key: cat.value for key, cat in data_model._CATEGORY_SYNONYMS.items()}
+        assert resolved == CATEGORY_SPELLINGS
 
 
 class TestSampleFromDict:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -155,6 +156,14 @@ class TestRenderMarkdown:
             "demo", {"mis": Decimal("36.60")}, {"mis": Decimal("0.0")}
         )
         assert "36.60 <sup>+0.0</sup>" in render_markdown([row])
+
+    def test_a_label_stays_in_its_one_cell(self):
+        rows = [ReportRow(label, {"step": Decimal("75.00")}) for label in ("gpt|4o", "a\nb", "c\r\nd")]
+        lines = render_markdown(rows).splitlines()
+        assert len(lines) == 2 + len(rows)
+        for line in lines:  # a \| is a pipe inside a cell, not a cell border
+            assert len(re.findall(r"(?<!\\)\|", line)) == len(COLUMNS) + 2
+        assert [line.split(" | ")[0] for line in lines[2:]] == ["| gpt\\|4o", "| a b", "| c  d"]
 
     def test_ends_with_single_newline(self):
         text = render_markdown(reference_rows())
