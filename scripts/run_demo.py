@@ -39,7 +39,7 @@ def main() -> int:
     failures = [d for d in detections if d.failure is not None]
     print(f"full pipeline: {len(detections)} detections, {len(failures)} failures")
     print()
-    print(render_markdown([build_report_row(detections, samples, "scripted-12")]))
+    print(render_markdown([build_report_row(detections, samples, "scripted-12", len(failures))]))
 
     entries = []
     for mode in AblationMode:

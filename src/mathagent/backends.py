@@ -402,12 +402,9 @@ class HttpBackend:
         if not isinstance(content, str):
             raise BadResponse("message content is not a string")
         raw_reason = choice.get("finish_reason")
-        if raw_reason == "stop":
-            reason = FinishReason.STOP
-        elif raw_reason == "length":
-            reason = FinishReason.LENGTH
-        else:
-            reason = FinishReason.ERROR
+        reason = FinishReason.ERROR  # for any reason but stop and length, a string or not
+        if isinstance(raw_reason, str):  # a list or an object is unhashable
+            reason = _FINISH_REASONS.get(raw_reason, reason)
         return ModelResponse(text=content, finish_reason=reason, latency_ms=latency_ms)
 
 
@@ -475,10 +472,11 @@ def _script_replies(value, where: str) -> tuple[ModelResponse, ...]:
         text, reason = item, "stop"
         if isinstance(item, Mapping) and item.keys() <= {"text", "finish_reason"}:
             text, reason = item.get("text"), item.get("finish_reason", "stop")
-        if not isinstance(text, str) or reason not in [r.value for r in FinishReason]:
+        reason = isinstance(reason, str) and _FINISH_REASONS.get(reason)
+        if not isinstance(text, str) or not reason:
             raise ValueError(f"script {where!r}: {item!r} is not a string, a non-empty list or "
                              '{"text": str, "finish_reason": "stop" | "length" | "error"}')
-        replies.append(ModelResponse(text, FinishReason(reason), latency_ms=0.0))
+        replies.append(ModelResponse(text, reason, latency_ms=0.0))
     return tuple(replies)
 
 

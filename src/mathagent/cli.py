@@ -29,7 +29,6 @@ from .backends import (
     DEFAULT_TIMEOUT_S,
     MAX_RATE_LIMIT,
     AuthError,
-    Backend,
     HttpBackend,
     ReplayCache,
     RequestSettings,
@@ -97,28 +96,15 @@ _SCRIPTED_KEYS = _SPEC_KEYS | {"script_path", "default_reply"}
 _INLINE_SCRIPT_KEYS = _SCRIPTED_KEYS | {"phases", "by_fingerprint"}  # a script in the spec
 
 
-class BackendSpec(NamedTuple):
-    """One checked backend spec: its request knobs and what builds its backend."""
-
-    settings: RequestSettings
-    http: dict | None  # HttpBackend's keyword arguments, retry built
-    scripted: ScriptedBackend | None  # the spec's backend, when http is None
-
-    def build(self, gates: dict[str, threading.Semaphore]) -> Backend:
-        """The scripted backend, which holds no state, or an http one on its base_url's gate."""
-        if self.http is None:
-            return self.scripted
-        return HttpBackend(**self.http, gate=gates.get(self.http["base_url"]))
-
-
 class RunConfig(NamedTuple):
     dataset: Path
     mode: AblationMode
-    backends: dict[str, BackendSpec]
+    backends: dict[str, PhaseSetup]  # built once; every HTTP one waits on its base_url's gate
     prompts: PromptSet
     router: dict[str, str]
     cache_path: Path | None
     output_dir: Path
+    workers: int  # the slots of every gate, up to MAX_RATE_LIMIT; 1 for a scripted-only run
 
 
 def _resolve(base: Path, value: str, key: str) -> Path:
@@ -150,7 +136,7 @@ def _path(raw: dict, key: str, base: Path, default: str | None = None) -> Path |
 
 
 def load_config(path) -> RunConfig:
-    """Read and check a run config, its scripts and its prompt set; problems raise ConfigError."""
+    """Read and check a run config, its scripts and prompt set, then build its backends."""
     config_path = Path(path)
     try:
         raw = parse_json(config_path.read_bytes())
@@ -194,24 +180,43 @@ def load_config(path) -> RunConfig:
     scripts: dict[Path, object] = {}  # each script file read once, whichever specs name it
     try:
         prompts = PromptSet.load(prompt_dir)
-        backends = {
+        checked = {
             name: _backend_spec(spec, base, scripts, f"backends.{name}.")
             for name, spec in specs.items()
         }
     except (OSError, ValueError) as exc:
         # missing prompt assets or script files, bad scripts, knobs out of range
         raise ConfigError(str(exc)) from exc
+    # every spec has passed: one in-flight gate per base_url, sized by its smallest rate_limit
+    limits: dict[str, int] = {}
+    for _, made in checked.values():
+        if isinstance(made, dict):
+            url, limit = made["base_url"], made["rate_limit"]
+            limits[url] = min(limit, limits.get(url, limit))
+    gates = {url: threading.Semaphore(limit) for url, limit in limits.items()}
+    backends = {
+        name: PhaseSetup(
+            HttpBackend(**made, gate=gates[made["base_url"]]) if isinstance(made, dict) else made,
+            settings,
+        )
+        for name, (settings, made) in checked.items()
+    }
+    # a worker per slot fills every gate, up to one gate's bound in all; a scripted-only run
+    # is CPU-bound, so it takes one
+    workers = min(sum(limits.values()), MAX_RATE_LIMIT) or 1
     return RunConfig(
-        dataset, AblationMode(mode), backends, prompts, router, cache_path, output_dir
+        dataset, AblationMode(mode), backends, prompts, router, cache_path, output_dir, workers
     )
 
 
-def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: str) -> BackendSpec:
-    """A checked backend spec at where; the constructors run their own range and shape checks."""
+def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: str) -> tuple:
+    """The spec at where, checked: (settings, ScriptedBackend or HttpBackend's keywords).
+
+    The constructors run their own range and shape checks.
+    """
     if not isinstance(spec, dict):
         raise ConfigError("backend spec must be an object")
     kind = spec.get("kind")
-    http = scripted = None
     if kind == "http":
         if "base_url" not in spec:
             raise ConfigError("http backend needs 'base_url'")
@@ -220,7 +225,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         _warn_unknown(spec, _HTTP_KEYS, where)
         _warn_unknown(retry_spec, _RETRY_KEYS, where + "retry.")
         # a knob the spec leaves out gets HttpBackend's own default
-        http = dict(
+        made = dict(
             base_url=base_url.rstrip("/"),
             api_key_env=_typed(spec, "api_key_env", str, DEFAULT_API_KEY_ENV, "a string"),
             retry=RetryPolicy(**{
@@ -230,7 +235,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
             rate_limit=_typed(spec, "rate_limit", int, DEFAULT_RATE_LIMIT, "an integer"),
             timeout_s=_typed(spec, "timeout_s", (int, float), DEFAULT_TIMEOUT_S, "a number"),
         )
-        HttpBackend(**http)  # built only for its range checks, as RetryPolicy was
+        HttpBackend(**made)  # built for its range checks, before a bad rate_limit sizes a gate
     elif kind == "scripted":
         _warn_unknown(spec, _SCRIPTED_KEYS if "script_path" in spec else _INLINE_SCRIPT_KEYS, where)
         script = spec
@@ -245,7 +250,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
             script = scripts[path]
             if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
                 script = {**script, "default_reply": spec["default_reply"]}
-        scripted = ScriptedBackend.from_script(script)  # checks the script's shape
+        made = ScriptedBackend.from_script(script)  # checks the script's shape
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
     default = RequestSettings()
@@ -255,20 +260,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
         max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
     )
-    return BackendSpec(settings, http, scripted)
-
-
-def _http_gates(config: RunConfig) -> tuple[dict[str, threading.Semaphore], int]:
-    """One in-flight gate per HTTP base_url, sized by the smallest rate_limit on it, and workers."""
-    limits: dict[str, int] = {}
-    for spec in config.backends.values():
-        if spec.http is not None:
-            url, limit = spec.http["base_url"], spec.http["rate_limit"]
-            limits[url] = min(limit, limits.get(url, limit))
-    gates = {url: threading.Semaphore(limit) for url, limit in limits.items()}
-    # a worker per slot fills every gate, up to one gate's bound in all; a scripted-only run
-    # is CPU-bound, so it takes one
-    return gates, min(sum(limits.values()), MAX_RATE_LIMIT) or 1
+    return settings, made
 
 
 def _open_cache(config: RunConfig) -> ReplayCache:
@@ -280,31 +272,25 @@ def _open_cache(config: RunConfig) -> ReplayCache:
 
 
 def build_setup(config: RunConfig, config_base: Path | None = None) -> PipelineSetup:
-    """One command's setup on the config's checked specs; the caller closes its cache.
+    """One command's setup on the backends load_config built; the caller closes its cache.
 
     config_base is unused, since load_config resolved every path. An HTTP
     backend the setup uses whose key variable no request could send (see
-    backends.read_api_key) raises AuthError first, before any output is
-    made. Every call asks the config's cache, opened here, and each HTTP
-    backend waits on its base_url's gate, new here and shared by every
-    mode run on the setup. Scripted backends are the config's own.
+    backends.read_api_key) raises AuthError first, before the cache opens
+    or any output is made. Every call asks the config's cache, opened
+    here; the setups of one config share its backends, and so its gates.
     """
     phase2 = config.router.get("default", "phase2")
+    backends = config.backends
     # each backend a phase or a route uses, in the order a sample's calls meet them
     for name in dict.fromkeys(("phase1", phase2, "phase3", *config.router.values())):
-        http = config.backends[name].http
-        if http is not None:
-            read_api_key(http["api_key_env"])
-    cache = _open_cache(config)
-    gates, _ = _http_gates(config)
-    built = {
-        name: PhaseSetup(backend=spec.build(gates), settings=spec.settings)
-        for name, spec in config.backends.items()
-    }
-    router = {QuestionType(k): built[v] for k, v in config.router.items() if k != "default"}
+        backend = backends[name].backend
+        if not isinstance(backend, ScriptedBackend):  # an HttpBackend
+            read_api_key(backend.api_key_env)
+    router = {QuestionType(k): backends[v] for k, v in config.router.items() if k != "default"}
     return PipelineSetup(
-        built["phase1"], built[phase2], built["phase3"],
-        router=router, prompts=config.prompts, cache=cache,
+        backends["phase1"], backends[phase2], backends["phase3"],
+        router=router, prompts=config.prompts, cache=_open_cache(config),
     )
 
 
@@ -336,8 +322,8 @@ def _utc_now() -> str:
 
 def _detect(
     config: RunConfig, modes: list[AblationMode], names: list[str]
-) -> tuple[list[Sample], list[DetectionLog], int]:
-    """Stream each mode's detections into output_dir/<its name>: (samples, logs, workers).
+) -> tuple[list[Sample], list[DetectionLog]]:
+    """Stream each mode's detections into output_dir/<its name>: (samples, logs).
 
     Every mode runs on one setup. The output directory is made only once
     it and the dataset have loaded, so a config or dataset error leaves
@@ -346,10 +332,11 @@ def _detect(
     """
     setup = build_setup(config)
     with setup.cache:
-        _, workers = _http_gates(config)
         samples = _load_samples(config.dataset)
         in_turn = ", then ".join(mode.value for mode in modes)
-        log.info("running %d samples in mode %s on %d worker(s)", len(samples), in_turn, workers)
+        log.info(
+            "running %d samples in mode %s on %d worker(s)", len(samples), in_turn, config.workers
+        )
         with _writing_under(config.output_dir), contextlib.ExitStack() as stack:
             config.output_dir.mkdir(parents=True, exist_ok=True)
             logs = [
@@ -360,17 +347,17 @@ def _detect(
                 for det_log, det in zip(logs, detections):
                     det_log.add(det)
 
-            stream_detections(samples, modes, setup, emit, workers)
+            stream_detections(samples, modes, setup, emit, config.workers)
     for name, det_log in zip(names, logs):
         if det_log.failures:
             log.warning("%d of %d samples failed; see %s", det_log.failures, len(samples), name)
-    return samples, logs, workers
+    return samples, logs
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
     started = _utc_now()
-    samples, (detections,), workers = _detect(config, [config.mode], ["detections.jsonl"])
+    samples, (detections,) = _detect(config, [config.mode], ["detections.jsonl"])
     finished = _utc_now()
     model = config.backends["phase3"].settings.model_id
 
@@ -385,7 +372,7 @@ def cmd_run(args) -> int:
         "n_samples": len(samples),
         "n_failures": detections.failures,
         "call_counts": detections.calls,
-        "workers": workers,
+        "workers": config.workers,
         "started_at": started,
         "finished_at": finished,
     }
@@ -403,7 +390,7 @@ def cmd_ablate(args) -> int:
     config = load_config(args.config)
     modes = list(AblationMode)
     names = [f"detections_{mode.value}.jsonl" for mode in modes]
-    samples, logs, _ = _detect(config, modes, names)
+    samples, logs = _detect(config, modes, names)
     entries = [
         (mode.value, build_report_row(det_log.records, samples, mode.value), det_log.calls)
         for mode, det_log in zip(modes, logs)

@@ -63,6 +63,21 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a \uD800-\uDFFF escape
 _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, without its wrappers
 
 
+def _scan_as_loads(text: str, frames: int = 3):
+    """_scan_once(text, 0), called from as many Python frames down as json.loads calls it.
+
+    json.loads calls the scanner from its third frame (loads, decode,
+    raw_decode). Before Python 3.12 the C scanner's nesting counts against
+    the same recursion limit as Python frames, so a text nested to the
+    stack's edge parses or not by where its scan starts; starting it as
+    deep as json.loads does keeps the one scan's answer the one json.loads
+    gives there too.
+    """
+    if frames > 1:
+        return _scan_as_loads(text, frames - 1)
+    return _scan_once(text, 0)
+
+
 def parse_json(text: str | bytes):
     """The one reader of outside JSON: a value UTF-8 can encode, else BadText.
 
@@ -82,7 +97,7 @@ def parse_json(text: str | bytes):
     text = decode_utf8(text) if isinstance(text, bytes) else text
     if not raw and "\\u" not in text:
         try:
-            value, end = _scan_once(text, 0)
+            value, end = _scan_as_loads(text)
         except (StopIteration, ValueError, RecursionError):  # the full check words the error
             pass
         else:

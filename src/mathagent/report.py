@@ -116,8 +116,8 @@ def render_markdown(rows: Sequence[ReportRow]) -> str:
             cells.append(text)
         lines.append("| " + _label_cell(row.model) + " | " + " | ".join(cells) + " |")
     notes = [
-        f"{row.model + ': ' if len(rows) > 1 else ''}{row.failures} of {row.n_samples} samples "
-        "failed; a failed sample is scored as wrong"
+        f"{_label_cell(row.model) + ': ' if len(rows) > 1 else ''}{row.failures} of "
+        f"{row.n_samples} samples failed; a failed sample is scored as wrong"
         for row in rows
         if row.failures
     ]

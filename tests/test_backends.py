@@ -80,12 +80,12 @@ def inline_ref(b64=TINY_PNG_BASE64, media_type="image/png"):
     return ImageRef(kind=ImageKind.INLINE_BASE64, value=b64, media_type=media_type)
 
 
-def loaded_spec(tmp_path, spec: dict):
-    """The BackendSpec cli.load_config makes of spec, from a config whose three phases use it."""
+def loaded_config(tmp_path, spec: dict) -> cli.RunConfig:
+    """What cli.load_config makes of a config whose three phases use spec."""
     config = tmp_path / "config.json"
     phases = {"phase1": spec, "phase2": spec, "phase3": spec}
     config.write_text(json.dumps({"dataset": "d.jsonl", "backends": phases}), encoding="utf-8")
-    return cli.load_config(config).backends["phase1"]
+    return cli.load_config(config)
 
 
 def canonical_sha256(payload) -> str:
@@ -116,9 +116,6 @@ class TestRequestValidation:
 
 
 PHASE = PhaseSetup(ScriptedBackend(default_reply="ok"))
-HTTP_SPEC = cli.BackendSpec(
-    RequestSettings(), {"base_url": "http://localhost:9", "retry": RetryPolicy()}, None
-)
 DETECTION = Detection("t1", AblationMode.FULL, 1, None, PhaseTrace(None, None, "", []))
 
 
@@ -137,10 +134,9 @@ class TestValueTypes:
         "Detection": DETECTION,
         "RequestSettings": RequestSettings("m", "sys", 0.5, 64),
         "RetryPolicy": RetryPolicy(2, 10),
-        "BackendSpec": HTTP_SPEC,
         "RunConfig": cli.RunConfig(
-            Path("d.jsonl"), AblationMode.FULL, {"phase1": HTTP_SPEC}, packaged_prompts(), {},
-            None, Path("out"),
+            Path("d.jsonl"), AblationMode.FULL, {"phase1": PHASE}, packaged_prompts(), {},
+            None, Path("out"), 1,
         ),
         "ImageRef": inline_ref(),
         "DatasetStats": dataset_stats([make_sample()]),
@@ -156,9 +152,9 @@ class TestValueTypes:
         "PromptSet": packaged_prompts(),
         "ReportRow": ReportRow("m", {"step": Decimal("50.00")}, {"step": Decimal("1.5")}, 1, 2),
     }
-    # a backend and a memo compare by identity, and a memo holds a lock, which cannot be
-    # pickled, so only a shallow copy of a value holding one equals it
-    HOLDS_A_BACKEND = {"PhaseSetup", "PipelineSetup"}
+    # a backend and a memo compare by identity, and a memo or an HTTP backend holds a lock,
+    # which cannot be pickled, so only a shallow copy of a value holding one equals it
+    HOLDS_A_BACKEND = {"PhaseSetup", "PipelineSetup", "RunConfig"}
 
     @pytest.mark.parametrize("name", VALUES)
     def test_assigning_to_a_field_raises(self, name):
@@ -201,12 +197,13 @@ class TestValueTypes:
         assert ReportRow("m", {}).deltas is not ReportRow("m", {}).deltas
 
     def test_cli_fills_an_http_spec_with_the_backend_defaults(self, tmp_path):
-        spec = {"kind": "http", "base_url": "http://localhost:9"}
-        knobs = dict(loaded_spec(tmp_path, spec).http)
-        assert knobs.pop("base_url") == "http://localhost:9"
+        config = loaded_config(tmp_path, {"kind": "http", "base_url": "http://localhost:9"})
+        backend = config.backends["phase1"].backend
+        assert backend.base_url == "http://localhost:9"
         parameters = inspect.signature(HttpBackend).parameters
-        assert knobs == {name: parameters[name].default for name in knobs}
-        assert knobs.keys() == {"api_key_env", "retry", "rate_limit", "timeout_s"}
+        for name in ("api_key_env", "retry", "timeout_s"):
+            assert getattr(backend, name) == parameters[name].default, name
+        assert config.workers == parameters["rate_limit"].default  # its one base_url's gate
 
     def test_two_traces_never_share_a_call_list(self):
         assert "backend_calls" not in PhaseTrace._field_defaults
@@ -409,7 +406,7 @@ class TestFingerprint:
 
     def test_a_config_temperature_of_0_frames_as_json_writes_it(self, tmp_path):
         spec = {"kind": "scripted", "default_reply": "ok", "model_id": "m", "temperature": 0}
-        settings_ = loaded_spec(tmp_path, spec).settings
+        settings_ = loaded_config(tmp_path, spec).backends["phase1"].settings
         assert type(settings_.temperature) is int
         assert settings_.frame[1].endswith(',"temperature":0}')
         request = ModelRequest("q", None, settings_)
@@ -465,7 +462,10 @@ class TestHttpBackend:
     @pytest.mark.parametrize(
         "finish,expected",
         [("stop", FinishReason.STOP), ("length", FinishReason.LENGTH),
-         ("content_filter", FinishReason.ERROR), (None, FinishReason.ERROR)],
+         ("content_filter", FinishReason.ERROR), (None, FinishReason.ERROR),
+         # any other value is ERROR, and one that is not a string is never looked up
+         (["stop"], FinishReason.ERROR), ({"stop": 1}, FinishReason.ERROR),
+         (1, FinishReason.ERROR), ("error", FinishReason.ERROR)],
     )
     def test_finish_reason_mapping(self, monkeypatch, finish, expected):
         backend = http_backend(endpoint_for(Fault(finish_reason=finish)), monkeypatch)

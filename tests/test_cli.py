@@ -263,13 +263,12 @@ class TestRun:
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
         specs = {"phase1": spec, "phase2": scripted, "phase3": scripted}
         config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends=specs))
-        assert config.backends["phase1"].http == {
-            "base_url": "http://localhost:9",
-            "api_key_env": "MATHAGENT_API_KEY",
-            "retry": backends.RetryPolicy(max_attempts=3, backoff_base_ms=250),
-            "rate_limit": 4,
-            "timeout_s": 60.0,
-        }
+        backend = config.backends["phase1"].backend
+        assert backend.base_url == "http://localhost:9"
+        assert backend.api_key_env == "MATHAGENT_API_KEY"
+        assert backend.retry == backends.RetryPolicy(max_attempts=3, backoff_base_ms=250)
+        assert backend.timeout_s == 60.0
+        assert config.workers == 4  # the rate_limit of the one base_url
 
     def test_the_test_config_warns_of_nothing_and_the_benchmark_config_of_workers(
         self, tmp_path, caplog, monkeypatch
@@ -282,7 +281,7 @@ class TestRun:
         # the benchmark still sets the retired key; its rate_limit gives the same count
         config = cli.load_config(workload.write_config(tmp_path, cache=True))
         assert warnings(caplog) == ["config: unknown key 'workers' ignored"]
-        assert cli._http_gates(config)[1] == workload.WORKERS
+        assert config.workers == workload.WORKERS
 
     def test_a_workers_key_is_unknown_and_the_run_goes_on(self, tmp_path, capsys, caplog):
         out_dir = tmp_path / "out"
@@ -718,6 +717,7 @@ class TestConfigErrors:
             ("backoff_base_ms", int("9" * 322)),  # past a float
             ("max_attempts", 0),
             ("rate_limit", 0),
+            ("rate_limit", -1),  # a Semaphore of it would raise before HttpBackend names it
             ("rate_limit", 10**6),  # as many worker threads; rejected before any starts
             ("timeout_s", 0),
             ("timeout_s", -1.5),
@@ -726,8 +726,8 @@ class TestConfigErrors:
         ],
         ids=[
             "backoff_base_ms", "backoff_base_ms-huge", "backoff_base_ms-past-float",
-            "max_attempts", "rate_limit", "rate_limit-huge", "timeout_s-zero",
-            "timeout_s-negative", "timeout_s-huge", "timeout_s-infinity",
+            "max_attempts", "rate_limit", "rate_limit-negative", "rate_limit-huge",
+            "timeout_s-zero", "timeout_s-negative", "timeout_s-huge", "timeout_s-infinity",
         ],
     )
     def test_http_knob_out_of_range(self, tmp_path, knob, value):
@@ -1360,28 +1360,50 @@ class TestComputedOnce:
         capsys.readouterr()
         assert passes == {"run": 1, "ablate": 4, "report": 1, "report --baseline": 2}
 
+    @staticmethod
+    def count_calls(monkeypatch, *targets) -> Counter:
+        """Each call from here on of each (owner, name) in targets, counted by name."""
+        calls = Counter()
+        for owner, name in targets:
+            original = getattr(owner, name)
+
+            def call(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, call)
+        return calls
+
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_one_setup_and_one_backend_per_scripted_spec_per_command(
         self, tmp_path, capsys, monkeypatch, command
     ):
-        built = Counter()
-
-        def counted(name, original):
-            def call(*args, **kwargs):
-                built[name] += 1
-                return original(*args, **kwargs)
-
-            return call
-
-        monkeypatch.setattr(cli, "build_setup", counted("build_setup", cli.build_setup))
-        monkeypatch.setattr(
-            ScriptedBackend, "from_script", counted("from_script", ScriptedBackend.from_script)
+        built = self.count_calls(
+            monkeypatch, (cli, "build_setup"), (ScriptedBackend, "from_script")
         )
         config = write_config(tmp_path, tmp_path / "out")
         assert main([command, "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         # the test config's three scripted specs, each built once by load_config
         assert built == {"build_setup": 1, "from_script": 3}
+
+    def test_build_setup_builds_no_backend(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        http = {"kind": "http", "base_url": ONE_URL}
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends={
+            "phase1": http, "phase2": scripted, "phase3": {**http, "base_url": OTHER_URL},
+        }))
+        built = self.count_calls(
+            monkeypatch, (cli, "HttpBackend"), (ScriptedBackend, "from_script")
+        )
+        setups = [cli.build_setup(config), cli.build_setup(config)]
+        for setup in setups:
+            setup.cache.close()
+        assert built == {}
+        for name in cli.PHASE_NAMES:
+            phases = [getattr(setup, name) for setup in setups]
+            assert phases[0].backend is phases[1].backend is config.backends[name].backend
 
     def test_prompt_assets_read_once_per_command(self, tmp_path, capsys, monkeypatch):
         reads = count_file_reads(monkeypatch)
@@ -1820,7 +1842,7 @@ class TestWorkers:
             "phase2": {**spec, "rate_limit": 5},
             "phase3": {**spec, "base_url": OTHER_URL, "rate_limit": 3},
         })
-        assert cli._http_gates(cli.load_config(config))[1] == 2 + 3
+        assert cli.load_config(config).workers == 2 + 3
         assert main(["run", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
@@ -1834,8 +1856,9 @@ class TestWorkers:
             phase: {"kind": "http", "base_url": url, "rate_limit": top}
             for phase, url in zip(["phase1", "phase2", "phase3"], urls)
         })
-        gates, workers = cli._http_gates(cli.load_config(config))  # builds no pool
-        assert len(gates) == 3 and workers == top
+        loaded = cli.load_config(config)  # starts no pool
+        assert len({phase.backend._gate for phase in loaded.backends.values()}) == 3
+        assert loaded.workers == top
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_scripted_run_starts_no_pool_thread(self, tmp_path, capsys, monkeypatch, command):

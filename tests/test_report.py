@@ -165,6 +165,15 @@ class TestRenderMarkdown:
             assert len(re.findall(r"(?<!\\)\|", line)) == len(COLUMNS) + 2
         assert [line.split(" | ")[0] for line in lines[2:]] == ["| gpt\\|4o", "| a b", "| c  d"]
 
+    def test_a_label_stays_on_its_one_failure_line(self):
+        rows = [
+            ReportRow("a\nb", {"step": Decimal("50.00")}, failures=1, n_samples=2),
+            ReportRow("c", {"step": Decimal("50.00")}),
+        ]
+        assert render_markdown(rows).splitlines()[len(rows) + 2:] == [
+            "", "a b: 1 of 2 samples failed; a failed sample is scored as wrong"
+        ]
+
     def test_ends_with_single_newline(self):
         text = render_markdown(reference_rows())
         assert text.endswith("|\n")
