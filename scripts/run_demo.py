@@ -36,10 +36,10 @@ def main() -> int:
     phase = PhaseSetup(backend=ScriptedBackend.from_file(FIXTURES / "scripts_12.json"))
     setup = PipelineSetup(phase1=phase, phase2=phase, phase3=phase)
     detections = run_dataset(samples, AblationMode.FULL, setup)
-    failures = [d for d in detections if d.failure is not None]
-    print(f"full pipeline: {len(detections)} detections, {len(failures)} failures")
+    row = build_report_row(detections, samples, "scripted-12")
+    print(f"full pipeline: {len(detections)} detections, {row.failures} failures")
     print()
-    print(render_markdown([build_report_row(detections, samples, "scripted-12", len(failures))]))
+    print(render_markdown([row]))
 
     entries = []
     for mode in AblationMode:

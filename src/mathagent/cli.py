@@ -40,7 +40,6 @@ from .data_model import (
     EmptyDataset,
     ErrorCategory,
     QuestionType,
-    Sample,
     SchemaError,
     dataset_stats,
     load_dataset,
@@ -51,7 +50,6 @@ from .metrics import AlignmentError
 from .pipeline import (
     AblationMode,
     DetectionLog,
-    DetectionRecord,
     PhaseSetup,
     PipelineSetup,
     load_detections,
@@ -59,6 +57,7 @@ from .pipeline import (
 )
 from .prompts import PromptSet
 from .report import (
+    ReportRow,
     attach_deltas,
     build_report_row,
     render_ablation_csv,
@@ -238,7 +237,7 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
         HttpBackend(**made)  # built for its range checks, before a bad rate_limit sizes a gate
     elif kind == "scripted":
         _warn_unknown(spec, _SCRIPTED_KEYS if "script_path" in spec else _INLINE_SCRIPT_KEYS, where)
-        script = spec
+        script, source = spec, where[:-1]  # a bad script is named by its file, or by its spec
         if "script_path" in spec:
             value = _typed(spec, "script_path", str, None, "a path string")
             path = _resolve(base, value, where + "script_path")
@@ -247,10 +246,13 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
                     scripts[path] = parse_json(path.read_bytes())
                 except ValueError as exc:  # BadText, as for the config
                     raise ConfigError(f"script {path}: {exc}") from exc
-            script = scripts[path]
+            script, source = scripts[path], path
             if "default_reply" in spec and isinstance(script, dict):  # the spec's own wins
                 script = {**script, "default_reply": spec["default_reply"]}
-        made = ScriptedBackend.from_script(script)  # checks the script's shape
+        try:
+            made = ScriptedBackend.from_script(script)  # checks the script's shape
+        except ValueError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
     else:
         raise ConfigError(f"unknown backend kind {kind!r}")
     default = RequestSettings()
@@ -321,14 +323,15 @@ def _utc_now() -> str:
 
 
 def _detect(
-    config: RunConfig, modes: list[AblationMode], names: list[str]
-) -> tuple[list[Sample], list[DetectionLog]]:
-    """Stream each mode's detections into output_dir/<its name>: (samples, logs).
+    config: RunConfig, modes: list[AblationMode], names: list[str], labels: list[str]
+) -> list[tuple[ReportRow, dict[str, int]]]:
+    """Stream each mode's detections into output_dir/<its name>: its (row, calls per phase tag).
 
     Every mode runs on one setup. The output directory is made only once
     it and the dataset have loaded, so a config or dataset error leaves
     none; an AuthError that stops the run leaves the lines written before
-    it. A mode with failed samples gets a warning naming its file.
+    it. Then each mode's records are scored once, into a row named by its
+    label, and a mode with failed samples gets a warning naming its file.
     """
     setup = build_setup(config)
     with setup.cache:
@@ -348,38 +351,45 @@ def _detect(
                     det_log.add(det)
 
             stream_detections(samples, modes, setup, emit, config.workers)
-    for name, det_log in zip(names, logs):
-        if det_log.failures:
-            log.warning("%d of %d samples failed; see %s", det_log.failures, len(samples), name)
-    return samples, logs
+    scored = []
+    for name, label, det_log in zip(names, labels, logs):
+        row = build_report_row(det_log.records, samples, label)
+        if row.failures:
+            log.warning("%d of %d samples failed; see %s", row.failures, row.n_samples, name)
+        scored.append((row, det_log.calls))
+    return scored
+
+
+def _write_report(out_dir: Path, rows: list[ReportRow]) -> str:
+    """Write the rows as report.csv and report.md into out_dir, made if need be: the CSV text."""
+    csv_text = render_csv(rows)
+    with _writing_under(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
+        (out_dir / "report.md").write_text(render_markdown(rows), encoding="utf-8")
+    return csv_text
 
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    started = _utc_now()
-    samples, (detections,) = _detect(config, [config.mode], ["detections.jsonl"])
-    finished = _utc_now()
     model = config.backends["phase3"].settings.model_id
-
-    out_dir = config.output_dir
-    row = build_report_row(detections.records, samples, model, detections.failures)
-    csv_text = render_csv([row])
-
+    started = _utc_now()
+    ((row, calls),) = _detect(config, [config.mode], ["detections.jsonl"], [model])
+    finished = _utc_now()
+    csv_text = _write_report(config.output_dir, [row])
     meta = {
         "model": model,
         "mode": config.mode.value,
         "dataset": str(config.dataset),
-        "n_samples": len(samples),
-        "n_failures": detections.failures,
-        "call_counts": detections.calls,
+        "n_samples": row.n_samples,
+        "n_failures": row.failures,
+        "call_counts": calls,
         "workers": config.workers,
         "started_at": started,
         "finished_at": finished,
     }
-    with _writing_under(out_dir):
-        (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
-        (out_dir / "report.md").write_text(render_markdown([row]), encoding="utf-8")
-        (out_dir / "run_meta.json").write_text(
+    with _writing_under(config.output_dir):
+        (config.output_dir / "run_meta.json").write_text(
             json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
     sys.stdout.write(csv_text)
@@ -389,13 +399,9 @@ def cmd_run(args) -> int:
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
     modes = list(AblationMode)
-    names = [f"detections_{mode.value}.jsonl" for mode in modes]
-    samples, logs = _detect(config, modes, names)
-    entries = [
-        (mode.value, build_report_row(det_log.records, samples, mode.value), det_log.calls)
-        for mode, det_log in zip(modes, logs)
-    ]
-    csv_text = render_ablation_csv(entries)
+    labels = [mode.value for mode in modes]
+    scored = _detect(config, modes, [f"detections_{label}.jsonl" for label in labels], labels)
+    csv_text = render_ablation_csv((row.model, row, calls) for row, calls in scored)
     with _writing_under(config.output_dir):
         (config.output_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)
@@ -441,10 +447,6 @@ def cmd_validate(args) -> int:
     return EXIT_FINDINGS if findings else EXIT_OK
 
 
-def _failures(records: list[DetectionRecord]) -> int:
-    return sum(record.failure is not None for record in records)
-
-
 def cmd_report(args) -> int:
     samples = _load_samples(Path(args.dataset))
     try:
@@ -468,24 +470,16 @@ def cmd_report(args) -> int:
             model = "run"
 
     try:
-        row = build_report_row(detections, samples, model, _failures(detections))
+        row = build_report_row(detections, samples, model)
         rows = [row]
         if baseline is not None:
-            base_row = build_report_row(
-                baseline, samples, model + " (baseline)", _failures(baseline)
-            )
+            base_row = build_report_row(baseline, samples, model + " (baseline)")
             rows = [base_row, attach_deltas(row, base_row)]
     except AlignmentError as exc:  # typed records leave scoring no other error
         log.error("alignment: %s", exc)
         return EXIT_FINDINGS
 
-    csv_text = render_csv(rows)
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        with _writing_under(out_dir):
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "report.csv").write_text(csv_text, encoding="utf-8")
-            (out_dir / "report.md").write_text(render_markdown(rows), encoding="utf-8")
+    csv_text = _write_report(Path(args.out_dir), rows) if args.out_dir else render_csv(rows)
     sys.stdout.write(csv_text)
     return EXIT_OK
 

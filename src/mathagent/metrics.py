@@ -28,6 +28,7 @@ class Prediction(Protocol):
     sample_id: str
     predicted_step: int | None
     predicted_category: ErrorCategory | None
+    failure: str | None  # why the sample failed, or None
 
 
 # confusion-matrix row label for samples whose final parse failed
@@ -40,6 +41,7 @@ class ScoredRun(NamedTuple):
     """One scoring pass; category_accuracy leaves out categories the samples lack."""
 
     n: int
+    failures: int  # the samples whose prediction has its failure set
     step_hits: int
     category_hits: dict[ErrorCategory, int]
     category_totals: dict[ErrorCategory, int]
@@ -79,21 +81,22 @@ def _align(predictions: Iterable[Prediction], samples: list[Sample]):
 
 
 def score_run(predictions: Iterable[Prediction], samples: list[Sample]) -> ScoredRun:
-    """Count hits per subtask and fill the 6x5 confusion matrix.
+    """Count hits per subtask and failed samples, and fill the 6x5 confusion matrix.
 
     A sample with no parsed prediction scores a miss on both subtasks and
-    lands in the 'unparsed' confusion row.
+    lands in the 'unparsed' confusion row. failures counts the predictions with a failure.
     """
     if not samples:
         raise AlignmentError("no ground-truth samples")
     by_id = _align(predictions, samples)
-    step_hits = 0
+    step_hits = failures = 0
     cat_hits: dict[ErrorCategory, int] = {}
     cat_totals: dict[ErrorCategory, int] = {}
     confusion: dict[tuple[str, str], int] = {}
     for sample in samples:
         pred = by_id[sample.id]
         gt_cat = sample.gt_error_category
+        failures += pred.failure is not None
         cat_totals[gt_cat] = cat_totals.get(gt_cat, 0) + 1
         if pred.predicted_step is not None and pred.predicted_step == sample.gt_error_step:
             step_hits += 1
@@ -104,6 +107,7 @@ def score_run(predictions: Iterable[Prediction], samples: list[Sample]) -> Score
         confusion[key] = confusion.get(key, 0) + 1
     return ScoredRun(
         n=len(samples),
+        failures=failures,
         step_hits=step_hits,
         category_hits=cat_hits,
         category_totals=cat_totals,

@@ -300,14 +300,13 @@ class DetectionLog:
     one unbuffered write, so it has left the process before the next
     sample is emitted, and a killed run leaves whole lines in sample
     order. What is kept is what a report and run_meta.json read: the
-    records load_detections reads back, the number of failed samples and
-    the calls per phase tag. close() (or leaving a `with` block) closes
-    the file.
+    records load_detections reads back, which score_run counts failed
+    samples from, and the calls per phase tag. close() (or leaving a
+    `with` block) closes the file.
     """
 
     def __init__(self, path):
         self.records: list[DetectionRecord] = []
-        self.failures = 0
         self.calls: Counter[str] = Counter()
         self._file = open(path, "wb", buffering=0)  # each write() is one write(2)
 
@@ -319,7 +318,6 @@ class DetectionLog:
         self.records.append(DetectionRecord(
             det.sample_id, det.mode, det.predicted_step, det.predicted_category, det.failure
         ))
-        self.failures += det.failure is not None
         calls = self.calls
         for record in det.trace.backend_calls:
             calls[record.phase] += 1

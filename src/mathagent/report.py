@@ -50,11 +50,12 @@ class ReportRow(BuiltByNew, _RowFields):
 
 
 def build_report_row(
-    predictions: Iterable[Prediction], samples: list[Sample], model: str, failures: int = 0
+    predictions: Iterable[Prediction], samples: list[Sample], model: str
 ) -> ReportRow:
-    """Score a run and round every cell at this, and only this, boundary.
+    """Score a run once and round every cell at this, and only this, boundary.
 
-    failures is how many of the samples failed, for render_markdown to state.
+    The row also states how many of the samples failed, as that pass
+    counted them, for render_markdown to note.
     """
     scored = score_run(predictions, samples)
     step = scored.step_accuracy()
@@ -66,7 +67,7 @@ def build_report_row(
     values["overall"] = round_half_up(overall, 2)
     # the average is taken over unrounded inputs, then rounded once
     values["average"] = average_score(step, overall)
-    return ReportRow(model, values, failures=failures, n_samples=len(samples))
+    return ReportRow(model, values, failures=scored.failures, n_samples=scored.n)
 
 
 def attach_deltas(row: ReportRow, baseline: ReportRow) -> ReportRow:

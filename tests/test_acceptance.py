@@ -161,6 +161,7 @@ def test_criterion_2_metric_oracle_equivalence(announce):
                         sample_id=f"x{i}",
                         predicted_step=rng.randint(1, n_steps) if parsed else None,
                         predicted_category=rng.choice(categories) if parsed else None,
+                        failure=None,
                     )
                 )
 

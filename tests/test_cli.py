@@ -798,6 +798,18 @@ class TestConfigErrors:
         proc = run_python("-m", "mathagent.cli", "run", "--config", str(config))
         assert proc.returncode == EXIT_CONFIG, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert f"ERROR config: {tmp_path / 'script.json'}: " in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_a_bad_inline_script_names_its_spec(self, tmp_path, caplog):
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase1"] = {"kind": "scripted", "phases": {"phase1": {"s01": 5}}}
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith("config: backends.phase1: script 'phases.phase1.s01': 5 is not")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("which", ["config", "script"])
@@ -2555,6 +2567,20 @@ class TestReadme:
         assert "| demo |" in proc.stdout
         # one line per distinct request of the cold run; the warm run added none
         assert len((tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()) == 32
+
+    def test_the_config_example_runs(self, tmp_path, capsys):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        block = readme.split("A run config is a JSON file")[1].split("```json\n")[1]
+        raw = json.loads(block.split("```")[0])
+        shutil.copy(DATASET, tmp_path / raw["dataset"])
+        shutil.copytree(PACKAGED_PROMPTS, tmp_path / raw["prompt_dir"])
+        for name in raw["backends"]:
+            raw["backends"][name] = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert (tmp_path / raw["output_dir"] / "report.md").exists()
 
     def test_exit_codes_line_names_the_cli_constants(self):
         readme = (REPO / "README.md").read_text(encoding="utf-8")

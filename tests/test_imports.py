@@ -1,0 +1,43 @@
+"""Every module-level import of the package and the scripts is used.
+
+Checked with ast, so no linter is needed. The package's __init__.py is
+left out: its imports are re-exports.
+"""
+
+import ast
+
+import pytest
+
+from conftest import REPO
+
+MODULES = sorted(
+    path
+    for path in [*(REPO / "src" / "mathagent").glob("*.py"), *(REPO / "scripts").glob("*.py")]
+    if path.name != "__init__.py"
+)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the module's top-level imports that no ast.Name reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # `import a.b` binds a
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_an_unused_import_is_found():
+    source = "from __future__ import annotations\nimport os.path\nimport sys\nsys.exit()\n"
+    assert unused_imports(source) == ["line 2: os"]

@@ -30,10 +30,11 @@ class Pred:
     sample_id: str
     predicted_step: int | None
     predicted_category: ErrorCategory | None
+    failure: str | None = None
 
 
 def random_run(rng: random.Random, n: int):
-    """A labeled dataset plus predictions with parse failures mixed in."""
+    """A labeled dataset plus predictions with parse failures and failed samples mixed in."""
     samples, preds = [], []
     for i in range(n):
         n_steps = rng.randint(3, 12)
@@ -51,8 +52,10 @@ def random_run(rng: random.Random, n: int):
             pred = Pred(sample.id, rng.randint(1, n_steps), None)
         elif roll < 0.90:
             pred = Pred(sample.id, None, rng.choice(CATEGORIES))
-        else:
+        elif roll < 0.95:
             pred = Pred(sample.id, None, None)
+        else:
+            pred = Pred(sample.id, None, None, "phase3: BackendError: no reply")
         samples.append(sample)
         preds.append(pred)
     rng.shuffle(preds)
@@ -62,11 +65,13 @@ def random_run(rng: random.Random, n: int):
 def brute_force(samples, preds):
     """Deliberately naive re-computation used as the scoring oracle."""
     by_id = {p.sample_id: p for p in preds}
-    step_hits = 0
+    step_hits = failures = 0
     per_cat_hits = {}
     per_cat_totals = {}
     for s in samples:
         p = by_id[s.id]
+        if p.failure is not None:
+            failures += 1
         if p.predicted_step == s.gt_error_step:
             step_hits += 1
         per_cat_totals[s.gt_error_category] = per_cat_totals.get(s.gt_error_category, 0) + 1
@@ -78,7 +83,7 @@ def brute_force(samples, preds):
         c: Fraction(100 * per_cat_hits.get(c, 0), t) for c, t in per_cat_totals.items()
     }
     overall = Fraction(100 * sum(per_cat_hits.values()), n)
-    return step, per_cat, overall
+    return step, per_cat, overall, failures
 
 
 class TestAgainstBruteForce:
@@ -86,10 +91,11 @@ class TestAgainstBruteForce:
     def test_random_runs_agree_exactly(self, seed):
         rng = random.Random(1000 + seed)
         samples, preds = random_run(rng, rng.randint(1, 60))
-        step, per_cat, overall = brute_force(samples, preds)
+        step, per_cat, overall, failures = brute_force(samples, preds)
         assert score_run(preds, samples).step_accuracy() == step
         assert score_run(preds, samples).category_accuracy() == per_cat
         assert score_run(preds, samples).overall_micro() == overall
+        assert score_run(preds, samples).failures == failures
 
     @pytest.mark.parametrize("seed", range(10))
     def test_micro_equals_weighted_identity(self, seed):

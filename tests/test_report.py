@@ -28,6 +28,7 @@ class Pred:
     sample_id: str
     predicted_step: int | None
     predicted_category: ErrorCategory | None
+    failure: str | None = None
 
 
 def small_run():
@@ -81,6 +82,13 @@ class TestBuildReportRow:
         )
         build_report_row(iter(preds), samples, "demo")
         assert len(calls) == 1
+
+    def test_counts_the_failed_samples(self):
+        samples, preds = small_run()
+        preds[3] = Pred("d", None, None, "phase3: BackendError: no reply")
+        row = build_report_row(iter(preds), samples, "demo")
+        assert row.failures == 1
+        assert row.n_samples == len(samples)
 
     def test_every_present_cell_has_two_decimals(self):
         samples, preds = small_run()
