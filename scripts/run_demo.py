@@ -45,7 +45,7 @@ def main() -> int:
     for mode in AblationMode:
         mode_detections = run_dataset(samples, mode, setup)
         row = build_report_row(mode_detections, samples, mode.value)
-        entries.append((mode.value, row, call_counts(mode_detections)))
+        entries.append((row, call_counts(mode_detections)))
     print("ablation grid:")
     print(render_ablation_csv(entries), end="")
     return 0

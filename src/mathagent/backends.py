@@ -3,9 +3,11 @@
 HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
 backend only for requests it has not seen; each call is recorded as a
-CallRecord. Threads that miss on one request together make one call
-(single-flight): the first asker holds a lock until its reply or its
-exception is set, and the others block on that lock, then share it.
+CallRecord. Neither a ModelResponse nor a CallRecord holds wall time,
+so a call's record is the same over HTTP as from a script. Threads
+that miss on one request together make one call (single-flight): the
+first asker holds a lock until its reply or its exception is set, and
+the others block on that lock, then share it.
 ScriptedBackend is the one reader of the script format; a scripted
 reply may carry a finish reason, so a cut reply can be scripted, and a
 reply list answers by the request's attempt, never by the calls before
@@ -109,7 +111,6 @@ _FINISH_REASONS = {reason.value: reason for reason in FinishReason}
 class ModelResponse(NamedTuple):
     text: str
     finish_reason: FinishReason
-    latency_ms: float
     from_cache: bool = False
 
     @property
@@ -363,7 +364,6 @@ class HttpBackend:
 
         attempts = self.retry.max_attempts
         last_failure = "no attempt made"
-        started = time.monotonic()
         for attempt in range(1, attempts + 1):
             wait_s = None  # the Retry-After wait, when the endpoint sent one
             try:
@@ -383,8 +383,7 @@ class HttpBackend:
                 elif not 200 <= status < 300:
                     raise TransportError(f"HTTP {status} from {url}: {text[:200]}")
                 else:
-                    latency_ms = (time.monotonic() - started) * 1000.0
-                    return self._parse_body(text, latency_ms)
+                    return self._parse_body(text)
             if attempt < attempts:
                 if wait_s is None:  # 16 doublings take even 1 ms past the cap; more could overflow
                     wait_s = self.retry.backoff_base_ms * 2 ** min(attempt - 1, 16) / 1000.0
@@ -392,7 +391,7 @@ class HttpBackend:
         raise TransportError(f"gave up after {attempts} attempts: {last_failure}")
 
     @staticmethod
-    def _parse_body(text: str, latency_ms: float) -> ModelResponse:
+    def _parse_body(text: str) -> ModelResponse:
         try:
             payload = parse_json(text)
             choice = payload["choices"][0]
@@ -405,7 +404,7 @@ class HttpBackend:
         reason = FinishReason.ERROR  # for any reason but stop and length, a string or not
         if isinstance(raw_reason, str):  # a list or an object is unhashable
             reason = _FINISH_REASONS.get(raw_reason, reason)
-        return ModelResponse(text=content, finish_reason=reason, latency_ms=latency_ms)
+        return ModelResponse(content, reason)
 
 
 class ScriptedBackend:
@@ -416,8 +415,8 @@ class ScriptedBackend:
     first, default last. A reply is a string, a {"text": ..., "finish_reason":
     ...} object ("stop" when absent) or a list of these, one per attempt of
     the request, the last repeating (as a re-ask needs). Other shapes raise
-    ValueError. The backend holds no state that a call changes, and latency
-    is always 0.0, so runs are byte-reproducible in any order.
+    ValueError. The backend holds no state that a call changes, so runs are
+    byte-reproducible in any order.
     """
 
     def __init__(
@@ -476,7 +475,7 @@ def _script_replies(value, where: str) -> tuple[ModelResponse, ...]:
         if not isinstance(text, str) or not reason:
             raise ValueError(f"script {where!r}: {item!r} is not a string, a non-empty list or "
                              '{"text": str, "finish_reason": "stop" | "length" | "error"}')
-        replies.append(ModelResponse(text, reason, latency_ms=0.0))
+        replies.append(ModelResponse(text, reason))
     return tuple(replies)
 
 
@@ -503,9 +502,9 @@ class _Flight:
 class ReplayCache:
     """Fingerprint -> reply memo for every phase backend of one command.
 
-    A repeated request gets the stored reply, with from_cache set and
-    latency 0.0: one ModelResponse is made per fingerprint, when a line
-    is loaded or a miss is answered, and every hit returns that one. A hit
+    A repeated request gets the stored reply, with from_cache set: one
+    ModelResponse is made per fingerprint, when a line is loaded or a
+    miss is answered, and every hit returns that one. A hit
     takes no lock, since a stored reply is never replaced or removed.
     Concurrent misses on one fingerprint make one inner call
     (single-flight): the first asker marks the fingerprint with a flight
@@ -560,7 +559,7 @@ class ReplayCache:
                     reason = _FINISH_REASONS[raw]
                 except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
                     raise ValueError(f"{raw!r} is not a valid FinishReason") from None
-                self._replies[fp] = ModelResponse(text, reason, 0.0, True)
+                self._replies[fp] = ModelResponse(text, reason, True)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"corrupt replay cache {self.path} line {line_no}: {exc}") from exc
 
@@ -583,7 +582,7 @@ class ReplayCache:
             flight.error = exc
             flight.lock.release()
             raise
-        flight.reply = reply = ModelResponse(response.text, response.finish_reason, 0.0, True)
+        flight.reply = reply = ModelResponse(response.text, response.finish_reason, True)
         self._replies[fp] = reply
         flight.lock.release()  # before the append, so a failed append strands no waiter
         if self.path is not None:
@@ -621,4 +620,3 @@ class CallRecord(NamedTuple):
     phase: str
     fingerprint: str
     from_cache: bool
-    latency_ms: float

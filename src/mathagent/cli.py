@@ -103,7 +103,7 @@ class RunConfig(NamedTuple):
     router: dict[str, str]
     cache_path: Path | None
     output_dir: Path
-    workers: int  # the slots of every gate, up to MAX_RATE_LIMIT; 1 for a scripted-only run
+    workers: int  # the slots of every gate the run uses, up to MAX_RATE_LIMIT; 1 if all scripted
 
 
 def _resolve(base: Path, value: str, key: str) -> Path:
@@ -200,12 +200,20 @@ def load_config(path) -> RunConfig:
         )
         for name, (settings, made) in checked.items()
     }
-    # a worker per slot fills every gate, up to one gate's bound in all; a scripted-only run
-    # is CPU-bound, so it takes one
-    workers = min(sum(limits.values()), MAX_RATE_LIMIT) or 1
+    # a worker per slot fills every gate the run uses, up to one gate's bound in all; a
+    # scripted-only run is CPU-bound, so it takes one
+    used = {backends[name].backend for name in _used_names(router)}
+    urls = {backend.base_url for backend in used if not isinstance(backend, ScriptedBackend)}
+    workers = min(sum(limits[url] for url in urls), MAX_RATE_LIMIT) or 1
     return RunConfig(
         dataset, AblationMode(mode), backends, prompts, router, cache_path, output_dir, workers
     )
+
+
+def _used_names(router: dict[str, str]) -> list[str]:
+    """The backends a run's phases and routes use, by name, in the order a sample meets them."""
+    phase2 = router.get("default", "phase2")
+    return list(dict.fromkeys(("phase1", phase2, "phase3", *router.values())))
 
 
 def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: str) -> tuple:
@@ -284,8 +292,7 @@ def build_setup(config: RunConfig, config_base: Path | None = None) -> PipelineS
     """
     phase2 = config.router.get("default", "phase2")
     backends = config.backends
-    # each backend a phase or a route uses, in the order a sample's calls meet them
-    for name in dict.fromkeys(("phase1", phase2, "phase3", *config.router.values())):
+    for name in _used_names(config.router):
         backend = backends[name].backend
         if not isinstance(backend, ScriptedBackend):  # an HttpBackend
             read_api_key(backend.api_key_env)
@@ -401,7 +408,7 @@ def cmd_ablate(args) -> int:
     modes = list(AblationMode)
     labels = [mode.value for mode in modes]
     scored = _detect(config, modes, [f"detections_{label}.jsonl" for label in labels], labels)
-    csv_text = render_ablation_csv((row.model, row, calls) for row, calls in scored)
+    csv_text = render_ablation_csv(scored)
     with _writing_under(config.output_dir):
         (config.output_dir / "ablation.csv").write_text(csv_text, encoding="utf-8")
     sys.stdout.write(csv_text)

@@ -25,9 +25,10 @@ its record back; the reader accepts only what the writer emits, so
 
 A later mode that repeats a request an earlier one made is answered by
 the setup's ReplayCache, which records the call as a memo hit
-(from_cache true, latency 0.0). A call that raised is not stored, so a
-later mode asks again. No backend keeps state between calls, so a
-sample's detections do not depend on the samples or modes before it.
+(from_cache true). A call that raised is not stored, so a later mode
+asks again. No backend keeps state between calls, and no line holds
+wall time, so a sample's detections do not depend on the samples or
+modes before it, nor on how long a call took.
 """
 
 from __future__ import annotations
@@ -141,11 +142,7 @@ class _RecordedCalls:
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         response = self.cache.complete(self.backend, request)
-        self.records.append(
-            CallRecord(
-                request.phase, request.fingerprint, response.from_cache, response.latency_ms
-            )
-        )
+        self.records.append(CallRecord(request.phase, request.fingerprint, response.from_cache))
         return response
 
 
@@ -335,11 +332,10 @@ class DetectionLog:
 # --- detection (de)serialization -------------------------------------------
 
 
-_SPELLINGS = {"None": "null", "True": "true", "False": "false", "nan": "NaN", "inf": "Infinity",
-              "-inf": "-Infinity"}
+_SPELLINGS = {"None": "null", "True": "true", "False": "false"}
 
 
-def _scalar(value: bool | int | float | None) -> str:
+def _scalar(value: bool | int | None) -> str:
     text = repr(value)  # json.dumps writes the same, but for the words it spells otherwise
     return _SPELLINGS.get(text, text)
 
@@ -371,7 +367,7 @@ def detection_line(det: Detection) -> str:
     trace = det.trace
     calls = ", ".join(
         f'{{"fingerprint": {_quote(r.fingerprint)}, "from_cache": {_scalar(r.from_cache)}, '
-        f'"latency_ms": {_scalar(r.latency_ms)}, "phase": {_quote(r.phase)}}}'
+        f'"phase": {_quote(r.phase)}}}'
         for r in trace.backend_calls
     )
     return (

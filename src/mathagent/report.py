@@ -127,18 +127,16 @@ def render_markdown(rows: Sequence[ReportRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ablation_csv(
-    entries: Iterable[tuple[str, ReportRow, Mapping[str, int]]]
-) -> str:
-    """Mode-by-metric grid with per-phase backend call counts."""
+def render_ablation_csv(entries: Iterable[tuple[ReportRow, Mapping[str, int]]]) -> str:
+    """Mode-by-metric grid with per-phase backend call counts; each row's label is its mode."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["mode"] + list(COLUMNS) + [column for _, column in CALL_COLUMNS]
     )
-    for mode_name, row, calls in entries:
+    for row, calls in entries:
         writer.writerow(
-            [mode_name]
+            [row.model]
             + [_cell(row.values.get(c)) for c in COLUMNS]
             + [str(calls.get(tag, 0)) for tag, _ in CALL_COLUMNS]
         )

@@ -89,14 +89,12 @@ class CapturingBackend:
             raise reply
         if isinstance(reply, ModelResponse):
             return reply
-        return ModelResponse(
-            text=reply, finish_reason=FinishReason.STOP, latency_ms=0.0
-        )
+        return ModelResponse(text=reply, finish_reason=FinishReason.STOP)
 
 
 def truncated(text):
     """A reply cut at the token limit."""
-    return ModelResponse(text=text, finish_reason=FinishReason.LENGTH, latency_ms=0.0)
+    return ModelResponse(text=text, finish_reason=FinishReason.LENGTH)
 
 
 def track_appends(monkeypatch) -> list:

@@ -297,8 +297,8 @@ def test_criterion_4_determinism_and_replay(
             warm = run_dataset(samples_12, AblationMode.FULL, replay_setup(memo))
         assert transport.calls == cold_calls, "warm replay hit the network"
 
-        def strip(det):  # its line with each call's from_cache false and latency_ms 0.0
-            calls = [r._replace(from_cache=False, latency_ms=0.0) for r in det.trace.backend_calls]
+        def strip(det):  # its line with each call's from_cache false
+            calls = [r._replace(from_cache=False) for r in det.trace.backend_calls]
             return detection_line(det._replace(trace=det.trace._replace(backend_calls=calls)))
 
         cold_lines, warm_lines = list(map(strip, cold)), list(map(strip, warm))

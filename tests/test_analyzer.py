@@ -216,7 +216,7 @@ class TestTruncatedReplies:
 
     def test_an_error_reply_that_parses_still_earns_the_reask(self):
         # an endpoint's content_filter, tool_calls or null finish reason: not whole either
-        reply = ModelResponse(text=self.CLEAN, finish_reason=FinishReason.ERROR, latency_ms=0.0)
+        reply = ModelResponse(text=self.CLEAN, finish_reason=FinishReason.ERROR)
         backend = CapturingBackend(reply, "Error Step: #2\nError Category: cal")
         out = analyze(make_sample(), None, backend)
         assert out.parse_ok

@@ -124,8 +124,8 @@ class TestValueTypes:
 
     VALUES = {
         "ModelRequest": text_request(),
-        "ModelResponse": ModelResponse("reply", FinishReason.STOP, 0.0),
-        "CallRecord": CallRecord("phase1", "f" * 64, False, 0.0),
+        "ModelResponse": ModelResponse("reply", FinishReason.STOP),
+        "CallRecord": CallRecord("phase1", "f" * 64, False),
         "ConsistencyVerdict": ConsistencyVerdict(True, ""),
         "AnalyzerOutput": AnalyzerOutput(1, None, False, ""),
         "VisualTranscript": VisualTranscript(Representation.CAPTION, "c", None, None),
@@ -769,7 +769,6 @@ class TestScriptedBackend:
         backend = ScriptedBackend(phases={"phase1": {"s1": "CONSISTENT"}})
         resp = backend.complete(text_request(phase="phase1", sample_id="s1"))
         assert resp.text == "CONSISTENT"
-        assert resp.latency_ms == 0.0
         assert resp.finish_reason is FinishReason.STOP
 
     def test_fingerprint_lookup_wins_over_phase(self):
@@ -892,7 +891,6 @@ class TestScriptFormat:
         whole = backend.complete(text_request(phase="p", sample_id="whole"))
         assert (cut.text, cut.finish_reason) == ("Error Step: #1", FinishReason.LENGTH)
         assert (whole.text, whole.finish_reason) == ("done", FinishReason.STOP)
-        assert cut.latency_ms == whole.latency_ms == 0.0
 
     def test_list_mixes_strings_and_reply_objects(self):
         backend = ScriptedBackend(
@@ -943,7 +941,7 @@ class CountingBackend:
 
     def complete(self, request):
         self.calls += 1
-        return ModelResponse(text=self.reply, finish_reason=self.reason, latency_ms=12.5)
+        return ModelResponse(text=self.reply, finish_reason=self.reason)
 
 
 class BlockingBackend(CountingBackend):
@@ -961,7 +959,7 @@ class BlockingBackend(CountingBackend):
         assert self.release.wait(5)
         if self.error is not None:
             raise self.error
-        return ModelResponse(text=self.reply, finish_reason=self.reason, latency_ms=12.5)
+        return ModelResponse(text=self.reply, finish_reason=self.reason)
 
 
 def concurrent_calls(cache, inner):
@@ -1013,7 +1011,6 @@ class TestReplayBackend:
         resp = warm.complete(inner, text_request())
         assert resp.text == "inner reply"
         assert resp.from_cache
-        assert resp.latency_ms == 0.0
         assert inner.calls == 0
 
     def test_same_instance_caches_repeat_calls(self, tmp_path):
@@ -1026,9 +1023,9 @@ class TestReplayBackend:
 
     def test_a_hit_returns_the_one_stored_reply(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        stored = ModelResponse("inner reply", FinishReason.STOP, 0.0, True)
+        stored = ModelResponse("inner reply", FinishReason.STOP, True)
         with ReplayCache(cache) as cold:  # stored when the miss is answered
-            assert cold.complete(CountingBackend(), text_request()).latency_ms == 12.5
+            assert not cold.complete(CountingBackend(), text_request()).from_cache
             hits = [cold.complete(CountingBackend(), text_request()) for _ in range(2)]
         assert hits == [stored, stored] and hits[0] is hits[1]
         warm = ReplayCache(cache)  # stored when the line is loaded
@@ -1205,7 +1202,7 @@ class TestReplayBackend:
                     asked[request.fingerprint] += 1
                 time.sleep(0.002)  # long enough for other threads to miss on it too
                 text = request.prompt.upper()
-                return ModelResponse(text=text, finish_reason=FinishReason.STOP, latency_ms=0.0)
+                return ModelResponse(text=text, finish_reason=FinishReason.STOP)
 
         memo, echo = ReplayCache(cache), EchoBackend()
         requests = [text_request(f"q{i % 7}") for i in range(700)]

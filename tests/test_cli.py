@@ -414,9 +414,9 @@ class TestAblate:
         assert main(["ablate", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         for mode in MODES:
-            assert timeless(tmp_path / "ablate" / "out" / f"detections_{mode}.jsonl") == (
-                timeless(runs / mode / "out" / "detections.jsonl")
-            ), mode
+            assert (tmp_path / "ablate" / "out" / f"detections_{mode}.jsonl").read_bytes() == (
+                runs / mode / "out" / "detections.jsonl"
+            ).read_bytes(), mode
 
 
 class TestReport:
@@ -1598,9 +1598,9 @@ class TestGoldenDetections:
         grid = (out_dir / "ablation.csv").read_text(encoding="utf-8").splitlines()
         assert grid[4].startswith("no_analyzer,") and grid[4].endswith(",14")
         for mode in MODES:
-            assert timeless(out_dir / f"detections_{mode}.jsonl") == (
-                timeless(FIXTURES / f"golden_detections_{mode}.jsonl")
-            ), mode
+            assert (out_dir / f"detections_{mode}.jsonl").read_bytes() == (
+                FIXTURES / f"golden_detections_{mode}.jsonl"
+            ).read_bytes(), mode
 
 
 class TestStreamedDetections:
@@ -1670,7 +1670,7 @@ class TestStreamedDetections:
             detection_files(command, whole / "out"),
         ):
             assert path.read_bytes().endswith(b"\n"), path.name
-            assert timeless(path) == timeless(whole_path)[:k], path.name
+            assert read_lines(path) == read_lines(whole_path)[:k], path.name
 
     def test_sigint_exits_130_without_a_traceback(self, tmp_path, capsys, monkeypatch):
         serve(FaultyEndpoint(), monkeypatch)
@@ -1682,6 +1682,8 @@ class TestStreamedDetections:
         # the process signals itself as the sixth sample is written, on two workers
         code = (
             "import functools, os, signal, sys\n"
+            # a background job of a non-interactive shell starts with SIGINT ignored
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
             f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
             "from conftest import FaultyEndpoint\n"
             "from mathagent import backends, cli, pipeline\n"
@@ -1703,9 +1705,9 @@ class TestStreamedDetections:
         assert proc.stderr.count("interrupted") == 1
         cut = out_dir / "detections.jsonl"
         assert cut.read_bytes().endswith(b"\n")
-        lines = timeless(cut)
+        lines = read_lines(cut)
         assert len(lines) >= 5  # every sample before the sixth was written
-        assert lines == timeless(whole / "out" / "detections.jsonl")[:len(lines)]
+        assert lines == read_lines(whole / "out" / "detections.jsonl")[:len(lines)]
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_slow_first_sample_streams_the_sequential_bytes(
@@ -1739,7 +1741,7 @@ class TestStreamedDetections:
         capsys.readouterr()
         assert held == [[0] * len(files)]
         for path, sequential_path in zip(files, detection_files(command, sequential / "out")):
-            assert timeless(path) == timeless(sequential_path), path.name
+            assert path.read_bytes() == sequential_path.read_bytes(), path.name
 
 
 def serve(endpoint, monkeypatch) -> None:
@@ -1765,31 +1767,19 @@ def http_config(run_dir: Path, rate_limit: int | None = None, **overrides) -> Pa
     )
 
 
-def zero_latency(line: str) -> dict:
-    """A detections line as a dict, each call's latency_ms (wall time over HTTP) set to 0.0."""
-    det = json.loads(line)
-    calls = [{**r, "latency_ms": 0.0} for r in det["trace"]["backend_calls"]]
-    return {**det, "trace": {**det["trace"], "backend_calls": calls}}
-
-
-def timeless(path: Path) -> list[dict]:
-    """A detections file's lines in order, each as zero_latency reads it."""
-    return [zero_latency(line) for line in read_lines(path)]
-
-
 def run_over(endpoint, command: str, config: Path, out_dir: Path) -> dict:
-    """command over HTTP against endpoint: {file name: {sample id: line}}, latency 0.0."""
+    """command over HTTP against endpoint: {file name: {sample id: line as a dict}}."""
     with pytest.MonkeyPatch.context() as mp:
         serve(endpoint, mp)
         assert main([command, "--config", str(config)]) == EXIT_OK
     return {
-        path.name: {det["sample_id"]: det for det in map(zero_latency, read_lines(path))}
+        path.name: {det["sample_id"]: det for det in map(json.loads, read_lines(path))}
         for path in detection_files(command, out_dir)
     }
 
 
 def run_against(endpoint, run_dir: Path, **overrides) -> dict:
-    """`run` over HTTP against endpoint in run_dir: its detections by sample id, latency 0.0."""
+    """`run` over HTTP against endpoint in run_dir: its detections by sample id, as dicts."""
     config = http_config(run_dir, **overrides)
     return run_over(endpoint, "run", config, run_dir / "out")["detections.jsonl"]
 
@@ -1859,6 +1849,17 @@ class TestWorkers:
         capsys.readouterr()
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
         assert meta["workers"] == 5
+
+    def test_a_spec_no_phase_or_route_uses_adds_no_worker(self, tmp_path):
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
+        specs = {"phase1": scripted, "phase2": scripted, "phase3": scripted,
+                 "spare": {"kind": "http", "base_url": ONE_URL, "rate_limit": 8}}
+        config = write_config(tmp_path, tmp_path / "out", backends=specs)
+        assert cli.load_config(config).workers == 1
+        # routed to, the spec's gate gives the run its slots
+        config = write_config(tmp_path, tmp_path / "out", backends=specs,
+                              router={"plane_geometry": "spare"})
+        assert cli.load_config(config).workers == 8
 
     def test_the_sum_over_base_urls_is_capped(self, tmp_path):
         """Three base_urls at the largest rate_limit would sum to three times the cap."""
@@ -2055,7 +2056,9 @@ class TestAuthStopsTheRun:
         clean = fault_free(command)
         first_k = [sample.id for sample in load_dataset(DATASET)[:k]]
         for path in detection_files(command, out_dir):
-            assert timeless(path) == [clean[path.name][sample_id] for sample_id in first_k]
+            assert [json.loads(line) for line in read_lines(path)] == [
+                clean[path.name][sample_id] for sample_id in first_k
+            ]
         assert not (out_dir / "report.csv").exists()
 
 
@@ -2324,8 +2327,8 @@ def test_a_recoverable_plan_writes_the_golden_detections(
 
     `ablate`, and `run` in each mode in turn on one cache (so that each
     mode's repeats of the modes before it are hits, as in `ablate`), write
-    the golden detections over HTTP, but for latency, and make the calls per
-    phase the scripted runs make.
+    the golden detections' bytes over HTTP, and make the calls per phase the
+    scripted runs make.
     """
     run_dir = tmp_path_factory.mktemp("recoverable")
     endpoint = FaultyEndpoint(plan, hold_s=0.0005)  # so that the workers' calls overlap
@@ -2347,7 +2350,8 @@ def test_a_recoverable_plan_writes_the_golden_detections(
     # every fault reached the transport and was retried once
     assert len(endpoint.sleeps) == sum(fault != Fault() for *_, fault in endpoint.log)
     for mode, path in written.items():
-        assert timeless(path) == timeless(FIXTURES / f"golden_detections_{mode}.jsonl"), mode
+        golden = FIXTURES / f"golden_detections_{mode}.jsonl"
+        assert path.read_bytes() == golden.read_bytes(), mode
     counts, grid = scripted_calls
     if command == "ablate":
         assert (run_dir / "ablate" / "out" / "ablation.csv").read_text(encoding="utf-8") == grid

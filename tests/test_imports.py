@@ -1,4 +1,4 @@
-"""Every module-level import of the package and the scripts is used.
+"""Every module-level import of the package, the scripts and the tests is used.
 
 Checked with ast, so no linter is needed. The package's __init__.py is
 left out: its imports are re-exports.
@@ -12,7 +12,11 @@ from conftest import REPO
 
 MODULES = sorted(
     path
-    for path in [*(REPO / "src" / "mathagent").glob("*.py"), *(REPO / "scripts").glob("*.py")]
+    for path in [
+        *(REPO / "src" / "mathagent").glob("*.py"),
+        *(REPO / "scripts").glob("*.py"),
+        *(REPO / "tests").glob("*.py"),
+    ]
     if path.name != "__init__.py"
 )
 

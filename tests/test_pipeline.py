@@ -27,7 +27,6 @@ from mathagent import (
     ErrorCategory,
     ImageKind,
     ImageRef,
-    ModelResponse,
     PhaseSetup,
     PhaseTrace,
     PipelineSetup,
@@ -554,8 +553,8 @@ class TestInterrupt:
         assert len(threads) <= workers
 
 
-class TimedScript:
-    """The fixture script answering with a fixed latency; keeps every request it gets."""
+class SpyScript:
+    """The fixture script; keeps every request it gets."""
 
     def __init__(self):
         self.script = ScriptedBackend.from_file(FIXTURES / "scripts_12.json")
@@ -563,8 +562,7 @@ class TimedScript:
 
     def complete(self, request):
         self.requests.append(request)
-        reply = self.script.complete(request)
-        return ModelResponse(reply.text, reply.finish_reason, latency_ms=7.5)
+        return self.script.complete(request)
 
 
 def shared_setup(backend, **kwargs):
@@ -579,18 +577,18 @@ def sample_by_id(samples, sample_id):
 class TestCallRecords:
     """Each call is recorded from its own request: phase, fingerprint, how it was answered."""
 
-    def test_cold_calls_carry_their_request_and_latency(self, samples_12):
-        spy = TimedScript()
+    def test_cold_calls_carry_their_request(self, samples_12):
+        spy = SpyScript()
         det = detect_errors(sample_by_id(samples_12, "s09"), AblationMode.FULL, shared_setup(spy))
         records = det.trace.backend_calls
         assert [r.phase for r in records] == ["phase1", "phase2.type", "phase2", "phase3"]
         assert [(r.phase, r.fingerprint) for r in records] == [
             (q.phase, q.fingerprint) for q in spy.requests
         ]
-        assert [(r.from_cache, r.latency_ms) for r in records] == [(False, 7.5)] * 4
+        assert [r.from_cache for r in records] == [False] * 4
 
     def test_a_reask_records_both_analyzer_calls(self, samples_12):
-        spy = TimedScript()
+        spy = SpyScript()
         det = detect_errors(sample_by_id(samples_12, "s03"), AblationMode.FULL, shared_setup(spy))
         records = det.trace.backend_calls
         assert [r.phase for r in records] == ["phase1", "phase2", "phase3", "phase3"]
@@ -598,7 +596,7 @@ class TestCallRecords:
         assert [r.fingerprint for r in records] == [q.fingerprint for q in spy.requests]
 
     def test_a_warm_hit_is_recorded_as_cached(self, samples_12):
-        spy = TimedScript()
+        spy = SpyScript()
         setup = shared_setup(spy)
         sample = sample_by_id(samples_12, "s09")
         cold = detect_errors(sample, AblationMode.FULL, setup)
@@ -607,16 +605,14 @@ class TestCallRecords:
         assert [(r.phase, r.fingerprint) for r in warm.trace.backend_calls] == [
             (r.phase, r.fingerprint) for r in cold.trace.backend_calls
         ]
-        assert [(r.from_cache, r.latency_ms) for r in warm.trace.backend_calls] == [
-            (True, 0.0)
-        ] * 4
+        assert [r.from_cache for r in warm.trace.backend_calls] == [True] * 4
 
     def test_a_persisted_cache_answers_a_new_setup(self, tmp_path, samples_12):
         cache = tmp_path / "cache.jsonl"
         with ReplayCache(cache) as memo:
-            cold_setup = shared_setup(TimedScript(), cache=memo)
+            cold_setup = shared_setup(SpyScript(), cache=memo)
             cold = run_dataset(samples_12, AblationMode.FULL, cold_setup)
-        spy = TimedScript()
+        spy = SpyScript()
         with ReplayCache(cache) as memo:
             warm = run_dataset(samples_12, AblationMode.FULL, shared_setup(spy, cache=memo))
         assert spy.requests == []
@@ -626,7 +622,7 @@ class TestCallRecords:
         assert all(r.from_cache for d in warm for r in d.trace.backend_calls)
 
     def test_a_setup_without_a_cache_answers_a_repeat_once(self, samples_12):
-        spy = TimedScript()
+        spy = SpyScript()
         setup = shared_setup(spy)
         first = run_dataset(samples_12, AblationMode.FULL, setup)
         asked = len(spy.requests)
@@ -696,7 +692,7 @@ class TestSharedSteps:
     """Steps a later mode repeats, answered by the setup's memo as memo hits."""
 
     def test_a_repeated_step_is_reused_as_memo_hits(self, samples_12):
-        sample, spy = sample_by_id(samples_12, "s09"), TimedScript()
+        sample, spy = sample_by_id(samples_12, "s09"), SpyScript()
         setup = shared_setup(spy)
         full = detect_errors(sample, AblationMode.FULL, setup)
         assert len(spy.requests) == 4
@@ -705,13 +701,10 @@ class TestSharedSteps:
         assert [q.phase for q in spy.requests[4:]] == ["phase3"]
         assert cut.trace.phase1 == full.trace.phase1
         assert cut.trace.phase2 == full.trace.phase2
-        assert [(r.phase, r.fingerprint, r.from_cache, r.latency_ms)
-                for r in cut.trace.backend_calls[:3]] == [
-            (r.phase, r.fingerprint, True, 0.0) for r in full.trace.backend_calls[:3]
+        assert list(cut.trace.backend_calls[:3]) == [
+            r._replace(from_cache=True) for r in full.trace.backend_calls[:3]
         ]
-        assert [(r.from_cache, r.latency_ms) for r in full.trace.backend_calls] == [
-            (False, 7.5)
-        ] * 4
+        assert [r.from_cache for r in full.trace.backend_calls] == [False] * 4
 
     def test_each_sample_gets_a_table_for_its_modes(self, samples_12, monkeypatch):
         modes_seen = []
@@ -758,7 +751,7 @@ class TestSharedSteps:
 
     def test_a_routed_transcript_is_not_reused_under_another_phase2_setting(self, samples_12):
         sample = sample_by_id(samples_12, "s07")  # a diagram, judged inconsistent
-        spy = TimedScript()
+        spy = SpyScript()
         routed = PhaseSetup(backend=spy, settings=RequestSettings(model_id="latex-reader"))
         memo = ReplayCache()
         with_router = shared_setup(spy, cache=memo, router={QuestionType.DIAGRAM: routed})
@@ -787,10 +780,10 @@ class TestSharedSteps:
         templates["phase1_consistency"] += "\nAnswer in one line."
         memo = ReplayCache()
         if other == "prompt-set":
-            second = shared_setup(TimedScript(), cache=memo, prompts=PromptSet(templates))
+            second = shared_setup(SpyScript(), cache=memo, prompts=PromptSet(templates))
         else:
-            second = shared_setup(TimedScript(), cache=ReplayCache())
-        first = run_dataset(samples_12, AblationMode.FULL, shared_setup(TimedScript(), cache=memo))
+            second = shared_setup(SpyScript(), cache=ReplayCache())
+        first = run_dataset(samples_12, AblationMode.FULL, shared_setup(SpyScript(), cache=memo))
         then = run_dataset(samples_12, AblationMode.FULL, second)
         asked = [q.phase for q in second.phase1.backend.requests]
         assert asked.count("phase1") == 10  # its own verdicts, asked of its own backend
@@ -830,6 +823,14 @@ class TestDetectionStorage:
         path.write_text("[1]\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
             load_detections(path)
+
+    def test_a_line_whose_calls_carry_latency_still_loads(self, samples_12):
+        # files written before calls stopped recording wall time hold a latency_ms per call
+        for det in run(samples_12, AblationMode.FULL):
+            line = detection_line(det)
+            old = line.replace(', "phase": ', ', "latency_ms": 12.5, "phase": ')
+            assert old.count('"latency_ms": 12.5') == len(det.trace.backend_calls) > 0
+            assert detection_from_line(old) == detection_from_line(line)
 
     def test_detections_can_be_scored_after_reload(self, tmp_path, samples_12):
         detections = run(samples_12, AblationMode.FULL)
@@ -954,7 +955,6 @@ def reference_line(det):
                     "phase": r.phase,
                     "fingerprint": r.fingerprint,
                     "from_cache": r.from_cache,
-                    "latency_ms": r.latency_ms,
                 }
                 for r in det.trace.backend_calls
             ],
@@ -985,13 +985,7 @@ DETECTIONS = st.builds(
         ),
         phase3_raw=awkward_text,
         backend_calls=st.lists(
-            st.builds(
-                CallRecord,
-                awkward_text,
-                awkward_text,
-                st.booleans(),
-                st.sampled_from([0.0, 1e-7, 123.456, 1e16, 5e-324]) | st.floats(),
-            ),
+            st.builds(CallRecord, awkward_text, awkward_text, st.booleans()),
             max_size=4,
         ),
     ),

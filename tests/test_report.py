@@ -190,9 +190,9 @@ class TestRenderMarkdown:
 
 class TestRenderAblationCsv:
     def test_grid_with_call_counts(self):
-        row = ReportRow("ignored", {c: Decimal("25.00") for c in COLUMNS})
+        row = ReportRow("full", {c: Decimal("25.00") for c in COLUMNS})
         calls = {"phase1": 3, "phase2": 2, "phase3": 4}
-        text = render_ablation_csv([("full", row, calls)])
+        text = render_ablation_csv([(row, calls)])
         lines = text.splitlines()
         assert lines[0] == (
             "mode,step,vis,cal,reas,know,mis,overall,average,"

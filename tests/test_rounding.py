@@ -3,7 +3,6 @@
 from decimal import Decimal
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
 from mathagent.rounding import as_fraction, format_signed, round_half_up
