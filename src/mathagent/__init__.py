@@ -64,7 +64,6 @@ from .interpreter import (
     resolve_question_type,
 )
 from .metrics import (
-    CONFUSION_ROWS,
     UNPARSED,
     AlignmentError,
     KeyMismatch,

@@ -21,7 +21,7 @@ RequestSettings and RetryPolicy, whose __new__ checks their knobs at
 every build, _replace included.
 
 The replay cache's lines and HTTP reply bodies are read by
-data_model.parse_json, whose docstring says which texts it reads in one scan.
+data_model.parse_json, the one reader of outside JSON.
 
 HttpBackend builds its URL once, and its headers once per API key
 value; it reads and checks the key at every call, with read_api_key,

@@ -184,9 +184,13 @@ def load_config(path) -> RunConfig:
             for name, spec in specs.items()
         }
     except (OSError, ValueError) as exc:
-        # missing prompt assets or script files, bad scripts, knobs out of range
+        # missing or bad prompt assets, unreadable script files
         raise ConfigError(str(exc)) from exc
-    # every spec has passed: one in-flight gate per base_url, sized by its smallest rate_limit
+    used_names = _used_names(router)
+    for name in used_names:  # every spec has passed; a used http spec names its model
+        if specs[name]["kind"] == "http" and "model_id" not in specs[name]:
+            raise ConfigError(f"backends.{name}: http backend needs 'model_id'")
+    # one in-flight gate per base_url, sized by its smallest rate_limit
     limits: dict[str, int] = {}
     for _, made in checked.values():
         if isinstance(made, dict):
@@ -202,7 +206,7 @@ def load_config(path) -> RunConfig:
     }
     # a worker per slot fills every gate the run uses, up to one gate's bound in all; a
     # scripted-only run is CPU-bound, so it takes one
-    used = {backends[name].backend for name in _used_names(router)}
+    used = {backends[name].backend for name in used_names}
     urls = {backend.base_url for backend in used if not isinstance(backend, ScriptedBackend)}
     workers = min(sum(limits[url] for url in urls), MAX_RATE_LIMIT) or 1
     return RunConfig(
@@ -219,36 +223,52 @@ def _used_names(router: dict[str, str]) -> list[str]:
 def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: str) -> tuple:
     """The spec at where, checked: (settings, ScriptedBackend or HttpBackend's keywords).
 
-    The constructors run their own range and shape checks.
+    The constructors run their own range and shape checks. Every error
+    names the spec once: a script's own errors name its spec or its file,
+    and any other is prefixed with the spec's path.
     """
-    if not isinstance(spec, dict):
-        raise ConfigError("backend spec must be an object")
-    kind = spec.get("kind")
-    if kind == "http":
-        if "base_url" not in spec:
-            raise ConfigError("http backend needs 'base_url'")
-        base_url = _typed(spec, "base_url", str, None, "a string")
-        retry_spec = _typed(spec, "retry", dict, {}, "an object")
-        _warn_unknown(spec, _HTTP_KEYS, where)
-        _warn_unknown(retry_spec, _RETRY_KEYS, where + "retry.")
-        # a knob the spec leaves out gets HttpBackend's own default
-        made = dict(
-            base_url=base_url.rstrip("/"),
-            api_key_env=_typed(spec, "api_key_env", str, DEFAULT_API_KEY_ENV, "a string"),
-            retry=RetryPolicy(**{
-                key: _typed(retry_spec, key, int, default, "an integer")
-                for key, default in DEFAULT_RETRY._asdict().items()
-            }),
-            rate_limit=_typed(spec, "rate_limit", int, DEFAULT_RATE_LIMIT, "an integer"),
-            timeout_s=_typed(spec, "timeout_s", (int, float), DEFAULT_TIMEOUT_S, "a number"),
+    try:
+        if not isinstance(spec, dict):
+            raise ConfigError("backend spec must be an object")
+        kind = spec.get("kind")
+        if kind == "http":
+            if "base_url" not in spec:
+                raise ConfigError("http backend needs 'base_url'")
+            base_url = _typed(spec, "base_url", str, None, "a string")
+            retry_spec = _typed(spec, "retry", dict, {}, "an object")
+            _warn_unknown(spec, _HTTP_KEYS, where)
+            _warn_unknown(retry_spec, _RETRY_KEYS, where + "retry.")
+            # a knob the spec leaves out gets HttpBackend's own default
+            made = dict(
+                base_url=base_url.rstrip("/"),
+                api_key_env=_typed(spec, "api_key_env", str, DEFAULT_API_KEY_ENV, "a string"),
+                retry=RetryPolicy(**{
+                    key: _typed(retry_spec, key, int, default, "an integer")
+                    for key, default in DEFAULT_RETRY._asdict().items()
+                }),
+                rate_limit=_typed(spec, "rate_limit", int, DEFAULT_RATE_LIMIT, "an integer"),
+                timeout_s=_typed(spec, "timeout_s", (int, float), DEFAULT_TIMEOUT_S, "a number"),
+            )
+            HttpBackend(**made)  # built for its range checks, before a bad rate_limit sizes a gate
+        elif kind == "scripted":
+            keys = _SCRIPTED_KEYS if "script_path" in spec else _INLINE_SCRIPT_KEYS
+            _warn_unknown(spec, keys, where)
+            _typed(spec, "script_path", str, "", "a path string")  # the file is read below
+        else:
+            raise ConfigError(f"unknown backend kind {kind!r}")
+        default = RequestSettings()
+        settings = RequestSettings(
+            model_id=_typed(spec, "model_id", str, default.model_id, "a string"),
+            system_prompt=_typed(spec, "system_prompt", str, default.system_prompt, "a string"),
+            temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
+            max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
         )
-        HttpBackend(**made)  # built for its range checks, before a bad rate_limit sizes a gate
-    elif kind == "scripted":
-        _warn_unknown(spec, _SCRIPTED_KEYS if "script_path" in spec else _INLINE_SCRIPT_KEYS, where)
+    except (ConfigError, ValueError) as exc:
+        raise ConfigError(f"{where[:-1]}: {exc}") from exc
+    if kind == "scripted":
         script, source = spec, where[:-1]  # a bad script is named by its file, or by its spec
         if "script_path" in spec:
-            value = _typed(spec, "script_path", str, None, "a path string")
-            path = _resolve(base, value, where + "script_path")
+            path = _resolve(base, spec["script_path"], where + "script_path")
             if path not in scripts:
                 try:
                     scripts[path] = parse_json(path.read_bytes())
@@ -261,15 +281,6 @@ def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: st
             made = ScriptedBackend.from_script(script)  # checks the script's shape
         except ValueError as exc:
             raise ConfigError(f"{source}: {exc}") from exc
-    else:
-        raise ConfigError(f"unknown backend kind {kind!r}")
-    default = RequestSettings()
-    settings = RequestSettings(
-        model_id=_typed(spec, "model_id", str, default.model_id, "a string"),
-        system_prompt=_typed(spec, "system_prompt", str, default.system_prompt, "a string"),
-        temperature=_typed(spec, "temperature", (int, float), default.temperature, "a number"),
-        max_tokens=_typed(spec, "max_tokens", int, default.max_tokens, "an integer"),
-    )
     return settings, made
 
 

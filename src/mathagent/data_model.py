@@ -5,8 +5,7 @@ throughout: gt_error_step = 1 means the first solution step is wrong.
 
 A Sample is an immutable NamedTuple, so a changed copy is made with
 _replace. sample_from_dict checks a line's object in one pass: it reads
-each field once and takes a value of exactly the expected type as it is;
-any other value goes through the full check, which raises the SchemaError
+each required field once, through _require, which raises the SchemaError
 naming it. Question types and image kinds are looked up by their value.
 
 A category's accepted spellings are its short name, its long name and
@@ -60,22 +59,6 @@ def decode_utf8(data: bytes) -> str:
 
 
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # a \uD800-\uDFFF escape
-_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads runs, without its wrappers
-
-
-def _scan_as_loads(text: str, frames: int = 3):
-    """_scan_once(text, 0), called from as many Python frames down as json.loads calls it.
-
-    json.loads calls the scanner from its third frame (loads, decode,
-    raw_decode). Before Python 3.12 the C scanner's nesting counts against
-    the same recursion limit as Python frames, so a text nested to the
-    stack's edge parses or not by where its scan starts; starting it as
-    deep as json.loads does keeps the one scan's answer the one json.loads
-    gives there too.
-    """
-    if frames > 1:
-        return _scan_as_loads(text, frames - 1)
-    return _scan_once(text, 0)
 
 
 def parse_json(text: str | bytes):
@@ -86,23 +69,9 @@ def parse_json(text: str | bytes):
     failure, a nesting too deep to parse and too long an integer included,
     is BadText, and so is a lone surrogate in a string or key, whether a
     str carries it raw or the text escapes it.
-
-    Most text is read in one scan: a value that starts the text and is
-    followed by JSON whitespace alone (" \\t\\n\\r"), in a text with no
-    \\u escape that, given as a str, is ASCII, so it holds no surrogate.
-    Such a value is the one json.loads gives. Any other text, and any
-    text that scan rejects, goes through the full check below.
     """
     raw = isinstance(text, str) and not text.isascii()  # only a str can carry a raw surrogate
     text = decode_utf8(text) if isinstance(text, bytes) else text
-    if not raw and "\\u" not in text:
-        try:
-            value, end = _scan_as_loads(text)
-        except (StopIteration, ValueError, RecursionError):  # the full check words the error
-            pass
-        else:
-            if not text[end:].strip(" \t\n\r"):
-                return value
     try:
         if raw:
             text.encode("utf-8")  # only to find a raw surrogate: the text is parsed as a str
@@ -346,13 +315,11 @@ def write_dataset(samples: Iterable[Sample], path) -> None:
 
 
 def _require(obj: dict, key: str, kind, line_no: int):
-    if key not in obj or obj[key] is None:
+    value = obj.get(key)
+    if value is None:
         raise SchemaError(line_no, key, "missing required field")
-    value = obj[key]
     # bool is an int subclass; an explicit check keeps true/false out of int fields
-    if kind is int and isinstance(value, bool):
-        raise SchemaError(line_no, key, f"expected int, got bool")
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(line_no, key, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -373,13 +340,9 @@ def _member(members: dict, raw: str, line_no: int, field_path: str, noun: str):
 def _image_from_obj(obj, line_no: int) -> ImageRef:
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "image", f"expected object, got {type(obj).__name__}")
-    kind_raw = obj.get("kind")
-    if not isinstance(kind_raw, str):
-        kind_raw = _require(obj, "kind", str, line_no)
+    kind_raw = _require(obj, "kind", str, line_no)
     kind = _member(_IMAGE_KINDS, kind_raw, line_no, "image.kind", "kind")
-    value = obj.get("value")
-    if type(value) is not str:
-        value = _require(obj, "value", str, line_no)
+    value = _require(obj, "value", str, line_no)
     if not value:
         raise SchemaError(line_no, "image.value", "must be non-empty")
     media_type = obj.get("media_type")
@@ -404,59 +367,43 @@ def sample_from_dict(obj: dict, line_no: int = 0) -> Sample:
     """Validate one wire-format object and build a Sample.
 
     Raises SchemaError naming the offending field. Unknown keys are ignored.
-    Each field is read once: a value of exactly the expected type (str,
-    list or int, never bool) is taken as it is, and any other goes through
-    _require, which names what is wrong with it, in field order.
+    Each required field is read once, through _require, which names what
+    is wrong with it, in field order.
     """
     if not isinstance(obj, dict):
         raise SchemaError(line_no, "", f"expected object, got {type(obj).__name__}")
-    get = obj.get
-    sample_id = get("id")
-    if type(sample_id) is not str:
-        sample_id = _require(obj, "id", str, line_no)
+    sample_id = _require(obj, "id", str, line_no)
     if not sample_id:
         raise SchemaError(line_no, "id", "must be non-empty")
-    question_text = get("question_text")
-    if type(question_text) is not str:
-        question_text = _require(obj, "question_text", str, line_no)
-    correct = get("correct_answer")
-    if type(correct) is not str:
-        correct = _require(obj, "correct_answer", str, line_no)
-    incorrect = get("incorrect_answer")
-    if type(incorrect) is not str:
-        incorrect = _require(obj, "incorrect_answer", str, line_no)
+    question_text = _require(obj, "question_text", str, line_no)
+    correct = _require(obj, "correct_answer", str, line_no)
+    incorrect = _require(obj, "incorrect_answer", str, line_no)
 
-    steps = get("steps")
-    if type(steps) is not list:
-        steps = _require(obj, "steps", list, line_no)
+    steps = _require(obj, "steps", list, line_no)
     if not steps:
         raise SchemaError(line_no, "steps", "must be a non-empty array")
     for i, step in enumerate(steps):
         if not isinstance(step, str):
             raise SchemaError(line_no, f"steps[{i}]", "expected string")
 
-    gt_step = get("gt_error_step")
-    if type(gt_step) is not int:
-        gt_step = _require(obj, "gt_error_step", int, line_no)
+    gt_step = _require(obj, "gt_error_step", int, line_no)
     if not 1 <= gt_step <= len(steps):
         raise SchemaError(
             line_no, "gt_error_step",
             f"{gt_step} outside [1, {len(steps)}] (1-based step index)",
         )
 
-    cat_raw = get("gt_error_category")
-    if type(cat_raw) is not str:
-        cat_raw = _require(obj, "gt_error_category", str, line_no)
+    cat_raw = _require(obj, "gt_error_category", str, line_no)
     try:
         category = parse_category(cat_raw)
     except UnknownCategory as exc:
         raise SchemaError(line_no, "gt_error_category", str(exc)) from None
 
-    image = get("image")
+    image = obj.get("image")
     if image is not None:
         image = _image_from_obj(image, line_no)
 
-    qtype = get("question_type")
+    qtype = obj.get("question_type")
     if isinstance(qtype, str):
         qtype = _member(_QUESTION_TYPES, qtype, line_no, "question_type", "type")
     elif qtype is not None:

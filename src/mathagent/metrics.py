@@ -34,8 +34,6 @@ class Prediction(Protocol):
 # confusion-matrix row label for samples whose final parse failed
 UNPARSED = "unparsed"
 
-CONFUSION_ROWS = tuple(c.value for c in ErrorCategory) + (UNPARSED,)
-
 
 class ScoredRun(NamedTuple):
     """One scoring pass; category_accuracy leaves out categories the samples lack."""

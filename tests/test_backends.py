@@ -197,7 +197,8 @@ class TestValueTypes:
         assert ReportRow("m", {}).deltas is not ReportRow("m", {}).deltas
 
     def test_cli_fills_an_http_spec_with_the_backend_defaults(self, tmp_path):
-        config = loaded_config(tmp_path, {"kind": "http", "base_url": "http://localhost:9"})
+        spec = {"kind": "http", "base_url": "http://localhost:9", "model_id": "m"}
+        config = loaded_config(tmp_path, spec)
         backend = config.backends["phase1"].backend
         assert backend.base_url == "http://localhost:9"
         parameters = inspect.signature(HttpBackend).parameters

@@ -241,8 +241,8 @@ class TestRun:
         "spec, unknown",
         [
             (
-                {"kind": "http", "base_url": "http://127.0.0.1:9", "rate_limits": 2,
-                 "retry": {"max_attempt": 2, "backoff_base_ms": 5}},
+                {"kind": "http", "base_url": "http://127.0.0.1:9", "model_id": "m",
+                 "rate_limits": 2, "retry": {"max_attempt": 2, "backoff_base_ms": 5}},
                 ["rate_limits", "retry.max_attempt"],
             ),
             ({"kind": "scripted", "phases": {}, "by_fingerprint": {}, "default_reply": "x"}, []),
@@ -259,7 +259,7 @@ class TestRun:
         ]
 
     def test_an_http_spec_without_knobs_takes_the_backend_defaults(self, tmp_path):
-        spec = {"kind": "http", "base_url": "http://localhost:9/"}
+        spec = {"kind": "http", "base_url": "http://localhost:9/", "model_id": "m"}
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
         specs = {"phase1": spec, "phase2": scripted, "phase3": scripted}
         config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends=specs))
@@ -774,6 +774,54 @@ class TestConfigErrors:
         assert "Traceback" not in proc.stderr
         assert repr(knob) in proc.stderr
         assert not (tmp_path / "out").exists()  # stopped before any sample ran
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([1], "backend spec must be an object"),
+            ({"kind": "nope"}, "unknown backend kind 'nope'"),
+            ({"kind": "http"}, "http backend needs 'base_url'"),
+            ({"kind": "http", "base_url": "http://localhost:9", "rate_limit": "x"},
+             "'rate_limit' must be an integer, not str"),
+            ({"kind": "http", "base_url": "http://localhost:9", "timeout_s": 0},
+             "'timeout_s' 0 is not in (0, "),
+            ({"kind": "http", "base_url": "http://localhost:9", "retry": {"max_attempts": 0}},
+             "'max_attempts' 0 "),
+            ({"kind": "scripted", "script_path": 5}, "'script_path' must be a path string, not int"),
+            ({"kind": "scripted", "default_reply": "ok", "temperature": 2},
+             "'temperature' 2 is outside [0, 1]"),
+        ],
+        ids=["not-object", "kind", "base_url", "rate_limit", "timeout_s", "retry", "script_path",
+             "temperature"],
+    )
+    def test_a_spec_error_names_the_spec_once(self, tmp_path, caplog, spec, message):
+        config = write_config(tmp_path, tmp_path / "out")
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["backends"]["phase2"] = spec
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert_load_config_raises(config)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        (error,) = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert error.startswith(f"config: backends.phase2: {message}")
+        assert error.count("phase2") == 1
+
+    @pytest.mark.parametrize(
+        "name, router",
+        [("phase1", {}), ("phase3", {}), ("spare", {"diagram": "spare"}),
+         ("spare", {"default": "spare"})],
+        ids=["phase1", "phase3", "routed", "default-route"],
+    )
+    def test_a_used_http_spec_must_name_its_model(self, tmp_path, caplog, name, router):
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        specs = {"phase1": scripted, "phase2": scripted, "phase3": scripted}
+        specs[name] = {"kind": "http", "base_url": "http://localhost:9"}
+        config = write_config(tmp_path, tmp_path / "out", backends=specs, router=router)
+        assert_load_config_raises(config)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"config: backends.{name}: http backend needs 'model_id'"
+        ]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "script",
@@ -1401,7 +1449,7 @@ class TestComputedOnce:
 
     def test_build_setup_builds_no_backend(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
-        http = {"kind": "http", "base_url": ONE_URL}
+        http = {"kind": "http", "base_url": ONE_URL, "model_id": "m"}
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
         config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends={
             "phase1": http, "phase2": scripted, "phase3": {**http, "base_url": OTHER_URL},
@@ -1792,7 +1840,7 @@ class TestEndpointGate:
     def test_one_call_in_flight_per_base_url(self, tmp_path, capsys, monkeypatch, command):
         endpoint = FaultyEndpoint(hold_s=0.002)  # long enough for another worker's call to overlap
         serve(endpoint, monkeypatch)
-        spec = {"kind": "http", "base_url": ONE_URL, "rate_limit": 1}
+        spec = {"kind": "http", "base_url": ONE_URL, "model_id": "m", "rate_limit": 1}
         config = write_config(
             tmp_path,
             tmp_path / "out",
@@ -1838,7 +1886,7 @@ class TestWorkers:
 
     def test_two_base_urls_give_the_sum_of_their_gates(self, tmp_path, capsys, monkeypatch):
         serve(FaultyEndpoint(), monkeypatch)
-        spec = {"kind": "http", "base_url": ONE_URL, "rate_limit": 2}
+        spec = {"kind": "http", "base_url": ONE_URL, "model_id": "m", "rate_limit": 2}
         config = write_config(tmp_path, tmp_path / "out", backends={
             "phase1": spec,
             "phase2": {**spec, "rate_limit": 5},
@@ -1852,11 +1900,12 @@ class TestWorkers:
 
     def test_a_spec_no_phase_or_route_uses_adds_no_worker(self, tmp_path):
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
-        specs = {"phase1": scripted, "phase2": scripted, "phase3": scripted,
-                 "spare": {"kind": "http", "base_url": ONE_URL, "rate_limit": 8}}
+        spare = {"kind": "http", "base_url": ONE_URL, "rate_limit": 8}
+        specs = {"phase1": scripted, "phase2": scripted, "phase3": scripted, "spare": spare}
         config = write_config(tmp_path, tmp_path / "out", backends=specs)
-        assert cli.load_config(config).workers == 1
+        assert cli.load_config(config).workers == 1  # unused, it needs no model_id either
         # routed to, the spec's gate gives the run its slots
+        specs["spare"] = {**spare, "model_id": "m"}
         config = write_config(tmp_path, tmp_path / "out", backends=specs,
                               router={"plane_geometry": "spare"})
         assert cli.load_config(config).workers == 8
@@ -1866,7 +1915,7 @@ class TestWorkers:
         top = backends.MAX_RATE_LIMIT
         urls = ["http://localhost:7/v1", ONE_URL, OTHER_URL]
         config = write_config(tmp_path, tmp_path / "out", backends={
-            phase: {"kind": "http", "base_url": url, "rate_limit": top}
+            phase: {"kind": "http", "base_url": url, "model_id": "m", "rate_limit": top}
             for phase, url in zip(["phase1", "phase2", "phase3"], urls)
         })
         loaded = cli.load_config(config)  # starts no pool
@@ -2007,7 +2056,7 @@ class TestAuthStopsTheRun:
         serve(endpoint, monkeypatch)
         monkeypatch.delenv("MATHAGENT_API_KEY")
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
-        spare = {"kind": "http", "base_url": "http://localhost:9/v1"}
+        spare = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "m"}
         config = write_config(
             tmp_path, tmp_path / "out",
             backends={"phase1": scripted, "phase2": scripted, "phase3": scripted, "spare": spare},
@@ -2578,9 +2627,12 @@ class TestReadme:
         raw = json.loads(block.split("```")[0])
         shutil.copy(DATASET, tmp_path / raw["dataset"])
         shutil.copytree(PACKAGED_PROMPTS, tmp_path / raw["prompt_dir"])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        as_written = cli.load_config(config)  # its HTTP specs too, though none is called
+        assert {phase.settings.model_id for phase in as_written.backends.values()} == {"gpt-4o"}
         for name in raw["backends"]:
             raw["backends"][name] = {"kind": "scripted", "script_path": str(SCRIPTS)}
-        config = tmp_path / "run.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["run", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()

@@ -236,7 +236,7 @@ def reference_require(obj: dict, key: str, kind, line_no: int):
         raise SchemaError(line_no, key, "missing required field")
     value = obj[key]
     if kind is int and isinstance(value, bool):
-        raise SchemaError(line_no, key, f"expected int, got bool")
+        raise SchemaError(line_no, key, "expected int, got bool")
     if not isinstance(value, kind):
         raise SchemaError(line_no, key, f"expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -679,7 +679,7 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def reference_parse_json(text: str | bytes):
-    """parse_json as it was before its one-scan path: json.loads for every text.
+    """parse_json's checked path, the reference for any faster one: json.loads for every text.
 
     A str is parsed as a str, so a leading byte-order mark fails as it does
     in bytes; it is encoded only to find a raw surrogate.

@@ -1,4 +1,5 @@
-"""Every module-level import of the package, the scripts and the tests is used.
+"""Every module-level import of the package, the scripts and the tests is used,
+and every f-string in them has a placeholder.
 
 Checked with ast, so no linter is needed. The package's __init__.py is
 left out: its imports are re-exports.
@@ -37,11 +38,34 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def placeholderless_fstrings(source: str) -> list[str]:
+    """The lines of f-strings that format no value; a format spec's own f-string is not one."""
+    nodes = list(ast.walk(ast.parse(source)))
+    # f"{x:.2f}" holds the spec ".2f" as a nested f-string
+    specs = {id(node.format_spec) for node in nodes if isinstance(node, ast.FormattedValue)}
+    return [
+        f"line {node.lineno}"
+        for node in nodes
+        if isinstance(node, ast.JoinedStr) and id(node) not in specs
+        and not any(isinstance(value, ast.FormattedValue) for value in node.values)
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_f_string_has_a_placeholder(path):
+    assert placeholderless_fstrings(path.read_text(encoding="utf-8")) == []
+
+
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nimport sys\nsys.exit()\n"
     assert unused_imports(source) == ["line 2: os"]
+
+
+def test_an_f_string_without_a_placeholder_is_found():
+    source = 'a = f"{x:.2f}"\nb = f"none"\nc = f"{x:>{w}}" "tail"\nd = f"one" f"two"\n'
+    assert placeholderless_fstrings(source) == ["line 2", "line 4"]
