@@ -2,9 +2,10 @@
 
 HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
-backend only for requests it has not seen; each call is recorded as a
-CallRecord. Neither a ModelResponse nor a CallRecord holds wall time,
-so a call's record is the same over HTTP as from a script. Threads
+backend only for requests it has not seen; it alone says whether it
+answered a call, and each call is recorded as a CallRecord with that
+flag. Neither a ModelResponse nor a CallRecord holds wall time, so a
+call's record is the same over HTTP as from a script. Threads
 that miss on one request together make one call (single-flight): the
 first asker holds a lock until its reply or its exception is set, and
 the others block on that lock, then share it.
@@ -23,10 +24,11 @@ every build, _replace included.
 The replay cache's lines and HTTP reply bodies are read by
 data_model.parse_json, the one reader of outside JSON.
 
-HttpBackend builds its URL once, and its headers once per API key
-value; it reads and checks the key at every call, with read_api_key,
-which cli also applies to each HTTP backend a run uses before it makes
-any output. Its defaults are the DEFAULT_* constants, which cli gives a
+HttpBackend builds its URL once. At every call it reads and checks the
+API key, with read_api_key, and builds that call's headers from it, so
+it holds no state a call changes but its gate; cli also applies
+read_api_key to each HTTP backend a run uses before it makes any
+output. Its defaults are the DEFAULT_* constants, which cli gives a
 spec that leaves a knob out. It sends through its
 transport hook: transport(url, headers, body, timeout_s) returns
 (status, headers, text), the reply's status, its headers as a mapping
@@ -111,7 +113,6 @@ _FINISH_REASONS = {reason.value: reason for reason in FinishReason}
 class ModelResponse(NamedTuple):
     text: str
     finish_reason: FinishReason
-    from_cache: bool = False
 
     @property
     def cut(self) -> str | None:
@@ -330,7 +331,6 @@ class HttpBackend:
         self.base_url = base_url.rstrip("/")
         self._url = f"{self.base_url}/chat/completions"
         self.api_key_env = api_key_env
-        self._auth: tuple[str | None, dict] = (None, {})  # the last key read, and its headers
         self.retry = retry
         self.timeout_s = timeout_s
         self._transport = transport
@@ -355,10 +355,7 @@ class HttpBackend:
 
     def complete(self, request: ModelRequest) -> ModelResponse:
         key = read_api_key(self.api_key_env)
-        held_key, headers = self._auth
-        if key != held_key:  # one headers dict per key value, swapped whole for other threads
-            headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
-            self._auth = (key, headers)
+        headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
         url = self._url
         body = self._build_body(request)
 
@@ -502,24 +499,27 @@ class _Flight:
 class ReplayCache:
     """Fingerprint -> reply memo for every phase backend of one command.
 
-    A repeated request gets the stored reply, with from_cache set: one
-    ModelResponse is made per fingerprint, when a line is loaded or a
-    miss is answered, and every hit returns that one. A hit
+    complete returns (reply, from_cache): a repeated request gets the
+    stored reply and True, a miss the backend's own reply and False. One
+    reply is kept per fingerprint, made when a line is loaded or returned
+    by the backend on a miss, and every hit returns that one. A hit
     takes no lock, since a stored reply is never replaced or removed.
     Concurrent misses on one fingerprint make one inner call
     (single-flight): the first asker marks the fingerprint with a flight
     whose lock it holds until the call returns or raises, and every other
-    asker blocks on that lock, then returns the same reply or raises the
-    same exception. A failed call stores nothing, so a later ask calls
-    again. With a path, the memo persists as append-only JSONL read once
-    here, one {fingerprint, response_text, finish_reason, model_id,
-    timestamp} per line (finish_reason stop when absent, the last line
-    winning). A torn final line (a crash mid-append) is cut with a
-    warning; any other bad line, one parse_json rejects included, raises
-    ValueError naming it, and a path whose directory does not exist
-    raises FileNotFoundError. Only this object orders appends: one per
-    file. The file is opened for appending at the first miss and each
-    line is flushed whole; close() (or leaving a `with` block) closes it.
+    asker blocks on that lock, then gets the same reply, as a hit, or
+    raises the same exception. A failed call stores nothing, so a later
+    ask calls again. With a path, the memo persists as append-only JSONL
+    read once here, one {fingerprint, response_text, finish_reason,
+    model_id} per line (finish_reason stop when absent, other keys
+    ignored, the last line winning). No line holds wall time, so two
+    identical one-worker runs write the same file. A torn final line (a
+    crash mid-append) is cut with a warning; any other bad line, one
+    parse_json rejects included, raises ValueError naming it, and a path
+    whose directory does not exist raises FileNotFoundError. Only this
+    object orders appends: one per file. The file is opened for appending
+    at the first miss and each line is flushed whole; close() (or leaving
+    a `with` block) closes it.
     """
 
     def __init__(self, path=None):
@@ -559,12 +559,12 @@ class ReplayCache:
                     reason = _FINISH_REASONS[raw]
                 except (KeyError, TypeError):  # TypeError: a list or an object is unhashable
                     raise ValueError(f"{raw!r} is not a valid FinishReason") from None
-                self._replies[fp] = ModelResponse(text, reason, True)
+                self._replies[fp] = ModelResponse(text, reason)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"corrupt replay cache {self.path} line {line_no}: {exc}") from exc
 
-    def complete(self, inner: Backend, request: ModelRequest) -> ModelResponse:
-        """The stored reply to request; on a miss, inner's reply, then stored."""
+    def complete(self, inner: Backend, request: ModelRequest) -> tuple[ModelResponse, bool]:
+        """(reply, from_cache): the stored reply and True; on a miss, inner's reply and False."""
         fp = request.fingerprint
         stored = self._replies.get(fp)
         if stored is None:
@@ -573,7 +573,7 @@ class ReplayCache:
                 if stored is None:
                     self._replies[fp] = flight = _Flight()
         if stored is not None:
-            return stored if stored.__class__ is ModelResponse else stored.wait()
+            return (stored.wait() if stored.__class__ is _Flight else stored), True
         # only this asker replaces or removes its flight, so neither takes the lock
         try:
             response = inner.complete(request)
@@ -582,8 +582,7 @@ class ReplayCache:
             flight.error = exc
             flight.lock.release()
             raise
-        flight.reply = reply = ModelResponse(response.text, response.finish_reason, True)
-        self._replies[fp] = reply
+        flight.reply = self._replies[fp] = response
         flight.lock.release()  # before the append, so a failed append strands no waiter
         if self.path is not None:
             record = {
@@ -591,14 +590,13 @@ class ReplayCache:
                 "response_text": response.text,
                 "finish_reason": response.finish_reason.value,
                 "model_id": request.settings.model_id,
-                "timestamp": time.time(),
             }
             with self._lock:
                 if self._appends is None:
                     self._appends = open(self.path, "a", encoding="utf-8")
                 self._appends.write(json.dumps(record, ensure_ascii=False) + "\n")
                 self._appends.flush()  # a killed run leaves whole lines only
-        return response
+        return response, False
 
     def close(self) -> None:
         """Close the append handle, if open; a later miss opens it again."""

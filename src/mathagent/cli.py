@@ -1,7 +1,10 @@
 """Command-line harness: run, ablate, validate, report.
 
-run and ablate each build one PipelineSetup, whose modes share its
-backends, its memo and one in-flight gate per base_url.
+load_config builds a config's PipelineSetup once: the phases and routes
+a command uses, resolved by name in the order a sample meets them, and
+the prompts. run and ablate each give it one memo in build_setup, and
+their modes share its backends, its memo and one in-flight gate per
+base_url.
 
 Exit codes: 0 success, 1 validation or alignment findings, 2 config
 error, an output location that cannot be made or written, or an
@@ -98,9 +101,9 @@ _INLINE_SCRIPT_KEYS = _SCRIPTED_KEYS | {"phases", "by_fingerprint"}  # a script 
 class RunConfig(NamedTuple):
     dataset: Path
     mode: AblationMode
-    backends: dict[str, PhaseSetup]  # built once; every HTTP one waits on its base_url's gate
-    prompts: PromptSet
-    router: dict[str, str]
+    # the phases, routes and prompts, built once; every HTTP backend waits on its base_url's
+    # gate. Its cache is an in-memory stand-in: build_setup gives each command its own
+    setup: PipelineSetup
     cache_path: Path | None
     output_dir: Path
     workers: int  # the slots of every gate the run uses, up to MAX_RATE_LIMIT; 1 if all scripted
@@ -135,7 +138,7 @@ def _path(raw: dict, key: str, base: Path, default: str | None = None) -> Path |
 
 
 def load_config(path) -> RunConfig:
-    """Read and check a run config, its scripts and prompt set, then build its backends."""
+    """Read and check a run config, its scripts and prompt set, then build its setup."""
     config_path = Path(path)
     try:
         raw = parse_json(config_path.read_bytes())
@@ -186,10 +189,6 @@ def load_config(path) -> RunConfig:
     except (OSError, ValueError) as exc:
         # missing or bad prompt assets, unreadable script files
         raise ConfigError(str(exc)) from exc
-    used_names = _used_names(router)
-    for name in used_names:  # every spec has passed; a used http spec names its model
-        if specs[name]["kind"] == "http" and "model_id" not in specs[name]:
-            raise ConfigError(f"backends.{name}: http backend needs 'model_id'")
     # one in-flight gate per base_url, sized by its smallest rate_limit
     limits: dict[str, int] = {}
     for _, made in checked.values():
@@ -197,27 +196,30 @@ def load_config(path) -> RunConfig:
             url, limit = made["base_url"], made["rate_limit"]
             limits[url] = min(limit, limits.get(url, limit))
     gates = {url: threading.Semaphore(limit) for url, limit in limits.items()}
-    backends = {
-        name: PhaseSetup(
-            HttpBackend(**made, gate=gates[made["base_url"]]) if isinstance(made, dict) else made,
-            settings,
-        )
-        for name, (settings, made) in checked.items()
-    }
+    phases: dict[str, PhaseSetup] = {}  # each spec a phase or route uses, in the order met
+
+    def phase(name: str) -> PhaseSetup:
+        """The named spec's PhaseSetup, built at its first use; a used http spec names its model."""
+        if name not in phases:
+            if specs[name]["kind"] == "http" and "model_id" not in specs[name]:
+                raise ConfigError(f"backends.{name}: http backend needs 'model_id'")
+            settings, made = checked[name]
+            if isinstance(made, dict):
+                made = HttpBackend(**made, gate=gates[made["base_url"]])
+            phases[name] = PhaseSetup(made, settings)
+        return phases[name]
+
+    setup = PipelineSetup(
+        phase("phase1"), phase(router.get("default", "phase2")), phase("phase3"),
+        router={QuestionType(k): phase(v) for k, v in router.items() if k != "default"},
+        prompts=prompts,
+    )
     # a worker per slot fills every gate the run uses, up to one gate's bound in all; a
     # scripted-only run is CPU-bound, so it takes one
-    used = {backends[name].backend for name in used_names}
+    used = [p.backend for p in phases.values()]
     urls = {backend.base_url for backend in used if not isinstance(backend, ScriptedBackend)}
     workers = min(sum(limits[url] for url in urls), MAX_RATE_LIMIT) or 1
-    return RunConfig(
-        dataset, AblationMode(mode), backends, prompts, router, cache_path, output_dir, workers
-    )
-
-
-def _used_names(router: dict[str, str]) -> list[str]:
-    """The backends a run's phases and routes use, by name, in the order a sample meets them."""
-    phase2 = router.get("default", "phase2")
-    return list(dict.fromkeys(("phase1", phase2, "phase3", *router.values())))
+    return RunConfig(dataset, AblationMode(mode), setup, cache_path, output_dir, workers)
 
 
 def _backend_spec(spec: dict, base: Path, scripts: dict[Path, object], where: str) -> tuple:
@@ -293,25 +295,20 @@ def _open_cache(config: RunConfig) -> ReplayCache:
 
 
 def build_setup(config: RunConfig, config_base: Path | None = None) -> PipelineSetup:
-    """One command's setup on the backends load_config built; the caller closes its cache.
+    """config.setup on the config's cache, opened here; the caller closes it.
 
     config_base is unused, since load_config resolved every path. An HTTP
     backend the setup uses whose key variable no request could send (see
     backends.read_api_key) raises AuthError first, before the cache opens
-    or any output is made. Every call asks the config's cache, opened
-    here; the setups of one config share its backends, and so its gates.
+    or any output is made. The setups of one config share its phases, and
+    so its gates.
     """
-    phase2 = config.router.get("default", "phase2")
-    backends = config.backends
-    for name in _used_names(config.router):
-        backend = backends[name].backend
+    setup = config.setup
+    in_turn = (setup.phase1, setup.phase2, setup.phase3, *setup.router.values())
+    for backend in dict.fromkeys(p.backend for p in in_turn):  # as a sample meets them
         if not isinstance(backend, ScriptedBackend):  # an HttpBackend
             read_api_key(backend.api_key_env)
-    router = {QuestionType(k): backends[v] for k, v in config.router.items() if k != "default"}
-    return PipelineSetup(
-        backends["phase1"], backends[phase2], backends["phase3"],
-        router=router, prompts=config.prompts, cache=_open_cache(config),
-    )
+    return setup._replace(cache=_open_cache(config))
 
 
 def _load_samples(dataset_path: Path):
@@ -390,7 +387,7 @@ def _write_report(out_dir: Path, rows: list[ReportRow]) -> str:
 
 def cmd_run(args) -> int:
     config = load_config(args.config)
-    model = config.backends["phase3"].settings.model_id
+    model = config.setup.phase3.settings.model_id
     started = _utc_now()
     ((row, calls),) = _detect(config, [config.mode], ["detections.jsonl"], [model])
     finished = _utc_now()

@@ -24,11 +24,13 @@ its record back; the reader accepts only what the writer emits, so
 `report` on a detections file scores exactly what its run kept.
 
 A later mode that repeats a request an earlier one made is answered by
-the setup's ReplayCache, which records the call as a memo hit
-(from_cache true). A call that raised is not stored, so a later mode
-asks again. No backend keeps state between calls, and no line holds
-wall time, so a sample's detections do not depend on the samples or
-modes before it, nor on how long a call took.
+the setup's ReplayCache, which alone says whether it answered a call:
+the call's CallRecord takes from_cache from it. A call that raised is
+not stored, so a later mode asks again. No backend keeps state between
+calls, and no line holds wall time, so a sample's detections do not
+depend on the modes before it, nor on how long a call took. They depend
+on the samples before it only through from_cache, when two samples
+make the same request: at one worker the earlier one asks.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ class PipelineSetup(BuiltByNew, _SetupFields):
             ReplayCache() if cache is None else cache,
         ))
 
-    def phase2_for(self, question_type: QuestionType | None) -> PhaseSetup:
-        return self.router.get(question_type, self.phase2)
-
 
 class PhaseTrace(NamedTuple):
     """What each phase of one sample's run gave, and its calls in order."""
@@ -141,8 +140,8 @@ class _RecordedCalls:
         self.records = records
 
     def complete(self, request: ModelRequest) -> ModelResponse:
-        response = self.cache.complete(self.backend, request)
-        self.records.append(CallRecord(request.phase, request.fingerprint, response.from_cache))
+        response, from_cache = self.cache.complete(self.backend, request)
+        self.records.append(CallRecord(request.phase, request.fingerprint, from_cache))
         return response
 
 
@@ -154,7 +153,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
     AuthError is raised instead: a key or endpoint that refuses one
     sample refuses them all, so it is a fault of the run.
     """
-    phase1, phase2, phase3, _, prompts, cache = setup  # a local reads faster than a field
+    phase1, phase2, phase3, router, prompts, cache = setup  # a local reads faster than a field
     calls: list[CallRecord] = []
 
     def bound(phase_setup: PhaseSetup) -> Backend:
@@ -175,7 +174,7 @@ def detect_errors(sample: Sample, mode: AblationMode, setup: PipelineSetup) -> D
                 qtype, chosen = sample.question_type, phase2
             else:
                 qtype = resolve_question_type(sample, bound(phase2), phase2.settings, prompts)
-                chosen = setup.phase2_for(qtype)  # an unresolved type (None) gets phase2
+                chosen = router.get(qtype, phase2)  # an unresolved type (None) gets phase2
             transcript = interpret_visual(
                 sample,
                 qtype,

@@ -135,7 +135,7 @@ class TestValueTypes:
         "RequestSettings": RequestSettings("m", "sys", 0.5, 64),
         "RetryPolicy": RetryPolicy(2, 10),
         "RunConfig": cli.RunConfig(
-            Path("d.jsonl"), AblationMode.FULL, {"phase1": PHASE}, packaged_prompts(), {},
+            Path("d.jsonl"), AblationMode.FULL, PipelineSetup(PHASE, PHASE, PHASE),
             None, Path("out"), 1,
         ),
         "ImageRef": inline_ref(),
@@ -199,7 +199,7 @@ class TestValueTypes:
     def test_cli_fills_an_http_spec_with_the_backend_defaults(self, tmp_path):
         spec = {"kind": "http", "base_url": "http://localhost:9", "model_id": "m"}
         config = loaded_config(tmp_path, spec)
-        backend = config.backends["phase1"].backend
+        backend = config.setup.phase1.backend
         assert backend.base_url == "http://localhost:9"
         parameters = inspect.signature(HttpBackend).parameters
         for name in ("api_key_env", "retry", "timeout_s"):
@@ -407,7 +407,7 @@ class TestFingerprint:
 
     def test_a_config_temperature_of_0_frames_as_json_writes_it(self, tmp_path):
         spec = {"kind": "scripted", "default_reply": "ok", "model_id": "m", "temperature": 0}
-        settings_ = loaded_config(tmp_path, spec).backends["phase1"].settings
+        settings_ = loaded_config(tmp_path, spec).setup.phase1.settings
         assert type(settings_.temperature) is int
         assert settings_.frame[1].endswith(',"temperature":0}')
         request = ModelRequest("q", None, settings_)
@@ -458,7 +458,7 @@ class TestHttpBackend:
         resp = backend.complete(text_request())
         assert resp.text == "the answer"
         assert resp.finish_reason is FinishReason.STOP
-        assert not resp.from_cache
+        assert resp == ModelResponse("the answer", FinishReason.STOP)  # no memo flag on a reply
 
     @pytest.mark.parametrize(
         "finish,expected",
@@ -993,9 +993,9 @@ class TestReplayBackend:
         cache = tmp_path / "cache.jsonl"
         inner = CountingBackend()
         with ReplayCache(cache) as memo:
-            resp = memo.complete(inner, text_request())
+            resp, from_cache = memo.complete(inner, text_request())
         assert resp.text == "inner reply"
-        assert not resp.from_cache
+        assert not from_cache
         assert inner.calls == 1
         (line,) = cache.read_text(encoding="utf-8").splitlines()
         record = json.loads(line)
@@ -1009,29 +1009,30 @@ class TestReplayBackend:
             cold.complete(CountingBackend(), text_request())
         inner = CountingBackend("should not be used")
         warm = ReplayCache(cache)
-        resp = warm.complete(inner, text_request())
+        resp, from_cache = warm.complete(inner, text_request())
         assert resp.text == "inner reply"
-        assert resp.from_cache
+        assert from_cache
         assert inner.calls == 0
 
     def test_same_instance_caches_repeat_calls(self, tmp_path):
         inner = CountingBackend()
         with ReplayCache(tmp_path / "cache.jsonl") as memo:
             memo.complete(inner, text_request())
-            resp = memo.complete(inner, text_request())
+            _, from_cache = memo.complete(inner, text_request())
         assert inner.calls == 1
-        assert resp.from_cache
+        assert from_cache
 
     def test_a_hit_returns_the_one_stored_reply(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        stored = ModelResponse("inner reply", FinishReason.STOP, True)
-        with ReplayCache(cache) as cold:  # stored when the miss is answered
-            assert not cold.complete(CountingBackend(), text_request()).from_cache
+        stored = ModelResponse("inner reply", FinishReason.STOP)
+        with ReplayCache(cache) as cold:  # the backend's own reply, stored when it answers
+            reply, from_cache = cold.complete(CountingBackend(), text_request())
+            assert not from_cache
             hits = [cold.complete(CountingBackend(), text_request()) for _ in range(2)]
-        assert hits == [stored, stored] and hits[0] is hits[1]
+        assert hits == [(stored, True), (stored, True)] and hits[0][0] is hits[1][0] is reply
         warm = ReplayCache(cache)  # stored when the line is loaded
         hits = [warm.complete(CountingBackend(), text_request()) for _ in range(2)]
-        assert hits == [stored, stored] and hits[0] is hits[1]
+        assert hits == [(stored, True), (stored, True)] and hits[0][0] is hits[1][0]
 
     def test_last_line_wins_on_duplicate_fingerprints(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -1043,7 +1044,7 @@ class TestReplayBackend:
         cache.write_text(
             "".join(json.dumps(x) + "\n" for x in lines), encoding="utf-8"
         )
-        assert ReplayCache(cache).complete(CountingBackend(), text_request()).text == "new"
+        assert ReplayCache(cache).complete(CountingBackend(), text_request())[0].text == "new"
 
     def test_corrupt_line_cites_line_number(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -1083,7 +1084,7 @@ class TestReplayBackend:
         with ReplayCache(cache) as cold:
             cold.complete(CountingBackend(reply), text_request())
         warm = ReplayCache(cache)
-        assert warm.complete(CountingBackend("should not be used"), text_request()).text == reply
+        assert warm.complete(CountingBackend("should not be used"), text_request())[0].text == reply
 
     def test_blank_lines_skipped(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -1092,7 +1093,7 @@ class TestReplayBackend:
             "response_text": "kept", "model_id": "m", "timestamp": 1.0,
         }
         cache.write_text("\n" + json.dumps(record) + "\n\n", encoding="utf-8")
-        assert ReplayCache(cache).complete(CountingBackend(), text_request()).text == "kept"
+        assert ReplayCache(cache).complete(CountingBackend(), text_request())[0].text == "kept"
 
 
     @pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "from-file"])
@@ -1100,14 +1101,14 @@ class TestReplayBackend:
         cache = tmp_path / "cache.jsonl"
         inner = CountingBackend(reason=FinishReason.LENGTH)
         memo = ReplayCache(cache)
-        assert memo.complete(inner, text_request()).finish_reason is FinishReason.LENGTH
+        assert memo.complete(inner, text_request())[0].finish_reason is FinishReason.LENGTH
         assert json.loads(cache.read_text(encoding="utf-8"))["finish_reason"] == "length"
         if reload:
             memo.close()
             memo = ReplayCache(cache)
-        resp = memo.complete(inner, text_request())
+        resp, from_cache = memo.complete(inner, text_request())
         memo.close()
-        assert resp.from_cache
+        assert from_cache
         assert resp.finish_reason is FinishReason.LENGTH
         assert inner.calls == 1
 
@@ -1118,7 +1119,7 @@ class TestReplayBackend:
             "response_text": "old format", "model_id": "m", "timestamp": 1.0,
         }
         cache.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        resp = ReplayCache(cache).complete(CountingBackend(), text_request())
+        resp, _ = ReplayCache(cache).complete(CountingBackend(), text_request())
         assert resp.text == "old format"
         assert resp.finish_reason is FinishReason.STOP
 
@@ -1127,7 +1128,7 @@ class TestReplayBackend:
         cache = ReplayCache()
         assert cache.path is None
         cache.complete(inner, text_request())
-        assert cache.complete(CountingBackend(), text_request()).from_cache
+        assert cache.complete(CountingBackend(), text_request())[1]
         assert inner.calls == 1
         assert list(tmp_path.iterdir()) == []
 
@@ -1137,8 +1138,8 @@ class TestReplayBackend:
         with ReplayCache(cache) as memo:
             outcomes = concurrent_calls(memo, inner)
         assert inner.calls == 1
-        assert [r.text for r in outcomes.values()] == ["inner reply", "inner reply"]
-        assert sorted(r.from_cache for r in outcomes.values()) == [False, True]
+        assert [r.text for r, _ in outcomes.values()] == ["inner reply", "inner reply"]
+        assert sorted(hit for _, hit in outcomes.values()) == [False, True]
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_failed_call_is_not_stored(self, tmp_path):
@@ -1151,10 +1152,10 @@ class TestReplayBackend:
         assert outcomes == {"first": error, "second": error}
         assert not cache.exists()
         inner.error = None
-        resp = memo.complete(inner, text_request())
+        _, from_cache = memo.complete(inner, text_request())
         memo.close()
         assert inner.calls == 2
-        assert not resp.from_cache
+        assert not from_cache
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 1
 
     def test_failed_append_leaves_no_caller_waiting(self, tmp_path):
@@ -1165,9 +1166,10 @@ class TestReplayBackend:
         gone.rmdir()  # a directory missing at the start is refused; this one goes later
         outcomes = concurrent_calls(memo, inner)
         assert isinstance(outcomes["first"], FileNotFoundError)
-        assert outcomes["second"].text == "inner reply"
-        assert outcomes["second"].from_cache
-        assert memo.complete(inner, text_request()).from_cache
+        reply, from_cache = outcomes["second"]
+        assert reply.text == "inner reply"
+        assert from_cache
+        assert memo.complete(inner, text_request())[1]
         assert inner.calls == 1
 
     def test_a_waiter_gets_the_reply_the_asker_waited_a_backoff_for(self, monkeypatch):
@@ -1184,14 +1186,14 @@ class TestReplayBackend:
             waiters.append((waiter, waiter.is_alive()))
 
         http = HttpBackend("http://localhost:9/v1", transport=endpoint, sleep=sleep)
-        reply = memo.complete(http, text_request())
+        reply, from_cache = memo.complete(http, text_request())
         [(waiter, blocked)] = waiters
         waiter.join(5)
         assert blocked and not waiter.is_alive()
         assert endpoint.calls == 2
-        assert (reply.text, reply.from_cache) == ("after the backoff", False)
-        [waited] = outcomes
-        assert (waited.text, waited.from_cache) == ("after the backoff", True)
+        assert (reply.text, from_cache) == ("after the backoff", False)
+        [(waited, waited_from_cache)] = outcomes
+        assert (waited.text, waited_from_cache) == ("after the backoff", True)
 
     def test_racing_threads_ask_once_per_fingerprint(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -1215,7 +1217,7 @@ class TestReplayBackend:
         finally:
             sys.setswitchinterval(interval)
             memo.close()
-        assert [r.text for r in replies] == [r.prompt.upper() for r in requests]
+        assert [r.text for r, _ in replies] == [r.prompt.upper() for r in requests]
         fingerprints = {r.fingerprint for r in requests}
         assert asked == {fp: 1 for fp in fingerprints}
         lines = cache.read_text(encoding="utf-8").splitlines()
@@ -1229,7 +1231,7 @@ class TestReplayCacheAppends:
         handles = track_appends(monkeypatch)
         memo = ReplayCache(tmp_path / "cache.jsonl")
         for i in range(40):
-            assert not memo.complete(CountingBackend(), text_request(f"q{i}")).from_cache
+            assert not memo.complete(CountingBackend(), text_request(f"q{i}"))[1]
         assert len(handles) == 1
         memo.close()
         assert handles[0].closed
@@ -1263,7 +1265,7 @@ class TestReplayCacheAppends:
             memo.complete(CountingBackend(), text_request())
         handles = track_appends(monkeypatch)
         with ReplayCache(cache) as warm, ReplayCache() as bare:
-            assert warm.complete(CountingBackend(), text_request()).from_cache
+            assert warm.complete(CountingBackend(), text_request())[1]
             bare.complete(CountingBackend(), text_request())
         assert handles == []
 

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import FIXTURES, REPO, Fault, FaultyEndpoint, run_python, track_appends
 from mathagent import (
     CSV_HEADER,
+    QuestionType,
     ScriptedBackend,
     backends,
     cli,
@@ -263,7 +264,7 @@ class TestRun:
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
         specs = {"phase1": spec, "phase2": scripted, "phase3": scripted}
         config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends=specs))
-        backend = config.backends["phase1"].backend
+        backend = config.setup.phase1.backend
         assert backend.base_url == "http://localhost:9"
         assert backend.api_key_env == "MATHAGENT_API_KEY"
         assert backend.retry == backends.RetryPolicy(max_attempts=3, backoff_base_ms=250)
@@ -824,6 +825,21 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "router, named",
+        [({"diagram": "spare"}, "phase3"), ({"default": "spare"}, "spare")],
+        ids=["route-after-phase3", "default-route-before-phase3"],
+    )
+    def test_the_first_used_spec_without_a_model_is_named(self, tmp_path, caplog, router, named):
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS)}
+        http = {"kind": "http", "base_url": "http://localhost:9"}
+        specs = {"spare": http, "phase1": scripted, "phase2": scripted, "phase3": http}
+        config = write_config(tmp_path, tmp_path / "out", backends=specs, router=router)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [
+            f"config: backends.{named}: http backend needs 'model_id'"
+        ]
+
+    @pytest.mark.parametrize(
         "script",
         [
             [1],
@@ -1308,6 +1324,34 @@ class TestRouterConfig:
             "phase1": 10, "phase2.type": 2, "phase2": 6, "phase3": 14,
         }
 
+    @staticmethod
+    def routed_config(tmp_path) -> cli.RunConfig:
+        backend = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
+        specs = {
+            "phase1": dict(backend, model_id="checker"), "phase2": backend,
+            "phase3": dict(backend, model_id="analyst"),
+            "vision": dict(backend, model_id="vision-variant"),
+            "plane": dict(backend, model_id="plane-reader"),
+        }
+        router = {"default": "vision", "plane_geometry": "plane"}
+        config = write_config(tmp_path, tmp_path / "out", backends=specs, router=router)
+        return cli.load_config(config)
+
+    def test_load_config_resolves_the_router_into_the_setup(self, tmp_path):
+        setup = self.routed_config(tmp_path).setup
+        models = [phase.settings.model_id for phase in (setup.phase1, setup.phase2, setup.phase3)]
+        assert models == ["checker", "vision-variant", "analyst"]
+        assert list(setup.router) == [QuestionType.PLANE_GEOMETRY]
+        assert setup.router[QuestionType.PLANE_GEOMETRY].settings.model_id == "plane-reader"
+
+    def test_build_setup_changes_only_the_cache(self, tmp_path):
+        config = self.routed_config(tmp_path)
+        setup = cli.build_setup(config)
+        setup.cache.close()
+        for field in ("phase1", "phase2", "phase3", "router", "prompts"):
+            assert getattr(setup, field) is getattr(config.setup, field), field
+        assert setup.cache is not config.setup.cache
+
 
 class TestPromptDir:
     def test_edited_prompt_reaches_the_request(self, tmp_path, capsys, monkeypatch):
@@ -1463,7 +1507,7 @@ class TestComputedOnce:
         assert built == {}
         for name in cli.PHASE_NAMES:
             phases = [getattr(setup, name) for setup in setups]
-            assert phases[0].backend is phases[1].backend is config.backends[name].backend
+            assert phases[0].backend is phases[1].backend is getattr(config.setup, name).backend
 
     def test_prompt_assets_read_once_per_command(self, tmp_path, capsys, monkeypatch):
         reads = count_file_reads(monkeypatch)
@@ -1919,7 +1963,8 @@ class TestWorkers:
             for phase, url in zip(["phase1", "phase2", "phase3"], urls)
         })
         loaded = cli.load_config(config)  # starts no pool
-        assert len({phase.backend._gate for phase in loaded.backends.values()}) == 3
+        gates = {getattr(loaded.setup, name).backend._gate for name in cli.PHASE_NAMES}
+        assert len(gates) == 3
         assert loaded.workers == top
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
@@ -2072,6 +2117,21 @@ class TestAuthStopsTheRun:
         else:  # a spec no phase or route uses makes no call, so its key is not read
             assert code == EXIT_OK
         assert endpoint.calls == 0
+
+    def test_the_first_unset_key_a_sample_would_meet_is_named(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.delenv("KEY_ONE", raising=False)
+        monkeypatch.delenv("KEY_TWO", raising=False)
+        scripted = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
+        http = {"kind": "http", "base_url": "http://localhost:9/v1", "model_id": "m"}
+        specs = {  # the routed spec comes first in the config, and phase1's key first in a run
+            "spare": dict(http, api_key_env="KEY_TWO"),
+            "phase1": dict(http, api_key_env="KEY_ONE"),
+            "phase2": scripted, "phase3": scripted,
+        }
+        router = {"diagram": "spare"}
+        config = write_config(tmp_path, tmp_path / "out", backends=specs, router=router)
+        assert main(["run", "--config", str(config)]) == EXIT_CONFIG
+        assert self.errors(caplog) == ["auth: environment variable KEY_ONE is not set"]
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     @pytest.mark.parametrize("rate_limit", [1, 3])
@@ -2471,6 +2531,19 @@ class TestCachePath:
         assert not (tmp_path / "missing").exists()
 
 
+    def test_two_runs_write_the_same_cache_bytes(self, tmp_path, capsys):
+        caches = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            cache = tmp_path / name / "cache.jsonl"
+            config = write_config(tmp_path / name, tmp_path / name / "out", cache_path=str(cache))
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+            capsys.readouterr()
+            caches.append(cache.read_bytes())
+        assert len(caches[0].splitlines()) == 32
+        assert caches[0] == caches[1]
+
+
 class TestSetupProbe:
     """perfbench/setup_probe.py, the benchmark's one direct call into cli, keeps working."""
 
@@ -2630,7 +2703,9 @@ class TestReadme:
         config = tmp_path / "run.json"
         config.write_text(json.dumps(raw), encoding="utf-8")
         as_written = cli.load_config(config)  # its HTTP specs too, though none is called
-        assert {phase.settings.model_id for phase in as_written.backends.values()} == {"gpt-4o"}
+        setup = as_written.setup
+        phases = (setup.phase1, setup.phase2, setup.phase3, *setup.router.values())
+        assert {phase.settings.model_id for phase in phases} == {"gpt-4o"}
         for name in raw["backends"]:
             raw["backends"][name] = {"kind": "scripted", "script_path": str(SCRIPTS)}
         config.write_text(json.dumps(raw), encoding="utf-8")

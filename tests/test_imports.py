@@ -1,5 +1,6 @@
 """Every module-level import of the package, the scripts and the tests is used,
-and every f-string in them has a placeholder.
+every f-string in them has a placeholder, and no default in them is a mutable
+value that every call or every tuple built would share.
 
 Checked with ast, so no linter is needed. The package's __init__.py is
 left out: its imports are re-exports.
@@ -51,6 +52,30 @@ def placeholderless_fstrings(source: str) -> list[str]:
     ]
 
 
+_MUTABLE_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _is_mutable(node) -> bool:
+    """A list, dict or set display, a comprehension of one, or a call of list, dict or set."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id in {"list", "dict", "set"}
+    return isinstance(node, _MUTABLE_NODES)
+
+
+def mutable_defaults(source: str) -> list[str]:
+    """The lines of function defaults and NamedTuple field defaults that are mutable."""
+    defaults = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            defaults += node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+        elif isinstance(node, ast.ClassDef) and any(
+            getattr(base, "id", getattr(base, "attr", None)) == "NamedTuple" for base in node.bases
+        ):
+            defaults += [f.value for f in node.body if isinstance(f, ast.AnnAssign) and f.value]
+    return [f"line {d.lineno}" for d in sorted(defaults, key=lambda d: (d.lineno, d.col_offset))
+            if _is_mutable(d)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -61,6 +86,11 @@ def test_every_f_string_has_a_placeholder(path):
     assert placeholderless_fstrings(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_default_is_mutable(path):
+    assert mutable_defaults(path.read_text(encoding="utf-8")) == []
+
+
 def test_an_unused_import_is_found():
     source = "from __future__ import annotations\nimport os.path\nimport sys\nsys.exit()\n"
     assert unused_imports(source) == ["line 2: os"]
@@ -69,3 +99,21 @@ def test_an_unused_import_is_found():
 def test_an_f_string_without_a_placeholder_is_found():
     source = 'a = f"{x:.2f}"\nb = f"none"\nc = f"{x:>{w}}" "tail"\nd = f"one" f"two"\n'
     assert placeholderless_fstrings(source) == ["line 2", "line 4"]
+
+
+def test_a_mutable_default_is_found():
+    source = (
+        "def f(a=[], b=(), *, c={}, d=None, e=frozenset()):\n    pass\n"  # line 1: a and c
+        "g = lambda x={1}, y=[i for i in x]: x\n"  # line 3: both
+        "class T(typing.NamedTuple):\n"
+        "    xs: list = list()\n"  # line 5
+        "    n: int = 0\n"
+        "    ys: dict = {k: 1 for k in 'ab'}\n"  # line 7
+        "    zs: tuple\n"
+        "class U:\n"
+        "    vs: list = []\n"  # not a NamedTuple
+        "async def h(w=dict(a=1)):\n    pass\n"  # line 11
+    )
+    assert mutable_defaults(source) == [
+        "line 1", "line 1", "line 3", "line 3", "line 5", "line 7", "line 11"
+    ]

@@ -621,6 +621,23 @@ class TestCallRecords:
         ]
         assert all(r.from_cache for d in warm for r in d.trace.backend_calls)
 
+    @pytest.mark.parametrize("twin_first", [False, True], ids=["original-first", "twin-first"])
+    def test_at_one_worker_the_earlier_of_two_twins_asks(self, samples_12, twin_first):
+        """Two samples that make the same requests (two students' copies of one solution):
+        the earlier one in the dataset asks, and the memo answers the later. This is what a
+        one-worker run writes; at more workers the flags follow thread timing for now."""
+        original = sample_by_id(samples_12, "s09")
+        twin = original._replace(id="s09-twin")
+        samples = [twin, original] if twin_first else [original, twin]
+        spy, emitted = SpyScript(), []
+        # the script knows s09 only; the twin's requests are the same but for this metadata
+        as_s09 = SimpleNamespace(complete=lambda q: spy.complete(q._replace(sample_id="s09")))
+        stream_detections(samples, [AblationMode.FULL], shared_setup(as_s09), emitted.append, 1)
+        flags = [[r.from_cache for r in det.trace.backend_calls] for (det,) in emitted]
+        assert [det.sample_id for (det,) in emitted] == [s.id for s in samples]
+        assert flags == [[False] * 4, [True] * 4]
+        assert len(spy.requests) == 4
+
     def test_a_setup_without_a_cache_answers_a_repeat_once(self, samples_12):
         spy = SpyScript()
         setup = shared_setup(spy)
