@@ -2,13 +2,14 @@
 
 HttpBackend and ScriptedBackend are the two Backends. The pipeline asks
 its setup's ReplayCache for every call, and the memo asks a phase's
-backend only for requests it has not seen; it alone says whether it
-answered a call, and each call is recorded as a CallRecord with that
-flag. Neither a ModelResponse nor a CallRecord holds wall time, so a
-call's record is the same over HTTP as from a script. Threads
-that miss on one request together make one call (single-flight): the
-first asker holds a lock until its reply or its exception is set, and
-the others block on that lock, then share it.
+backend only for requests it has not seen; it says whether it answered
+a call, and each call is recorded as a CallRecord with that flag, which
+the pipeline settles in sample order as it emits. Neither a
+ModelResponse nor a CallRecord holds wall time, so a call's record is
+the same over HTTP as from a script. Threads that miss on one request
+together make one call (single-flight): the first asker holds a lock
+until its reply or its exception is set, and the others block on that
+lock, then share it.
 ScriptedBackend is the one reader of the script format; a scripted
 reply may carry a finish reason, so a cut reply can be scripted, and a
 reply list answers by the request's attempt, never by the calls before
@@ -324,7 +325,7 @@ class HttpBackend:
         sleep: Callable[[float], None] = time.sleep,
         gate: threading.Semaphore | None = None,
     ):
-        if not 1 <= rate_limit <= MAX_RATE_LIMIT:  # rate_limit sets a command's worker threads
+        if not 1 <= rate_limit <= MAX_RATE_LIMIT:  # its slots and a spare set the worker threads
             raise ValueError(f"'rate_limit' {rate_limit} is not in [1, {MAX_RATE_LIMIT}]")
         if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # a socket timeout past it overflows
             raise ValueError(f"'timeout_s' {timeout_s} is not in (0, {threading.TIMEOUT_MAX:g}]")
@@ -513,7 +514,8 @@ class ReplayCache:
     read once here, one {fingerprint, response_text, finish_reason,
     model_id} per line (finish_reason stop when absent, other keys
     ignored, the last line winning). No line holds wall time, so two
-    identical one-worker runs write the same file. A torn final line (a
+    identical one-worker runs write the same file; at more workers, the
+    same lines in an order that follows thread timing. A torn final line (a
     crash mid-append) is cut with a warning; any other bad line, one
     parse_json rejects included, raises ValueError naming it, and a path
     whose directory does not exist raises FileNotFoundError. Only this
@@ -597,6 +599,10 @@ class ReplayCache:
                 self._appends.write(json.dumps(record, ensure_ascii=False) + "\n")
                 self._appends.flush()  # a killed run leaves whole lines only
         return response, False
+
+    def fingerprints(self) -> set[str]:
+        """A new set of the fingerprints the memo holds a reply for, or has in flight."""
+        return set(self._replies)
 
     def close(self) -> None:
         """Close the append handle, if open; a later miss opens it again."""

@@ -106,7 +106,8 @@ class RunConfig(NamedTuple):
     setup: PipelineSetup
     cache_path: Path | None
     output_dir: Path
-    workers: int  # the slots of every gate the run uses, up to MAX_RATE_LIMIT; 1 if all scripted
+    # the slots of every gate the run uses plus one spare, up to MAX_RATE_LIMIT; 1 if all scripted
+    workers: int
 
 
 def _resolve(base: Path, value: str, key: str) -> Path:
@@ -189,36 +190,38 @@ def load_config(path) -> RunConfig:
     except (OSError, ValueError) as exc:
         # missing or bad prompt assets, unreadable script files
         raise ConfigError(str(exc)) from exc
-    # one in-flight gate per base_url, sized by its smallest rate_limit
+    routes = {QuestionType(k): v for k, v in router.items() if k != "default"}
+    default = router.get("default", "phase2")
+    # each spec a phase or route uses, in the order a sample meets them
+    used = list(dict.fromkeys(["phase1", default, "phase3", *routes.values()]))
+    # one in-flight gate per base_url, sized by the smallest rate_limit of the used specs on
+    # it; a used http spec names its model
     limits: dict[str, int] = {}
-    for _, made in checked.values():
+    for name in used:
+        made = checked[name][1]
         if isinstance(made, dict):
+            if "model_id" not in specs[name]:
+                raise ConfigError(f"backends.{name}: http backend needs 'model_id'")
             url, limit = made["base_url"], made["rate_limit"]
             limits[url] = min(limit, limits.get(url, limit))
     gates = {url: threading.Semaphore(limit) for url, limit in limits.items()}
-    phases: dict[str, PhaseSetup] = {}  # each spec a phase or route uses, in the order met
-
-    def phase(name: str) -> PhaseSetup:
-        """The named spec's PhaseSetup, built at its first use; a used http spec names its model."""
-        if name not in phases:
-            if specs[name]["kind"] == "http" and "model_id" not in specs[name]:
-                raise ConfigError(f"backends.{name}: http backend needs 'model_id'")
-            settings, made = checked[name]
-            if isinstance(made, dict):
-                made = HttpBackend(**made, gate=gates[made["base_url"]])
-            phases[name] = PhaseSetup(made, settings)
-        return phases[name]
+    phases: dict[str, PhaseSetup] = {}
+    for name in used:
+        settings, made = checked[name]
+        if isinstance(made, dict):
+            made = HttpBackend(**made, gate=gates[made["base_url"]])
+        phases[name] = PhaseSetup(made, settings)
 
     setup = PipelineSetup(
-        phase("phase1"), phase(router.get("default", "phase2")), phase("phase3"),
-        router={QuestionType(k): phase(v) for k, v in router.items() if k != "default"},
+        phases["phase1"], phases[default], phases["phase3"],
+        router={qtype: phases[name] for qtype, name in routes.items()},
         prompts=prompts,
     )
-    # a worker per slot fills every gate the run uses, up to one gate's bound in all; a
-    # scripted-only run is CPU-bound, so it takes one
-    used = [p.backend for p in phases.values()]
-    urls = {backend.base_url for backend in used if not isinstance(backend, ScriptedBackend)}
-    workers = min(sum(limits[url] for url in urls), MAX_RATE_LIMIT) or 1
+    # one worker per slot, and a spare that waits at a gate while another worker parses,
+    # writes or sleeps a backoff, so no slot idles; the gates alone bound the calls in flight.
+    # A scripted-only run is CPU-bound, so it takes one
+    slots = sum(limits.values())
+    workers = min(slots + 1, MAX_RATE_LIMIT) if slots else 1
     return RunConfig(dataset, AblationMode(mode), setup, cache_path, output_dir, workers)
 
 

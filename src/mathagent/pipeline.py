@@ -24,13 +24,15 @@ its record back; the reader accepts only what the writer emits, so
 `report` on a detections file scores exactly what its run kept.
 
 A later mode that repeats a request an earlier one made is answered by
-the setup's ReplayCache, which alone says whether it answered a call:
-the call's CallRecord takes from_cache from it. A call that raised is
-not stored, so a later mode asks again. No backend keeps state between
-calls, and no line holds wall time, so a sample's detections do not
-depend on the modes before it, nor on how long a call took. They depend
-on the samples before it only through from_cache, when two samples
-make the same request: at one worker the earlier one asks.
+the setup's ReplayCache, so the backend is asked once, and a call's
+CallRecord takes from_cache from the memo's answer. A call that raised
+is not stored, so a later mode asks again. stream_detections settles
+from_cache where it emits, in sample order, so that when two samples
+make the same request the earlier one records the ask at any worker
+count, as at one worker, whichever thread reached the memo first. No
+backend keeps state between calls, and no line holds wall time, so a
+sample's detections depend neither on the modes before it, nor on how
+long a call took, nor on thread timing.
 """
 
 from __future__ import annotations
@@ -219,7 +221,8 @@ def stream_detections(
     from one thread at a time. The calling thread and workers - 1 pool
     threads each take the next sample as soon as they are free, so a slow
     call holds up one worker, not a share of the dataset; a sample that
-    finishes ahead of an earlier one waits in a reorder buffer. Any
+    finishes ahead of an earlier one waits in a reorder buffer, and each
+    call's from_cache is settled as it leaves (see _decide_from_cache). Any
     exception, a KeyboardInterrupt in the calling thread included, stops
     the claiming of samples and is re-raised once the in-flight samples
     are done; what was emitted before it stays emitted.
@@ -228,6 +231,7 @@ def stream_detections(
     pending = enumerate(samples)
     claim, emitting = threading.Lock(), threading.Lock()
     ready: dict[int, tuple[Detection, ...]] = {}  # the reorder buffer
+    asked = setup.cache.fingerprints()  # the memo's at the start, then each emitted call's
     next_index = 0
     stopped = False
 
@@ -249,7 +253,9 @@ def stream_detections(
                 while next_index in ready and emitting.acquire(blocking=False):
                     try:
                         while next_index in ready:
-                            emit(ready.pop(next_index))
+                            detections = ready.pop(next_index)
+                            _decide_from_cache(detections, asked)
+                            emit(detections)
                             next_index += 1
                     finally:
                         emitting.release()
@@ -265,6 +271,26 @@ def stream_detections(
                 task.result()  # re-raises a pool worker's exception
         finally:
             stopped = True  # also when interrupted while submitting or collecting
+
+
+def _decide_from_cache(detections: tuple[Detection, ...], asked: set[str]) -> None:
+    """Set each call's from_cache in emit order, as a one-worker run's memo answers it.
+
+    A call is from_cache when its fingerprint is in asked: the memo held it
+    when the stream started, or an earlier call in emit order made that
+    request. So of two samples that make the same request, the earlier
+    one asks, whichever worker reached the memo first. A call that raised
+    left no record, as it left no reply.
+    """
+    for det in detections:
+        calls = det.trace.backend_calls
+        for i, record in enumerate(calls):
+            fingerprint = record.fingerprint
+            cached = fingerprint in asked
+            if record.from_cache is not cached:
+                calls[i] = record._replace(from_cache=cached)
+            if not cached:
+                asked.add(fingerprint)
 
 
 def run_dataset(

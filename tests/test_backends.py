@@ -204,7 +204,7 @@ class TestValueTypes:
         parameters = inspect.signature(HttpBackend).parameters
         for name in ("api_key_env", "retry", "timeout_s"):
             assert getattr(backend, name) == parameters[name].default, name
-        assert config.workers == parameters["rate_limit"].default  # its one base_url's gate
+        assert config.workers == parameters["rate_limit"].default + 1  # its gate, and a spare
 
     def test_two_traces_never_share_a_call_list(self):
         assert "backend_calls" not in PhaseTrace._field_defaults

@@ -7,6 +7,7 @@ import json
 import re
 import shutil
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -269,7 +270,7 @@ class TestRun:
         assert backend.api_key_env == "MATHAGENT_API_KEY"
         assert backend.retry == backends.RetryPolicy(max_attempts=3, backoff_base_ms=250)
         assert backend.timeout_s == 60.0
-        assert config.workers == 4  # the rate_limit of the one base_url
+        assert config.workers == 4 + 1  # the rate_limit of the one base_url, and a spare
 
     def test_the_test_config_warns_of_nothing_and_the_benchmark_config_of_workers(
         self, tmp_path, caplog, monkeypatch
@@ -279,10 +280,10 @@ class TestRun:
 
         cli.load_config(write_config(tmp_path, tmp_path / "out"))
         assert warnings(caplog) == []
-        # the benchmark still sets the retired key; its rate_limit gives the same count
+        # the benchmark still sets the retired key; its rate_limit gives the count
         config = cli.load_config(workload.write_config(tmp_path, cache=True))
         assert warnings(caplog) == ["config: unknown key 'workers' ignored"]
-        assert config.workers == workload.WORKERS
+        assert config.workers == workload.RATE_LIMIT + 1
 
     def test_a_workers_key_is_unknown_and_the_run_goes_on(self, tmp_path, capsys, caplog):
         out_dir = tmp_path / "out"
@@ -1771,7 +1772,7 @@ class TestStreamedDetections:
         capsys.readouterr()
         out_dir = tmp_path / "cut" / "out"
         config = http_config(tmp_path / "cut", rate_limit=2)
-        # the process signals itself as the sixth sample is written, on two workers
+        # the process signals itself as the sixth sample is written, on three workers
         code = (
             "import functools, os, signal, sys\n"
             # a background job of a non-interactive shell starts with SIGINT ignored
@@ -1908,7 +1909,7 @@ class TestEndpointGate:
 
 
 class TestWorkers:
-    """A run has as many workers as its gates have slots; a scripted-only run has one."""
+    """A run has a worker per slot of its gates and a spare; a scripted-only run has one."""
 
     @pytest.mark.parametrize("command", ["run", "ablate"])
     def test_a_default_http_run_fills_its_gate_and_no_more(
@@ -1923,10 +1924,10 @@ class TestWorkers:
         capsys.readouterr()
         assert not endpoint.barrier.broken
         assert endpoint.max_in_flight == 3
-        assert any(r.getMessage().endswith(" on 3 worker(s)") for r in caplog.records)
+        assert any(r.getMessage().endswith(" on 4 worker(s)") for r in caplog.records)
         if command == "run":
             meta = json.loads((tmp_path / "run" / "out" / "run_meta.json").read_text("utf-8"))
-            assert meta["workers"] == 3
+            assert meta["workers"] == 4
 
     def test_two_base_urls_give_the_sum_of_their_gates(self, tmp_path, capsys, monkeypatch):
         serve(FaultyEndpoint(), monkeypatch)
@@ -1936,11 +1937,11 @@ class TestWorkers:
             "phase2": {**spec, "rate_limit": 5},
             "phase3": {**spec, "base_url": OTHER_URL, "rate_limit": 3},
         })
-        assert cli.load_config(config).workers == 2 + 3
+        assert cli.load_config(config).workers == 2 + 3 + 1
         assert main(["run", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         meta = json.loads((tmp_path / "out" / "run_meta.json").read_text(encoding="utf-8"))
-        assert meta["workers"] == 5
+        assert meta["workers"] == 6
 
     def test_a_spec_no_phase_or_route_uses_adds_no_worker(self, tmp_path):
         scripted = {"kind": "scripted", "script_path": str(SCRIPTS), "model_id": "scripted-12"}
@@ -1952,7 +1953,47 @@ class TestWorkers:
         specs["spare"] = {**spare, "model_id": "m"}
         config = write_config(tmp_path, tmp_path / "out", backends=specs,
                               router={"plane_geometry": "spare"})
-        assert cli.load_config(config).workers == 8
+        assert cli.load_config(config).workers == 8 + 1
+
+    def test_a_spec_no_phase_or_route_uses_leaves_the_gate_its_size(self, tmp_path):
+        spec = {"kind": "http", "base_url": "http://h/v1", "model_id": "m", "rate_limit": 8}
+        leftover = {**spec, "rate_limit": 1}
+        specs = {"phase1": spec, "phase2": spec, "phase3": spec, "leftover": leftover}
+        config = cli.load_config(write_config(tmp_path, tmp_path / "out", backends=specs))
+        gate = config.setup.phase1.backend._gate
+        assert [gate.acquire(blocking=False) for _ in range(9)] == [True] * 8 + [False]
+        assert config.workers == 8 + 1
+
+    def test_the_spare_sends_while_a_worker_sleeps_its_backoff(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """One slot, two workers: the spare takes the slot a backoff leaves free."""
+        first = load_dataset(DATASET)[0].id
+        endpoint = FaultyEndpoint({("phase1", first, 0): Fault(status=503)})
+        sent_during = []  # what reached the endpoint during each backoff, in order
+
+        def sleep(seconds):
+            before = endpoint.calls
+            time.sleep(seconds)
+            sent_during.append(endpoint.log[before:endpoint.calls])
+
+        monkeypatch.setenv("MATHAGENT_API_KEY", "test-key")
+        monkeypatch.setattr(cli, "HttpBackend", functools.partial(
+            backends.HttpBackend, transport=endpoint, sleep=sleep
+        ))
+        spec = {"kind": "http", "base_url": ONE_URL, "model_id": "scripted-12", "rate_limit": 1,
+                "retry": {"max_attempts": 3, "backoff_base_ms": 200}}
+        config = write_config(tmp_path, tmp_path / "out",
+                              backends={"phase1": spec, "phase2": spec, "phase3": spec})
+        assert cli.load_config(config).workers == 2
+        assert main(["run", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        (during,) = sent_during  # the one backoff
+        assert during and all(sample_id != first for _, sample_id, _, _ in during)
+        assert endpoint.max_in_flight == 1
+        assert (tmp_path / "out" / "detections.jsonl").read_bytes() == (
+            FIXTURES / "golden_detections_full.jsonl"
+        ).read_bytes()
 
     def test_the_sum_over_base_urls_is_capped(self, tmp_path):
         """Three base_urls at the largest rate_limit would sum to three times the cap."""
@@ -2146,7 +2187,7 @@ class TestAuthStopsTheRun:
         assert capsys.readouterr().out == ""
         assert self.errors(caplog) == [f"auth: HTTP {status} from {self.URL}"]
         # a refusal is not retried, and each worker stops at its first sample's first call
-        assert 1 <= endpoint.calls <= rate_limit
+        assert 1 <= endpoint.calls <= cli.load_config(config).workers
         assert endpoint.sleeps == []
         for path in detection_files(command, tmp_path / "run" / "out"):
             assert read_lines(path) == [], path.name

@@ -436,7 +436,7 @@ class TestDeterminismAndConcurrency:
 
         def fake_detect(sample, mode, setup):
             time.sleep(delays[sample])
-            return sample, mode
+            return Detection(sample, mode, None, None, PhaseTrace(None, None, "", []))
 
         class SlowRelease:
             def __init__(self):
@@ -462,8 +462,8 @@ class TestDeterminismAndConcurrency:
         def emit(detections):
             assert emitting.acquire(blocking=False), "two threads emitting at once"
             try:
-                time.sleep(delays[detections[0][0]] / 4)
-                emitted.append(detections)
+                time.sleep(delays[detections[0].sample_id] / 4)
+                emitted.append(tuple((det.sample_id, det.mode) for det in detections))
             finally:
                 emitting.release()
 
@@ -625,7 +625,7 @@ class TestCallRecords:
     def test_at_one_worker_the_earlier_of_two_twins_asks(self, samples_12, twin_first):
         """Two samples that make the same requests (two students' copies of one solution):
         the earlier one in the dataset asks, and the memo answers the later. This is what a
-        one-worker run writes; at more workers the flags follow thread timing for now."""
+        one-worker run writes, and what a run at more workers writes too (below)."""
         original = sample_by_id(samples_12, "s09")
         twin = original._replace(id="s09-twin")
         samples = [twin, original] if twin_first else [original, twin]
@@ -637,6 +637,51 @@ class TestCallRecords:
         assert [det.sample_id for (det,) in emitted] == [s.id for s in samples]
         assert flags == [[False] * 4, [True] * 4]
         assert len(spy.requests) == 4
+
+    @pytest.mark.parametrize("held", [False, True], ids=["free", "earlier-held"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("twin_first", [False, True], ids=["original-first", "twin-first"])
+    def test_at_more_workers_the_earlier_of_two_twins_still_asks(
+        self, samples_12, monkeypatch, twin_first, workers, held
+    ):
+        """The one-worker flags, whichever twin reaches the memo first.
+
+        Held, the earlier twin starts its phase 1 only once the later one is
+        done, so the later one makes every call to the backend. An unrelated
+        sample comes first, so that three workers each take a sample.
+        """
+        original = sample_by_id(samples_12, "s09")
+        twin = original._replace(id="s09-twin")
+        earlier, later = (twin, original) if twin_first else (original, twin)
+        other = sample_by_id(samples_12, "s01")
+        script, askers, emitted = ScriptedBackend.from_file(FIXTURES / "scripts_12.json"), [], []
+
+        def complete(q):
+            askers.append(q.sample_id)
+            # the script knows s09 by its id; the twin's requests differ from s09's in it alone
+            return script.complete(q._replace(sample_id="s09") if q.sample_id == twin.id else q)
+
+        later_done, real = threading.Event(), pipeline.detect_errors
+
+        def detect(sample, mode, setup):
+            if held and sample is earlier:
+                assert later_done.wait(timeout=10)
+            det = real(sample, mode, setup)
+            if sample is later:
+                later_done.set()
+            return det
+
+        monkeypatch.setattr(pipeline, "detect_errors", detect)
+        samples = [other, earlier, later]
+        setup = shared_setup(SimpleNamespace(complete=complete))
+        stream_detections(samples, [AblationMode.FULL], setup, emitted.append, workers)
+        assert [det.sample_id for (det,) in emitted] == [s.id for s in samples]
+        flags = [[r.from_cache for r in det.trace.backend_calls] for (det,) in emitted[1:]]
+        assert flags == [[False] * 4, [True] * 4]
+        twins_asked = [sample_id for sample_id in askers if sample_id != other.id]
+        assert len(twins_asked) == 4
+        if held:  # the later twin asked, yet the earlier one records the asks
+            assert twins_asked == [later.id] * 4
 
     def test_a_setup_without_a_cache_answers_a_repeat_once(self, samples_12):
         spy = SpyScript()
